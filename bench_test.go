@@ -140,8 +140,7 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 	e.work.ApplyThemes(e.combo)
 	defer e.work.ClearThemes()
 	m := matcher.New(semantics.NewSpace(e.ix))
-	br := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+	br := broker.New(m,
 		broker.WithThreshold(0.3), broker.WithReplayBuffer(0), broker.WithQueueSize(64))
 	var wg sync.WaitGroup
 	for _, s := range e.work.ApproxSubs {
@@ -478,8 +477,7 @@ func BenchmarkBrokerPublishPruned(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			m := matcher.New(semantics.NewSpace(e.ix))
-			br := broker.New(
-				broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+			br := broker.New(m,
 				broker.WithPruning(pruning),
 				broker.WithThreshold(0.3), broker.WithReplayBuffer(0), broker.WithQueueSize(64))
 			var wg sync.WaitGroup

@@ -324,10 +324,7 @@ func (e *env0) brokerPass(pruning bool) (brokerRun, error) {
 	e.space.ResetCaches()
 	m := matcher.New(e.space)
 	b := broker.New(
-		broker.PreparedStream(
-			m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-			m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-			m.FinishEventBatch),
+		m,
 		broker.WithPruning(pruning),
 		broker.WithReplayBuffer(0),
 		broker.WithQueueSize(1),

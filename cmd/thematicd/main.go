@@ -150,15 +150,12 @@ func run(args []string) error {
 		detectionSLO = telemetry.NewSLO("detection", *sloObj, *sloT)
 		opts = append(opts, broker.WithDeliverySLO(deliverySLO))
 	}
-	// The PreparedStream adapter turns on the broker's prepare-once fast
-	// path (subscriptions canonicalized and theme-compiled at Subscribe
-	// time, events once per publish), columnar batch scoring of each
-	// event's candidate set, and the batch-scope interning/memo contexts
-	// behind PublishBatch.
-	b := broker.New(broker.PreparedStream(
-		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-		m.FinishEventBatch), opts...)
+	// *matcher.Matcher is a broker.Engine, which turns on the prepare-once
+	// fast path (subscriptions canonicalized and theme-compiled at
+	// Subscribe time, events once per publish), the pruning index, and
+	// arena scoring with interning and row memos that persist across
+	// publishes.
+	b := broker.New(m, opts...)
 	defer b.Close()
 
 	srv := broker.NewServer(b)

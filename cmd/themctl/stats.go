@@ -413,11 +413,13 @@ func summarize(families []*telemetry.Family) {
 			secs(p50), secs(p95), secs(p99), count)
 	}
 
-	// Batched ingest: how much of the stream arrives through PublishBatch
-	// and how much work the batch-scope interners and row memos amortize
-	// away.
+	// Batching: every publish is a batch (a serial publish is a batch of
+	// one), so "batches" counts all admitted publish calls and the size
+	// quantiles say how much of the stream arrives in multi-event batches;
+	// the reuse lines say how much work the interners and row memos
+	// amortize away.
 	if batches := counter("thematicep_broker_batches_total"); batches > 0 {
-		fmt.Println("batching:")
+		fmt.Println("batching (every publish; serial = size 1):")
 		fmt.Printf("  %-14s %.0f\n", "batches", batches)
 		if f := byName["thematicep_publish_batch_size"]; f != nil && f.Type == "histogram" {
 			count, p50, p95, _ := histogramQuantiles(f)

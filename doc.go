@@ -11,7 +11,9 @@
 //   - internal/semantics — the parametric vector space model with thematic
 //     projection (Algorithm 1) over internal/index and internal/corpus;
 //   - internal/broker — the pub/sub middleware substrate (in-process and
-//     TCP);
+//     TCP); broker.New(matcher.New(space)) is the whole wiring: the matcher
+//     is the broker's engine as it is, and Publish(e) is PublishBatch of
+//     one event through the single publish pipeline;
 //   - internal/workload, internal/eval, internal/figures — the evaluation
 //     framework that regenerates the paper's tables and figures;
 //   - internal/baseline, internal/cep, internal/thesaurus, internal/vocab —

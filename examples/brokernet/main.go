@@ -29,15 +29,12 @@ func run() error {
 	// Broker side: the thematic matcher is the broker's matching engine.
 	space := semantics.NewSpace(index.Build(corpus.GenerateDefault()))
 	m := matcher.New(space)
-	// PreparedStream adapter: the broker compiles each subscription once and
-	// each event once per publish instead of per (event, subscription)
-	// pair, scores each event's candidates in one columnar sweep, and
-	// amortizes whole PublishBatch calls through batch-scope interning.
-	b := broker.New(broker.PreparedStream(
-		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-		m.FinishEventBatch),
-		broker.WithThreshold(0.2))
+	// *matcher.Matcher is a broker.Engine: the broker compiles each
+	// subscription once and each event once per publish instead of per
+	// (event, subscription) pair, and scores each event's candidates in
+	// columnar sweeps whose interned terms and similarity rows carry over
+	// from publish to publish.
+	b := broker.New(m, broker.WithThreshold(0.2))
 	defer b.Close()
 
 	srv := broker.NewServer(b)

@@ -27,8 +27,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	m := matcher.New(space)
 
 	// Broker over TCP, on the prepared fast path with a worker pool.
-	b := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+	b := broker.New(m,
 		broker.WithThreshold(0.52), broker.WithMatchParallelism(4))
 	defer b.Close()
 	srv := broker.NewServer(b)

@@ -11,21 +11,27 @@
 //     subscriber has a bounded queue drained at its own pace, with a
 //     drop-oldest overflow policy surfaced in the statistics.
 //
+// The matcher needs no adapter:
+//
+//	b := broker.New(matcher.New(space))
+//
 // # Concurrency
 //
-// The broker is safe for concurrent use. Publish fans the subscription set
+// The broker is safe for concurrent use. There is one publish pipeline —
+// Publish(e) is PublishBatch of one event — and it fans the candidate set
 // out over a bounded worker pool (WithMatchParallelism, default
 // GOMAXPROCS): the publishing goroutine always participates, helper
 // workers are drawn from a broker-wide budget shared by concurrent
-// publishes, and Publish returns only after every match decision and
-// delivery of its event is done — callers keep the synchronous contract.
-// Matchers implementing PreparedMatcher get the prepared fast path: each
-// subscription is prepared once at Subscribe time and each event once per
-// Publish, so the hot loop never recompiles themes or recanonicalizes
-// terms — and, with pruning on (WithPruning, default), the candidate set
-// itself comes from the internal/subindex pruning index instead of a full
-// scan, skipping subscriptions whose exact predicates this event cannot
-// satisfy. All Stats counters are atomics; no lock is held while matching.
+// publishes, and a publish returns only after every match decision and
+// delivery of its events is done — callers keep the synchronous contract.
+// Matchers implementing Engine (*matcher.Matcher does) get the prepared
+// fast path: each subscription is prepared once at Subscribe time and each
+// event once per publish, so the hot loop never recompiles themes or
+// recanonicalizes terms — and, with pruning on (WithPruning, default), the
+// candidate set itself comes from the internal/subindex pruning index
+// instead of a full scan, skipping subscriptions whose exact predicates
+// this event cannot satisfy. All Stats counters are atomics; no lock is
+// held while matching.
 package broker
 
 import (
@@ -39,13 +45,15 @@ import (
 	"time"
 
 	"thematicep/internal/event"
+	"thematicep/internal/matcher"
 	"thematicep/internal/subindex"
 	"thematicep/internal/telemetry"
 )
 
 // Matcher decides whether an event is relevant to a subscription and with
-// what score. matcher.Matcher (thematic or not) and the baselines satisfy
-// it via small adapters; see MatchFunc.
+// what score. It is the full-scan reference: what the baselines implement
+// (see MatchFunc), what the equivalence tests compare the pipeline against,
+// and what scores the replay backlog at Subscribe time.
 type Matcher interface {
 	Score(s *event.Subscription, e *event.Event) float64
 }
@@ -56,121 +64,27 @@ type MatchFunc func(s *event.Subscription, e *event.Event) float64
 // Score implements Matcher.
 func (f MatchFunc) Score(s *event.Subscription, e *event.Event) float64 { return f(s, e) }
 
-// PreparedMatcher extends Matcher with a prepare-once fast path. The
-// broker prepares every subscription at Subscribe time and every event
-// once per Publish, then scores through ScorePrepared in the hot loop —
-// the prepared forms are opaque to the broker. Implementations must allow
-// concurrent ScorePrepared calls on shared prepared values. Plain Matchers
-// (the baselines) keep working unchanged through the Score path.
-type PreparedMatcher interface {
+// Engine is the one fast seam between the broker and internal/matcher,
+// typed over the matcher's own prepared forms: a subscription is prepared
+// once at Subscribe time; each publish prepares its events through one
+// batch context (every distinct term canonicalized once), draws one
+// scoring arena per worker, and sweeps candidate chunks through the arenas,
+// whose similarity-row memos persist across the chunks and events of the
+// publish. Scores must be bit-identical to Score — the contexts amortize
+// work, they never change a result. *matcher.Matcher satisfies Engine
+// directly; New asserts it once. Contexts are single-goroutine; arenas
+// drawn from one may then be used concurrently, one goroutine each, and
+// everything drawn from a context is invalid after FinishEventBatch.
+// Matchers implementing only Matcher (the baselines) are scored through
+// Score over a full scan.
+type Engine interface {
 	Matcher
-	// PrepareSub returns an opaque prepared form of s, valid for the
-	// lifetime of this matcher.
-	PrepareSub(s *event.Subscription) any
-	// PrepareEv returns an opaque prepared form of e.
-	PrepareEv(e *event.Event) any
-	// ScorePrepared scores prepared forms produced by this matcher.
-	ScorePrepared(sub, ev any) float64
-}
-
-// prepared adapts typed prepare-once methods to PreparedMatcher.
-type prepared[PS, PE any] struct {
-	score         func(*event.Subscription, *event.Event) float64
-	prepareSub    func(*event.Subscription) PS
-	prepareEv     func(*event.Event) PE
-	scorePrepared func(PS, PE) float64
-}
-
-func (p prepared[PS, PE]) Score(s *event.Subscription, e *event.Event) float64 {
-	return p.score(s, e)
-}
-func (p prepared[PS, PE]) PrepareSub(s *event.Subscription) any { return p.prepareSub(s) }
-func (p prepared[PS, PE]) PrepareEv(e *event.Event) any         { return p.prepareEv(e) }
-func (p prepared[PS, PE]) ScorePrepared(sub, ev any) float64 {
-	return p.scorePrepared(sub.(PS), ev.(PE))
-}
-
-// Prepared adapts a matcher exposing typed prepare-once methods (for
-// example *matcher.Matcher) to the PreparedMatcher interface, keeping the
-// broker decoupled from any concrete matcher package:
-//
-//	m := matcher.New(space)
-//	b := broker.New(broker.Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared))
-func Prepared[PS, PE any](
-	score func(*event.Subscription, *event.Event) float64,
-	prepareSub func(*event.Subscription) PS,
-	prepareEv func(*event.Event) PE,
-	scorePrepared func(PS, PE) float64,
-) PreparedMatcher {
-	return prepared[PS, PE]{
-		score:         score,
-		prepareSub:    prepareSub,
-		prepareEv:     prepareEv,
-		scorePrepared: scorePrepared,
-	}
-}
-
-// BatchMatcher extends PreparedMatcher with columnar batch scoring: one
-// prepared event swept across a whole candidate batch, sharing per-term
-// similarity work between subscriptions. The broker batches dispatch
-// through it when available. Scores must be bit-identical to calling
-// ScorePrepared per subscription — batching is a performance capability,
-// never a semantic one — and concurrent ScoreBatchPrepared calls on shared
-// prepared values must be allowed.
-type BatchMatcher interface {
-	PreparedMatcher
-	// ScoreBatchPrepared appends one score per prepared subscription (in
-	// order) to out and returns it.
-	ScoreBatchPrepared(subs []any, ev any, out []float64) []float64
-}
-
-// preparedBatch adapts typed batch-scoring methods to BatchMatcher. It is
-// a distinct type (not a field on prepared) so that a matcher adapted
-// through Prepared never spuriously satisfies the BatchMatcher assertion.
-type preparedBatch[PS, PE any] struct {
-	prepared[PS, PE]
-	scoreBatch func([]PS, PE, []float64) []float64
-	subsPool   sync.Pool // *[]PS scratch for the any -> PS conversion
-}
-
-func (p *preparedBatch[PS, PE]) ScoreBatchPrepared(subs []any, ev any, out []float64) []float64 {
-	bufp, _ := p.subsPool.Get().(*[]PS)
-	if bufp == nil {
-		bufp = new([]PS)
-	}
-	typed := (*bufp)[:0]
-	for _, s := range subs {
-		typed = append(typed, s.(PS))
-	}
-	out = p.scoreBatch(typed, ev.(PE), out)
-	clear(typed) // drop prepared-subscription references before pooling
-	*bufp = typed[:0]
-	p.subsPool.Put(bufp)
-	return out
-}
-
-// PreparedBatch is Prepared plus a typed batch scorer (for example
-// *matcher.Matcher's ScoreBatch):
-//
-//	m := matcher.New(space)
-//	b := broker.New(broker.PreparedBatch(
-//		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch))
-func PreparedBatch[PS, PE any](
-	score func(*event.Subscription, *event.Event) float64,
-	prepareSub func(*event.Subscription) PS,
-	prepareEv func(*event.Event) PE,
-	scorePrepared func(PS, PE) float64,
-	scoreBatch func([]PS, PE, []float64) []float64,
-) PreparedMatcher {
-	return &preparedBatch[PS, PE]{
-		prepared: prepared[PS, PE]{
-			score:         score,
-			prepareSub:    prepareSub,
-			prepareEv:     prepareEv,
-			scorePrepared: scorePrepared,
-		},
-		scoreBatch: scoreBatch,
-	}
+	PrepareSubscription(s *event.Subscription) *matcher.PreparedSubscription
+	NewEventBatch() *matcher.EventBatch
+	PrepareEventInBatch(eb *matcher.EventBatch, e *event.Event) *matcher.PreparedEvent
+	NewBatchArena(eb *matcher.EventBatch) *matcher.BatchArena
+	ScoreBatchInArena(a *matcher.BatchArena, subs []*matcher.PreparedSubscription, pe *matcher.PreparedEvent, out []float64) []float64
+	FinishEventBatch(eb *matcher.EventBatch) (termsInterned, termsReused, rowsComputed, rowsReused uint64)
 }
 
 // Delivery is one matched event handed to a subscriber.
@@ -202,12 +116,16 @@ type Stats struct {
 	Dropped     uint64 // deliveries dropped due to full subscriber queues
 	Subscribers int    // currently active subscriptions
 
-	// Batched-publish amortization counters (PublishBatch only). Terms
-	// counts are raw-term canonicalizations served from the batch interner
-	// (reused) vs computed fresh (interned); rows counts are similarity
-	// rows served from the batch-scope arena memo vs computed through the
-	// semantic kernel. High reuse ratios are the whole point of batching.
-	Batches            uint64 // PublishBatch calls accepted
+	// Publish-batch amortization counters. Every publish is a batch — a
+	// serial Publish is a batch of one through the same pipeline — so
+	// Batches (and the thematicep_publish_batch_size histogram) count
+	// every admitted Publish and PublishBatch call, size 1 included.
+	// Terms counts are raw-term canonicalizations served from the batch
+	// interner (reused) vs computed fresh (interned); rows counts are
+	// similarity rows served from the arena memos vs computed through the
+	// semantic kernel. The interner and memos persist across publishes, so
+	// reuse is high even at batch size 1; bigger batches raise it further.
+	Batches            uint64 // Publish and PublishBatch calls admitted
 	BatchTermsInterned uint64 // distinct raw terms canonicalized fresh
 	BatchTermsReused   uint64 // raw-term canonicalizations served from the interner
 	BatchRowsComputed  uint64 // similarity rows computed through the kernel
@@ -308,12 +226,13 @@ func (o traceSamplingOption) apply(c *config) {
 	c.traceOpts = append(c.traceOpts, o.opts...)
 }
 
-// WithTraceSampling records a pipeline trace (one span per stage: ingest,
-// compile, enumerate, score, and per-match deliver) for one in every n
-// published events, keeping them in a bounded in-memory ring served by
-// TracesHandler. Tracing is off by default (n <= 0): the untraced publish
-// path performs no trace work at all, and even with tracing on the
-// unsampled path is a single atomic add. Extra tracer options (ring size,
+// WithTraceSampling records a pipeline trace (one span per stage: compile,
+// ingest, enumerate, score, deliver; a multi-event batch adds one child
+// span per member) for one in every n publishes — a batch is one sampling
+// unit — keeping them in a bounded in-memory ring served by TracesHandler.
+// Tracing is off by default (n <= 0): the untraced publish path performs
+// no trace work at all, and even with tracing on an unsampled publish
+// costs one atomic add and no allocation. Extra tracer options (ring size,
 // slog sink) pass through.
 func WithTraceSampling(n int, opts ...telemetry.TracerOption) Option {
 	return traceSamplingOption{n, opts}
@@ -351,35 +270,35 @@ func WithShedWatermark(n int) Option { return shedWatermarkOption(n) }
 // skipped subscriptions provably score 0 under the §3.4 exact-term
 // contract, so delivery sets are identical to the unpruned scan (see the
 // subindex package documentation for the argument). Pruning engages only
-// for matchers implementing PreparedMatcher — the thematic matcher and its
+// for matchers implementing Engine — the thematic matcher and its
 // non-thematic variant — because those honor the contract; plain Matcher
-// baselines are always scanned in full. Disable it for a PreparedMatcher
-// whose exact-term semantics are looser than canonical equality.
+// baselines are always scanned in full. Disable it for an Engine whose
+// exact-term semantics are looser than canonical equality.
 func WithPruning(enabled bool) Option { return pruningOption(enabled) }
 
 // Broker routes published events to matching subscribers. It is safe for
 // concurrent use. Close releases all subscribers.
 type Broker struct {
 	matcher Matcher
-	prep    PreparedMatcher // non-nil when matcher supports prepare-once
-	batch   BatchMatcher    // non-nil when matcher also supports batch scoring
-	stream  StreamMatcher   // non-nil when matcher also supports batch-scope contexts
-	streamT targetScorer    // non-nil when stream also scores []*Subscriber directly
+	engine  Engine // non-nil when matcher implements the typed fast seam
 	cfg     config
 
 	// index prunes the per-publish candidate set (WithPruning); non-nil
-	// only when pruning is on and the matcher supports prepare-once.
+	// only when pruning is on and the matcher is an Engine.
 	index *subindex.Index[*Subscriber]
+
+	// chunk is the scoring work unit in candidates (see batchChunkSize).
+	chunk int
 
 	// sem is the broker-wide helper-worker budget (capacity
 	// parallelism-1); acquisition is non-blocking, so a saturated pool
 	// degrades to publisher-goroutine matching, never to deadlock.
 	sem chan struct{}
 
-	// pubBufs is the free list of batch-publish buffers (see
-	// acquirePubBuf): broker-owned rather than a sync.Pool so the large
-	// per-batch scratch survives GC cycles instead of being regrown —
-	// and re-collected — every batch.
+	// pubBufs is the free list of publish buffers (see acquirePubBuf):
+	// broker-owned rather than a sync.Pool so the large per-publish
+	// scratch survives GC cycles instead of being regrown — and
+	// re-collected — every publish.
 	pubBufs chan *pubBatchBuf
 
 	// Cumulative counters; atomics so the match hot loop takes no lock
@@ -392,7 +311,7 @@ type Broker struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 
-	// Batched-publish counters (see Stats for semantics).
+	// Publish-batch counters (see Stats for semantics).
 	batches            atomic.Uint64
 	batchTermsInterned atomic.Uint64
 	batchTermsReused   atomic.Uint64
@@ -415,9 +334,9 @@ type Broker struct {
 	compileHist   *telemetry.Histogram // event preparation (theme compile)
 	enumerateHist *telemetry.Histogram // candidate enumeration
 	scoreHist     *telemetry.Histogram // matching fan-out (score stage)
-	deliverHist   *telemetry.Histogram // per-delivery queue handoff
+	deliverHist   *telemetry.Histogram // per subscriber-group queue handoff
 	candHist      *telemetry.Histogram // candidate-set size distribution
-	batchSizeHist *telemetry.Histogram // PublishBatch batch-size distribution
+	batchSizeHist *telemetry.Histogram // events per admitted publish
 
 	mu     sync.RWMutex
 	subs   map[string]*Subscriber
@@ -448,8 +367,11 @@ var (
 	ErrOverloaded = errors.New("broker: overloaded, publish shed")
 )
 
-// New builds a broker around a matcher. Matchers also implementing
-// PreparedMatcher (see Prepared) get the prepare-once fast path.
+// New builds a broker around a matcher. A matcher also implementing
+// Engine — *matcher.Matcher does — gets the prepare-once, arena-scored,
+// index-pruned fast path:
+//
+//	b := broker.New(matcher.New(space))
 func New(m Matcher, opts ...Option) *Broker {
 	cfg := config{
 		threshold:   0.05,
@@ -471,6 +393,7 @@ func New(m Matcher, opts ...Option) *Broker {
 	b := &Broker{
 		matcher:     m,
 		cfg:         cfg,
+		chunk:       1,
 		subs:        make(map[string]*Subscriber),
 		pubBufs:     make(chan *pubBatchBuf, pubBufLimit),
 		clock:       cfg.clock,
@@ -490,22 +413,14 @@ func New(m Matcher, opts ...Option) *Broker {
 		candHist: telemetry.NewHistogram("thematicep_subindex_candidates_per_event",
 			"Candidates enumerated per published event (after pruning).", telemetry.SizeBuckets()),
 		batchSizeHist: telemetry.NewHistogram("thematicep_publish_batch_size",
-			"Events per accepted PublishBatch call.", telemetry.SizeBuckets()),
+			"Events per admitted publish (a serial Publish is a batch of one).", telemetry.SizeBuckets()),
 	}
-	if pm, ok := m.(PreparedMatcher); ok {
-		b.prep = pm
-	}
-	if bm, ok := m.(BatchMatcher); ok {
-		b.batch = bm
-	}
-	if sm, ok := m.(StreamMatcher); ok {
-		b.stream = sm
-		if ts, ok := m.(targetScorer); ok {
-			b.streamT = ts
+	if eng, ok := m.(Engine); ok {
+		b.engine = eng
+		b.chunk = batchChunkSize
+		if cfg.pruning {
+			b.index = subindex.New[*Subscriber]()
 		}
-	}
-	if cfg.pruning && b.prep != nil {
-		b.index = subindex.New[*Subscriber]()
 	}
 	if cfg.parallelism > 1 {
 		b.sem = make(chan struct{}, cfg.parallelism-1)
@@ -517,7 +432,7 @@ func New(m Matcher, opts ...Option) *Broker {
 type Subscriber struct {
 	id       string
 	sub      *event.Subscription
-	prepared any // prepare-once form, when the matcher supports it
+	prepared *matcher.PreparedSubscription // prepare-once form; nil without an Engine
 	ch       chan Delivery
 	broker   *Broker
 
@@ -585,9 +500,9 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		opt.applySub(&sc)
 	}
 	// Prepare outside the lock: theme compilation may be expensive.
-	var prep any
-	if b.prep != nil {
-		prep = b.prep.PrepareSub(sub)
+	var prep *matcher.PreparedSubscription
+	if b.engine != nil {
+		prep = b.engine.PrepareSubscription(sub)
 	}
 
 	b.mu.Lock()
@@ -632,15 +547,11 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		b.cfg.journal.Subscribed(id, &cp)
 	}
 
-	// Replay outside the lock: matching may be expensive.
+	// Replay outside the lock: matching may be expensive. The backlog is
+	// bounded and replay is off the publish hot path, so it goes through
+	// the reference scorer.
 	for _, e := range backlog {
-		var score float64
-		if b.prep != nil {
-			score = b.prep.ScorePrepared(prep, b.prep.PrepareEv(e))
-		} else {
-			score = b.matcher.Score(sub, e)
-		}
-		if score >= b.cfg.threshold && score > 0 {
+		if score := b.matcher.Score(sub, e); score >= b.cfg.threshold && score > 0 {
 			b.offer(s, Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()})
 		}
 	}
@@ -670,300 +581,35 @@ func (b *Broker) unsubscribe(id string) {
 	}
 }
 
-// Publish matches the event against every subscription and enqueues
-// deliveries, fanning the subscription set out over the bounded worker
-// pool (WithMatchParallelism). It returns only after every match decision
-// and delivery of this event is done, and it never blocks on slow
-// consumers: when a subscriber's queue is full, the oldest queued delivery
-// is dropped (counted in Stats.Dropped).
-func (b *Broker) Publish(e *event.Event) error {
-	t0 := b.clock.Now()
-	if e == nil {
-		return ErrNilEvent
-	}
-	if err := e.Validate(); err != nil {
-		return fmt.Errorf("broker: publish: %w", err)
-	}
-	// Admission control. The inflight count is incremented before the
-	// draining check so Drain's wait-for-zero cannot miss a racing
-	// publish: any Publish that passes the check is visible to the poll.
-	b.inflight.Add(1)
-	defer b.inflight.Add(-1)
-	if b.draining.Load() {
-		return ErrDraining
-	}
-	if w := b.cfg.shedWatermark; w > 0 && b.sem != nil &&
-		len(b.sem) == cap(b.sem) && b.inflight.Load() > int64(w) {
-		// The helper budget is exhausted and more publishes are in flight
-		// than the watermark allows: shed this one instead of queueing
-		// onto a saturated matcher. Counted, surfaced, never silent.
-		b.shed.Add(1)
-		return ErrOverloaded
-	}
-	trace := b.tracer.StartAt(e.ID, t0)
-
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return ErrClosed
-	}
-	if b.cfg.replaySize > 0 {
-		b.replay = append(b.replay, e)
-		if len(b.replay) > b.cfg.replaySize {
-			b.replay = b.replay[len(b.replay)-b.cfg.replaySize:]
-		}
-	}
-	var targets []*Subscriber
-	empty := len(b.subs) == 0
-	if b.index == nil {
-		targets = make([]*Subscriber, 0, len(b.subs))
-		for _, s := range b.subs {
-			targets = append(targets, s)
-		}
-	}
-	b.mu.Unlock()
-
-	b.published.Add(1)
-	trace.AddSpan("ingest", t0)
-
-	tCompile := b.clock.Now()
-	var pe any
-	if b.prep != nil && !empty {
-		// Prepare the event once: every worker shares the canonical terms
-		// and compiled theme instead of recomputing them per subscription.
-		pe = b.prep.PrepareEv(e)
-	}
-	tEnum := b.clock.Now()
-	b.compileHist.ObserveDuration(tEnum.Sub(tCompile))
-	trace.AddSpanDuration("compile", tCompile, tEnum.Sub(tCompile))
-
-	if b.index != nil && !empty {
-		// Candidate set from the pruning index: subscriptions whose exact
-		// predicates cannot all be satisfied by this event's tuples are
-		// skipped before any semantic measure runs. The prepared event's
-		// canonical terms feed the index directly when available.
-		add := func(s *Subscriber) { targets = append(targets, s) }
-		var pruned int
-		if ct, ok := pe.(canonicalTupler); ok {
-			attrs, values := ct.CanonicalTuples()
-			_, pruned = b.index.CandidatesPrepared(attrs, values, add)
-		} else {
-			_, pruned = b.index.Candidates(e, add)
-		}
-		b.pruned.Add(uint64(pruned))
-	}
-	tScore := b.clock.Now()
-	b.enumerateHist.ObserveDuration(tScore.Sub(tEnum))
-	trace.AddSpanDuration("enumerate", tEnum, tScore.Sub(tEnum))
-	b.candHist.Observe(float64(len(targets)))
-
-	b.scanned.Add(uint64(len(targets)))
-	if b.batch != nil && pe != nil {
-		b.dispatchBatch(targets, e, pe, trace)
-	} else {
-		b.dispatch(targets, e, pe, trace)
-	}
-	end := b.clock.Now()
-	b.scoreHist.ObserveDuration(end.Sub(tScore))
-	trace.AddSpanDuration("score", tScore, end.Sub(tScore))
-	b.publishHist.ObserveDuration(end.Sub(t0))
-	b.deliverySLO.Observe(end.Sub(t0))
-	trace.Finish()
-	return nil
-}
-
-// canonicalTupler is the optional prepared-event capability the pruning
-// index exploits: pre-canonicalized tuple terms (matcher.PreparedEvent
-// implements it).
-type canonicalTupler interface {
-	CanonicalTuples() (attrs, values []string)
-}
-
-// dispatch scores an event against every target subscriber. With
-// parallelism n > 1, up to n-1 helper workers are drawn from the
-// broker-wide budget and the publisher goroutine always works too; workers
-// pull targets off a shared atomic cursor, so the set is partitioned
-// dynamically and each subscriber is matched exactly once.
-func (b *Broker) dispatch(targets []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	n := len(targets)
-	if n == 0 {
-		return
-	}
-	workers := b.cfg.parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || b.sem == nil {
-		for _, s := range targets {
-			b.matchOne(s, e, pe, trace)
-		}
-		return
-	}
-
-	var cursor atomic.Int64
-	run := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			b.matchOne(targets[i], e, pe, trace)
-		}
-	}
-	var wg sync.WaitGroup
-spawn:
-	for w := 1; w < workers; w++ {
+// enqueue puts d on the subscriber's queue, dropping the oldest queued
+// deliveries while it is full (synchronization decoupling: publishers
+// never block), and returns how many it dropped. The caller holds s.mu and
+// has checked s.closed.
+func (s *Subscriber) enqueue(d Delivery) (dropped uint64) {
+	for {
 		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				run()
-			}()
+		case s.ch <- d:
+			return dropped
 		default:
-			// Helper budget exhausted by concurrent publishes: the
-			// publisher goroutine absorbs the remainder.
-			break spawn
-		}
-	}
-	run()
-	wg.Wait()
-}
-
-// matchOne scores one (event, subscription) pair and enqueues the delivery
-// on a match. Prepared forms are used when the matcher supports them.
-func (b *Broker) matchOne(s *Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	var score float64
-	if pe != nil && s.prepared != nil {
-		score = b.prep.ScorePrepared(s.prepared, pe)
-	} else {
-		score = b.matcher.Score(s.sub, e)
-	}
-	b.deliverScored(s, e, score, trace)
-}
-
-// deliverScored applies the threshold and enqueues the delivery — the
-// shared tail of the serial and batch match paths.
-func (b *Broker) deliverScored(s *Subscriber, e *event.Event, score float64, trace *telemetry.ActiveTrace) {
-	if score < b.cfg.threshold || score <= 0 {
-		return
-	}
-	b.matched.Add(1)
-	t0 := b.clock.Now()
-	b.offer(s, Delivery{Event: e, SubscriptionID: s.id, Score: score, At: t0})
-	d := b.clock.Now().Sub(t0)
-	b.deliverHist.ObserveDuration(d)
-	trace.AddSpanDuration("deliver", t0, d)
-}
-
-// batchChunkSize is the unit of work the batch dispatcher hands a worker:
-// large enough that the per-chunk row memo amortizes across many
-// subscriptions, small enough that the worker pool still load-balances a
-// skewed candidate set.
-const batchChunkSize = 256
-
-// batchScoreBuf is the pooled per-chunk scratch of the batch dispatcher.
-type batchScoreBuf struct {
-	subs   []any
-	scores []float64
-}
-
-var batchScorePool = sync.Pool{New: func() any { return new(batchScoreBuf) }}
-
-// dispatchBatch is dispatch through the matcher's columnar batch scorer:
-// workers pull fixed-size chunks of the candidate set off a shared atomic
-// cursor and score each chunk in one ScoreBatchPrepared sweep. Requires a
-// prepared event (pe non-nil), which implies every subscriber carries a
-// prepared form.
-func (b *Broker) dispatchBatch(targets []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	n := len(targets)
-	if n == 0 {
-		return
-	}
-	chunks := (n + batchChunkSize - 1) / batchChunkSize
-	workers := b.cfg.parallelism
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 || b.sem == nil {
-		for lo := 0; lo < n; lo += batchChunkSize {
-			b.matchBatch(targets[lo:min(lo+batchChunkSize, n)], e, pe, trace)
-		}
-		return
-	}
-
-	var cursor atomic.Int64
-	run := func() {
-		for {
-			c := int(cursor.Add(1)) - 1
-			if c >= chunks {
-				return
+			select {
+			case <-s.ch:
+				dropped++
+			default:
 			}
-			lo := c * batchChunkSize
-			b.matchBatch(targets[lo:min(lo+batchChunkSize, n)], e, pe, trace)
 		}
 	}
-	var wg sync.WaitGroup
-spawn:
-	for w := 1; w < workers; w++ {
-		select {
-		case b.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-b.sem }()
-				run()
-			}()
-		default:
-			// Helper budget exhausted by concurrent publishes: the
-			// publisher goroutine absorbs the remainder.
-			break spawn
-		}
-	}
-	run()
-	wg.Wait()
 }
 
-// matchBatch scores one contiguous chunk of candidates in a single batch
-// sweep and enqueues the resulting deliveries.
-func (b *Broker) matchBatch(chunk []*Subscriber, e *event.Event, pe any, trace *telemetry.ActiveTrace) {
-	buf := batchScorePool.Get().(*batchScoreBuf)
-	subs := buf.subs[:0]
-	for _, s := range chunk {
-		subs = append(subs, s.prepared)
-	}
-	scores := b.batch.ScoreBatchPrepared(subs, pe, buf.scores[:0])
-	for i, s := range chunk {
-		b.deliverScored(s, e, scores[i], trace)
-	}
-	clear(subs) // drop subscriber references before pooling
-	buf.subs = subs[:0]
-	buf.scores = scores[:0]
-	batchScorePool.Put(buf)
-}
-
-// offer enqueues a delivery, dropping the oldest entry when full
-// (synchronization decoupling: publishers never block).
+// offer enqueues one delivery outside the publish pipeline (replay at
+// Subscribe time).
 func (b *Broker) offer(s *Subscriber, d Delivery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	for {
-		select {
-		case s.ch <- d:
-			b.delivered.Add(1)
-			return
-		default:
-			select {
-			case <-s.ch:
-				b.dropped.Add(1)
-			default:
-			}
-		}
-	}
+	b.dropped.Add(s.enqueue(d))
+	b.delivered.Add(1)
 }
 
 // Stats returns a snapshot of the broker counters, taken in one pass
@@ -978,8 +624,8 @@ func (b *Broker) offer(s *Subscriber, d Delivery) {
 // counted in Delivered but have no live match), Delivered <= Matched holds
 // in every snapshot, with at most a transient deficit (a match counted
 // whose delivery lands after the scrape). The same holds pairwise up the
-// pipeline: Matched <= Scanned and, per event, scans are counted before
-// dispatch begins.
+// pipeline: Matched <= Scanned, because each publish counts its scans
+// before its matches.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	subscribers := len(b.subs)

@@ -60,11 +60,11 @@ func (b *Broker) WriteMetrics(w io.Writer) {
 	WriteCounter(w, "thematicep_broker_matched_total", "Event-subscription matches.", st.Matched)
 	WriteCounter(w, "thematicep_broker_delivered_total", "Deliveries enqueued to subscribers.", st.Delivered)
 	WriteCounter(w, "thematicep_broker_dropped_total", "Deliveries dropped by the overflow policy.", st.Dropped)
-	WriteCounter(w, "thematicep_broker_batches_total", "Batches accepted by PublishBatch.", st.Batches)
+	WriteCounter(w, "thematicep_broker_batches_total", "Publish calls admitted (each is one batch; a serial Publish is a batch of one).", st.Batches)
 	WriteCounter(w, "thematicep_broker_batch_terms_interned_total", "Terms canonicalized fresh by the batch interner.", st.BatchTermsInterned)
 	WriteCounter(w, "thematicep_broker_batch_terms_reused_total", "Term canonicalizations served from the batch interner.", st.BatchTermsReused)
-	WriteCounter(w, "thematicep_broker_batch_rows_computed_total", "Similarity rows computed by the batch-scope memo.", st.BatchRowsComputed)
-	WriteCounter(w, "thematicep_broker_batch_rows_reused_total", "Similarity rows served from the batch-scope memo.", st.BatchRowsReused)
+	WriteCounter(w, "thematicep_broker_batch_rows_computed_total", "Similarity rows computed through the semantic kernel (arena memo misses).", st.BatchRowsComputed)
+	WriteCounter(w, "thematicep_broker_batch_rows_reused_total", "Similarity rows served from the arena memos.", st.BatchRowsReused)
 	WriteGauge(w, "thematicep_broker_subscribers", "Currently active subscriptions.", st.Subscribers)
 	draining := 0
 	if b.Draining() {

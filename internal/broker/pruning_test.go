@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -27,9 +26,9 @@ func evalSpace(t testing.TB) *semantics.Space {
 	return pruneSpace
 }
 
-func preparedThematic(t testing.TB) PreparedMatcher {
-	m := matcher.New(evalSpace(t))
-	return Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared)
+// thematicMatcher is the real engine over the evaluation space.
+func thematicMatcher(t testing.TB) *matcher.Matcher {
+	return matcher.New(evalSpace(t))
 }
 
 // mixedThemeWorkload builds a seeded workload whose events and
@@ -69,102 +68,11 @@ func mixedThemeWorkload(t testing.TB, seed int64) ([]*event.Subscription, []*eve
 	return subs, w.Events
 }
 
-type deliveryKey struct {
-	SubID   string
-	EventID string
-	Score   float64
-}
-
-// runBroker subscribes every subscription, publishes every event
-// (unsubscribing a third of the subscriptions halfway through to exercise
-// index removal), then closes the broker and returns the full delivery set
-// plus the final stats.
-func runBroker(t *testing.T, subs []*event.Subscription, events []*event.Event, opts ...Option) (map[deliveryKey]bool, Stats) {
-	t.Helper()
-	base := []Option{
-		WithQueueSize(len(events) + 1), // no overflow: drop-oldest never fires
-		WithReplayBuffer(0),
-		WithMatchParallelism(1),
-	}
-	b := New(preparedThematic(t), append(base, opts...)...)
-
-	handles := make([]*Subscriber, len(subs))
-	for i, s := range subs {
-		h, err := b.Subscribe(s)
-		if err != nil {
-			t.Fatalf("subscribe %q: %v", s.ID, err)
-		}
-		handles[i] = h
-	}
-	for i, e := range events {
-		if i == len(events)/2 {
-			for j := 0; j < len(handles); j += 3 {
-				handles[j].Close()
-			}
-		}
-		if err := b.Publish(e); err != nil {
-			t.Fatalf("publish %q: %v", e.ID, err)
-		}
-	}
-	st := b.Stats()
-	b.Close()
-
-	got := make(map[deliveryKey]bool)
-	for _, h := range handles {
-		for d := range h.C() {
-			got[deliveryKey{d.SubscriptionID, d.Event.ID, d.Score}] = true
-		}
-	}
-	return got, st
-}
-
-// TestPruningDeliveryEquivalence is the pruning acceptance criterion: over a
-// seeded mixed-theme workload grid, the pruned broker's delivery set —
-// including exact scores — is bit-identical to the unpruned scan, while the
-// index reports a substantial number of pruned candidates.
-func TestPruningDeliveryEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 17, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			subs, events := mixedThemeWorkload(t, seed)
-			pruned, prunedStats := runBroker(t, subs, events)
-			full, fullStats := runBroker(t, subs, events, WithPruning(false))
-
-			if len(pruned) != len(full) {
-				t.Errorf("delivery counts differ: pruned %d, full %d", len(pruned), len(full))
-			}
-			for k := range full {
-				if !pruned[k] {
-					t.Errorf("pruning lost delivery %+v", k)
-				}
-			}
-			for k := range pruned {
-				if !full[k] {
-					t.Errorf("pruning invented delivery %+v", k)
-				}
-			}
-
-			if prunedStats.Pruned == 0 {
-				t.Error("pruned broker reports 0 pruned candidates on a mixed workload")
-			}
-			if fullStats.Pruned != 0 {
-				t.Errorf("unpruned broker reports %d pruned candidates", fullStats.Pruned)
-			}
-			if prunedStats.Scanned+prunedStats.Pruned != fullStats.Scanned {
-				t.Errorf("scanned+pruned = %d, want the full scan count %d",
-					prunedStats.Scanned+prunedStats.Pruned, fullStats.Scanned)
-			}
-			t.Logf("scanned %d, pruned %d of %d pairs (%.0f%%)",
-				prunedStats.Scanned, prunedStats.Pruned, fullStats.Scanned,
-				100*float64(prunedStats.Pruned)/float64(fullStats.Scanned))
-		})
-	}
-}
-
 // TestPruningDisabledForPlainMatchers verifies the conservative gate: a
 // matcher without the prepare-once contract is never pruned, so baselines
 // with looser exact-term semantics keep full-scan behavior.
 func TestPruningDisabledForPlainMatchers(t *testing.T) {
-	b := New(exactMatcher()) // pruning defaults on, but no PreparedMatcher
+	b := New(exactMatcher()) // pruning defaults on, but not an Engine
 	defer b.Close()
 	if b.index != nil {
 		t.Fatal("plain matcher got a pruning index")

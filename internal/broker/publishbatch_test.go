@@ -9,128 +9,14 @@ import (
 	"time"
 
 	"thematicep/internal/event"
-	"thematicep/internal/matcher"
 	"thematicep/internal/workload"
 )
-
-func preparedStreamThematic(t testing.TB) PreparedMatcher {
-	m := matcher.New(evalSpace(t))
-	return PreparedStream(
-		m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch,
-		m.NewEventBatch, m.PrepareEventInBatch, m.NewBatchArena, m.ScoreBatchInArena,
-		m.FinishEventBatch)
-}
-
-// runBrokerBatched mirrors runBrokerWith — same subscription churn at the
-// same midpoint — but publishes through PublishBatch in batches of bs, so
-// its delivery set must be bit-identical to the serial Publish loop.
-func runBrokerBatched(t *testing.T, pm Matcher, subs []*event.Subscription, events []*event.Event, bs int, opts ...Option) (map[deliveryKey]bool, Stats) {
-	t.Helper()
-	base := []Option{
-		WithQueueSize(len(events) + 1),
-		WithReplayBuffer(0),
-	}
-	b := New(pm, append(base, opts...)...)
-
-	handles := make([]*Subscriber, len(subs))
-	for i, s := range subs {
-		h, err := b.Subscribe(s)
-		if err != nil {
-			t.Fatalf("subscribe %q: %v", s.ID, err)
-		}
-		handles[i] = h
-	}
-	publishAll := func(evs []*event.Event) {
-		for lo := 0; lo < len(evs); lo += bs {
-			hi := min(lo+bs, len(evs))
-			if err := b.PublishBatch(evs[lo:hi]); err != nil {
-				t.Fatalf("publish batch [%d:%d]: %v", lo, hi, err)
-			}
-		}
-	}
-	mid := len(events) / 2
-	publishAll(events[:mid])
-	for j := 0; j < len(handles); j += 3 {
-		handles[j].Close()
-	}
-	publishAll(events[mid:])
-	st := b.Stats()
-	b.Close()
-
-	got := make(map[deliveryKey]bool)
-	for _, h := range handles {
-		for d := range h.C() {
-			got[deliveryKey{d.SubscriptionID, d.Event.ID, d.Score}] = true
-		}
-	}
-	return got, st
-}
-
-// TestPublishBatchEquivalence is the batched-pipeline acceptance
-// criterion: PublishBatch must produce the exact delivery set — including
-// bit-identical scores — of the serial Publish loop, across every matcher
-// capability tier (stream context, plain batch scorer, prepared-only,
-// plain Matcher), serial and parallel dispatch, pruned and full-scan.
-func TestPublishBatchEquivalence(t *testing.T) {
-	for _, seed := range []int64{3, 42} {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			subs, events := mixedThemeWorkload(t, seed)
-			serial, serialStats := runBrokerWith(t, preparedThematic(t), subs, events, WithMatchParallelism(1))
-
-			stream, streamStats := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(1))
-			diffDeliveries(t, "stream serial-dispatch", serial, stream)
-
-			streamPar, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "stream parallel", serial, streamPar)
-
-			streamFull, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, 7, WithMatchParallelism(4), WithPruning(false))
-			diffDeliveries(t, "stream full-scan", serial, streamFull)
-
-			// Whole run as one batch per half: maximal cross-event sharing.
-			streamBig, _ := runBrokerBatched(t, preparedStreamThematic(t), subs, events, len(events), WithMatchParallelism(4))
-			diffDeliveries(t, "stream one-batch", serial, streamBig)
-
-			// Capability fallbacks: batch scorer without stream contexts,
-			// prepared-only, and the plain Matcher path.
-			batchOnly, _ := runBrokerBatched(t, preparedBatchThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "batch fallback", serial, batchOnly)
-
-			prepOnly, _ := runBrokerBatched(t, preparedThematic(t), subs, events, 7, WithMatchParallelism(4))
-			diffDeliveries(t, "prepared fallback", serial, prepOnly)
-
-			m := matcher.New(evalSpace(t))
-			plainSerial, _ := runBrokerWith(t, Prepared(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared), subs, events, WithMatchParallelism(1))
-			_ = plainSerial
-			plainBatch, _ := runBrokerBatched(t, MatchFunc(m.Score), subs, events, 7, WithMatchParallelism(4))
-			plainLoop, _ := runBrokerWith(t, plainAdapter{m}, subs, events, WithMatchParallelism(1))
-			diffDeliveries(t, "plain matcher", plainLoop, plainBatch)
-
-			if streamStats.Matched != serialStats.Matched || streamStats.Scanned != serialStats.Scanned ||
-				streamStats.Published != serialStats.Published || streamStats.Delivered != serialStats.Delivered {
-				t.Errorf("stats differ: stream %+v, serial %+v", streamStats, serialStats)
-			}
-			if streamStats.Batches == 0 {
-				t.Error("stream broker recorded no batches")
-			}
-			if streamStats.BatchRowsReused == 0 {
-				t.Error("batch-scope memo reused no rows over a term-skewed workload")
-			}
-		})
-	}
-}
-
-// plainAdapter exposes only the plain Matcher interface so the serial
-// broker exercises the unprepared Score path for comparison with the
-// batched plain path.
-type plainAdapter struct{ m *matcher.Matcher }
-
-func (p plainAdapter) Score(s *event.Subscription, e *event.Event) float64 { return p.m.Score(s, e) }
 
 // TestPublishBatchValidation: admission is all-or-nothing, and the
 // batched path enforces exactly Event.Validate's invariants (through the
 // interner, not a per-event map).
 func TestPublishBatchValidation(t *testing.T) {
-	b := New(preparedStreamThematic(t), WithReplayBuffer(0))
+	b := New(thematicMatcher(t), WithReplayBuffer(0))
 	defer b.Close()
 	good := &event.Event{ID: "ok", Tuples: []event.Tuple{{Attr: "type", Value: "car"}}}
 
@@ -172,7 +58,7 @@ func TestPublishBatchValidation(t *testing.T) {
 // determinism is covered by the quiescent equivalence tests.)
 func TestPublishBatchChurn(t *testing.T) {
 	subs, events := mixedThemeWorkload(t, 7)
-	b := New(preparedStreamThematic(t), WithReplayBuffer(0), WithMatchParallelism(4), WithQueueSize(8))
+	b := New(thematicMatcher(t), WithReplayBuffer(0), WithMatchParallelism(4), WithQueueSize(8))
 
 	var consumers sync.WaitGroup
 	for _, s := range subs[:len(subs)/2] {
@@ -268,7 +154,7 @@ func TestPublishBatchZeroAlloc(t *testing.T) {
 		Seed: 7, Subscriptions: 300, Events: 32, Attrs: 32, ValuesPerAttr: 16,
 		MaxPredicates: 3, EventTuples: 6, Themes: 4, ExactFraction: 0.8, Zipf: 1.2,
 	})
-	b := New(preparedStreamThematic(t),
+	b := New(thematicMatcher(t),
 		WithReplayBuffer(0), WithMatchParallelism(1), WithQueueSize(16))
 	defer b.Close()
 	for _, s := range w.Subs {
@@ -302,7 +188,7 @@ func BenchmarkBrokerPublishBatch(b *testing.B) {
 		ApproxOnlyFraction: 0.01, Zipf: 1.2,
 	})
 	newBroker := func() *Broker {
-		br := New(preparedStreamThematic(b), WithReplayBuffer(0), WithQueueSize(1))
+		br := New(thematicMatcher(b), WithReplayBuffer(0), WithQueueSize(1))
 		for _, s := range w.Subs {
 			if _, err := br.Subscribe(s); err != nil {
 				b.Fatalf("subscribe: %v", err)

@@ -29,15 +29,10 @@ type SubHandle interface {
 // federation without the server knowing.
 type Backend interface {
 	Publish(e *event.Event) error
-	SubscribeHandle(sub *event.Subscription, opts ...SubscribeOption) (SubHandle, error)
-}
-
-// BatchBackend is the optional batched-ingest extension of Backend: a
-// backend implementing it receives publishb frames as whole batches
-// (all-or-nothing admission); otherwise the server falls back to a serial
-// Publish loop that stops at the first error.
-type BatchBackend interface {
+	// PublishBatch receives a publishb frame as one batch with
+	// all-or-nothing admission.
 	PublishBatch(events []*event.Event) error
+	SubscribeHandle(sub *event.Subscription, opts ...SubscribeOption) (SubHandle, error)
 }
 
 // DefaultMaxBatch caps how many events one publishb frame may carry unless
@@ -323,18 +318,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					Error: fmt.Sprintf("batch of %d events exceeds server cap %d", len(f.Events), mb)})
 				continue
 			}
-			be := s.getBackend()
-			var err error
-			if bb, ok := be.(BatchBackend); ok {
-				err = bb.PublishBatch(f.Events)
-			} else {
-				for _, e := range f.Events {
-					if err = be.Publish(e); err != nil {
-						break
-					}
-				}
-			}
-			if err != nil {
+			if err := s.getBackend().PublishBatch(f.Events); err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
 			}

@@ -25,8 +25,7 @@ import (
 func TestFullStackExpositionLints(t *testing.T) {
 	space := semantics.NewSpace(index.Build(corpus.GenerateDefault()))
 	m := matcher.New(space)
-	b := broker.New(
-		broker.PreparedBatch(m.Score, m.PrepareSubscription, m.PrepareEvent, m.ScorePrepared, m.ScoreBatch),
+	b := broker.New(m,
 		broker.WithThreshold(0.1),
 		broker.WithTraceSampling(1),
 	)

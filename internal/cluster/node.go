@@ -720,7 +720,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			}
 			n.ctrReceived.Add(uint64(len(f.Events)))
 			// Batch adoption keys on the first member, matching the
-			// sender's ContextFor convention and StartBatchAt's lookup.
+			// sender's ContextFor convention and the broker's StartAt key.
 			n.broker.Tracer().Adopt(f.Events[0].ID, f.Trace)
 			// Single hop, batched: the whole forward lands in the local
 			// broker through the batched pipeline.

@@ -2,7 +2,6 @@ package matcher
 
 import (
 	"slices"
-	"sync"
 
 	"thematicep/internal/event"
 )
@@ -10,7 +9,7 @@ import (
 // The batch scorer exploits what row-at-a-time ScorePrepared cannot: the
 // candidates of one event share a small vocabulary of predicate terms, so
 // the same (term, theme) similarity row is recomputed thousands of times
-// per publish at scale. ScoreBatch memoizes each distinct row — the
+// per publish at scale. ScoreBatchInArena memoizes each distinct row — the
 // similarities of one subscription term against every event tuple — in a
 // contiguous arena and assembles each subscription's similarity matrix
 // from those shared columns, so the semantic measure runs once per
@@ -29,10 +28,9 @@ const (
 // ordinal, row kind, approximate flag — into a flat integer, the key of
 // the matcher's rowID interner (see matcher.go). The event-side identity
 // is NOT part of the key: the memo's lifetime is bounded to one event's
-// term vectors by its owner (per-call ScoreBatch invalidates on return;
-// BatchArena invalidates whenever the event vector changes, see
-// publishbatch.go), so every live entry already refers to the current
-// event. Theme ordinals stay far below 2^30 (bounded by distinct themes),
+// term vectors by its owner (BatchArena invalidates whenever the event
+// vector changes, see publishbatch.go), so every live entry already refers
+// to the current event. Theme ordinals stay far below 2^30 (bounded by distinct themes),
 // term ordinals below 2^32 (bounded by vocabulary).
 func rowKeyOf(kind rowKind, approx bool, themeOrd, termOrd uint32) uint64 {
 	k := uint64(termOrd)<<32 | uint64(themeOrd)<<2 | uint64(kind)<<1
@@ -53,8 +51,8 @@ type rowSlot struct {
 	mask  uint64
 }
 
-// batchBuf is the pooled per-call state of ScoreBatch: the row memo, the
-// row arena (stride = event tuple count), and the usual similarity matrix
+// batchBuf is the scoring state of one BatchArena: the row memo, the row
+// arena (stride = event tuple count), and the usual similarity matrix
 // buffers. The memo is a flat table indexed by the matcher's interned row
 // ids — a candidate's predicates carry their ids inline (predDesc), so a
 // memo probe is one array read, no hashing. Invalidation bumps a
@@ -62,8 +60,7 @@ type rowSlot struct {
 // event costs O(1) regardless of how many rows the previous event touched.
 // Rows live as arena offsets, not slices, so arena growth never
 // invalidates them. computed/reused count row memo misses and hits for the
-// batch-amortization telemetry; the per-call ScoreBatch resets them with
-// the memo, BatchArena accumulates them across a whole publish batch.
+// batch-amortization telemetry, accumulated across a whole publish batch.
 type batchBuf struct {
 	sim      simBuf
 	dense    []rowSlot    // indexed by matcher rowID
@@ -96,8 +93,6 @@ func (bb *batchBuf) invalidate() {
 		bb.epoch = 1
 	}
 }
-
-var batchPool = sync.Pool{New: func() any { return &batchBuf{epoch: 1} }}
 
 // termRowMiss computes and memoizes the similarity row for predicate i's
 // attribute or value term against the event's terms, returning the row's
@@ -181,30 +176,17 @@ func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSub
 	return slot
 }
 
-// ScoreBatch scores one prepared event against a batch of prepared
-// subscriptions, appending one score per subscription (in order) to out
-// and returning it. Scores are bit-identical to calling ScorePrepared per
-// subscription: the similarity cells come from the same termSimilarity /
-// EvalOp semantics in the same combination order, and the mapping search
-// is the same bestScore. With warm semantic caches and ≤4-predicate
-// subscriptions the whole sweep is allocation-free (asserted in
-// batch_test.go); only the Hungarian path beyond allocates, inside the
-// solver, exactly as ScorePrepared does.
-func (m *Matcher) ScoreBatch(subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
-	bb := batchPool.Get().(*batchBuf)
-	out = m.scoreBatchInto(bb, subs, pe, out)
-	bb.invalidate()
-	bb.computed, bb.reused = 0, 0
-	batchPool.Put(bb)
-	return out
-}
-
-// scoreBatchInto is the columnar sweep proper, shared by the per-call
-// ScoreBatch (memo cleared on return) and the batch-scope BatchArena path
-// (memo persists across every chunk of one event, and across consecutive
-// events sharing term vectors). Row keys carry no event identity; each
-// owner clears the memo before it can ever span two distinct event
-// vectors.
+// scoreBatchInto is the columnar sweep behind ScoreBatchInArena: one
+// prepared event against a batch of prepared subscriptions, one score per
+// subscription appended (in order) to out. Scores are bit-identical to
+// calling ScorePrepared per subscription: the similarity cells come from
+// the same termSimilarity / EvalOp semantics in the same combination
+// order, and the mapping search is the same bestScore. With warm semantic
+// caches and ≤4-predicate subscriptions the whole sweep is allocation-free
+// (asserted in batch_test.go); only the Hungarian path beyond allocates,
+// inside the solver, exactly as ScorePrepared does. Row keys carry no
+// event identity; the arena clears the memo before it can ever span two
+// distinct event vectors.
 func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
 	mm := len(pe.attrs)
 	for _, ps := range subs {

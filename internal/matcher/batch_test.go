@@ -62,50 +62,55 @@ func batchPopulation(t testing.TB, m *Matcher) ([]*PreparedSubscription, []*Prep
 	return ps, pe
 }
 
-// TestScoreBatchMatchesScorePrepared is the bit-identity contract: the
-// columnar batch sweep must produce exactly the floats the row-at-a-time
-// path produces, for every subscription shape, so batch dispatch can never
-// change a delivery set.
-func TestScoreBatchMatchesScorePrepared(t *testing.T) {
-	m := New(space(t))
-	subs, events := batchPopulation(t, m)
+// checkArenaBitIdentity sweeps every event through one arena twice — once
+// prepared through the batch context (the memo persists while consecutive
+// events share a term vector) and once prepared outside it (no vector
+// identity: the memo is evicted per call) — and requires exactly the
+// floats the row-at-a-time ScorePrepared produces.
+func checkArenaBitIdentity(t *testing.T, m *Matcher, subs []*PreparedSubscription, events []*PreparedEvent) {
+	t.Helper()
+	eb := m.NewEventBatch()
+	defer m.FinishEventBatch(eb)
+	ar := m.NewBatchArena(eb)
 	var out []float64
 	for ei, pe := range events {
-		out = m.ScoreBatch(subs, pe, out[:0])
-		if len(out) != len(subs) {
-			t.Fatalf("event %d: ScoreBatch returned %d scores for %d subs", ei, len(out), len(subs))
-		}
-		for si, ps := range subs {
-			want := m.ScorePrepared(ps, pe)
-			if out[si] != want {
-				t.Errorf("event %d sub %d: batch %v != serial %v", ei, si, out[si], want)
+		for _, q := range []*PreparedEvent{m.PrepareEventInBatch(eb, pe.Event()), pe} {
+			out = m.ScoreBatchInArena(ar, subs, q, out[:0])
+			if len(out) != len(subs) {
+				t.Fatalf("event %d: ScoreBatchInArena returned %d scores for %d subs", ei, len(out), len(subs))
+			}
+			for si, ps := range subs {
+				if want := m.ScorePrepared(ps, pe); out[si] != want {
+					t.Errorf("event %d sub %d (vec %d): arena %v != serial %v", ei, si, q.attrsVec, out[si], want)
+				}
 			}
 		}
 	}
 }
 
-// TestScoreBatchNonThematic covers the non-thematic matcher mode (nil
-// compiled themes share one memo row space).
-func TestScoreBatchNonThematic(t *testing.T) {
+// TestScoreBatchInArenaMatchesScorePrepared is the bit-identity contract:
+// the columnar arena sweep must produce exactly the floats the
+// row-at-a-time path produces, for every subscription shape, so the
+// publish pipeline can never change a delivery set.
+func TestScoreBatchInArenaMatchesScorePrepared(t *testing.T) {
+	m := New(space(t))
+	subs, events := batchPopulation(t, m)
+	checkArenaBitIdentity(t, m, subs, events)
+}
+
+// TestScoreBatchInArenaNonThematic covers the non-thematic matcher mode
+// (nil compiled themes share one memo row space).
+func TestScoreBatchInArenaNonThematic(t *testing.T) {
 	m := New(space(t), WithThematic(false))
 	subs, events := batchPopulation(t, m)
-	var out []float64
-	for ei, pe := range events[:5] {
-		out = m.ScoreBatch(subs, pe, out[:0])
-		for si, ps := range subs {
-			if want := m.ScorePrepared(ps, pe); out[si] != want {
-				t.Errorf("event %d sub %d: batch %v != serial %v", ei, si, out[si], want)
-			}
-		}
-	}
+	checkArenaBitIdentity(t, m, subs, events[:5])
 }
 
 // TestScoreBatchZeroAlloc gates the warm columnar sweep at 0 allocs/op for
-// the common ≤3-predicate population, same idiom as the ScorePrepared gate.
+// the common ≤3-predicate population, same idiom as the ScorePrepared gate
+// — both through a batch-prepared event and through the vector-less
+// fallback, which re-fills the evicted memo in place.
 func TestScoreBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race mode: sync.Pool drops Puts at random, warm path is not alloc-free")
-	}
 	m := New(space(t))
 	sub, ev := benchPair()
 	subs := make([]*PreparedSubscription, 0, 32)
@@ -116,13 +121,20 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 		s.Predicates[i%3].Value = fmt.Sprintf("%s %d", s.Predicates[i%3].Value, i%4)
 		subs = append(subs, m.PrepareSubscription(&s))
 	}
-	pe := m.PrepareEvent(ev)
+	eb := m.NewEventBatch()
+	defer m.FinishEventBatch(eb)
+	ar := m.NewBatchArena(eb)
 	scores := make([]float64, 0, len(subs))
-	scores = m.ScoreBatch(subs, pe, scores[:0]) // warm caches, memo map, arena
-	if allocs := testing.AllocsPerRun(100, func() {
-		scores = m.ScoreBatch(subs, pe, scores[:0])
-	}); allocs != 0 {
-		t.Errorf("warm ScoreBatch: %v allocs/op, want 0", allocs)
+	for name, pe := range map[string]*PreparedEvent{
+		"batch-prepared": m.PrepareEventInBatch(eb, ev),
+		"vector-less":    m.PrepareEvent(ev),
+	} {
+		scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0]) // warm caches, memo table, arena
+		if allocs := testing.AllocsPerRun(100, func() {
+			scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
+		}); allocs != 0 {
+			t.Errorf("warm ScoreBatchInArena (%s): %v allocs/op, want 0", name, allocs)
+		}
 	}
 	nonzero := 0
 	for _, s := range scores {
@@ -135,9 +147,10 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkScoreBatch measures the columnar sweep against the equivalent
-// serial ScorePrepared loop over the same 64-subscription candidate batch.
-func BenchmarkScoreBatch(b *testing.B) {
+// BenchmarkScoreBatchInArena measures the columnar arena sweep against the
+// equivalent serial ScorePrepared loop over the same 64-subscription
+// candidate batch.
+func BenchmarkScoreBatchInArena(b *testing.B) {
 	m := New(space(b))
 	sub, ev := benchPair()
 	var subs []*PreparedSubscription
@@ -147,14 +160,19 @@ func BenchmarkScoreBatch(b *testing.B) {
 		s.Predicates[i%3].Value = fmt.Sprintf("%s %d", s.Predicates[i%3].Value, i%8)
 		subs = append(subs, m.PrepareSubscription(&s))
 	}
-	pe := m.PrepareEvent(ev)
 	var scores []float64
-	b.Run("batch", func(b *testing.B) {
-		scores = m.ScoreBatch(subs, pe, scores[:0])
+	pe := m.PrepareEvent(ev)
+	b.Run("arena", func(b *testing.B) {
+		eb := m.NewEventBatch()
+		defer m.FinishEventBatch(eb)
+		ar := m.NewBatchArena(eb)
+		// A vector-less event evicts the memo on every call, so each
+		// iteration prices the row fill as well as the sweep.
+		scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scores = m.ScoreBatch(subs, pe, scores[:0])
+			scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
 		}
 	})
 	b.Run("serial", func(b *testing.B) {

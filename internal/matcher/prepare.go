@@ -107,8 +107,8 @@ type PreparedEvent struct {
 	// attrsVec/valuesVec are the EventBatch-interned identities of the
 	// canonical term vectors (plus compiled theme): equal ids mean the
 	// similarity rows computed against this event apply verbatim to the
-	// other event. Zero for events prepared outside a batch — the
-	// batch-scope row memo never engages for those (see publishbatch.go).
+	// other event. Zero for events prepared outside a batch — an arena
+	// evicts its row memo on every call for those (see publishbatch.go).
 	attrsVec  uint32
 	valuesVec uint32
 

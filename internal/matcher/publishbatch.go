@@ -7,9 +7,9 @@ import (
 	"thematicep/internal/text"
 )
 
-// This file promotes the per-call row memo of ScoreBatch to publish-batch
-// scope. A broker publishing a batch of events prepares them all through
-// one EventBatch, which interns each distinct raw term once (one
+// This file gives the row memo of batch.go publish-batch scope. A broker
+// publishing a batch of events (one event included) prepares them all
+// through one EventBatch, which interns each distinct raw term once (one
 // text.Canonical per distinct spelling per batch, not one per tuple),
 // resolves each event's unit projections once, and assigns every prepared
 // event a term-vector id: events with identical canonical term vectors and
@@ -246,20 +246,19 @@ func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
 	return a
 }
 
-// ScoreBatchInArena is ScoreBatch with the row memo held in the arena
-// instead of per-call state: scores are bit-identical (the sweep is
-// scoreBatchInto either way) but rows survive across calls for the same
-// event vector, so successive candidate chunks — and consecutive events
-// sharing term vectors — skip the semantic kernel entirely. A different
-// vector evicts the memo first (stale rows are unreachable by key, but
-// holding every event's rows would grow the map past cache residency).
-// Events prepared outside an EventBatch carry no vector identity and fall
-// back to the per-call path.
+// ScoreBatchInArena scores one prepared event against a batch of prepared
+// subscriptions, appending one score per subscription (in order) to out
+// and returning it — bit-identical to ScorePrepared per pair (see
+// scoreBatchInto). The row memo is held in the arena, so rows survive
+// across calls for the same event vector: successive candidate chunks —
+// and consecutive events sharing term vectors — skip the semantic kernel
+// entirely. A different vector evicts the memo first (stale rows are
+// unreachable by key, but holding every event's rows would grow the map
+// past cache residency). Events prepared outside an EventBatch carry no
+// vector identity (both ids 0), so for them the memo is evicted on every
+// call: rows are shared within the call only.
 func (m *Matcher) ScoreBatchInArena(a *BatchArena, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
-	if pe.attrsVec == 0 && pe.valuesVec == 0 {
-		return m.ScoreBatch(subs, pe, out)
-	}
-	if a.vecA != pe.attrsVec || a.vecV != pe.valuesVec {
+	if a.vecA != pe.attrsVec || a.vecV != pe.valuesVec || pe.attrsVec == 0 {
 		a.bb.invalidate()
 		a.vecA, a.vecV = pe.attrsVec, pe.valuesVec
 	}

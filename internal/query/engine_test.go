@@ -428,6 +428,8 @@ func (s *stubSub) Close() {
 
 func (b *stubBackend) Publish(e *event.Event) error { return nil }
 
+func (b *stubBackend) PublishBatch(events []*event.Event) error { return nil }
+
 func (b *stubBackend) SubscribeHandle(sub *event.Subscription, opts ...broker.SubscribeOption) (broker.SubHandle, error) {
 	s := &stubSub{id: "stub", ch: make(chan broker.Delivery, 64)}
 	b.mu.Lock()

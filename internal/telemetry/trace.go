@@ -43,8 +43,8 @@ type Trace struct {
 	// origin fragment.
 	Parent string `json:"parent,omitempty"`
 	// Events lists the member event IDs of a batch trace (one fragment
-	// per sampled PublishBatch, looked up by any member ID); nil for
-	// single-event traces.
+	// per sampled multi-event publish, looked up by any member ID); nil
+	// for single-event traces.
 	Events []string `json:"events,omitempty"`
 }
 
@@ -218,33 +218,9 @@ func (t *Tracer) StartAt(eventID string, start time.Time) *ActiveTrace {
 	}
 }
 
-// StartBatchAt begins one trace for a whole publish batch: the batch
-// counts as a single sampling unit, the first member is the trace's
-// nominal event, and every member ID is indexed so AppendSpan and
-// ContextFor find the batch trace by any member. Adoption is keyed by the
-// first member ID (the convention forwarded batch contexts use).
-func (t *Tracer) StartBatchAt(eventIDs []string, start time.Time) *ActiveTrace {
-	if t == nil || len(eventIDs) == 0 {
-		return nil
-	}
-	var tr Trace
-	if tc, ok := t.takeAdopted(eventIDs[0]); ok {
-		tr = Trace{TraceID: tc.TraceID, Node: t.node, Parent: tc.Parent}
-	} else if (t.seq.Add(1)-1)%t.every == 0 {
-		tr = Trace{TraceID: t.newTraceID(), Node: t.node}
-	} else {
-		return nil
-	}
-	tr.EventID = eventIDs[0]
-	tr.Start = start
-	tr.Events = append([]string(nil), eventIDs...)
-	return &ActiveTrace{t: t, tr: tr}
-}
-
 // Adopt registers a forwarded trace context for an incoming event (or for
-// a forwarded batch, keyed by its first member), so the next StartAt /
-// StartBatchAt for that ID is sampled unconditionally and continues the
-// originating trace. Unsampled or empty contexts are ignored. The pending
+// a forwarded batch, keyed by its first member), so the next StartAt for
+// that ID is sampled unconditionally and continues the originating trace. Unsampled or empty contexts are ignored. The pending
 // set is bounded (adoptLimit) and cleared when full.
 func (t *Tracer) Adopt(eventID string, tc *TraceContext) {
 	if t == nil || eventID == "" || tc == nil || !tc.Sampled || tc.TraceID == "" {
@@ -414,6 +390,21 @@ func (a *ActiveTrace) Context() TraceContext {
 		return TraceContext{}
 	}
 	return TraceContext{TraceID: a.tr.TraceID, Parent: a.tr.Node, Sampled: true}
+}
+
+// SetEvents makes the trace a batch trace: one sampling unit whose nominal
+// event (the ID passed to StartAt, which also keys adoption) is the batch's
+// first member, with every member ID indexed on Finish so AppendSpan and
+// ContextFor find the trace by any member. It takes ownership of ids; the
+// caller builds the list only once a trace was actually started, so an
+// unsampled batch pays nothing for it.
+func (a *ActiveTrace) SetEvents(ids []string) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.tr.Events = ids
+	a.mu.Unlock()
 }
 
 // AddSpan records a stage that started at start and ends now (per the

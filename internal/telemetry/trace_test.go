@@ -200,7 +200,8 @@ func TestTracerEvictionAtomic(t *testing.T) {
 
 	// A batch trace spanning several event IDs is evicted wholesale: no
 	// member ID remains attachable.
-	b := tr.StartBatchAt([]string{"b-1", "b-2", "b-3"}, clk.Now())
+	b := tr.StartAt("b-1", clk.Now())
+	b.SetEvents([]string{"b-1", "b-2", "b-3"})
 	b.Finish()
 	for i := 0; i < 2; i++ {
 		tr.Start(fmt.Sprintf("fill2-%d", i)).Finish()
@@ -284,10 +285,11 @@ func TestTracerBatchTrace(t *testing.T) {
 	clk := NewManual(time.Unix(1000, 0))
 	tr := NewTracer(1, WithClock(clk), WithNode("n1"))
 	ids := []string{"e1", "e2", "e3"}
-	a := tr.StartBatchAt(ids, clk.Now())
+	a := tr.StartAt(ids[0], clk.Now())
 	if a == nil {
 		t.Fatal("batch not sampled with every=1")
 	}
+	a.SetEvents(ids)
 	s := clk.Now()
 	clk.Advance(2 * time.Millisecond)
 	a.AddSpan("score", s)
@@ -312,19 +314,19 @@ func TestTracerBatchTrace(t *testing.T) {
 
 	// Batch adoption keys on the first member.
 	tr2 := NewTracer(1<<30, WithNode("n2"))
-	tr2.StartBatchAt([]string{"warm"}, clk.Now()).Finish()
+	tr2.StartAt("warm", clk.Now()).Finish()
 	tr2.Adopt("e1", &TraceContext{TraceID: "n1.1.1", Parent: "n1", Sampled: true})
-	b := tr2.StartBatchAt(ids, clk.Now())
+	b := tr2.StartAt(ids[0], clk.Now())
 	if b == nil {
 		t.Fatal("adopted batch not sampled")
 	}
+	b.SetEvents(ids)
 	b.Finish()
 	if got := tr2.Recent()[0]; got.TraceID != "n1.1.1" || got.Parent != "n1" {
 		t.Errorf("adopted batch trace = %+v", got)
 	}
-	if tr.StartBatchAt(nil, clk.Now()) != nil {
-		t.Error("empty batch produced a trace")
-	}
+	var unsampled *ActiveTrace
+	unsampled.SetEvents(ids) // nil-safe, like every ActiveTrace method
 }
 
 func TestTracerAdoptBounded(t *testing.T) {
