@@ -441,6 +441,7 @@ type Subscriber struct {
 
 	mu     sync.Mutex
 	closed bool
+	notify func() // see SetNotify
 }
 
 // ID returns the subscription id the broker assigned (or the caller chose).
@@ -449,6 +450,21 @@ func (s *Subscriber) ID() string { return s.id }
 // C is the delivery channel. It is closed when the subscriber or the broker
 // closes.
 func (s *Subscriber) C() <-chan Delivery { return s.ch }
+
+// SetNotify installs fn to be called after deliveries have been enqueued on
+// C, outside the queue lock; it is called at once if the queue is already
+// non-empty. A consumer that drains C without blocking whenever fn fires
+// (DeliveryWriter) sees every delivery without parking a goroutine on the
+// channel. fn must not block.
+func (s *Subscriber) SetNotify(fn func()) {
+	s.mu.Lock()
+	s.notify = fn
+	pending := len(s.ch) > 0
+	s.mu.Unlock()
+	if pending && fn != nil {
+		fn()
+	}
+}
 
 // Close cancels the subscription and closes the delivery channel.
 func (s *Subscriber) Close() {
@@ -604,12 +620,18 @@ func (s *Subscriber) enqueue(d Delivery) (dropped uint64) {
 // Subscribe time).
 func (b *Broker) offer(s *Subscriber, d Delivery) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return
 	}
-	b.dropped.Add(s.enqueue(d))
+	dropped := s.enqueue(d)
+	notify := s.notify
+	s.mu.Unlock()
+	b.dropped.Add(dropped)
 	b.delivered.Add(1)
+	if notify != nil {
+		notify()
+	}
 }
 
 // Stats returns a snapshot of the broker counters, taken in one pass

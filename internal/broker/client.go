@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -142,8 +143,11 @@ func DialTimeout(addr string, d time.Duration, opts ...ClientOption) (*Client, e
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	// A wide deliverb frame is several kilobytes; the buffer takes a whole
+	// burst of them per read(2).
+	br := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
-		f, err := ReadFrame(c.conn)
+		f, err := ReadFrame(br)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -187,30 +191,14 @@ func (c *Client) readLoop() {
 			c.mu.Unlock()
 			continue
 		}
+		if f.Type == FrameDeliveryBatch {
+			c.dispatch(f.Event, f.At, f.Targets)
+			continue
+		}
 		if f.Type == FrameDelivery {
-			d := Delivery{
-				Event:          f.Event,
-				SubscriptionID: f.SubscriptionID,
-				Score:          f.Score,
-				Replayed:       f.Replay,
-				At:             f.At,
-			}
-			// The send happens under the lock so Unsubscribe's close cannot
-			// race it; a full buffer drops the delivery (the same overflow
-			// policy as the broker's subscriber queues), so the reader never
-			// blocks on a slow consumer.
-			c.mu.Lock()
-			if ch := c.subs[f.SubscriptionID]; ch != nil {
-				select {
-				case ch <- d:
-				default:
-				}
-			} else if len(c.orphans[f.SubscriptionID]) < 64 {
-				// The subscribe acknowledgement is still in flight to the
-				// caller; park the delivery until Subscribe registers.
-				c.orphans[f.SubscriptionID] = append(c.orphans[f.SubscriptionID], d)
-			}
-			c.mu.Unlock()
+			// The legacy one-target frame: nothing in the tree sends it any
+			// more, but it is the same dispatch with one target.
+			c.dispatch(f.Event, f.At, []DeliveryTarget{{SubscriptionID: f.SubscriptionID, Score: f.Score, Replay: f.Replay}})
 			continue
 		}
 		// Request responses arrive in request order.
@@ -223,6 +211,30 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if ch != nil {
 			ch <- f
+		}
+	}
+}
+
+// dispatch routes one frame's deliveries to their subscription channels
+// under a single lock acquisition. The targets share e, which is read-only
+// from here on. Sends happen under the lock so Unsubscribe's close cannot
+// race them; a full buffer drops the delivery (the same overflow policy as
+// the broker's subscriber queues), so the reader never blocks on a slow
+// consumer.
+func (c *Client) dispatch(e *event.Event, at time.Time, targets []DeliveryTarget) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, t := range targets {
+		d := Delivery{Event: e, SubscriptionID: t.SubscriptionID, Score: t.Score, Replayed: t.Replay, At: at}
+		if ch := c.subs[t.SubscriptionID]; ch != nil {
+			select {
+			case ch <- d:
+			default:
+			}
+		} else if len(c.orphans[t.SubscriptionID]) < 64 {
+			// The subscribe acknowledgement is still in flight to the
+			// caller; park the delivery until Subscribe registers.
+			c.orphans[t.SubscriptionID] = append(c.orphans[t.SubscriptionID], d)
 		}
 	}
 }

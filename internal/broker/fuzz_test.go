@@ -3,7 +3,9 @@ package broker
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"thematicep/internal/event"
@@ -42,6 +44,15 @@ func FuzzReadFrame(f *testing.F) {
 			{ID: "b2", Tuples: []event.Tuple{{Attr: "area", Value: "downtown"}}},
 		}},
 		{Type: FrameOK, Count: 2},
+		{Type: FrameDeliveryBatch, At: time.Unix(1700000000, 0).UTC(),
+			Event: &event.Event{ID: "d1", Theme: []string{"land transport"},
+				Tuples: []event.Tuple{{Attr: "type", Value: "parking event"}}},
+			Targets: []DeliveryTarget{
+				{SubscriptionID: "sub-1", Score: 0.75},
+				{SubscriptionID: "10.0.0.1:7070/s2", Score: 1, Replay: true},
+			}},
+		{Type: FrameDeliveryBatch, Event: &event.Event{Tuples: []event.Tuple{{Attr: "a", Value: "b"}}},
+			Targets: []DeliveryTarget{{SubscriptionID: "s"}}},
 	} {
 		var buf bytes.Buffer
 		if err := WriteFrame(&buf, fr); err != nil {
@@ -55,6 +66,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 100, '{'})
 	f.Add([]byte{0, 0, 0, 2, '{', 'x'})
+	f.Add([]byte{0, 0, 0, 17, '{', '"', 't', 'y', 'p', 'e', '"', ':', '"', 'o', 0xff, 'k', '"', '}', ' ', ' ', ' '}) // invalid UTF-8 in a string
 	huge := make([]byte, 4)
 	binary.BigEndian.PutUint32(huge, MaxFrameSize+1)
 	f.Add(huge)
@@ -81,7 +93,7 @@ func FuzzReadFrame(f *testing.F) {
 		if back.Type != fr.Type || back.SubscriptionID != fr.SubscriptionID ||
 			back.NodeID != fr.NodeID || back.Addr != fr.Addr || back.Error != fr.Error ||
 			back.Count != fr.Count || len(back.Events) != len(fr.Events) ||
-			back.MetricsAddr != fr.MetricsAddr {
+			back.MetricsAddr != fr.MetricsAddr || !slices.Equal(back.Targets, fr.Targets) {
 			t.Fatalf("round-trip mismatch: %+v vs %+v", fr, back)
 		}
 		if (back.Trace == nil) != (fr.Trace == nil) {

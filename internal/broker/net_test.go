@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,8 @@ func TestWireFrameRoundTrip(t *testing.T) {
 		{Type: FramePublish, Event: parkingEvent("p1")},
 		{Type: FrameSubscribe, Subscription: parkingSub(), Replay: true},
 		{Type: FrameDelivery, Event: parkingEvent("p2"), SubscriptionID: "s1", Score: 0.75},
+		{Type: FrameDeliveryBatch, Event: parkingEvent("p3"), Targets: []DeliveryTarget{
+			{SubscriptionID: "s1", Score: 0.75}, {SubscriptionID: "s2", Score: 1, Replay: true}}},
 		{Type: FrameOK, SubscriptionID: "s1"},
 		{Type: FrameError, Error: "boom"},
 	}
@@ -31,7 +34,8 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Type != want.Type || got.SubscriptionID != want.SubscriptionID ||
-			got.Score != want.Score || got.Error != want.Error || got.Replay != want.Replay {
+			got.Score != want.Score || got.Error != want.Error || got.Replay != want.Replay ||
+			!slices.Equal(got.Targets, want.Targets) {
 			t.Errorf("frame = %+v, want %+v", got, want)
 		}
 	}
@@ -53,6 +57,21 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	buf.Write([]byte{0, 0, 0, 2, '{', 'x'})
 	if _, err := ReadFrame(&buf); err == nil {
 		t.Error("garbage decoded")
+	}
+}
+
+// A byte flipped inside a JSON string still parses — encoding/json swaps
+// the invalid UTF-8 for U+FFFD — so ReadFrame has to refuse it itself, or a
+// corrupted link yields frames with mangled IDs and member addresses.
+func TestReadFrameRejectsCorruptedString(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &Frame{Type: FrameHello, NodeID: "127.0.0.1:7070"}); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	b[bytes.Index(b, []byte("7070"))] ^= 0xff
+	if f, err := ReadFrame(bytes.NewReader(b)); err == nil {
+		t.Errorf("corrupted frame decoded as %+v", f)
 	}
 }
 

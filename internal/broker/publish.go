@@ -545,10 +545,14 @@ func (b *Broker) offerBatch(s *Subscriber, events []*event.Event, hits []batchHi
 	for _, h := range hits {
 		dropped += s.enqueue(Delivery{Event: events[h.ei], SubscriptionID: s.id, Score: h.score, At: t0})
 	}
+	notify := s.notify
 	s.mu.Unlock()
 	b.delivered.Add(uint64(len(hits)))
 	if dropped > 0 {
 		b.dropped.Add(dropped)
+	}
+	if notify != nil {
+		notify()
 	}
 	b.deliverHist.ObserveDuration(b.clock.Now().Sub(t0))
 }

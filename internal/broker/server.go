@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -21,6 +22,9 @@ const DefaultHandshakeTimeout = 10 * time.Second
 type SubHandle interface {
 	ID() string
 	C() <-chan Delivery
+	// SetNotify installs a hook called after deliveries have been enqueued
+	// on C, outside the queue lock, and at once if C is already non-empty.
+	SetNotify(func())
 	Close()
 }
 
@@ -55,7 +59,8 @@ func (b *Broker) SubscribeHandle(sub *event.Subscription, opts ...SubscribeOptio
 // hello frames are answered with an error.
 type PeerHandler interface {
 	// ServePeer owns the connection until it returns; the server closes
-	// the conn afterwards.
+	// the conn afterwards. Reads on conn continue after the hello frame,
+	// including bytes the server had already buffered behind it.
 	ServePeer(conn net.Conn, hello *Frame)
 }
 
@@ -240,14 +245,17 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // connState tracks one client connection's subscriptions and serializes
-// writes (delivery forwarders and request acknowledgements share the
-// socket).
+// writes (the delivery writer, detection forwarders and request
+// acknowledgements share the socket).
 type connState struct {
 	conn    net.Conn
 	writeMu sync.Mutex
 	subs    map[string]SubHandle
 	queries map[string]QueryHandle
-	wg      sync.WaitGroup
+	// deliveries streams every subscription of the connection; started by
+	// the first subscribe, so publisher connections never run one.
+	deliveries *DeliveryWriter
+	wg         sync.WaitGroup
 }
 
 func (cs *connState) write(f *Frame) error {
@@ -255,6 +263,35 @@ func (cs *connState) write(f *Frame) error {
 	defer cs.writeMu.Unlock()
 	return WriteFrame(cs.conn, f)
 }
+
+// attach hands sub to the connection's delivery writer. The caller has
+// written the subscribe acknowledgement: the writer sends nothing of a
+// subscription before Attach, so ok precedes its first delivery on the wire.
+func (cs *connState) attach(sub SubHandle) {
+	if cs.deliveries == nil {
+		cs.deliveries = NewDeliveryWriter(func(frames []byte, _ int) error {
+			cs.writeMu.Lock()
+			defer cs.writeMu.Unlock()
+			_, err := cs.conn.Write(frames)
+			if err != nil {
+				// The connection can no longer carry deliveries: end it, so
+				// the client sees a drop rather than a silent stream.
+				cs.conn.Close()
+			}
+			return err
+		})
+	}
+	cs.deliveries.Attach(sub, sub.ID())
+}
+
+// bufferedConn is a conn whose reads go through the reader that has been
+// framing it, so a new owner continues exactly behind the last frame read.
+type bufferedConn struct {
+	net.Conn
+	r *bufio.Reader
+}
+
+func (c bufferedConn) Read(p []byte) (int, error) { return c.r.Read(p) }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
@@ -269,6 +306,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		for _, q := range cs.queries {
 			q.Close()
+		}
+		if cs.deliveries != nil {
+			cs.deliveries.Close()
 		}
 		cs.wg.Wait()
 		conn.Close()
@@ -286,8 +326,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(d))
 	}
 	first := true
+	br := bufio.NewReader(conn) // one read(2) per small frame instead of two
 	for {
-		f, err := ReadFrame(conn)
+		f, err := ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -300,7 +341,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The connection is a federation peer, not a client; hand it
 			// to the cluster layer for its lifetime.
 			if h := s.getPeerHandler(); h != nil {
-				h.ServePeer(conn, f)
+				h.ServePeer(bufferedConn{conn, br}, f)
 				return
 			}
 			cs.write(&Frame{Type: FrameError, Error: "not clustered"})
@@ -332,8 +373,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if sub, ok := rec.AttachSub(f.Subscription.ID); ok {
 					cs.subs[sub.ID()] = sub
 					cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-					cs.wg.Add(1)
-					go forwardDeliveries(cs, sub)
+					cs.attach(sub)
 					continue
 				}
 			}
@@ -354,11 +394,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			cs.subs[sub.ID()] = sub
-			// Acknowledge before starting the forwarder so the OK frame
-			// always precedes the first delivery on the wire.
 			cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-			cs.wg.Add(1)
-			go forwardDeliveries(cs, sub)
+			cs.attach(sub)
 
 		case FrameQuery:
 			qr := s.getQueryRegistrar()
@@ -421,24 +458,6 @@ func (s *Server) serveConn(conn net.Conn) {
 
 		default:
 			cs.write(&Frame{Type: FrameError, Error: "unknown frame type " + f.Type})
-		}
-	}
-}
-
-// forwardDeliveries streams a subscriber's deliveries onto the connection.
-func forwardDeliveries(cs *connState, sub SubHandle) {
-	defer cs.wg.Done()
-	for d := range sub.C() {
-		err := cs.write(&Frame{
-			Type:           FrameDelivery,
-			Event:          d.Event,
-			SubscriptionID: d.SubscriptionID,
-			Score:          d.Score,
-			Replay:         d.Replayed,
-			At:             d.At,
-		})
-		if err != nil {
-			return
 		}
 	}
 }

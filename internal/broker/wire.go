@@ -1,11 +1,14 @@
 package broker
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"thematicep/internal/event"
 	"thematicep/internal/telemetry"
@@ -25,6 +28,13 @@ const (
 	FrameDelivery    = "delivery"
 	FrameOK          = "ok"
 	FrameError       = "error"
+
+	// FrameDeliveryBatch is what brokers put on the wire for matches: the
+	// event once (in Event), one admission timestamp (At, the first
+	// target's), and in Targets every subscription of the connection the
+	// event goes to. The one-target delivery frame above is no longer sent
+	// by anything in the tree; Client still decodes it.
+	FrameDeliveryBatch = "deliverb"
 
 	// FramePublishBatch carries many events in one frame (in Events) and is
 	// acknowledged by a single ok frame whose Count echoes how many events
@@ -112,6 +122,17 @@ type Frame struct {
 	// federation member's ring converging on the same live member set
 	// without a separate gossip transport.
 	Members []MemberInfo `json:"members,omitempty"`
+	// Targets are the receiving subscriptions of a deliverb frame, in an
+	// order that keeps every subscription's deliveries in queue order
+	// across the frames of a connection.
+	Targets []DeliveryTarget `json:"targets,omitempty"`
+}
+
+// DeliveryTarget is one receiving subscription of a deliverb frame.
+type DeliveryTarget struct {
+	SubscriptionID string  `json:"i"`
+	Score          float64 `json:"s"`
+	Replay         bool    `json:"r,omitempty"`
 }
 
 // MemberInfo is one row of the gossiped membership view. State uses the
@@ -176,22 +197,43 @@ type QueryDetection struct {
 	At time.Time
 }
 
-// WriteFrame encodes and writes one frame.
-func WriteFrame(w io.Writer, f *Frame) error {
-	payload, err := json.Marshal(f)
-	if err != nil {
+// appendFrame encodes f onto buf as one length-prefixed frame: the header
+// is reserved up front and patched once the payload length is known, so the
+// payload is never copied behind it. On error buf is left as it was.
+func appendFrame(buf *bytes.Buffer, f *Frame) error {
+	start := buf.Len()
+	buf.Write([]byte{0, 0, 0, 0})
+	if err := json.NewEncoder(buf).Encode(f); err != nil {
+		buf.Truncate(start)
 		return fmt.Errorf("wire: encode: %w", err)
 	}
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("wire: frame too large: %d bytes", len(payload))
+	buf.Truncate(buf.Len() - 1) // Encode's trailing newline is not part of the frame
+	n := buf.Len() - start - 4
+	if n > MaxFrameSize {
+		buf.Truncate(start)
+		return fmt.Errorf("wire: frame too large: %d bytes", n)
+	}
+	binary.BigEndian.PutUint32(buf.Bytes()[start:], uint32(n))
+	return nil
+}
+
+// frameBufs recycles WriteFrame's encode buffers.
+var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// WriteFrame encodes and writes one frame.
+func WriteFrame(w io.Writer, f *Frame) error {
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		frameBufs.Put(buf)
+	}()
+	if err := appendFrame(buf, f); err != nil {
+		return err
 	}
 	// Header and payload go out in one Write so concurrent writers sharing
-	// a conn cannot interleave partial frames, and the hot delivery path
-	// costs one syscall instead of two.
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(payload)))
-	copy(buf[4:], payload)
-	if _, err := w.Write(buf); err != nil {
+	// a conn cannot interleave partial frames, and a frame costs one
+	// syscall instead of two.
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
 	return nil
@@ -210,6 +252,13 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
+	}
+	// encoding/json replaces invalid UTF-8 inside strings with U+FFFD
+	// instead of failing, and no writer emits it: a payload that is not
+	// valid UTF-8 was corrupted in flight, and must not decode into a
+	// plausible frame with a mangled ID or address in it.
+	if !utf8.Valid(payload) {
+		return nil, fmt.Errorf("wire: decode: payload is not valid UTF-8")
 	}
 	var f Frame
 	if err := json.Unmarshal(payload, &f); err != nil {

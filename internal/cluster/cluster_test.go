@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -384,4 +385,39 @@ func TestEmbeddedNodePublishSubscribe(t *testing.T) {
 		t.Errorf("delivery sub id = %q, want %q", d.SubscriptionID, h.ID())
 	}
 	assertQuiet(t, h.C(), 300*time.Millisecond)
+}
+
+// A federated subscription that has delivered nothing holds its two 64-slot
+// queues (the broker's and the edge's, 4.9 KB each: 39 MB of the bound for
+// 4,000) and about 1 KB more: the dedup window grows with what is delivered.
+// Sized to DedupWindow up front it was ~150 KB per subscription, 590 MB for
+// the benchmark's 4k.
+func TestIdleFederatedSubscriptionsStaySmall(t *testing.T) {
+	b := broker.New(exactMatcher())
+	defer b.Close()
+	node, err := cluster.New(b, cluster.Config{Self: "127.0.0.1:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	const subs = 4000
+	for i := 0; i < subs; i++ {
+		if _, err := node.SubscribeHandle(&event.Subscription{
+			Theme:      []string{"land transport"},
+			Predicates: []event.Predicate{{Attr: "type", Value: "parking event"}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := int64(heap()-before) >> 20; grew >= 48 {
+		t.Errorf("%d idle federated subscriptions hold %d MB of heap, want under 48", subs, grew)
+	}
 }

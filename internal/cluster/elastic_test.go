@@ -466,18 +466,22 @@ func TestElasticChaosSoak(t *testing.T) {
 		defer mu.Unlock()
 		return counts[id]
 	}
-	publish := func(id string) {
+	publishAs := func(typ, id string) {
 		t.Helper()
 		if err := a.node.Publish(&event.Event{
 			ID:    id,
 			Theme: []string{tagB, tagC},
 			Tuples: []event.Tuple{
-				{Attr: "type", Value: "parking event"},
+				{Attr: "type", Value: typ},
 				{Attr: "spot", Value: id},
 			},
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	publish := func(id string) {
+		t.Helper()
+		publishAs("parking event", id)
 	}
 	sentinel := func(phase string) {
 		t.Helper()
@@ -559,6 +563,52 @@ func TestElasticChaosSoak(t *testing.T) {
 		return true
 	})
 	sentinel("sentinel-join")
+
+	// Quiesce before the kill. sentinel-join can reach C through B's remote
+	// copy while A's forward queue to an owner still holds a stalled
+	// backlog; C's dedup window dies with it, so a backlog flushed after the
+	// restart would be delivered a second time on h2 — a property of this
+	// test's in-memory kill, not a broker duplicate. A fence is a forward
+	// that matches only a local observer on each owner: links are FIFO and
+	// a peer publishes forwards one by one, so once every owner has seen a
+	// fence, everything A forwarded before it has been processed there.
+	var fencedMu sync.Mutex
+	fenced := make(map[string]bool)
+	var observers []*broker.Subscriber
+	for _, en := range []*elasticNode{b, c, d} {
+		obs, err := en.b.Subscribe(&event.Subscription{
+			Predicates: []event.Predicate{{Attr: "type", Value: "fence"}},
+		}, broker.Ephemeral())
+		if err != nil {
+			t.Fatal(err)
+		}
+		observers = append(observers, obs)
+		go func(addr string) {
+			for range obs.C() {
+				fencedMu.Lock()
+				fenced[addr] = true
+				fencedMu.Unlock()
+			}
+		}(en.addr)
+	}
+	fences := 0
+	waitFor(t, "A's forwards processed by every owner", func() bool {
+		// A fence can be lost to an injected fault like any forward, so
+		// each poll sends another behind it.
+		publishAs("fence", fmt.Sprintf("fence-%d", fences))
+		fences++
+		fencedMu.Lock()
+		defer fencedMu.Unlock()
+		for _, o := range a.node.Ring().Owners([]string{tagB, tagC}) {
+			if o != a.addr && !fenced[o] {
+				return false
+			}
+		}
+		return true
+	})
+	for _, obs := range observers {
+		obs.Close()
+	}
 
 	// Phase 5 — kill -9 the durable member: Seal freezes the WAL exactly
 	// like the daemon's crash path, so the teardown's unsubscribe storm

@@ -542,7 +542,9 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 		sub:   &cp,
 		local: local,
 		ch:    make(chan broker.Delivery, n.cfg.QueueSize),
-		seen:  make(map[string]bool, n.cfg.DedupWindow),
+		// seen grows with what is delivered, up to the window: pre-sizing
+		// it to DedupWindow cost ~150 KB per idle subscription.
+		seen: make(map[string]bool),
 	}
 
 	// Owners are computed under n.mu against the current ring: a
@@ -626,23 +628,25 @@ func (n *Node) desiredFor(peerID string) map[string]*event.Subscription {
 	return out
 }
 
-// handleRemoteDelivery routes a delivery frame from a peer shard to the
-// local federated subscription it belongs to.
-func (n *Node) handleRemoteDelivery(f *broker.Frame) {
-	if f.Event == nil || f.SubscriptionID == "" {
+// handleRemoteDeliveries routes a deliverb frame from a peer shard to the
+// local federated subscriptions it names.
+func (n *Node) handleRemoteDeliveries(f *broker.Frame) {
+	if f.Event == nil {
 		return
 	}
-	n.mu.Lock()
-	e := n.edges[f.SubscriptionID]
-	n.mu.Unlock()
-	if e != nil {
-		e.deliver(broker.Delivery{
-			Event:          f.Event,
-			SubscriptionID: f.SubscriptionID,
-			Score:          f.Score,
-			Replayed:       f.Replay,
-			At:             f.At,
-		})
+	for _, t := range f.Targets {
+		n.mu.Lock()
+		e := n.edges[t.SubscriptionID]
+		n.mu.Unlock()
+		if e != nil {
+			e.deliver(broker.Delivery{
+				Event:          f.Event,
+				SubscriptionID: t.SubscriptionID,
+				Score:          t.Score,
+				Replayed:       t.Replay,
+				At:             f.At,
+			})
+		}
 	}
 }
 
@@ -670,16 +674,39 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 		return broker.WriteFrame(conn, f)
 	}
 
+	// Every hosted remote copy streams its matches back through one writer:
+	// deliverb frames naming the origin subscription IDs.
+	deliveries := broker.NewDeliveryWriter(func(frames []byte, sent int) error {
+		writeMu.Lock()
+		defer writeMu.Unlock()
+		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
+		_, err := conn.Write(frames)
+		if err != nil {
+			// A frame may be half on the wire: the link is over. Closing it
+			// frees the read loop below, and the peer redials.
+			conn.Close()
+			return err
+		}
+		n.ctrRemoteDel.Add(uint64(sent))
+		return nil
+	})
+
 	// origin subscription ID -> local registration. Local IDs are assigned
 	// by the broker so a re-registration racing a dead connection's
 	// cleanup cannot collide; the home node's dedup absorbs any overlap.
 	subs := make(map[string]*broker.Subscriber)
-	var wg sync.WaitGroup
-	defer func() {
-		for _, s := range subs {
+	drop := func(origin string) {
+		if s, ok := subs[origin]; ok {
+			delete(subs, origin)
 			s.Close()
+			n.remoteSubs.Add(-1)
 		}
-		wg.Wait()
+	}
+	defer func() {
+		for origin := range subs {
+			drop(origin)
+		}
+		deliveries.Close()
 	}()
 
 	for {
@@ -731,10 +758,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 				continue
 			}
 			origin := f.Subscription.ID
-			if old, ok := subs[origin]; ok {
-				delete(subs, origin)
-				old.Close()
-			}
+			drop(origin)
 			cp := *f.Subscription
 			cp.ID = "" // let the broker pick a conn-local ID
 			// Ephemeral: remote copies are connection state, rebuilt by the
@@ -745,32 +769,10 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			}
 			subs[origin] = s
 			n.remoteSubs.Add(1)
-			wg.Add(1)
-			go func(s *broker.Subscriber, origin string) {
-				defer wg.Done()
-				defer n.remoteSubs.Add(-1)
-				for d := range s.C() {
-					// A failed write means the conn is dying; keep
-					// draining so the broker's queue empties until the
-					// read loop reaps us.
-					if write(&broker.Frame{
-						Type:           broker.FrameDelivery,
-						Event:          d.Event,
-						SubscriptionID: origin,
-						Score:          d.Score,
-						Replay:         d.Replayed,
-						At:             d.At,
-					}) == nil {
-						n.ctrRemoteDel.Add(1)
-					}
-				}
-			}(s, origin)
+			deliveries.Attach(s, origin)
 
 		case broker.FrameUnsubscribe:
-			if s, ok := subs[f.SubscriptionID]; ok {
-				delete(subs, f.SubscriptionID)
-				s.Close()
-			}
+			drop(f.SubscriptionID)
 		}
 	}
 }
@@ -933,6 +935,7 @@ type edgeSub struct {
 	closed bool
 	seen   map[string]bool
 	order  []string // FIFO of seen IDs for window eviction
+	notify func()   // see SetNotify
 }
 
 // ID returns the cluster-wide subscription ID.
@@ -940,6 +943,18 @@ func (e *edgeSub) ID() string { return e.id }
 
 // C is the merged, de-duplicated delivery channel.
 func (e *edgeSub) C() <-chan broker.Delivery { return e.ch }
+
+// SetNotify implements broker.SubHandle: fn is called after a delivery has
+// been enqueued on C, outside the lock, and at once if C is non-empty.
+func (e *edgeSub) SetNotify(fn func()) {
+	e.mu.Lock()
+	e.notify = fn
+	pending := len(e.ch) > 0
+	e.mu.Unlock()
+	if pending && fn != nil {
+		fn()
+	}
+}
 
 // Close cancels the subscription locally and on every remote shard.
 func (e *edgeSub) Close() {
@@ -980,15 +995,23 @@ func (e *edgeSub) drainLocal() {
 // deliver applies the dedup window and enqueues with the broker's
 // drop-oldest overflow policy.
 func (e *edgeSub) deliver(d broker.Delivery) {
+	if notify := e.enqueue(d); notify != nil {
+		notify()
+	}
+}
+
+// enqueue is deliver under the lock; it returns the hook to call once the
+// lock is released, nil when nothing was enqueued.
+func (e *edgeSub) enqueue(d broker.Delivery) (notify func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
-		return
+		return nil
 	}
 	if d.Event != nil && d.Event.ID != "" {
 		if e.seen[d.Event.ID] {
 			e.node.ctrDeduped.Add(1)
-			return
+			return nil
 		}
 		e.seen[d.Event.ID] = true
 		e.order = append(e.order, d.Event.ID)
@@ -1000,7 +1023,7 @@ func (e *edgeSub) deliver(d broker.Delivery) {
 	for {
 		select {
 		case e.ch <- d:
-			return
+			return e.notify
 		default:
 			select {
 			case <-e.ch:

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -36,7 +37,7 @@ func (it forwardItem) count() uint64 {
 // it dials with jittered exponential backoff gated by a circuit breaker,
 // identifies itself with a hello frame, reconciles remote subscription
 // registrations, exchanges heartbeats, and drains the bounded forward
-// queue. Delivery frames for our remote registrations come back on the
+// queue. deliverb frames for our remote registrations come back on the
 // same connection and are routed by a companion reader goroutine.
 //
 // Every read and write on the link carries a deadline: writes are bounded
@@ -283,9 +284,10 @@ func (p *peer) run() {
 		go func() {
 			defer close(readErr)
 			first := true
+			br := bufio.NewReaderSize(conn, 64<<10) // deliverb frames arrive in bursts
 			for {
 				conn.SetReadDeadline(time.Now().Add(p.n.cfg.HeartbeatTimeout))
-				f, err := broker.ReadFrame(conn)
+				f, err := broker.ReadFrame(br)
 				if err != nil {
 					return
 				}
@@ -294,8 +296,8 @@ func (p *peer) run() {
 					p.bk.Success() // liveness proven: half-open probe passes
 				}
 				switch f.Type {
-				case broker.FrameDelivery:
-					p.n.handleRemoteDelivery(f)
+				case broker.FrameDeliveryBatch:
+					p.n.handleRemoteDeliveries(f)
 				case broker.FramePong:
 					// Pongs answer our pings with the peer's membership
 					// view: fold it in (this is where suspect rumors about

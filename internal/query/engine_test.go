@@ -417,6 +417,7 @@ type stubSub struct {
 
 func (s *stubSub) ID() string                { return s.id }
 func (s *stubSub) C() <-chan broker.Delivery { return s.ch }
+func (s *stubSub) SetNotify(func())          {} // the engine ranges over C
 func (s *stubSub) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
