@@ -145,9 +145,9 @@ func (c *Client) readLoop() {
 	defer close(c.done)
 	// A wide deliverb frame is several kilobytes; the buffer takes a whole
 	// burst of them per read(2).
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	frames := NewFrameReader(bufio.NewReaderSize(c.conn, 64<<10))
 	for {
-		f, err := ReadFrame(br)
+		f, err := frames.ReadFrame()
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err

@@ -3,6 +3,7 @@ package broker
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -71,9 +72,17 @@ func FuzzReadFrame(f *testing.F) {
 	binary.BigEndian.PutUint32(huge, MaxFrameSize+1)
 	f.Add(huge)
 
+	// One payload buffer across every input, as a connection's read loop
+	// holds it: whatever the previous input left in it must not show.
+	reused := &FrameReader{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		fr, err := ReadFrame(r)
+		reused.r = bytes.NewReader(data)
+		again, againErr := reused.ReadFrame()
+		if (err == nil) != (againErr == nil) || !reflect.DeepEqual(fr, again) {
+			t.Fatalf("reused buffer decoded %+v (%v), fresh buffer %+v (%v)", again, againErr, fr, err)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}

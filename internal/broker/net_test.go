@@ -2,7 +2,9 @@ package broker
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -41,6 +43,55 @@ func TestWireFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadFrame(&buf); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
+	}
+}
+
+// TestReadFrameReusedBuffer reads frames that grow and then shrink through
+// one FrameReader: each decodes exactly as a fresh ReadFrame decodes it, and
+// no decoded Frame changes when the buffer it came from is overwritten — by
+// the frames after it, and then by the test.
+func TestReadFrameReusedBuffer(t *testing.T) {
+	var wire bytes.Buffer
+	for i, tuples := range []int{1, 12, 300, 12, 1, 0} {
+		e := &event.Event{ID: fmt.Sprintf("e%d", i), Theme: []string{"land transport"}}
+		for j := 0; j < tuples; j++ {
+			e.Tuples = append(e.Tuples, event.Tuple{
+				Attr: fmt.Sprintf("attr %d.%d", i, j), Value: fmt.Sprintf("value %d.%d", i, j)})
+		}
+		f := &Frame{Type: FrameDeliveryBatch, Event: e, At: time.Unix(1700000000+int64(i), 0).UTC(),
+			Targets: []DeliveryTarget{{SubscriptionID: fmt.Sprintf("sub-%d", i), Score: 0.5}}}
+		if err := WriteFrame(&wire, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := bytes.NewReader(wire.Bytes())
+	fr := NewFrameReader(bytes.NewReader(wire.Bytes()))
+	var want, got []*Frame
+	for {
+		w, werr := ReadFrame(fresh)
+		g, gerr := fr.ReadFrame()
+		if werr != gerr {
+			t.Fatalf("frame %d: reused reader err = %v, fresh = %v", len(want), gerr, werr)
+		}
+		if werr == io.EOF {
+			break
+		}
+		if werr != nil {
+			t.Fatal(werr)
+		}
+		want, got = append(want, w), append(got, g)
+	}
+	if len(want) != 6 {
+		t.Fatalf("read %d frames, wrote 6", len(want))
+	}
+	scribble := fr.payload[:cap(fr.payload)]
+	for i := range scribble {
+		scribble[i] = 'X'
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("frame %d through the reused buffer = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 

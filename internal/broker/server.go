@@ -327,8 +327,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	first := true
 	br := bufio.NewReader(conn) // one read(2) per small frame instead of two
+	frames := NewFrameReader(br)
 	for {
-		f, err := ReadFrame(br)
+		f, err := frames.ReadFrame()
 		if err != nil {
 			return
 		}

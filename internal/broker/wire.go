@@ -239,18 +239,44 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	return nil
 }
 
-// ReadFrame reads and decodes one frame.
+// ReadFrame reads and decodes one frame: the one-shot form, which
+// allocates the payload buffer it reads into. A loop that reads a
+// connection's every frame uses a FrameReader instead.
 func ReadFrame(r io.Reader) (*Frame, error) {
+	return (&FrameReader{r: r}).ReadFrame()
+}
+
+// FrameReader reads the frames of one connection through one payload
+// buffer, grown to the largest frame seen (at most MaxFrameSize) and reused
+// for every later one: a decoded Frame holds none of the bytes it was
+// decoded from — encoding/json copies every string it keeps — so the buffer
+// is garbage the moment the decode returns, and allocating it afresh per
+// frame was a quarter of a busy daemon's garbage. Not safe for concurrent
+// use.
+type FrameReader struct {
+	r       io.Reader
+	payload []byte
+}
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// ReadFrame reads and decodes the next frame. The returned Frame does not
+// alias the reader's buffer.
+func (fr *FrameReader) ReadFrame() (*Frame, error) {
 	var header [4]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, header[:]); err != nil {
 		return nil, err // io.EOF passes through for clean shutdown detection
 	}
 	n := binary.BigEndian.Uint32(header[:])
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("wire: frame too large: %d bytes", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(fr.payload)) < n {
+		fr.payload = make([]byte, n)
+	}
+	payload := fr.payload[:n]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return nil, fmt.Errorf("wire: read payload: %w", err)
 	}
 	// encoding/json replaces invalid UTF-8 inside strings with U+FFFD

@@ -709,12 +709,13 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 		deliveries.Close()
 	}()
 
+	fr := broker.NewFrameReader(conn)
 	for {
 		// The peer pings every HeartbeatInterval; a link silent past the
 		// heartbeat timeout is dead (stall or partition), and the deadline
 		// frees this goroutine instead of leaking it.
 		conn.SetReadDeadline(time.Now().Add(n.cfg.HeartbeatTimeout))
-		f, err := broker.ReadFrame(conn)
+		f, err := fr.ReadFrame()
 		if err != nil {
 			return
 		}

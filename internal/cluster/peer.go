@@ -284,10 +284,11 @@ func (p *peer) run() {
 		go func() {
 			defer close(readErr)
 			first := true
-			br := bufio.NewReaderSize(conn, 64<<10) // deliverb frames arrive in bursts
+			// deliverb frames arrive in bursts
+			frames := broker.NewFrameReader(bufio.NewReaderSize(conn, 64<<10))
 			for {
 				conn.SetReadDeadline(time.Now().Add(p.n.cfg.HeartbeatTimeout))
-				f, err := broker.ReadFrame(br)
+				f, err := frames.ReadFrame()
 				if err != nil {
 					return
 				}

@@ -68,6 +68,7 @@ type batchBuf struct {
 	slots    [][2]rowSlot // per-candidate row-slot scratch (attr, value)
 	epoch    uint32       // current memo generation
 	arena    []float64
+	scratch  []float64 // all-zero between rows; Index.NumDocs() long (see NewBatchArena)
 	computed uint64
 	reused   uint64
 }
@@ -100,76 +101,62 @@ func (bb *batchBuf) invalidate() {
 // scoreBatchInto) — this is the miss path only. The row semantics are
 // exactly termSimilarity's: canonical equality always scores 1 (even
 // across themes), exact terms otherwise 0, approximate terms the
-// parametric measure — swept column-wise through the semantics row
-// kernels, with pre-resolved unit projections on whichever sides carry
-// them.
+// parametric measure — swept column-wise through the resolved row kernel
+// when both sides carry their unit projections, through the scalar
+// fallback otherwise.
 func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
 	pd := ps.pred(i)
-	rowID, term, ord, approx := pd.attrRow, ps.attrs[i], ps.attrOrds[i], pd.approxA
+	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
+	evOrds := pe.attrOrds
 	if kind == rowValue {
-		rowID, term, ord, approx = pd.valueRow, ps.values[i], ps.valueOrds[i], pd.approxV
+		rowID, ord, approx = pd.valueRow, ps.valueOrds[i], pd.approxV
+		evOrds = pe.valueOrds
 	}
 	if int(rowID) >= len(bb.dense) {
 		bb.dense = append(bb.dense, make([]rowSlot, int(rowID)+1-len(bb.dense))...)
 	}
 	bb.computed++
-	evTerms, evOrds := pe.attrs, pe.attrOrds
-	if kind == rowValue {
-		evTerms, evOrds = pe.values, pe.valueOrds
-	}
 	off := int32(len(bb.arena))
-	mm := len(evTerms)
+	mm := len(evOrds)
 	bb.arena = slices.Grow(bb.arena, mm)[:int(off)+mm]
 	row := bb.arena[off : int(off)+mm]
+	switch {
+	case !approx:
+		clear(row)
+	case pe.hasUnits && ps.hasUnits:
+		// Both sides resolved their unit projections up front (subscription
+		// at preparation, event at batch prepare): the row is pure dot
+		// products against the arena's scratch, no cache lookups at all.
+		// Only the relaxed side's unit slice exists (see resolveUnits).
+		subUnits, units := ps.attrUnits, pe.attrUnits
+		if kind == rowValue {
+			subUnits, units = ps.valueUnits, pe.valueUnits
+		}
+		m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row)
+	default:
+		term, evTerms := ps.attrs[i], pe.attrs
+		if kind == rowValue {
+			term, evTerms = ps.values[i], pe.values
+		}
+		m.space.RelatednessRow(term, ps.theme, evTerms, pe.theme, row)
+	}
 	// Term identity is compared through interned ordinals (ordinal equality
-	// is canonical-string equality by TermOrd's construction) — rows are
-	// recomputed thousands of times per event at scale and the string
-	// compares were a measured cost.
-	if !approx {
-		for j, eo := range evOrds {
-			if ord == eo {
-				row[j] = 1
-			} else {
-				row[j] = 0
-			}
+	// is canonical-string equality by TermOrd's construction). termSimilarity
+	// scores canonically equal terms 1 regardless of theme; the row kernels'
+	// identity rule is narrower (same compiled theme), so the broader
+	// contract is applied here, in the same pass that builds the support
+	// mask.
+	var mask uint64
+	for j, eo := range evOrds {
+		if ord == eo {
+			row[j] = 1
 		}
-	} else {
-		switch {
-		case pe.hasUnits && ps.hasUnits:
-			// Both sides resolved their unit projections up front
-			// (subscription at preparation, event at batch prepare): the
-			// row is pure dot products, no cache lookups at all.
-			units, su := pe.attrUnits, ps.attrUnits[i]
-			if kind == rowValue {
-				units, su = pe.valueUnits, ps.valueUnits[i]
-			}
-			m.space.RelatednessRowPreUnits(su, ord, ps.theme, evOrds, units, pe.theme, row)
-		case pe.hasUnits:
-			units := pe.attrUnits
-			if kind == rowValue {
-				units = pe.valueUnits
-			}
-			m.space.RelatednessRowUnits(term, ps.theme, evTerms, units, pe.theme, row)
-		default:
-			m.space.RelatednessRow(term, ps.theme, evTerms, pe.theme, row)
-		}
-		// termSimilarity scores canonically equal terms 1 regardless of
-		// theme; the row kernels' identity rule is narrower (same compiled
-		// theme), so restore the broader contract here.
-		for j, eo := range evOrds {
-			if ord == eo {
-				row[j] = 1
-			}
+		if row[j] != 0 {
+			mask |= 1 << (uint(j) & 63)
 		}
 	}
-	mask := ^uint64(0)
-	if mm <= 64 {
-		mask = 0
-		for j, v := range row {
-			if v != 0 {
-				mask |= 1 << uint(j)
-			}
-		}
+	if mm > 64 {
+		mask = ^uint64(0)
 	}
 	slot := rowSlot{off: off, epoch: bb.epoch, mask: mask}
 	bb.dense[rowID] = slot

@@ -54,13 +54,16 @@ type PreparedSubscription struct {
 	attrOrds  []uint32
 	valueOrds []uint32
 
-	// attrUnits/valueUnits are the predicate terms' unit projections under
-	// the subscription's theme, resolved once at preparation time (hasUnits
-	// true) so a row-memo miss goes straight to the dot products — the
-	// subscription-side twin of PreparedEvent's unit columns. Unit values
-	// are deterministic for a (term, theme) pair, so they stay valid across
-	// space cache resets; they are simply unused when the event side wasn't
-	// resolved under the current scoring configuration.
+	// attrUnits/valueUnits are the ~-relaxed predicate terms' unit
+	// projections under the subscription's theme, resolved once at
+	// preparation time so a row-memo miss goes straight to the dot products
+	// — the subscription-side twin of PreparedEvent's unit columns. Exact
+	// terms' entries stay zero (their rows never read a unit) and a slice
+	// with no relaxed term is nil. hasUnits means every relaxed term
+	// resolved. Unit values are deterministic for a (term, theme) pair, so
+	// they stay valid across space cache resets; they are simply unused when
+	// the event side wasn't resolved under the current scoring
+	// configuration.
 	attrUnits  []sparse.Unit
 	valueUnits []sparse.Unit
 	hasUnits   bool
@@ -181,21 +184,36 @@ func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscripti
 		}
 		p.sig = m.sigID(key)
 	}
-	if len(p.attrs) > 0 {
-		p.attrUnits = make([]sparse.Unit, len(p.attrs))
-		p.valueUnits = make([]sparse.Unit, len(p.attrs))
-		p.hasUnits = true
-		for i := range p.attrs {
-			au, ok := m.space.ResolveUnit(p.attrs[i], p.theme)
-			if !ok {
-				p.hasUnits = false
-				break
-			}
-			vu, _ := m.space.ResolveUnit(p.values[i], p.theme)
-			p.attrUnits[i], p.valueUnits[i] = au, vu
+	p.resolveUnits(m.space)
+	return p
+}
+
+// resolveUnits resolves the unit projections of the ~-relaxed terms — the
+// only ones a similarity row ever dots; exact rows compare ordinals. A
+// subscription with no relaxed attribute (or value) keeps no slice for it.
+func (p *PreparedSubscription) resolveUnits(space *semantics.Space) {
+	p.hasUnits = true
+	resolve := func(units *[]sparse.Unit, i int, term string) {
+		u, ok := space.ResolveUnit(term, p.theme)
+		if !ok {
+			// The space scores through the scalar path, for every term alike.
+			p.hasUnits = false
+			return
+		}
+		if *units == nil {
+			*units = make([]sparse.Unit, p.np)
+		}
+		(*units)[i] = u
+	}
+	for i := 0; i < int(p.np) && p.hasUnits; i++ {
+		d := p.pred(i)
+		if d.approxA {
+			resolve(&p.attrUnits, i, p.attrs[i])
+		}
+		if d.approxV {
+			resolve(&p.valueUnits, i, p.values[i])
 		}
 	}
-	return p
 }
 
 // PrepareEvent canonicalizes an event against this matcher's space.

@@ -233,16 +233,18 @@ func (eb *EventBatch) vecOf(kind rowKind, p *PreparedEvent) uint32 {
 
 // NewBatchArena borrows a scoring arena from the context. Arenas keep
 // their row memos across borrows (they are keyed by the context's
-// persistent vec namespace); hand one to each scoring goroutine.
+// persistent vec namespace); hand one to each scoring goroutine. Each
+// arena owns the row kernel's dense scratch, one float64 per document of
+// the matcher's index (a recycled context may have served another index).
 func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
-	if eb.lent < len(eb.arenas) {
-		a := eb.arenas[eb.lent]
-		eb.lent++
-		return a
+	if eb.lent == len(eb.arenas) {
+		eb.arenas = append(eb.arenas, &BatchArena{bb: &batchBuf{epoch: 1}})
 	}
-	a := &BatchArena{bb: &batchBuf{epoch: 1}}
-	eb.arenas = append(eb.arenas, a)
+	a := eb.arenas[eb.lent]
 	eb.lent++
+	if n := m.space.Index().NumDocs(); len(a.bb.scratch) != n {
+		a.bb.scratch = make([]float64, n)
+	}
 	return a
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"thematicep/internal/corpus"
+	"thematicep/internal/index"
 	"thematicep/internal/sparse"
 	"thematicep/internal/text"
 )
@@ -150,5 +152,102 @@ func TestCompileRawMemoBounded(t *testing.T) {
 	b := s.Compile([]string{"environment", "weather", "transport", "energy"})
 	if a != b {
 		t.Error("permuted tag orders compiled to distinct themes")
+	}
+}
+
+// checkRowKernels sweeps one subscription term across an event-term column
+// through both row kernels and compares every cell, bit for bit, with the
+// scalar RelatednessCompiled. dense is the resolved kernel's scratch, shared
+// across calls and never cleared by the test: the kernel must hand it back
+// all-zero.
+func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs []string, et *CompiledTheme, dense []float64) {
+	t.Helper()
+	want := make([]float64, len(evs))
+	for j, ev := range evs {
+		want[j] = s.RelatednessCompiled(sub, st, ev, et)
+	}
+	check := func(kernel string, got []float64) {
+		t.Helper()
+		for j := range evs {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Errorf("%s(%q@%v, %q@%v) = %v, scalar %v", kernel,
+					sub, st.Ord(), evs[j], et.Ord(), got[j], want[j])
+			}
+		}
+	}
+
+	row := make([]float64, len(evs))
+	s.RelatednessRow(sub, st, evs, et, row)
+	check("RelatednessRow", row)
+
+	a, ok := s.ResolveUnit(sub, st)
+	units := make([]sparse.Unit, len(evs))
+	if !ok || !s.ResolveUnits(evs, et, units) {
+		t.Fatal("Euclidean space without a score cache refused to resolve units")
+	}
+	ords := make([]uint32, len(evs))
+	for j, ev := range evs {
+		ords[j] = s.TermOrd(ev)
+	}
+	for j := range row {
+		row[j] = math.NaN() // every cell must be written, zero rows included
+	}
+	s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row)
+	check("RelatednessRowPreUnits", row)
+	for id, w := range dense {
+		if w != 0 {
+			t.Fatalf("scratch[%d] = %v after the row of %q", id, w, sub)
+		}
+	}
+}
+
+// TestRelatednessRowKernelsMatchScalar pins both row kernels to the scalar
+// measure over the term/theme grid — which holds zero projections on either
+// side (an off-vocabulary term, terms outside a theme's basis), the same
+// term under the same theme (exactly 1), the same term under different
+// themes (a real dot product), and nil themes — and over a four-document
+// corpus built so that two distinct terms project to the same unit vector
+// and their dot product reaches the clamp.
+func TestRelatednessRowKernelsMatchScalar(t *testing.T) {
+	s := space(t)
+	evs := make([]string, len(kernelTerms))
+	for j, term := range kernelTerms {
+		evs[j] = text.Canonical(term)
+	}
+	dense := make([]float64, s.Index().NumDocs())
+	for _, st := range kernelThemes {
+		for _, et := range kernelThemes {
+			for _, sub := range evs {
+				checkRowKernels(t, s, sub, s.Compile(st), evs, s.Compile(et), dense)
+			}
+		}
+	}
+	energy := s.Compile([]string{"energy"})
+	if got := s.RelatednessCompiled("laptop", energy, "laptop", energy); got != 1 {
+		t.Errorf("same term, same theme = %v, want exactly 1", got)
+	}
+	if got := s.RelatednessCompiled("laptop", energy, "laptop", nil); got <= 0 || got >= 1 {
+		t.Errorf("same term, different theme = %v, want a measured value in (0, 1)", got)
+	}
+
+	// alpha and beta occur in document 0 alone, so both normalize to the
+	// unit vector {0: 1}: dot product exactly 1, distance clamped to 0.
+	c := &corpus.Corpus{}
+	for i, doc := range []string{"alpha beta", "gamma delta gamma", "gamma epsilon", "zeta"} {
+		c.Docs = append(c.Docs, corpus.Document{ID: int32(i), Tokens: text.Tokenize(doc)})
+	}
+	tiny := NewSpace(index.Build(c))
+	ua, _ := tiny.ResolveUnit("alpha", nil)
+	ub, _ := tiny.ResolveUnit("beta", nil)
+	if d := sparse.DotUnit(ua, ub); d < 1 {
+		t.Fatalf("fixture: alpha·beta = %v, want a dot product at the clamp", d)
+	}
+	tinyTerms := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
+	dense = make([]float64, tiny.Index().NumDocs())
+	for _, sub := range tinyTerms {
+		checkRowKernels(t, tiny, sub, nil, tinyTerms, nil, dense)
+	}
+	if got := tiny.RelatednessCompiled("alpha", nil, "beta", nil); got != 1 {
+		t.Errorf("clamped pair = %v, want exactly 1", got)
 	}
 }

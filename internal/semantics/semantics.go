@@ -527,7 +527,7 @@ func (s *Space) relatedness(subTerm string, subTheme *CompiledTheme, eventTerm s
 // composite key string.
 func (s *Space) unitProjection(termKey string, t *CompiledTheme) sparse.Unit {
 	if !s.opts.caching {
-		return s.ProjectCompiled(termKey, t).Normalize()
+		return s.buildUnit(termKey, t)
 	}
 	c := &s.unitFull
 	if t != nil {
@@ -536,7 +536,19 @@ func (s *Space) unitProjection(termKey string, t *CompiledTheme) sparse.Unit {
 	if u, ok := c.get(termKey); ok {
 		return u
 	}
-	return c.do(termKey, func() sparse.Unit { return s.ProjectCompiled(termKey, t).Normalize() })
+	return c.do(termKey, func() sparse.Unit { return s.buildUnit(termKey, t) })
+}
+
+// buildUnit computes the unit projection behind unitProjection. Every unit
+// the space hands out is built here, so this is where the row kernel's
+// scratch-sizing invariant is asserted: projection ids are document ids of
+// the index, all below NumDocs().
+func (s *Space) buildUnit(termKey string, t *CompiledTheme) sparse.Unit {
+	u := s.ProjectCompiled(termKey, t).Normalize()
+	if u.Vec.DimBound() > s.ix.NumDocs() {
+		panic("semantics: projection id outside the index's document range")
+	}
+	return u
 }
 
 // RelatednessRow fills out[j] with RelatednessCompiled(subTerm, subTheme,
@@ -595,43 +607,6 @@ func (s *Space) ResolveUnits(terms []string, t *CompiledTheme, out []sparse.Unit
 	return true
 }
 
-// RelatednessRowUnits is RelatednessRow with the event terms' unit
-// projections already resolved (by ResolveUnits, against the same
-// eventTheme): the sweep skips the per-pair projection-cache lookup and
-// goes straight to the dot product. eventTerms is still consulted for the
-// exact-identity rule, so the row is bit-identical to RelatednessRow. The
-// scalar fallback configurations ignore units entirely.
-func (s *Space) RelatednessRowUnits(subTerm string, subTheme *CompiledTheme, eventTerms []string, eventUnits []sparse.Unit, eventTheme *CompiledTheme, out []float64) {
-	if s.opts.distance != Euclidean || s.scoreCache.Load() {
-		for j, et := range eventTerms {
-			out[j] = s.RelatednessCompiled(subTerm, subTheme, et, eventTheme)
-		}
-		return
-	}
-	a := s.unitProjection(subTerm, subTheme)
-	aZero := a.IsZero()
-	for j, et := range eventTerms {
-		if subTerm == et && subTheme == eventTheme {
-			if aZero {
-				out[j] = 0
-			} else {
-				out[j] = 1
-			}
-			continue
-		}
-		if aZero {
-			out[j] = 0
-			continue
-		}
-		b := eventUnits[j]
-		if b.IsZero() {
-			out[j] = 0
-			continue
-		}
-		out[j] = 1 / (sparse.NormalizedEuclidean(a, b) + 1)
-	}
-}
-
 // ResolveUnit is the scalar form of ResolveUnits: the unit-normalized
 // thematic projection of one canonical term, or ok=false when the space
 // scores through the scalar path and pre-resolved units are unused.
@@ -644,36 +619,50 @@ func (s *Space) ResolveUnit(term string, t *CompiledTheme) (sparse.Unit, bool) {
 	return s.unitProjection(term, t), true
 }
 
-// RelatednessRowPreUnits is RelatednessRowUnits with the subscription
-// term's unit projection also pre-resolved (by ResolveUnit, against the
-// same subTheme) — the fully resolved row kernel: no cache lookup on
-// either side, straight to the dot products. Term identity runs on
-// interned ordinals (TermOrd), whose equality is canonical-string
-// equality, so the row stays bit-identical to RelatednessRow. Callers
-// must have resolved a under the space's current scoring configuration
-// (ResolveUnit returned ok).
-func (s *Space) RelatednessRowPreUnits(a sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, out []float64) {
-	aZero := a.IsZero()
-	for j, et := range eventOrds {
-		if subOrd == et && subTheme == eventTheme {
-			if aZero {
-				out[j] = 0
-			} else {
-				out[j] = 1
-			}
-			continue
-		}
-		if aZero {
-			out[j] = 0
-			continue
-		}
-		b := eventUnits[j]
-		if b.IsZero() {
-			out[j] = 0
-			continue
-		}
-		out[j] = 1 / (sparse.NormalizedEuclidean(a, b) + 1)
+// RelatednessRowPreUnits is RelatednessRow with the unit projections of
+// both sides pre-resolved (a by ResolveUnit against subTheme, eventUnits by
+// ResolveUnits against eventTheme, under the space's current scoring
+// configuration) — the batch path's row kernel: no cache lookup on either
+// side. a is scattered once into dense, every column's dot product is then
+// a gather over the event unit's ids alone (sparse.DotDense, bit-identical
+// to the merge behind RelatednessCompiled), and dense is all-zero again on
+// return. dense must be all-zero on entry and Index().NumDocs() long —
+// every projection id is below that, asserted where units are built. Term
+// identity runs on interned ordinals (TermOrd), whose equality is
+// canonical-string equality, so the row stays bit-identical to
+// RelatednessRow.
+func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
+	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
+	if a.IsZero() {
+		clear(out)
+		return
 	}
+	// The identity rule needs equal themes as well as equal terms. Term
+	// ordinals start at 1, so under different themes compare against 0,
+	// which no event term carries, and the loop tests ordinals only.
+	same := subOrd
+	if subTheme != eventTheme {
+		same = 0
+	}
+	a.Scatter(dense)
+	for j := range eventUnits {
+		b := &eventUnits[j]
+		switch {
+		case eventOrds[j] == same:
+			out[j] = 1
+		case b.IsZero():
+			out[j] = 0
+		default:
+			// sparse.NormalizedEuclidean on the gathered dot: the clamp
+			// makes the distance of near-identical vectors exactly 0.
+			if d := sparse.DotDense(dense, b); d >= 1 {
+				out[j] = 1
+			} else {
+				out[j] = 1 / (math.Sqrt(2-2*d) + 1)
+			}
+		}
+	}
+	a.Unscatter(dense)
 }
 
 // NonThematicRelatedness measures relatedness in the full space: the

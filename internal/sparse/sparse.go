@@ -72,6 +72,15 @@ func (v Vector) IsZero() bool { return len(v.ids) == 0 }
 // Dims returns a copy of the non-zero dimension ids in ascending order.
 func (v Vector) Dims() []int32 { return append([]int32(nil), v.ids...) }
 
+// DimBound returns one past the largest non-zero dimension id, 0 for the
+// zero vector: the smallest dense length that can index every component.
+func (v Vector) DimBound() int {
+	if len(v.ids) == 0 {
+		return 0
+	}
+	return int(v.ids[len(v.ids)-1]) + 1
+}
+
 // Weight returns the weight of dimension id (0 if absent).
 func (v Vector) Weight(id int32) float64 {
 	i := sort.Search(len(v.ids), func(i int) bool { return v.ids[i] >= id })
@@ -226,6 +235,46 @@ func NormalizedEuclidean(a, b Unit) float64 {
 		return 0
 	}
 	return math.Sqrt(2 - 2*d)
+}
+
+// Scatter, DotDense and Unscatter are DotUnit split for a row of dot
+// products that share one operand: Scatter writes that operand into a dense
+// all-zero scratch indexed by dimension id, DotDense is then a straight
+// multiply-add walk over the other operand's ids — no merge, no
+// data-dependent branch — and Unscatter restores the zeros. DotDense visits
+// the shared ids in the same ascending order as DotUnit's merge and adds an
+// exact ±0 product for every other id, which leaves a sum that started at
+// +0 unchanged (weights are finite), so the result has DotUnit's bits.
+// Every id of both operands must be below len(dense): callers size the
+// scratch to the space's dimensionality once, not per call.
+
+// Scatter writes u's weights into dense at u's ids. dense must be all-zero
+// on entry so that Unscatter can restore it.
+func (u *Unit) Scatter(dense []float64) {
+	ids := u.Vec.ids
+	w := u.Vec.weights[:len(ids)]
+	for k, id := range ids {
+		dense[id] = w[k]
+	}
+}
+
+// Unscatter zeroes the cells Scatter(dense) wrote.
+func (u *Unit) Unscatter(dense []float64) {
+	for _, id := range u.Vec.ids {
+		dense[id] = 0
+	}
+}
+
+// DotDense returns the inner product of the unit scattered into dense with
+// b, bit-identical to DotUnit of the two.
+func DotDense(dense []float64, b *Unit) float64 {
+	ids := b.Vec.ids
+	w := b.Vec.weights[:len(ids)]
+	var s float64
+	for k, id := range ids {
+		s += dense[id] * w[k]
+	}
+	return s
 }
 
 // Cosine returns the cosine similarity of a and b in [0,1] for non-negative
