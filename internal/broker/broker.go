@@ -441,7 +441,8 @@ type Subscriber struct {
 
 	mu     sync.Mutex
 	closed bool
-	notify func() // see SetNotify
+	notify func()                  // see SetNotify
+	gate   func(*event.Event) bool // see Gate; nil admits everything
 }
 
 // ID returns the subscription id the broker assigned (or the caller chose).
@@ -479,6 +480,7 @@ type SubscribeOption interface {
 type subConfig struct {
 	replay    bool
 	ephemeral bool
+	gate      func(*event.Event) bool
 }
 
 type replayOption bool
@@ -500,6 +502,18 @@ func (ephemeralOption) applySub(c *subConfig) { c.ephemeral = true }
 // query re-registers). Journaling them would resurrect registrations
 // whose owner is responsible for rebuilding them.
 func Ephemeral() SubscribeOption { return ephemeralOption{} }
+
+type gateOption func(*event.Event) bool
+
+func (o gateOption) applySub(c *subConfig) { c.gate = o }
+
+// Gate puts fn in front of the subscription's queue: it is called under the
+// queue lock, in queue order, for every delivery about to be enqueued —
+// pipeline matches, the replay backlog and Offer alike — and a false return
+// discards the delivery uncounted. The federation layer's event-ID window
+// is the one caller: local and remote copies of one event meet at the
+// queue, so whichever arrives second is dropped there. fn must not block.
+func Gate(fn func(*event.Event) bool) SubscribeOption { return gateOption(fn) }
 
 // Subscribe registers a subscription. If sub.ID is empty the broker assigns
 // one. The returned Subscriber's channel receives matching deliveries until
@@ -542,6 +556,7 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		ch:        make(chan Delivery, b.cfg.queueSize),
 		broker:    b,
 		ephemeral: sc.ephemeral,
+		gate:      sc.gate,
 	}
 	b.subs[id] = s
 	if b.index != nil {
@@ -568,7 +583,9 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 	// the reference scorer.
 	for _, e := range backlog {
 		if score := b.matcher.Score(sub, e); score >= b.cfg.threshold && score > 0 {
-			b.offer(s, Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()})
+			if s.Offer(Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()}) {
+				b.delivered.Add(1)
+			}
 		}
 	}
 	return s, nil
@@ -597,15 +614,19 @@ func (b *Broker) unsubscribe(id string) {
 	}
 }
 
-// enqueue puts d on the subscriber's queue, dropping the oldest queued
-// deliveries while it is full (synchronization decoupling: publishers
-// never block), and returns how many it dropped. The caller holds s.mu and
-// has checked s.closed.
-func (s *Subscriber) enqueue(d Delivery) (dropped uint64) {
+// enqueue puts d on the subscriber's queue unless the gate refuses it,
+// dropping the oldest queued deliveries while the queue is full
+// (synchronization decoupling: publishers never block). It returns whether
+// d was enqueued and how many deliveries it pushed out. The caller holds
+// s.mu and has checked s.closed.
+func (s *Subscriber) enqueue(d Delivery) (ok bool, dropped uint64) {
+	if s.gate != nil && !s.gate(d.Event) {
+		return false, 0
+	}
 	for {
 		select {
 		case s.ch <- d:
-			return dropped
+			return true, dropped
 		default:
 			select {
 			case <-s.ch:
@@ -616,22 +637,28 @@ func (s *Subscriber) enqueue(d Delivery) (dropped uint64) {
 	}
 }
 
-// offer enqueues one delivery outside the publish pipeline (replay at
-// Subscribe time).
-func (b *Broker) offer(s *Subscriber, d Delivery) {
+// Offer enqueues one delivery from outside the publish pipeline — the
+// replay backlog at Subscribe time, a federation peer's match — and reports
+// whether it was enqueued (false: the subscription is closed or its gate
+// refused it). Overflow is counted in Stats.Dropped; Stats.Delivered is the
+// caller's to count, so that deliveries matched on another broker never
+// outrun this broker's Matched.
+func (s *Subscriber) Offer(d Delivery) bool {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return false
 	}
-	dropped := s.enqueue(d)
+	ok, dropped := s.enqueue(d)
 	notify := s.notify
 	s.mu.Unlock()
-	b.dropped.Add(dropped)
-	b.delivered.Add(1)
-	if notify != nil {
+	if dropped > 0 {
+		s.broker.dropped.Add(dropped)
+	}
+	if ok && notify != nil {
 		notify()
 	}
+	return ok
 }
 
 // Stats returns a snapshot of the broker counters, taken in one pass

@@ -536,22 +536,26 @@ func sortHitsByEvent(g []batchHit) {
 // handoff — which for a batch of one is the single delivery.
 func (b *Broker) offerBatch(s *Subscriber, events []*event.Event, hits []batchHit) {
 	t0 := b.clock.Now()
-	var dropped uint64
+	var delivered, dropped uint64
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return
 	}
 	for _, h := range hits {
-		dropped += s.enqueue(Delivery{Event: events[h.ei], SubscriptionID: s.id, Score: h.score, At: t0})
+		ok, d := s.enqueue(Delivery{Event: events[h.ei], SubscriptionID: s.id, Score: h.score, At: t0})
+		if ok {
+			delivered++
+		}
+		dropped += d
 	}
 	notify := s.notify
 	s.mu.Unlock()
-	b.delivered.Add(uint64(len(hits)))
+	b.delivered.Add(delivered)
 	if dropped > 0 {
 		b.dropped.Add(dropped)
 	}
-	if notify != nil {
+	if delivered > 0 && notify != nil {
 		notify()
 	}
 	b.deliverHist.ObserveDuration(b.clock.Now().Sub(t0))

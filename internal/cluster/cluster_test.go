@@ -387,11 +387,12 @@ func TestEmbeddedNodePublishSubscribe(t *testing.T) {
 	assertQuiet(t, h.C(), 300*time.Millisecond)
 }
 
-// A federated subscription that has delivered nothing holds its two 64-slot
-// queues (the broker's and the edge's, 4.9 KB each: 39 MB of the bound for
-// 4,000) and about 1 KB more: the dedup window grows with what is delivered.
-// Sized to DedupWindow up front it was ~150 KB per subscription, 590 MB for
-// the benchmark's 4k.
+// A federated subscription that has delivered nothing holds what its local
+// registration holds — one 64-slot queue, 4.9 KB: 19 MB of the bound for
+// 4,000 — and a few hundred bytes more: no second queue, no goroutine stack,
+// and the dedup window grows with what is delivered. Sized to DedupWindow
+// up front the window was ~150 KB per subscription, 590 MB for the
+// benchmark's 4k.
 func TestIdleFederatedSubscriptionsStaySmall(t *testing.T) {
 	b := broker.New(exactMatcher())
 	defer b.Close()
@@ -417,7 +418,7 @@ func TestIdleFederatedSubscriptionsStaySmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if grew := int64(heap()-before) >> 20; grew >= 48 {
-		t.Errorf("%d idle federated subscriptions hold %d MB of heap, want under 48", subs, grew)
+	if grew := int64(heap()-before) >> 20; grew >= 24 {
+		t.Errorf("%d idle federated subscriptions hold %d MB of heap, want under 24", subs, grew)
 	}
 }

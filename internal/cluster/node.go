@@ -46,9 +46,6 @@ type Config struct {
 	// DedupWindow is how many recent event IDs each subscription
 	// remembers for duplicate suppression (default 1024).
 	DedupWindow int
-	// QueueSize buffers each federated subscription's delivery channel
-	// (default 64), with the same drop-oldest overflow policy.
-	QueueSize int
 	// ReconnectMin/ReconnectMax bound the full-jitter exponential backoff
 	// between peer dial attempts (defaults 50ms and 2s).
 	ReconnectMin time.Duration
@@ -88,9 +85,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.DedupWindow <= 0 {
 		out.DedupWindow = 1024
-	}
-	if out.QueueSize <= 0 {
-		out.QueueSize = 64
 	}
 	if out.ReconnectMin <= 0 {
 		out.ReconnectMin = 50 * time.Millisecond
@@ -531,21 +525,23 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	if cp.ID == "" {
 		cp.ID = fmt.Sprintf("%s/s%d", n.id, n.nextSub.Add(1))
 	}
-	local, err := n.broker.Subscribe(&cp, opts...)
+	// The event-ID window stands in front of the local registration's queue,
+	// where local matches and remote ones (handleRemoteDeliveries) meet: the
+	// broker calls it under the queue lock, so whichever copy of an event
+	// arrives second is dropped in queue order.
+	seen := event.IDWindow{Size: n.cfg.DedupWindow}
+	fresh := func(ev *event.Event) bool {
+		if ev.ID == "" || seen.Fresh(ev.ID) {
+			return true
+		}
+		n.ctrDeduped.Add(1)
+		return false
+	}
+	local, err := n.broker.Subscribe(&cp, append(opts, broker.Gate(fresh))...)
 	if err != nil {
 		return nil, err
 	}
-
-	e := &edgeSub{
-		node:  n,
-		id:    cp.ID,
-		sub:   &cp,
-		local: local,
-		ch:    make(chan broker.Delivery, n.cfg.QueueSize),
-		// seen grows with what is delivered, up to the window: pre-sizing
-		// it to DedupWindow cost ~150 KB per idle subscription.
-		seen: make(map[string]bool),
-	}
+	e := &edgeSub{Subscriber: local, node: n, sub: &cp}
 
 	// Owners are computed under n.mu against the current ring: a
 	// subscribe racing a membership change either sees the new ring here,
@@ -567,7 +563,6 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	n.edges[cp.ID] = e
 	n.mu.Unlock()
 
-	go e.drainLocal()
 	n.nudgePeers(owners)
 	return e, nil
 }
@@ -639,7 +634,7 @@ func (n *Node) handleRemoteDeliveries(f *broker.Frame) {
 		e := n.edges[t.SubscriptionID]
 		n.mu.Unlock()
 		if e != nil {
-			e.deliver(broker.Delivery{
+			e.Offer(broker.Delivery{
 				Event:          f.Event,
 				SubscriptionID: t.SubscriptionID,
 				Score:          t.Score,
@@ -921,115 +916,33 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	}
 }
 
-// edgeSub is one federated subscription: the union of its local broker
-// registration and its remote shard registrations, de-duplicated by event
-// ID. It satisfies broker.SubHandle.
+// edgeSub is one federated subscription: its local broker registration —
+// whose ID, queue and notify hook are the subscription's own — plus the
+// remote shards holding a copy. Remote matches are offered to the same
+// queue, behind the event-ID gate installed at subscribe time. It satisfies
+// broker.SubHandle.
 type edgeSub struct {
+	*broker.Subscriber
 	node   *Node
-	id     string
 	sub    *event.Subscription
 	owners []string // remote shards this subscription is registered on
-	local  *broker.Subscriber
-	ch     chan broker.Delivery
-
-	mu     sync.Mutex
-	closed bool
-	seen   map[string]bool
-	order  []string // FIFO of seen IDs for window eviction
-	notify func()   // see SetNotify
-}
-
-// ID returns the cluster-wide subscription ID.
-func (e *edgeSub) ID() string { return e.id }
-
-// C is the merged, de-duplicated delivery channel.
-func (e *edgeSub) C() <-chan broker.Delivery { return e.ch }
-
-// SetNotify implements broker.SubHandle: fn is called after a delivery has
-// been enqueued on C, outside the lock, and at once if C is non-empty.
-func (e *edgeSub) SetNotify(fn func()) {
-	e.mu.Lock()
-	e.notify = fn
-	pending := len(e.ch) > 0
-	e.mu.Unlock()
-	if pending && fn != nil {
-		fn()
-	}
 }
 
 // Close cancels the subscription locally and on every remote shard.
 func (e *edgeSub) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.mu.Unlock()
-
 	n := e.node
 	n.mu.Lock()
-	delete(n.edges, e.id)
+	live := n.edges[e.ID()] == e
+	if live {
+		delete(n.edges, e.ID())
+	}
 	n.mu.Unlock()
-
-	e.local.Close()
-	e.mu.Lock()
-	close(e.ch)
-	e.mu.Unlock()
+	if !live {
+		return
+	}
+	e.Subscriber.Close()
 	// Reconcile everywhere: the current owners unsubscribe the remote
 	// copy, and any former owner still holding a pre-rebalance copy in its
 	// link's sent set cleans up on the same nudge.
 	n.nudgeAll()
-}
-
-// drainLocal feeds local broker matches through the dedup filter.
-func (e *edgeSub) drainLocal() {
-	for d := range e.local.C() {
-		d.SubscriptionID = e.id
-		e.deliver(d)
-	}
-	// Local channel closed: the broker shut down (or the subscription was
-	// closed, making this a no-op).
-	e.Close()
-}
-
-// deliver applies the dedup window and enqueues with the broker's
-// drop-oldest overflow policy.
-func (e *edgeSub) deliver(d broker.Delivery) {
-	if notify := e.enqueue(d); notify != nil {
-		notify()
-	}
-}
-
-// enqueue is deliver under the lock; it returns the hook to call once the
-// lock is released, nil when nothing was enqueued.
-func (e *edgeSub) enqueue(d broker.Delivery) (notify func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil
-	}
-	if d.Event != nil && d.Event.ID != "" {
-		if e.seen[d.Event.ID] {
-			e.node.ctrDeduped.Add(1)
-			return nil
-		}
-		e.seen[d.Event.ID] = true
-		e.order = append(e.order, d.Event.ID)
-		if len(e.order) > e.node.cfg.DedupWindow {
-			delete(e.seen, e.order[0])
-			e.order = e.order[1:]
-		}
-	}
-	for {
-		select {
-		case e.ch <- d:
-			return e.notify
-		default:
-			select {
-			case <-e.ch:
-			default:
-			}
-		}
-	}
 }

@@ -102,8 +102,9 @@ func (bb *batchBuf) invalidate() {
 // exactly termSimilarity's: canonical equality always scores 1 (even
 // across themes), exact terms otherwise 0, approximate terms the
 // parametric measure — swept column-wise through the resolved row kernel
-// when both sides carry their unit projections, through the scalar
-// fallback otherwise.
+// when both sides carry their unit projections, cell by cell through the
+// scalar measure otherwise (cosine distance, an active score cache, an
+// event prepared outside a batch).
 func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
 	pd := ps.pred(i)
 	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
@@ -138,7 +139,9 @@ func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSub
 		if kind == rowValue {
 			term, evTerms = ps.values[i], pe.values
 		}
-		m.space.RelatednessRow(term, ps.theme, evTerms, pe.theme, row)
+		for j, et := range evTerms {
+			row[j] = m.space.RelatednessCompiled(term, ps.theme, et, pe.theme)
+		}
 	}
 	// Term identity is compared through interned ordinals (ordinal equality
 	// is canonical-string equality by TermOrd's construction). termSimilarity

@@ -49,7 +49,7 @@ const (
 // a quiet stream.
 const DefaultFlushInterval = time.Second
 
-// dedupWindow bounds the engine's per-query event-ID dedup ring, mirroring
+// dedupWindow bounds the engine's per-query event-ID dedup window, mirroring
 // the federation edge dedup size.
 const dedupWindow = 1024
 
@@ -199,7 +199,7 @@ func (e *Engine) Register(spec *broker.QuerySpec) (*Query, error) {
 		pattern: pattern,
 		sub:     sub,
 		ch:      make(chan broker.QueryDetection, e.buf),
-		seen:    make(map[string]struct{}, dedupWindow),
+		seen:    event.IDWindow{Size: dedupWindow},
 	}
 	e.mu.Lock()
 	if e.closed {
@@ -407,13 +407,11 @@ type Query struct {
 	sub     broker.SubHandle
 	ch      chan broker.QueryDetection
 
-	// Event-ID dedup ring: the federation edge already dedups across
+	mu sync.Mutex
+	// Event-ID dedup window: the federation edge already dedups across
 	// peers, but the engine guards its window state independently so a
 	// replayed delivery or an operator re-feed cannot double-count.
-	seen  map[string]struct{}
-	order []string
-
-	mu     sync.Mutex
+	seen   event.IDWindow
 	closed bool
 	wg     sync.WaitGroup
 
@@ -466,9 +464,14 @@ func (q *Query) observe(d broker.Delivery) {
 	if d.Event == nil {
 		return
 	}
-	if d.Event.ID != "" && q.duplicate(d.Event.ID) {
-		q.deduped.Add(1)
-		return
+	if d.Event.ID != "" {
+		q.mu.Lock()
+		fresh := q.seen.Fresh(d.Event.ID)
+		q.mu.Unlock()
+		if !fresh {
+			q.deduped.Add(1)
+			return
+		}
 	}
 	q.fed.Add(1)
 	at := d.At
@@ -492,23 +495,6 @@ func (q *Query) observe(d broker.Delivery) {
 		// admission the detection fired.
 		tr.AppendSpan(d.Event.ID, "query:"+q.name, at, now.Sub(at))
 	}
-}
-
-// duplicate records an event ID and reports whether it was already seen,
-// evicting oldest-first past the ring capacity.
-func (q *Query) duplicate(id string) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if _, ok := q.seen[id]; ok {
-		return true
-	}
-	q.seen[id] = struct{}{}
-	q.order = append(q.order, id)
-	if len(q.order) > dedupWindow {
-		delete(q.seen, q.order[0])
-		q.order = q.order[1:]
-	}
-	return false
 }
 
 // flush advances the pattern to now+pad and emits any resulting

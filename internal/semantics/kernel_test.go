@@ -156,9 +156,9 @@ func TestCompileRawMemoBounded(t *testing.T) {
 }
 
 // checkRowKernels sweeps one subscription term across an event-term column
-// through both row kernels and compares every cell, bit for bit, with the
-// scalar RelatednessCompiled. dense is the resolved kernel's scratch, shared
-// across calls and never cleared by the test: the kernel must hand it back
+// through the row kernel and compares every cell, bit for bit, with the
+// scalar RelatednessCompiled. dense is the kernel's scratch, shared across
+// calls and never cleared by the test: the kernel must hand it back
 // all-zero.
 func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs []string, et *CompiledTheme, dense []float64) {
 	t.Helper()
@@ -166,20 +166,8 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 	for j, ev := range evs {
 		want[j] = s.RelatednessCompiled(sub, st, ev, et)
 	}
-	check := func(kernel string, got []float64) {
-		t.Helper()
-		for j := range evs {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Errorf("%s(%q@%v, %q@%v) = %v, scalar %v", kernel,
-					sub, st.Ord(), evs[j], et.Ord(), got[j], want[j])
-			}
-		}
-	}
 
 	row := make([]float64, len(evs))
-	s.RelatednessRow(sub, st, evs, et, row)
-	check("RelatednessRow", row)
-
 	a, ok := s.ResolveUnit(sub, st)
 	units := make([]sparse.Unit, len(evs))
 	if !ok || !s.ResolveUnits(evs, et, units) {
@@ -193,7 +181,12 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 		row[j] = math.NaN() // every cell must be written, zero rows included
 	}
 	s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row)
-	check("RelatednessRowPreUnits", row)
+	for j := range evs {
+		if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
+			t.Errorf("RelatednessRowPreUnits(%q@%v, %q@%v) = %v, scalar %v",
+				sub, st.Ord(), evs[j], et.Ord(), row[j], want[j])
+		}
+	}
 	for id, w := range dense {
 		if w != 0 {
 			t.Fatalf("scratch[%d] = %v after the row of %q", id, w, sub)
@@ -201,7 +194,7 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 	}
 }
 
-// TestRelatednessRowKernelsMatchScalar pins both row kernels to the scalar
+// TestRelatednessRowKernelsMatchScalar pins the row kernel to the scalar
 // measure over the term/theme grid — which holds zero projections on either
 // side (an off-vocabulary term, terms outside a theme's basis), the same
 // term under the same theme (exactly 1), the same term under different

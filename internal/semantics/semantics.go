@@ -551,46 +551,6 @@ func (s *Space) buildUnit(termKey string, t *CompiledTheme) sparse.Unit {
 	return u
 }
 
-// RelatednessRow fills out[j] with RelatednessCompiled(subTerm, subTheme,
-// eventTerms[j], eventTheme) for every j — the columnar batch-scoring
-// primitive. On the Euclidean path the subscription term's unit projection
-// is resolved once and swept across the whole event-term column, instead
-// of being re-fetched per pair as the scalar call does; every arithmetic
-// step is otherwise identical to RelatednessCompiled, so the row is
-// bit-identical to |eventTerms| scalar calls. The cosine and score-cache
-// configurations fall back to the scalar measure per element.
-// len(out) must be at least len(eventTerms).
-func (s *Space) RelatednessRow(subTerm string, subTheme *CompiledTheme, eventTerms []string, eventTheme *CompiledTheme, out []float64) {
-	if s.opts.distance != Euclidean || s.scoreCache.Load() {
-		for j, et := range eventTerms {
-			out[j] = s.RelatednessCompiled(subTerm, subTheme, et, eventTheme)
-		}
-		return
-	}
-	a := s.unitProjection(subTerm, subTheme)
-	aZero := a.IsZero()
-	for j, et := range eventTerms {
-		if subTerm == et && subTheme == eventTheme {
-			if aZero {
-				out[j] = 0
-			} else {
-				out[j] = 1
-			}
-			continue
-		}
-		if aZero {
-			out[j] = 0
-			continue
-		}
-		b := s.unitProjection(et, eventTheme)
-		if b.IsZero() {
-			out[j] = 0
-			continue
-		}
-		out[j] = 1 / (sparse.NormalizedEuclidean(a, b) + 1)
-	}
-}
-
 // ResolveUnits fills out[j] with the unit-normalized thematic projection
 // of each canonical term — the event-side column of the Euclidean row
 // kernel, resolved once per event instead of once per row. It returns
@@ -619,18 +579,19 @@ func (s *Space) ResolveUnit(term string, t *CompiledTheme) (sparse.Unit, bool) {
 	return s.unitProjection(term, t), true
 }
 
-// RelatednessRowPreUnits is RelatednessRow with the unit projections of
-// both sides pre-resolved (a by ResolveUnit against subTheme, eventUnits by
-// ResolveUnits against eventTheme, under the space's current scoring
-// configuration) — the batch path's row kernel: no cache lookup on either
-// side. a is scattered once into dense, every column's dot product is then
+// RelatednessRowPreUnits fills out[j] with RelatednessCompiled(subTerm,
+// subTheme, eventTerms[j], eventTheme) for every j, given the unit
+// projections of both sides pre-resolved (a by ResolveUnit against subTheme,
+// eventUnits by ResolveUnits against eventTheme, under the space's current
+// scoring configuration) — the batch path's row kernel: no cache lookup on
+// either side. a is scattered once into dense, every column's dot product is then
 // a gather over the event unit's ids alone (sparse.DotDense, bit-identical
 // to the merge behind RelatednessCompiled), and dense is all-zero again on
 // return. dense must be all-zero on entry and Index().NumDocs() long —
 // every projection id is below that, asserted where units are built. Term
 // identity runs on interned ordinals (TermOrd), whose equality is
-// canonical-string equality, so the row stays bit-identical to
-// RelatednessRow.
+// canonical-string equality, so the row stays bit-identical to the scalar
+// calls.
 func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
 	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
 	if a.IsZero() {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,6 +26,20 @@ var tortureOps = []op{
 	{recUnquery, "q1"},
 	{recQuery, "q2"},
 	{recUnsubscribe, "b"},
+}
+
+// journal appends the op to l.
+func (o op) journal(l *Log) {
+	switch o.kind {
+	case recSubscribe:
+		l.Subscribed(o.key, testSub(o.key))
+	case recUnsubscribe:
+		l.Unsubscribed(o.key)
+	case recQuery:
+		l.QueryRegistered(testSpec(o.key))
+	case recUnquery:
+		l.QueryUnregistered(o.key)
+	}
 }
 
 // simulate folds the first k torture ops into the expected key sets.
@@ -73,16 +88,7 @@ func buildTortureLog(t *testing.T) (data []byte, boundaries []int64) {
 	dir := t.TempDir()
 	l, _ := mustOpen(t, dir, Options{Fsync: FsyncPolicy{Never: true}})
 	for _, o := range tortureOps {
-		switch o.kind {
-		case recSubscribe:
-			l.Subscribed(o.key, testSub(o.key))
-		case recUnsubscribe:
-			l.Unsubscribed(o.key)
-		case recQuery:
-			l.QueryRegistered(testSpec(o.key))
-		case recUnquery:
-			l.QueryUnregistered(o.key)
-		}
+		o.journal(l)
 		boundaries = append(boundaries, l.Stats().LogBytes)
 	}
 	l.Close()
@@ -180,33 +186,47 @@ func TestTortureBitFlip(t *testing.T) {
 	}
 }
 
-// Same discipline for the snapshot file: damage at any byte must surface as
-// ErrBadSnapshot (or recover the identical state if the byte is redundant),
-// never as a silently different registration set.
-func TestTortureSnapshotBitFlip(t *testing.T) {
+// buildTortureSnapshot journals a multi-record state — the survivors of the
+// torture ops plus a few more registrations of each kind — and returns the
+// snapshot file's bytes with the state it holds.
+func buildTortureSnapshot(t testing.TB) (snap []byte, subs, queries map[string]bool) {
+	t.Helper()
 	dir := t.TempDir()
-	l, _ := mustOpen(t, dir, Options{Fsync: FsyncPolicy{Never: true}})
-	for _, o := range tortureOps {
-		switch o.kind {
-		case recSubscribe:
-			l.Subscribed(o.key, testSub(o.key))
-		case recUnsubscribe:
-			l.Unsubscribed(o.key)
-		case recQuery:
-			l.QueryRegistered(testSpec(o.key))
-		case recUnquery:
-			l.QueryUnregistered(o.key)
-		}
+	l, _, err := Open(dir, Options{Fsync: FsyncPolicy{Never: true}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, o := range tortureOps {
+		o.journal(l)
+	}
+	subs, queries = simulate(len(tortureOps))
+	for _, k := range []string{"d", "e", "f"} {
+		l.Subscribed(k, testSub(k))
+		subs[k] = true
+	}
+	l.QueryRegistered(testSpec("q3"))
+	queries["q3"] = true
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	snap, err := os.ReadFile(filepath.Join(dir, "snapshot"))
+	snap, err = os.ReadFile(filepath.Join(dir, "snapshot"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSubs, wantQueries := simulate(len(tortureOps))
+	return snap, subs, queries
+}
+
+// Same discipline for the snapshot file, which is a stream of records like
+// the log: damage at any byte of any record must surface as ErrBadSnapshot
+// (or recover the identical state if the byte is redundant), never as a
+// silently different registration set.
+func TestTortureSnapshotBitFlip(t *testing.T) {
+	snap, wantSubs, wantQueries := buildTortureSnapshot(t)
+	if recs, _ := scanRecords(snap, snapMagic); len(recs) != len(wantSubs)+len(wantQueries)+1 || len(recs) < 4 {
+		t.Fatalf("snapshot holds %d records for %d registrations: not the multi-record file this test is about",
+			len(recs), len(wantSubs)+len(wantQueries))
+	}
 
 	for pos := 0; pos < len(snap); pos++ {
 		corrupted := append([]byte(nil), snap...)
@@ -228,24 +248,57 @@ func TestTortureSnapshotBitFlip(t *testing.T) {
 	}
 }
 
+// A snapshot is whole or it is refused: unlike the log, whose torn tail is
+// an expected crash artefact, a snapshot cut anywhere short of its trailer —
+// record boundaries included, where every record present checks out — must
+// fail Open rather than come back as a shorter registration set.
+func TestTortureSnapshotTruncate(t *testing.T) {
+	snap, _, _ := buildTortureSnapshot(t)
+	boundary := map[int]bool{len(snapMagic): true}
+	for off := len(snapMagic); off < len(snap); {
+		_, n, err := readRecord(bytes.NewReader(snap[off:]))
+		if err != nil {
+			t.Fatalf("offset %d: %v", off, err)
+		}
+		off += int(n)
+		boundary[off] = true
+	}
+	for cut := 0; cut < len(snap); cut++ {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snapshot"), snap[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := Open(dir, Options{Fsync: FsyncPolicy{Never: true}})
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("cut=%d of %d (record boundary: %v): Open = %d subs, %v; want ErrBadSnapshot",
+				cut, len(snap), boundary[cut], len(st.Subs), err)
+		}
+	}
+}
+
 // FuzzScanRecords asserts the prefix-scan invariants on arbitrary bytes: no
 // panic, the valid offset never exceeds the input, and rescanning the valid
 // prefix is a fixed point (same records, same offset).
 func FuzzScanRecords(f *testing.F) {
 	data, _ := buildTortureLogF(f)
+	snap, _, _ := buildTortureSnapshot(f)
 	f.Add(data)
 	f.Add(data[:len(data)/2])
+	f.Add(snap)
+	f.Add(snap[:len(snap)/2])
 	f.Add([]byte("TEPWAL1\n"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		recs, valid := scanRecords(in)
-		if valid < 0 || valid > int64(len(in)) {
-			t.Fatalf("valid offset %d out of range [0,%d]", valid, len(in))
-		}
-		recs2, valid2 := scanRecords(in[:valid])
-		if valid2 != valid || len(recs2) != len(recs) {
-			t.Fatalf("rescan of valid prefix not a fixed point: %d/%d records, %d/%d bytes",
-				len(recs2), len(recs), valid2, valid)
+		for _, magic := range [][]byte{logMagic, snapMagic} {
+			recs, valid := scanRecords(in, magic)
+			if valid < 0 || valid > int64(len(in)) {
+				t.Fatalf("valid offset %d out of range [0,%d]", valid, len(in))
+			}
+			recs2, valid2 := scanRecords(in[:valid], magic)
+			if valid2 != valid || len(recs2) != len(recs) {
+				t.Fatalf("rescan of valid prefix not a fixed point: %d/%d records, %d/%d bytes",
+					len(recs2), len(recs), valid2, valid)
+			}
 		}
 	})
 }

@@ -14,9 +14,12 @@
 // Replay trusts exactly the prefix that checks out: a torn or corrupt
 // record (a crash mid-append, a bad disk) ends the log at the last valid
 // boundary — the damaged suffix is reported, counted, and truncated away,
-// never loaded. The snapshot is a single checksummed record of the full
-// registration state, written to a temp file and atomically renamed, so a
-// crash mid-snapshot leaves the previous snapshot intact.
+// never loaded. The snapshot is the same record stream under its own magic
+// ("TEPSNP2\n"): one subscribe or query record per live registration, then
+// a trailer record carrying the counts. It is written to a temp file and
+// atomically renamed, so a crash mid-snapshot leaves the previous snapshot
+// intact; a snapshot that does not end in a trailer matching what precedes
+// it is damage, not a crash, and fails Open.
 package wal
 
 import (
@@ -27,8 +30,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -39,7 +44,7 @@ import (
 
 var (
 	logMagic  = []byte("TEPWAL1\n")
-	snapMagic = []byte("TEPSNP1\n")
+	snapMagic = []byte("TEPSNP2\n")
 )
 
 // ErrBadSnapshot reports a corrupt snapshot file: unlike a torn log tail
@@ -58,13 +63,14 @@ const (
 	recUnsubscribe
 	recQuery
 	recUnquery
+	recTrailer // last record of a snapshot; a no-op in a log
 )
 
 // State is the materialized registration state: everything a recovering
 // broker must re-register before accepting traffic.
 type State struct {
-	Subs    map[string]*event.Subscription `json:"subs,omitempty"`
-	Queries map[string]*broker.QuerySpec   `json:"queries,omitempty"`
+	Subs    map[string]*event.Subscription
+	Queries map[string]*broker.QuerySpec
 }
 
 func newState() State {
@@ -94,6 +100,9 @@ type record struct {
 	Sub  *event.Subscription `json:",omitempty"`
 	Name string              // query/unquery
 	Spec *broker.QuerySpec   `json:",omitempty"`
+	// Trailer: how many registrations of each kind the snapshot holds.
+	Subs    int `json:",omitempty"`
+	Queries int `json:",omitempty"`
 }
 
 // apply folds the record into the state. Records are last-writer-wins per
@@ -238,22 +247,25 @@ func (l *Log) loadSnapshot() error {
 		return err
 	}
 	if !bytes.HasPrefix(data, snapMagic) {
-		return fmt.Errorf("%w: wrong magic", ErrBadSnapshot)
+		return fmt.Errorf("%w: format %q, want %q", ErrBadSnapshot, data[:min(len(data), len(snapMagic))], snapMagic)
 	}
-	r := bytes.NewReader(data[len(snapMagic):])
-	payload, _, err := readRecord(r)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	recs, valid := scanRecords(data, snapMagic)
+	if valid < int64(len(data)) {
+		return fmt.Errorf("%w: damaged record at offset %d", ErrBadSnapshot, valid)
 	}
+	if len(recs) == 0 || recs[len(recs)-1].Type != recTrailer {
+		return fmt.Errorf("%w: no trailer after %d records", ErrBadSnapshot, len(recs))
+	}
+	trailer := recs[len(recs)-1]
 	st := newState()
-	if err := json.Unmarshal(payload, &st); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	for _, r := range recs[:len(recs)-1] {
+		st.apply(r)
 	}
-	if st.Subs == nil {
-		st.Subs = make(map[string]*event.Subscription)
-	}
-	if st.Queries == nil {
-		st.Queries = make(map[string]*broker.QuerySpec)
+	// Counting the applied state, not the records, also refuses a snapshot
+	// whose body holds anything but distinct registrations.
+	if len(recs)-1 != trailer.Subs+trailer.Queries || len(st.Subs) != trailer.Subs || len(st.Queries) != trailer.Queries {
+		return fmt.Errorf("%w: %d records holding %d subscriptions and %d queries, trailer says %d and %d",
+			ErrBadSnapshot, len(recs)-1, len(st.Subs), len(st.Queries), trailer.Subs, trailer.Queries)
 	}
 	l.state = st
 	return nil
@@ -269,7 +281,7 @@ func (l *Log) replayLog() error {
 	if err != nil {
 		return err
 	}
-	recs, valid := scanRecords(data)
+	recs, valid := scanRecords(data, logMagic)
 	for _, r := range recs {
 		l.state.apply(r)
 	}
@@ -284,17 +296,18 @@ func (l *Log) replayLog() error {
 	return nil
 }
 
-// scanRecords decodes the longest valid prefix of an encoded log, returning
-// the records and the byte offset where the valid prefix ends. A missing or
-// damaged magic yields no records and offset zero (the whole file is
-// rewritten). Anything after the first torn/corrupt record — including a
-// record that decodes to an unknown type or invalid JSON — is untrusted.
-func scanRecords(data []byte) ([]record, int64) {
-	if !bytes.HasPrefix(data, logMagic) {
+// scanRecords decodes the longest valid prefix of an encoded record stream
+// (the log or a snapshot, told apart by magic), returning the records and
+// the byte offset where the valid prefix ends. A missing or damaged magic
+// yields no records and offset zero (a log is then rewritten whole).
+// Anything after the first torn/corrupt record — including a record that
+// decodes to an unknown type or invalid JSON — is untrusted.
+func scanRecords(data, magic []byte) ([]record, int64) {
+	if !bytes.HasPrefix(data, magic) {
 		return nil, 0
 	}
-	r := bytes.NewReader(data[len(logMagic):])
-	offset := int64(len(logMagic))
+	r := bytes.NewReader(data[len(magic):])
+	offset := int64(len(magic))
 	var out []record
 	for {
 		payload, n, err := readRecord(r)
@@ -306,7 +319,7 @@ func scanRecords(data []byte) ([]record, int64) {
 			return out, offset
 		}
 		rec.Type = payload[0]
-		if rec.Type < recSubscribe || rec.Type > recUnquery {
+		if rec.Type < recSubscribe || rec.Type > recTrailer {
 			return out, offset
 		}
 		out = append(out, rec)
@@ -339,20 +352,20 @@ func readRecord(r *bytes.Reader) (payload []byte, size int64, err error) {
 	return payload, int64(before - r.Len()), nil
 }
 
-func encodeRecord(typ byte, body any) ([]byte, error) {
-	js, err := json.Marshal(body)
+// encodeRecord appends rec's encoding to buf.
+func encodeRecord(buf *bytes.Buffer, rec record) error {
+	js, err := json.Marshal(rec)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	payload := append([]byte{typ}, js...)
-	var buf bytes.Buffer
+	payload := append([]byte{rec.Type}, js...)
 	var lenBuf [binary.MaxVarintLen64]byte
 	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(payload)))])
 	buf.Write(payload)
 	var crcBuf [4]byte
 	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(payload))
 	buf.Write(crcBuf[:])
-	return buf.Bytes(), nil
+	return nil
 }
 
 // append writes one record, applies it to the materialized state, fsyncs
@@ -360,9 +373,9 @@ func encodeRecord(typ byte, body any) ([]byte, error) {
 // or closed log are dropped: sealing freezes the durable state at the
 // moment shutdown began, so teardown-driven unsubscribes cannot erase
 // registrations that must survive the restart.
-func (l *Log) append(typ byte, body any, rec record) {
-	enc, err := encodeRecord(typ, body)
-	if err != nil {
+func (l *Log) append(rec record) {
+	var enc bytes.Buffer
+	if encodeRecord(&enc, rec) != nil {
 		return
 	}
 	l.mu.Lock()
@@ -370,10 +383,10 @@ func (l *Log) append(typ byte, body any, rec record) {
 	if l.sealed || l.closed {
 		return
 	}
-	if _, err := l.f.Write(enc); err != nil {
+	if _, err := l.f.Write(enc.Bytes()); err != nil {
 		return
 	}
-	l.logBytes += int64(len(enc))
+	l.logBytes += int64(enc.Len())
 	l.appends++
 	l.state.apply(rec)
 	if !l.opts.Fsync.Never {
@@ -391,26 +404,22 @@ func (l *Log) append(typ byte, body any, rec record) {
 
 // Subscribed implements broker.Journal.
 func (l *Log) Subscribed(id string, sub *event.Subscription) {
-	r := record{Type: recSubscribe, ID: id, Sub: sub}
-	l.append(recSubscribe, r, r)
+	l.append(record{Type: recSubscribe, ID: id, Sub: sub})
 }
 
 // Unsubscribed implements broker.Journal.
 func (l *Log) Unsubscribed(id string) {
-	r := record{Type: recUnsubscribe, ID: id}
-	l.append(recUnsubscribe, r, r)
+	l.append(record{Type: recUnsubscribe, ID: id})
 }
 
 // QueryRegistered implements query.Journal.
 func (l *Log) QueryRegistered(spec *broker.QuerySpec) {
-	r := record{Type: recQuery, Spec: spec}
-	l.append(recQuery, r, r)
+	l.append(record{Type: recQuery, Spec: spec})
 }
 
 // QueryUnregistered implements query.Journal.
 func (l *Log) QueryUnregistered(name string) {
-	r := record{Type: recUnquery, Name: name}
-	l.append(recUnquery, r, r)
+	l.append(record{Type: recUnquery, Name: name})
 }
 
 // Snapshot persists the materialized state and truncates the log. Called
@@ -426,18 +435,22 @@ func (l *Log) Snapshot() error {
 }
 
 func (l *Log) snapshotLocked() error {
-	js, err := json.Marshal(l.state)
-	if err != nil {
-		return err
-	}
+	// The log's own records, in key order so equal states are equal files.
 	var buf bytes.Buffer
 	buf.Write(snapMagic)
-	var lenBuf [binary.MaxVarintLen64]byte
-	buf.Write(lenBuf[:binary.PutUvarint(lenBuf[:], uint64(len(js)))])
-	buf.Write(js)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(js))
-	buf.Write(crcBuf[:])
+	recs := make([]record, 0, len(l.state.Subs)+len(l.state.Queries)+1)
+	for _, id := range slices.Sorted(maps.Keys(l.state.Subs)) {
+		recs = append(recs, record{Type: recSubscribe, ID: id, Sub: l.state.Subs[id]})
+	}
+	for _, name := range slices.Sorted(maps.Keys(l.state.Queries)) {
+		recs = append(recs, record{Type: recQuery, Spec: l.state.Queries[name]})
+	}
+	recs = append(recs, record{Type: recTrailer, Subs: len(l.state.Subs), Queries: len(l.state.Queries)})
+	for _, r := range recs {
+		if err := encodeRecord(&buf, r); err != nil {
+			return err
+		}
+	}
 
 	tmp := l.snapPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)

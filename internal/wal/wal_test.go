@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -162,6 +166,88 @@ func TestCorruptSnapshotFailsLoudly(t *testing.T) {
 	}
 	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("Open accepted a corrupt snapshot")
+	}
+}
+
+// The restart the one-record snapshot could not make: 20,000 registrations
+// are several MiB of snapshot, far past what one record may hold.
+func TestSnapshotRestart20kRegistrations(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Fsync: FsyncPolicy{Never: true}, SnapshotEvery: -1})
+	want := newState()
+	for i := 0; i < 19_900; i++ {
+		id := fmt.Sprintf("sub-%05d", i)
+		want.Subs[id] = testSub(id)
+		l.Subscribed(id, want.Subs[id])
+	}
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("query-%03d", i)
+		want.Queries[name] = testSpec(name)
+		l.QueryRegistered(want.Queries[name])
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	l.Close()
+	if fi, err := os.Stat(filepath.Join(dir, "snapshot")); err != nil || fi.Size() <= maxRecord {
+		t.Fatalf("snapshot stat = %v, %v; want a file larger than one record (%d bytes)", fi, err, maxRecord)
+	}
+
+	l2, got := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if n := l2.Stats().Replayed; n != 0 {
+		t.Errorf("replayed %d log records, want 0: the snapshot owns everything", n)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered %d subs and %d queries, want the %d and %d journaled, field for field",
+			len(got.Subs), len(got.Queries), len(want.Subs), len(want.Queries))
+	}
+}
+
+// A snapshot whose records all check out but whose trailer disagrees with
+// them — or that was written in the retired one-record format — is refused
+// by name, never loaded as whatever happens to decode.
+func TestSnapshotTrailerAndFormatChecked(t *testing.T) {
+	encode := func(recs ...record) []byte {
+		buf := bytes.NewBuffer(append([]byte(nil), snapMagic...))
+		for _, r := range recs {
+			if err := encodeRecord(buf, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	subA := record{Type: recSubscribe, ID: "a", Sub: testSub("a")}
+	subB := record{Type: recSubscribe, ID: "b", Sub: testSub("b")}
+	for name, tc := range map[string]struct {
+		file []byte
+		says string
+	}{
+		"count too high":   {encode(subA, record{Type: recTrailer, Subs: 2}), "trailer says 2"},
+		"count too low":    {encode(subA, subB, record{Type: recTrailer, Subs: 1}), "trailer says 1"},
+		"repeated key":     {encode(subA, subA, record{Type: recTrailer, Subs: 2}), "holding 1 subscriptions"},
+		"removal in body":  {encode(subA, subB, record{Type: recUnsubscribe, ID: "b"}, record{Type: recTrailer, Subs: 1}), "3 records"},
+		"trailer mid-file": {encode(subA, record{Type: recTrailer, Subs: 1}, subB), "no trailer"},
+		"old format":       {[]byte("TEPSNP1\n\x02{}\x00\x00\x00\x00"), `format "TEPSNP1\n"`},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snapshot"), tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := Open(dir, Options{})
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), tc.says) {
+			t.Errorf("%s: Open = %d subs, %v; want ErrBadSnapshot mentioning %q", name, len(st.Subs), err, tc.says)
+		}
+	}
+	// The control: the same records under a truthful trailer load.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), encode(subA, subB, record{Type: recTrailer, Subs: 2}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, st := mustOpen(t, dir, Options{})
+	defer l.Close()
+	if len(st.Subs) != 2 {
+		t.Errorf("truthful snapshot recovered %d subs, want 2", len(st.Subs))
 	}
 }
 
