@@ -148,12 +148,7 @@ func BenchmarkBrokerPublishParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wg.Add(1)
-		go func(c <-chan broker.Delivery) {
-			defer wg.Done()
-			for range c {
-			}
-		}(sub.C())
+		consume(&wg, sub)
 	}
 	for _, ev := range e.work.Events {
 		if err := br.Publish(ev); err != nil {
@@ -486,12 +481,7 @@ func BenchmarkBrokerPublishPruned(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				wg.Add(1)
-				go func(c <-chan broker.Delivery) {
-					defer wg.Done()
-					for range c {
-					}
-				}(sub.C())
+				consume(&wg, sub)
 			}
 			for i := range e.work.ApproxSubs {
 				subscribe(e.work.ApproxSubs[i])
@@ -566,4 +556,26 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// consume keeps up with sub's queue, the way a live subscriber does: each
+// wake-up of its hook takes the whole queue, until the subscription closes.
+func consume(wg *sync.WaitGroup, sub broker.SubHandle) {
+	wake := make(chan struct{}, 1)
+	sub.SetNotify(func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var batch []broker.Delivery
+		for open := true; open; {
+			<-wake
+			batch, open = sub.Take(batch[:0])
+			clear(batch)
+		}
+	}()
 }

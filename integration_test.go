@@ -158,12 +158,12 @@ func TestEndToEndSubscriptionLanguage(t *testing.T) {
 	if err := b.Publish(ev); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-s.C():
-		if d.Score <= 0.2 {
-			t.Errorf("score = %v", d.Score)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no delivery")
+	// Publish returns once the delivery is queued.
+	taken, _ := s.Take(nil)
+	if len(taken) != 1 {
+		t.Fatalf("%d deliveries, want 1", len(taken))
+	}
+	if d := taken[0]; d.Score <= 0.2 {
+		t.Errorf("score = %v", d.Score)
 	}
 }

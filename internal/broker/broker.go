@@ -181,7 +181,9 @@ type queueSizeOption int
 
 func (o queueSizeOption) apply(c *config) { c.queueSize = int(o) }
 
-// WithQueueSize sets each subscriber's buffered queue length (default 64).
+// WithQueueSize sets how many deliveries each subscriber's queue holds
+// before dropping the oldest (default 64; at least 1). A queue is allocated
+// at its first delivery and grows to this bound only as its backlog does.
 func WithQueueSize(n int) Option { return queueSizeOption(n) }
 
 type replaySizeOption int
@@ -386,6 +388,9 @@ func New(m Matcher, opts ...Option) *Broker {
 	if cfg.parallelism < 1 {
 		cfg.parallelism = 1
 	}
+	if cfg.queueSize < 1 {
+		cfg.queueSize = 1
+	}
 	if cfg.clock == nil {
 		cfg.clock = telemetry.System
 	}
@@ -428,12 +433,56 @@ func New(m Matcher, opts ...Option) *Broker {
 	return b
 }
 
+// ringStart is a subscriber queue's capacity at its first delivery; the ring
+// doubles while full, up to the broker's queue size (WithQueueSize).
+const ringStart = 4
+
+// deliveryRing is a subscriber's queue: a FIFO of deliveries guarded by the
+// subscriber's mu. It is allocated on the first delivery and then kept, so
+// its capacity is the subscription's high-water depth and a consumer that
+// keeps up costs no allocation per delivery.
+type deliveryRing struct {
+	buf  []Delivery // len(buf) is the capacity
+	head int        // index of the oldest delivery
+	n    int        // deliveries queued
+}
+
+// push appends d, growing a full ring up to limit and, at limit, dropping
+// the oldest delivery. It reports whether one was dropped.
+func (q *deliveryRing) push(d Delivery, limit int) (dropped bool) {
+	if q.n == len(q.buf) {
+		if len(q.buf) < limit {
+			buf := make([]Delivery, min(2*len(q.buf), limit))
+			k := copy(buf, q.buf[q.head:])
+			copy(buf[k:], q.buf[:q.head])
+			q.buf, q.head = buf, 0
+		} else {
+			q.buf[q.head] = Delivery{}
+			q.head, q.n, dropped = (q.head+1)%len(q.buf), q.n-1, true
+		}
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = d
+	q.n++
+	return dropped
+}
+
+// takeInto moves every queued delivery onto dst in queue order; the next
+// delivery goes where the taken ones ended.
+func (q *deliveryRing) takeInto(dst []Delivery) []Delivery {
+	first := q.buf[q.head:min(q.head+q.n, len(q.buf))]
+	wrapped := q.buf[:q.n-len(first)]
+	dst = append(append(dst, first...), wrapped...)
+	clear(first)
+	clear(wrapped)
+	q.head, q.n = (q.head+q.n)%len(q.buf), 0
+	return dst
+}
+
 // Subscriber is one active subscription with its delivery queue.
 type Subscriber struct {
 	id       string
 	sub      *event.Subscription
 	prepared *matcher.PreparedSubscription // prepare-once form; nil without an Engine
-	ch       chan Delivery
 	broker   *Broker
 
 	// ephemeral registrations bypass the journal (see Ephemeral).
@@ -441,6 +490,7 @@ type Subscriber struct {
 
 	mu     sync.Mutex
 	closed bool
+	q      *deliveryRing           // nil until the first delivery
 	notify func()                  // see SetNotify
 	gate   func(*event.Event) bool // see Gate; nil admits everything
 }
@@ -448,28 +498,60 @@ type Subscriber struct {
 // ID returns the subscription id the broker assigned (or the caller chose).
 func (s *Subscriber) ID() string { return s.id }
 
-// C is the delivery channel. It is closed when the subscriber or the broker
-// closes.
-func (s *Subscriber) C() <-chan Delivery { return s.ch }
+// Take moves every queued delivery onto dst in queue order and reports
+// whether the subscription is still open. Deliveries queued before the
+// subscription closed are still handed out, together with open == false.
+func (s *Subscriber) Take(dst []Delivery) (taken []Delivery, open bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.q != nil {
+		dst = s.q.takeInto(dst)
+	}
+	return dst, !s.closed
+}
 
-// SetNotify installs fn to be called after deliveries have been enqueued on
-// C, outside the queue lock; it is called at once if the queue is already
-// non-empty. A consumer that drains C without blocking whenever fn fires
-// (DeliveryWriter) sees every delivery without parking a goroutine on the
-// channel. fn must not block.
+// queued returns the queue's depth.
+func (s *Subscriber) queued() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.q == nil {
+		return 0
+	}
+	return s.q.n
+}
+
+// SetNotify installs fn to be called after deliveries have been enqueued and
+// after the subscription closes, outside the queue lock; it is called at
+// once if the queue is already non-empty or closed. A consumer that calls
+// Take whenever fn fires sees every delivery and the close without parking
+// a goroutine on the queue. fn must not block.
 func (s *Subscriber) SetNotify(fn func()) {
 	s.mu.Lock()
 	s.notify = fn
-	pending := len(s.ch) > 0
+	pending := s.closed || (s.q != nil && s.q.n > 0)
 	s.mu.Unlock()
 	if pending && fn != nil {
 		fn()
 	}
 }
 
-// Close cancels the subscription and closes the delivery channel.
+// Close cancels the subscription; its consumer is notified and may still
+// Take what was queued.
 func (s *Subscriber) Close() {
 	s.broker.unsubscribe(s.id)
+}
+
+// close marks the subscription closed and fires the hook, so a consumer
+// waiting on it takes what is left and sees the end.
+func (s *Subscriber) close() {
+	s.mu.Lock()
+	was := s.closed
+	s.closed = true
+	notify := s.notify
+	s.mu.Unlock()
+	if !was && notify != nil {
+		notify()
+	}
 }
 
 // SubscribeOption configures one subscription.
@@ -516,8 +598,8 @@ func (o gateOption) applySub(c *subConfig) { c.gate = o }
 func Gate(fn func(*event.Event) bool) SubscribeOption { return gateOption(fn) }
 
 // Subscribe registers a subscription. If sub.ID is empty the broker assigns
-// one. The returned Subscriber's channel receives matching deliveries until
-// Close.
+// one. The returned Subscriber's queue receives matching deliveries until
+// Close; read it with SetNotify and Take.
 func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*Subscriber, error) {
 	if sub == nil {
 		return nil, errors.New("broker: subscribe: nil subscription")
@@ -553,7 +635,6 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		id:        id,
 		sub:       sub,
 		prepared:  prep,
-		ch:        make(chan Delivery, b.cfg.queueSize),
 		broker:    b,
 		ephemeral: sc.ephemeral,
 		gate:      sc.gate,
@@ -602,12 +683,7 @@ func (b *Broker) unsubscribe(id string) {
 	}
 	b.mu.Unlock()
 	if ok {
-		s.mu.Lock()
-		if !s.closed {
-			s.closed = true
-			close(s.ch)
-		}
-		s.mu.Unlock()
+		s.close()
 		if b.cfg.journal != nil && !s.ephemeral {
 			b.cfg.journal.Unsubscribed(id)
 		}
@@ -615,7 +691,7 @@ func (b *Broker) unsubscribe(id string) {
 }
 
 // enqueue puts d on the subscriber's queue unless the gate refuses it,
-// dropping the oldest queued deliveries while the queue is full
+// dropping the oldest queued delivery when the queue is full
 // (synchronization decoupling: publishers never block). It returns whether
 // d was enqueued and how many deliveries it pushed out. The caller holds
 // s.mu and has checked s.closed.
@@ -623,18 +699,14 @@ func (s *Subscriber) enqueue(d Delivery) (ok bool, dropped uint64) {
 	if s.gate != nil && !s.gate(d.Event) {
 		return false, 0
 	}
-	for {
-		select {
-		case s.ch <- d:
-			return true, dropped
-		default:
-			select {
-			case <-s.ch:
-				dropped++
-			default:
-			}
-		}
+	limit := s.broker.cfg.queueSize
+	if s.q == nil {
+		s.q = &deliveryRing{buf: make([]Delivery, min(ringStart, limit))}
 	}
+	if s.q.push(d, limit) {
+		dropped = 1
+	}
+	return true, dropped
 }
 
 // Offer enqueues one delivery from outside the publish pipeline — the
@@ -726,10 +798,10 @@ func (b *Broker) PublishLatency() telemetry.HistogramSnapshot { return b.publish
 // (Publish returns ErrDraining), waits for every in-flight Publish to
 // finish, then waits for the subscriber queues to be consumed before
 // closing. If ctx expires first, the broker is closed anyway — undelivered
-// queue entries are released by the channel close — and ctx's error is
-// returned. A nil return means every queued delivery for a live subscriber
-// was flushed. Drain is idempotent and safe to race with Close, Publish,
-// and Subscribe.
+// queue entries stay takeable until their handles are dropped — and ctx's
+// error is returned. A nil return means every queued delivery for a live
+// subscriber was flushed. Drain is idempotent and safe to race with Close,
+// Publish, and Subscribe.
 func (b *Broker) Drain(ctx context.Context) error {
 	b.draining.Store(true)
 	defer b.Close()
@@ -768,7 +840,7 @@ func (b *Broker) Drain(ctx context.Context) error {
 		b.mu.RLock()
 		pending := 0
 		for _, s := range b.subs {
-			pending += len(s.ch)
+			pending += s.queued()
 		}
 		b.mu.RUnlock()
 		if pending == 0 {
@@ -795,7 +867,8 @@ func (b *Broker) OnDrain(fn func()) {
 	b.drainMu.Unlock()
 }
 
-// Close shuts the broker down and closes every subscriber channel.
+// Close shuts the broker down and closes every subscription, notifying
+// each consumer.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	if b.closed {
@@ -811,11 +884,6 @@ func (b *Broker) Close() {
 	b.mu.Unlock()
 
 	for _, s := range subs {
-		s.mu.Lock()
-		if !s.closed {
-			s.closed = true
-			close(s.ch)
-		}
-		s.mu.Unlock()
+		s.close()
 	}
 }

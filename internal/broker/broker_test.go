@@ -36,6 +36,33 @@ func parkingSub() *event.Subscription {
 	}
 }
 
+// stream pumps h's queue into a channel, so a test reads deliveries one at a
+// time: the hook wakes the pump, Take empties the queue, and the channel
+// closes once the subscription has closed and everything it queued has been
+// received. Call it once per handle: it owns the handle's hook.
+func stream(h SubHandle) <-chan Delivery {
+	out := make(chan Delivery)
+	wake := make(chan struct{}, 1)
+	h.SetNotify(func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	go func() {
+		defer close(out)
+		var batch []Delivery
+		for open := true; open; {
+			<-wake
+			batch, open = h.Take(batch[:0])
+			for _, d := range batch {
+				out <- d
+			}
+		}
+	}()
+	return out
+}
+
 func recvDelivery(t *testing.T, ch <-chan Delivery) Delivery {
 	t.Helper()
 	select {
@@ -68,14 +95,12 @@ func TestPublishDeliversToMatchingSubscriber(t *testing.T) {
 	if err := b.Publish(parkingEvent("p1")); err != nil {
 		t.Fatal(err)
 	}
-	d := recvDelivery(t, sub.C())
+	d := recvDelivery(t, stream(sub))
 	if d.Score != 1 || d.Event.Tuples[1].Value != "p1" {
 		t.Errorf("delivery = %+v", d)
 	}
-	select {
-	case d := <-other.C():
-		t.Errorf("non-matching subscriber got %+v", d)
-	default:
+	if got, _ := other.Take(nil); len(got) != 0 {
+		t.Errorf("non-matching subscriber got %+v", got)
 	}
 
 	stats := b.Stats()
@@ -130,8 +155,9 @@ func TestTimeDecouplingReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deliveries := stream(sub)
 	for i := 0; i < 3; i++ {
-		d := recvDelivery(t, sub.C())
+		d := recvDelivery(t, deliveries)
 		if !d.Replayed {
 			t.Errorf("delivery %d not marked replayed", i)
 		}
@@ -143,7 +169,7 @@ func TestTimeDecouplingReplay(t *testing.T) {
 	if err := b.Publish(parkingEvent("live")); err != nil {
 		t.Fatal(err)
 	}
-	if d := recvDelivery(t, sub.C()); d.Replayed || d.Event.Tuples[1].Value != "live" {
+	if d := recvDelivery(t, deliveries); d.Replayed || d.Event.Tuples[1].Value != "live" {
 		t.Errorf("live delivery = %+v", d)
 	}
 }
@@ -161,10 +187,11 @@ func TestReplayBufferBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the last 2 events are retained.
-	if d := recvDelivery(t, sub.C()); d.Event.Tuples[1].Value != "p3" {
+	deliveries := stream(sub)
+	if d := recvDelivery(t, deliveries); d.Event.Tuples[1].Value != "p3" {
 		t.Errorf("first replay = %q, want p3", d.Event.Tuples[1].Value)
 	}
-	if d := recvDelivery(t, sub.C()); d.Event.Tuples[1].Value != "p4" {
+	if d := recvDelivery(t, deliveries); d.Event.Tuples[1].Value != "p4" {
 		t.Errorf("second replay = %q, want p4", d.Event.Tuples[1].Value)
 	}
 }
@@ -186,7 +213,7 @@ func TestSynchronizationDecouplingDropOldest(t *testing.T) {
 	if got := b.Stats().Dropped; got != 3 {
 		t.Errorf("dropped = %d, want 3", got)
 	}
-	if d := recvDelivery(t, sub.C()); d.Event.Tuples[1].Value != "p3" {
+	if d := recvDelivery(t, stream(sub)); d.Event.Tuples[1].Value != "p3" {
 		t.Errorf("first queued = %q, want p3 (oldest dropped)", d.Event.Tuples[1].Value)
 	}
 }
@@ -199,8 +226,8 @@ func TestUnsubscribeClosesChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	sub.Close()
-	if _, ok := <-sub.C(); ok {
-		t.Error("channel not closed after unsubscribe")
+	if _, open := sub.Take(nil); open {
+		t.Error("subscription still open after unsubscribe")
 	}
 	// Publishing after unsubscribe must not panic or deliver.
 	if err := b.Publish(parkingEvent("p1")); err != nil {
@@ -218,8 +245,8 @@ func TestBrokerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Close()
-	if _, ok := <-sub.C(); ok {
-		t.Error("channel not closed after broker close")
+	if _, open := sub.Take(nil); open {
+		t.Error("subscription still open after broker close")
 	}
 	if err := b.Publish(parkingEvent("p1")); !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after close: %v", err)
@@ -241,10 +268,8 @@ func TestThresholdFiltersWeakMatches(t *testing.T) {
 	if err := b.Publish(parkingEvent("p1")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case d := <-sub.C():
-		t.Errorf("weak match delivered: %+v", d)
-	default:
+	if got, _ := sub.Take(nil); len(got) != 0 {
+		t.Errorf("weak match delivered: %+v", got)
 	}
 }
 
@@ -267,7 +292,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 		wg.Add(1)
 		go func(i int, s *Subscriber) {
 			defer wg.Done()
-			for range s.C() {
+			for range stream(s) {
 				received[i]++
 			}
 		}(i, s)

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -12,8 +13,9 @@ import (
 )
 
 // Client connects to a broker Server over TCP. It is safe for concurrent
-// use: requests are serialized, deliveries are dispatched to per
-// subscription channels by a background reader.
+// use: concurrent requests are pipelined on the connection (the server
+// answers in request order), deliveries are dispatched to per subscription
+// channels by a background reader.
 type Client struct {
 	conn net.Conn
 
@@ -32,11 +34,10 @@ type Client struct {
 	batchMu  sync.Mutex
 	curBatch *pendingBatch // batch accepting events, nil when none open
 
-	writeMu sync.Mutex // serializes frame writes
-	reqMu   sync.Mutex // serializes request/response exchanges
+	writeMu sync.Mutex // serializes frame writes and their pending slots
 
 	mu       sync.Mutex
-	pending  []chan *Frame                  // FIFO of waiting response channels
+	pending  []chan *Frame                  // FIFO of waiting response channels, in write order
 	subs     map[string]chan Delivery       // subscription id -> delivery channel
 	orphans  map[string][]Delivery          // deliveries that raced Subscribe's return
 	queries  map[string]chan QueryDetection // query name -> detection channel
@@ -136,6 +137,16 @@ func DialTimeout(addr string, d time.Duration, opts ...ClientOption) (*Client, e
 	}
 	if c.linger <= 0 {
 		c.linger = DefaultLinger
+	}
+	// The handshake: a first frame now, so the server's handshake deadline
+	// never drops a client that dials and then only waits for deliveries.
+	// The server does not answer it, so it takes no pending slot.
+	if d > 0 {
+		conn.SetWriteDeadline(time.Now().Add(d))
+	}
+	if err := WriteFrame(conn, &Frame{Type: FramePing}); err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("broker client: %w", err)
 	}
 	go c.readLoop()
 	return c, nil
@@ -239,28 +250,39 @@ func (c *Client) dispatch(e *event.Event, at time.Time, targets []DeliveryTarget
 	}
 }
 
-// request writes a frame and waits for its ok/error response.
+// request writes a frame and waits for its ok/error response. The reply
+// slot is queued and the frame written under one lock, so slots are in
+// write order — the order the server answers in — and concurrent requests
+// pipeline instead of waiting out each other's round trips.
 func (c *Client) request(f *Frame) (*Frame, error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-
+	buf := frameBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		frameBufs.Put(buf)
+	}()
+	if err := appendFrame(buf, f); err != nil {
+		return nil, err
+	}
+	ch := make(chan *Frame, 1)
+	c.writeMu.Lock()
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		c.writeMu.Unlock()
 		return nil, ErrClientClosed
 	}
-	ch := make(chan *Frame, 1)
 	c.pending = append(c.pending, ch)
 	c.mu.Unlock()
-
-	c.writeMu.Lock()
 	if c.timeout > 0 {
 		c.conn.SetWriteDeadline(time.Now().Add(c.timeout))
 	}
-	err := WriteFrame(c.conn, f)
+	_, err := c.conn.Write(buf.Bytes())
 	c.writeMu.Unlock()
 	if err != nil {
-		return nil, err
+		// A slot whose frame did not get out whole shifts every later
+		// reply: the connection is useless now, as after a timeout.
+		c.conn.Close()
+		return nil, fmt.Errorf("broker client: write frame: %w", err)
 	}
 	var resp *Frame
 	var ok bool

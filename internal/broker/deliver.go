@@ -20,15 +20,15 @@ const flushTargets = 8192
 
 // DeliveryWriter streams the deliveries of every subscription attached to
 // it onto one connection from a single goroutine. Subscriptions announce
-// pending deliveries through their SetNotify hook; the writer then drains
-// every announced queue without blocking, groups the deliveries by event
+// pending deliveries through their SetNotify hook; the writer then Takes
+// every announced queue whole, groups the deliveries by event
 // into deliverb frames — the event is encoded once however many
 // subscriptions of the connection it matched — and hands all frames of the
 // wake-up to send in one buffer.
 //
-// Per-subscription order is the queue's: a subscription's queue is drained
-// front to back, and a delivery never joins a frame earlier than the one
-// holding the subscription's previous delivery.
+// Per-subscription order is the queue's: Take hands a queue over front to
+// back, and a delivery never joins a frame earlier than the one holding the
+// subscription's previous delivery.
 type DeliveryWriter struct {
 	// send writes one buffer of whole frames carrying the given number of
 	// deliveries. An error stops the writer for good.
@@ -43,6 +43,7 @@ type DeliveryWriter struct {
 
 	// Writer-goroutine state, reused across wake-ups.
 	batch   []*attachedSub
+	taken   []Delivery // one subscription's queue, as drain took it
 	frames  []Frame
 	byEvent map[*event.Event]int // event -> its latest open frame
 	pending int                  // targets in frames
@@ -122,27 +123,22 @@ func (w *DeliveryWriter) run() {
 	}
 }
 
-// drain moves everything queued on as into frames without blocking.
+// drain takes everything queued on as, under one queue-lock acquisition,
+// into frames.
 func (w *DeliveryWriter) drain(as *attachedSub) {
+	w.taken, _ = as.sub.Take(w.taken[:0])
 	last := -1 // frame of this subscription's previous delivery
-	for {
-		select {
-		case d, ok := <-as.sub.C():
-			if !ok {
-				return
-			}
-			i, open := w.byEvent[d.Event]
-			if !open || i < last || len(w.frames[i].Targets) >= maxFrameTargets {
-				i = w.openFrame(d)
-			}
-			f := &w.frames[i]
-			f.Targets = append(f.Targets, DeliveryTarget{SubscriptionID: as.wireID, Score: d.Score, Replay: d.Replayed})
-			last = i
-			w.pending++
-		default:
-			return
+	for _, d := range w.taken {
+		i, open := w.byEvent[d.Event]
+		if !open || i < last || len(w.frames[i].Targets) >= maxFrameTargets {
+			i = w.openFrame(d)
 		}
+		f := &w.frames[i]
+		f.Targets = append(f.Targets, DeliveryTarget{SubscriptionID: as.wireID, Score: d.Score, Replay: d.Replayed})
+		last = i
+		w.pending++
 	}
+	clear(w.taken)
 }
 
 // openFrame starts a new last frame for d's event, reusing the slot (and

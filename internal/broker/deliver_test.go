@@ -18,32 +18,39 @@ import (
 // fakeSub is a SubHandle whose queue the test fills by hand.
 type fakeSub struct {
 	id string
-	ch chan Delivery
 
 	mu     sync.Mutex
+	queue  []Delivery
 	notify func()
 }
 
-func newFakeSub(id string) *fakeSub { return &fakeSub{id: id, ch: make(chan Delivery, 64)} }
+func newFakeSub(id string) *fakeSub { return &fakeSub{id: id} }
 
-func (s *fakeSub) ID() string         { return s.id }
-func (s *fakeSub) C() <-chan Delivery { return s.ch }
-func (s *fakeSub) Close()             {}
+func (s *fakeSub) ID() string { return s.id }
+func (s *fakeSub) Close()     {}
+func (s *fakeSub) Take(dst []Delivery) ([]Delivery, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dst = append(dst, s.queue...)
+	s.queue = s.queue[:0]
+	return dst, true
+}
 func (s *fakeSub) SetNotify(fn func()) {
 	s.mu.Lock()
 	s.notify = fn
+	pending := len(s.queue) > 0
 	s.mu.Unlock()
-	if len(s.ch) > 0 {
+	if pending {
 		fn()
 	}
 }
 
 // push enqueues events in order and announces them once.
 func (s *fakeSub) push(events ...*event.Event) {
-	for _, e := range events {
-		s.ch <- Delivery{Event: e, SubscriptionID: s.id, Score: 1}
-	}
 	s.mu.Lock()
+	for _, e := range events {
+		s.queue = append(s.queue, Delivery{Event: e, SubscriptionID: s.id, Score: 1})
+	}
 	fn := s.notify
 	s.mu.Unlock()
 	fn()

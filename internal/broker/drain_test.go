@@ -32,7 +32,7 @@ func TestDrainFlushesSubscriberQueues(t *testing.T) {
 	got := make(chan int, 1)
 	go func() {
 		count := 0
-		for range sub.C() {
+		for range stream(sub) {
 			count++
 			time.Sleep(time.Millisecond)
 		}
@@ -74,14 +74,15 @@ func TestDrainTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("Drain took %v, deadline did not bound it", elapsed)
 	}
-	// The broker is closed regardless: the stuck subscriber's channel must
-	// end (draining the buffered delivery first, then closing).
+	// The broker is closed regardless: the stuck subscriber's queue must
+	// end (handing out the queued delivery first, then closing).
+	deliveries := stream(sub)
 	deadline := time.After(5 * time.Second)
 	for open := true; open; {
 		select {
-		case _, open = <-sub.C():
+		case _, open = <-deliveries:
 		case <-deadline:
-			t.Fatal("subscriber channel still open after drain timeout")
+			t.Fatal("subscriber queue still open after drain timeout")
 		}
 	}
 }
@@ -129,7 +130,7 @@ func TestDrainInFlightPublish(t *testing.T) {
 	}
 	// Consume so the flush can complete.
 	go func() {
-		for range sub.C() {
+		for range stream(sub) {
 		}
 	}()
 	if err := <-drained; err != nil {
@@ -177,9 +178,8 @@ func TestCloseDrainRaceConcurrentPublishSubscribe(t *testing.T) {
 					// Drain a few deliveries, then drop the handle —
 					// subscribers die at every lifecycle stage.
 					for i := 0; i < 3; i++ {
-						select {
-						case <-s.C():
-						case <-time.After(time.Millisecond):
+						if taken, _ := s.Take(nil); len(taken) == 0 {
+							time.Sleep(time.Millisecond)
 						}
 					}
 					s.Close()

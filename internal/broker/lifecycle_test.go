@@ -1,10 +1,13 @@
 package broker
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -149,6 +152,110 @@ func TestHandshakeDeadlineDropsSilentConn(t *testing.T) {
 	}
 }
 
+// TestIdleClientSurvivesHandshakeDeadline: a client that dials and then
+// says nothing past the handshake timeout keeps its connection — Dial's
+// ping was its first frame — and can still subscribe and receive.
+func TestIdleClientSurvivesHandshakeDeadline(t *testing.T) {
+	b := New(exactMatcher())
+	defer b.Close()
+	srv := NewServer(b)
+	srv.SetHandshakeTimeout(100 * time.Millisecond)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	c, err := Dial(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	time.Sleep(300 * time.Millisecond) // 3x the handshake timeout, silent
+	_, deliveries, err := c.Subscribe(parkingSub(), false)
+	if err != nil {
+		t.Fatalf("subscribe after idling: %v", err)
+	}
+	if err := b.Publish(parkingEvent("after-idle")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case d, ok := <-deliveries:
+		if !ok {
+			t.Fatal("delivery channel closed: the idle client was dropped")
+		}
+		if v, _ := d.Event.Value("spot"); v != "after-idle" {
+			t.Errorf("delivery = %+v, want spot=after-idle", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no delivery to a client that idled past the handshake timeout")
+	}
+}
+
+// TestClientPipelinesRequests: concurrent requests are all on the wire
+// before the first reply — a server that answers nothing until it has read
+// N request frames sees all N — and each caller gets its own reply.
+func TestClientPipelinesRequests(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const n = 8
+	seen := make(chan int, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			seen <- 0
+			return
+		}
+		defer conn.Close()
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		r := bufio.NewReader(conn)
+		var spots []string
+		for len(spots) < n {
+			f, err := ReadFrame(r)
+			if err != nil {
+				break
+			}
+			if f.Type == FramePublish {
+				spots = append(spots, f.Event.Tuples[1].Value)
+			}
+		}
+		seen <- len(spots)
+		// Replies in read order, each naming its request.
+		for _, spot := range spots {
+			WriteFrame(conn, &Frame{Type: FrameError, Error: spot})
+		}
+		conn.SetReadDeadline(time.Time{})
+		io.Copy(io.Discard, r) // hold the connection until the client leaves
+	}()
+
+	c, err := DialTimeout(ln.Addr().String(), 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = c.Publish(parkingEvent(fmt.Sprintf("p%d", i)))
+		}(i)
+	}
+	if got := <-seen; got != n {
+		t.Errorf("server read %d request frames before answering, want %d: requests did not pipeline", got, n)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if want := fmt.Sprintf("p%d", i); err == nil || !strings.HasSuffix(err.Error(), ": "+want) {
+			t.Errorf("publish %s: err = %v, want the reply naming %s", want, err, want)
+		}
+	}
+}
+
 // TestClientRequestTimeout: a DialTimeout client against a daemon that
 // accepts but never answers fails the request within the timeout with
 // ErrRequestTimeout rather than hanging.
@@ -246,6 +353,9 @@ func TestClientPeerVanishesMidFrame(t *testing.T) {
 		}
 		// Answer the subscribe so the client registers a delivery channel.
 		f, err := ReadFrame(conn)
+		if err == nil && f.Type == FramePing { // Dial's handshake
+			f, err = ReadFrame(conn)
+		}
 		if err != nil || f.Type != FrameSubscribe {
 			conn.Close()
 			return

@@ -88,7 +88,7 @@ func (b *Broker) WriteMetrics(w io.Writer) {
 	}
 	depths := make([]depth, 0, len(b.subs))
 	for id, s := range b.subs {
-		depths = append(depths, depth{id, len(s.ch)})
+		depths = append(depths, depth{id, s.queued()})
 	}
 	b.mu.RUnlock()
 	sort.Slice(depths, func(i, j int) bool { return depths[i].id < depths[j].id })

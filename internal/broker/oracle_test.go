@@ -76,7 +76,7 @@ func oracleRun(t *testing.T, m Matcher, subs, late []*event.Subscription, events
 		go func(h *Subscriber) {
 			defer consumers.Done()
 			var ds []scoredEvent
-			for d := range h.C() {
+			for d := range stream(h) {
 				ds = append(ds, scoredEvent{d.Event.ID, d.Score})
 			}
 			mu.Lock()

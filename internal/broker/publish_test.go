@@ -92,8 +92,9 @@ func TestEnginePreparesOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deliveries := stream(s)
 	for i := 0; i < nEvents+nBatch; i++ {
-		if d := recvDelivery(t, s.C()); !d.Replayed || d.Score != 1 {
+		if d := recvDelivery(t, deliveries); !d.Replayed || d.Score != 1 {
 			t.Errorf("replay delivery %d = %+v", i, d)
 		}
 	}
@@ -120,7 +121,10 @@ func zeroAllocBroker(t *testing.T, opts ...Option) (*Broker, []*event.Event) {
 			t.Fatalf("subscribe: %v", err)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm interners, memos, free lists, map buckets, the replay ring
+	// Warm interners, memos, free lists, map buckets, the replay ring — and
+	// the subscriber queues: nothing reads them, so each matched one grows to
+	// its 16 slots, two deliveries per pass.
+	for i := 0; i < 8; i++ {
 		for _, e := range w.Events {
 			if err := b.Publish(e); err != nil {
 				t.Fatalf("warmup publish: %v", err)
@@ -229,7 +233,7 @@ func TestConcurrentPublishBeyondFreeLists(t *testing.T) {
 	}
 	got := make(map[key]int)
 	for _, h := range handles {
-		for d := range h.C() {
+		for d := range stream(h) {
 			got[key{d.SubscriptionID, d.Event.ID, d.Score}]++
 		}
 	}

@@ -69,7 +69,7 @@ func TestPublishBatchChurn(t *testing.T) {
 		consumers.Add(1)
 		go func() { // keep queues draining so Drain can quiesce
 			defer consumers.Done()
-			for range h.C() {
+			for range stream(h) {
 			}
 		}()
 	}
@@ -91,10 +91,7 @@ func TestPublishBatchChurn(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			select {
-			case <-h.C():
-			default:
-			}
+			h.Take(nil)
 			h.Close()
 			i++
 		}
@@ -162,7 +159,10 @@ func TestPublishBatchZeroAlloc(t *testing.T) {
 			t.Fatalf("subscribe: %v", err)
 		}
 	}
-	for i := 0; i < 3; i++ { // warm interners, memos, pools, map buckets
+	// Warm interners, memos, pools, map buckets — and the subscriber queues:
+	// nothing reads them, so each matched one grows to its 16 slots, one
+	// delivery per pass.
+	for i := 0; i < 16; i++ {
 		if err := b.PublishBatch(w.Events); err != nil {
 			t.Fatalf("warmup publish: %v", err)
 		}

@@ -21,9 +21,12 @@ const DefaultHandshakeTimeout = 10 * time.Second
 // internal/cluster.
 type SubHandle interface {
 	ID() string
-	C() <-chan Delivery
+	// Take moves every queued delivery onto dst in queue order and reports
+	// whether the subscription is still open.
+	Take(dst []Delivery) ([]Delivery, bool)
 	// SetNotify installs a hook called after deliveries have been enqueued
-	// on C, outside the queue lock, and at once if C is already non-empty.
+	// and after the subscription closes, outside the queue lock, and at
+	// once if the queue is already non-empty or closed.
 	SetNotify(func())
 	Close()
 }
@@ -321,7 +324,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// timeout or the connection is dropped — a peer that connects but
 	// never identifies cannot hold this goroutine forever. Once the
 	// connection has proven itself the deadline is cleared: an idle
-	// subscriber waiting for deliveries is legitimate.
+	// subscriber waiting for deliveries is legitimate. Client's first
+	// frame is a ping sent by Dial, so a client is never silent.
 	if d := s.getHandshakeTimeout(); d > 0 {
 		conn.SetReadDeadline(time.Now().Add(d))
 	}
@@ -346,6 +350,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				return
 			}
 			cs.write(&Frame{Type: FrameError, Error: "not clustered"})
+
+		case FramePing:
+			// Client's dial-time handshake: it proves the connection, so an
+			// idle subscriber is not dropped by the deadline. Never answered
+			// — the client has no request waiting on it.
 
 		case FramePublish:
 			if err := s.getBackend().Publish(f.Event); err != nil {

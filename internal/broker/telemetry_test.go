@@ -237,7 +237,7 @@ func TestStatsSnapshotInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		go func() { // slow consumer, keeps queues churning
-			for range s.C() {
+			for range stream(s) {
 				time.Sleep(time.Microsecond)
 			}
 		}()
@@ -322,7 +322,7 @@ func BenchmarkBrokerPublishTelemetry(b *testing.B) {
 		b.Fatal(err)
 	}
 	go func() {
-		for range s.C() {
+		for range stream(s) {
 		}
 	}()
 	ev := parkingEvent("a1")

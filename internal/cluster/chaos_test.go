@@ -123,7 +123,7 @@ func TestChaosSoakThreeNodeCluster(t *testing.T) {
 		return counts[id]
 	}
 	go func() {
-		for d := range h.C() {
+		for d := range stream(h) {
 			mu.Lock()
 			counts[d.Event.ID]++
 			mu.Unlock()

@@ -53,18 +53,14 @@ func (n *Node) remote(h broker.SubHandle, e *event.Event) {
 	})
 }
 
-// queued empties h's queue without blocking and returns the event IDs in
-// queue order.
+// queued empties h's queue and returns the event IDs in queue order.
 func queued(h broker.SubHandle) []string {
 	var ids []string
-	for {
-		select {
-		case d := <-h.C():
-			ids = append(ids, d.Event.ID)
-		default:
-			return ids
-		}
+	taken, _ := h.Take(nil)
+	for _, d := range taken {
+		ids = append(ids, d.Event.ID)
 	}
+	return ids
 }
 
 // A federated subscription is its local registration: no relay goroutine

@@ -193,7 +193,7 @@ func TestRebalanceHandoffOnJoin(t *testing.T) {
 	var mu sync.Mutex
 	counts := make(map[string]int)
 	go func() {
-		for d := range h.C() {
+		for d := range stream(h) {
 			mu.Lock()
 			counts[d.Event.ID]++
 			mu.Unlock()
@@ -329,7 +329,7 @@ func TestSubscribeRacingRingChange(t *testing.T) {
 		}
 		handles[i] = h
 		go func() {
-			for d := range h.C() {
+			for d := range stream(h) {
 				mu.Lock()
 				counts[d.Event.ID]++
 				mu.Unlock()
@@ -453,7 +453,7 @@ func TestElasticChaosSoak(t *testing.T) {
 	counts := make(map[string]int)
 	drain := func(h broker.SubHandle) {
 		go func() {
-			for d := range h.C() {
+			for d := range stream(h) {
 				mu.Lock()
 				counts[d.Event.ID]++
 				mu.Unlock()
@@ -584,7 +584,7 @@ func TestElasticChaosSoak(t *testing.T) {
 		}
 		observers = append(observers, obs)
 		go func(addr string) {
-			for range obs.C() {
+			for range stream(obs) {
 				fencedMu.Lock()
 				fenced[addr] = true
 				fencedMu.Unlock()

@@ -445,16 +445,30 @@ func (q *Query) shutdown() {
 	}
 	q.closed = true
 	q.mu.Unlock()
-	q.sub.Close() // closes the delivery channel, run() exits
+	q.sub.Close() // fires the feed's hook; run() takes what is left and exits
 	q.wg.Wait()
 	close(q.ch)
 }
 
-// run feeds the subscription's deliveries into the pattern.
+// run feeds the subscription's deliveries into the pattern: the feed's hook
+// wakes it, and each wake-up takes the whole queue.
 func (q *Query) run() {
 	defer q.wg.Done()
-	for d := range q.sub.C() {
-		q.observe(d)
+	wake := make(chan struct{}, 1)
+	q.sub.SetNotify(func() {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	var batch []broker.Delivery
+	for open := true; open; {
+		<-wake
+		batch, open = q.sub.Take(batch[:0])
+		for _, d := range batch {
+			q.observe(d)
+		}
+		clear(batch)
 	}
 }
 

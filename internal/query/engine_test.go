@@ -401,7 +401,7 @@ func TestDrainFlushesPendingWindows(t *testing.T) {
 	}
 }
 
-// stubBackend hands the test direct control of the delivery channel.
+// stubBackend hands the test direct control of the feed's queue.
 type stubBackend struct {
 	mu   sync.Mutex
 	subs []*stubSub
@@ -409,21 +409,49 @@ type stubBackend struct {
 
 type stubSub struct {
 	id string
-	ch chan broker.Delivery
 
 	mu     sync.Mutex
+	queue  []broker.Delivery
 	closed bool
+	notify func()
 }
 
-func (s *stubSub) ID() string                { return s.id }
-func (s *stubSub) C() <-chan broker.Delivery { return s.ch }
-func (s *stubSub) SetNotify(func())          {} // the engine ranges over C
-func (s *stubSub) Close() {
+func (s *stubSub) ID() string { return s.id }
+func (s *stubSub) Take(dst []broker.Delivery) ([]broker.Delivery, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.closed {
-		s.closed = true
-		close(s.ch)
+	dst = append(dst, s.queue...)
+	s.queue = s.queue[:0]
+	return dst, !s.closed
+}
+func (s *stubSub) SetNotify(fn func()) {
+	s.mu.Lock()
+	s.notify = fn
+	pending := s.closed || len(s.queue) > 0
+	s.mu.Unlock()
+	if pending {
+		fn()
+	}
+}
+func (s *stubSub) Close() {
+	s.mu.Lock()
+	was := s.closed
+	s.closed = true
+	fn := s.notify
+	s.mu.Unlock()
+	if !was && fn != nil {
+		fn()
+	}
+}
+
+// push enqueues d and fires the hook, as the broker does.
+func (s *stubSub) push(d broker.Delivery) {
+	s.mu.Lock()
+	s.queue = append(s.queue, d)
+	fn := s.notify
+	s.mu.Unlock()
+	if fn != nil {
+		fn()
 	}
 }
 
@@ -432,7 +460,7 @@ func (b *stubBackend) Publish(e *event.Event) error { return nil }
 func (b *stubBackend) PublishBatch(events []*event.Event) error { return nil }
 
 func (b *stubBackend) SubscribeHandle(sub *event.Subscription, opts ...broker.SubscribeOption) (broker.SubHandle, error) {
-	s := &stubSub{id: "stub", ch: make(chan broker.Delivery, 64)}
+	s := &stubSub{id: "stub"}
 	b.mu.Lock()
 	b.subs = append(b.subs, s)
 	b.mu.Unlock()
@@ -452,9 +480,9 @@ func TestEngineDedupsEventIDs(t *testing.T) {
 	sub := be.subs[0]
 	ev := typedEvent("dup-1", "spike")
 	for i := 0; i < 3; i++ {
-		sub.ch <- broker.Delivery{Event: ev, SubscriptionID: "stub", Score: 1, At: t0}
+		sub.push(broker.Delivery{Event: ev, SubscriptionID: "stub", Score: 1, At: t0})
 	}
-	sub.ch <- broker.Delivery{Event: typedEvent("other", "spike"), SubscriptionID: "stub", Score: 1, At: t0}
+	sub.push(broker.Delivery{Event: typedEvent("other", "spike"), SubscriptionID: "stub", Score: 1, At: t0})
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
