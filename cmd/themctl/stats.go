@@ -10,19 +10,22 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
 	"time"
 
+	"thematicep/internal/broker"
 	"thematicep/internal/telemetry"
 )
 
 // runStats scrapes a thematicd metrics endpoint and prints a runtime
-// summary: pipeline counters, latency histogram quantiles, SLO burn state,
-// process runtime health, cache hit rates, and (with -traces) recent
-// sampled pipeline traces. With -lint the scrape is validated against the
-// exposition-format invariants and the command fails on any violation, so
+// summary: pipeline counters, the accounting identities, latency histogram
+// quantiles, SLO burn state, process runtime health, cache hit rates, and
+// (with -traces) recent sampled pipeline traces. With -lint the scrape is
+// validated against the exposition-format invariants and the accounting
+// identities (checkAccounting), and the command fails on any violation, so
 // it doubles as a health check in CI.
 //
 // With -cluster the federation is discovered through /debug/peers and every
@@ -32,7 +35,7 @@ import (
 func runStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ContinueOnError)
 	url := fs.String("metrics", "http://127.0.0.1:9090", "metrics endpoint base URL (scheme://host:port)")
-	lint := fs.Bool("lint", false, "validate the exposition format and fail on violations")
+	lint := fs.Bool("lint", false, "validate the exposition format and the accounting identities, and fail on violations")
 	traces := fs.Bool("traces", false, "also fetch and print /debug/traces")
 	raw := fs.Bool("raw", false, "dump the raw exposition instead of the summary")
 	cluster := fs.Bool("cluster", false, "discover the federation via /debug/peers and merge every member's scrape")
@@ -61,6 +64,9 @@ func runStats(args []string) error {
 	if *lint {
 		if err := telemetry.Lint(bytes.NewReader(body)); err != nil {
 			return fmt.Errorf("stats: exposition lint: %w", err)
+		}
+		if err := checkAccounting(func() ([]*telemetry.Family, error) { return scrapeOne(base, *timeout) }); err != nil {
+			return fmt.Errorf("stats: %w", err)
 		}
 		fmt.Fprintln(os.Stderr, "exposition lint: ok")
 	}
@@ -142,6 +148,12 @@ func clusterStats(base string, lint bool, timeout time.Duration) error {
 			fmt.Fprintf(os.Stderr, "stats: %s\n", d)
 		}
 		return fmt.Errorf("stats: %w", err)
+	}
+	if lint {
+		// The identities hold for a sum of brokers as for each.
+		if err := checkAccounting(func() ([]*telemetry.Family, error) { return mergedScrape(base, timeout) }); err != nil {
+			return fmt.Errorf("stats: cluster: %w", err)
+		}
 	}
 	sets := make([][]*telemetry.Family, len(scrapes))
 	names := make([]string, len(scrapes))
@@ -247,28 +259,14 @@ func watchStats(base string, cluster bool, interval, timeout time.Duration) erro
 	type snap struct {
 		published, delivered, shed, dropped, trips float64
 	}
+	scrapeFams := scrapeOne
+	if cluster {
+		scrapeFams = mergedScrape
+	}
 	scrape := func() (snap, error) {
-		var fams []*telemetry.Family
-		if cluster {
-			scrapes, _, err := scrapeCluster(base, false, timeout)
-			if err != nil {
-				return snap{}, err
-			}
-			sets := make([][]*telemetry.Family, len(scrapes))
-			for i, s := range scrapes {
-				sets[i] = s.fams
-			}
-			if fams, err = telemetry.MergeFamilies(sets...); err != nil {
-				return snap{}, err
-			}
-		} else {
-			body, err := httpGet(base+"/metrics", timeout)
-			if err != nil {
-				return snap{}, err
-			}
-			if fams, err = telemetry.ParseExposition(bytes.NewReader(body)); err != nil {
-				return snap{}, err
-			}
+		fams, err := scrapeFams(base, timeout)
+		if err != nil {
+			return snap{}, err
 		}
 		byName := familyIndex(fams)
 		total := func(name string) float64 {
@@ -325,6 +323,72 @@ func watchStats(base string, cluster bool, interval, timeout time.Duration) erro
 				cur.trips-prev.trips)
 			prev = cur
 		}
+	}
+}
+
+// scrapeOne scrapes and parses one daemon's /metrics.
+func scrapeOne(base string, timeout time.Duration) ([]*telemetry.Family, error) {
+	body, err := httpGet(base+"/metrics", timeout)
+	if err != nil {
+		return nil, err
+	}
+	return telemetry.ParseExposition(bytes.NewReader(body))
+}
+
+// mergedScrape scrapes every reachable federation member and merges their
+// families.
+func mergedScrape(base string, timeout time.Duration) ([]*telemetry.Family, error) {
+	scrapes, _, err := scrapeCluster(base, false, timeout)
+	if err != nil {
+		return nil, err
+	}
+	sets := make([][]*telemetry.Family, len(scrapes))
+	for i, s := range scrapes {
+		sets[i] = s.fams
+	}
+	return telemetry.MergeFamilies(sets...)
+}
+
+// accountingTries bounds how often checkAccounting re-scrapes a broker whose
+// counters are still moving.
+const accountingTries = 10
+
+// checkAccounting asserts the broker's accounting identities
+// (broker.Conservation) on scrapes. A remainder, upstream minus downstream,
+// may only be positive: a snapshot loads downstream terms first, so under
+// traffic an upstream term can run ahead. A positive remainder is re-scraped
+// until it closes; if the counters stop moving and it does not, the daemon is
+// quiescent and a term is lost. A broker still busy after accountingTries
+// scrapes passes on the sign alone.
+func checkAccounting(scrape func() ([]*telemetry.Family, error)) error {
+	var prev []broker.Balance
+	for try := 1; ; try++ {
+		fams, err := scrape()
+		if err != nil {
+			return err
+		}
+		bal := broker.Conservation(fams)
+		open := -1
+		for i, b := range bal {
+			if b.Up < b.Down {
+				return fmt.Errorf("accounting: %s: %.0f < %.0f, a downstream term ran ahead of its source", b.Identity, b.Up, b.Down)
+			}
+			if b.Up > b.Down && open < 0 {
+				open = i
+			}
+		}
+		switch {
+		case open < 0:
+			return nil
+		case slices.Equal(bal, prev):
+			b := bal[open]
+			return fmt.Errorf("accounting: %s: %.0f = %.0f + %.0f unaccounted on a quiescent broker", b.Identity, b.Up, b.Down, b.Up-b.Down)
+		case try == accountingTries:
+			fmt.Fprintf(os.Stderr, "accounting: broker under traffic; remainders have the allowed sign\n")
+			return nil
+		}
+		prev = bal
+		time.Sleep(100 * time.Millisecond)
 	}
 }
 
@@ -388,6 +452,13 @@ func summarize(families []*telemetry.Family) {
 		{"dropped", "thematicep_broker_dropped_total"},
 	} {
 		fmt.Printf("  %-10s %.0f\n", c.label, counter(c.name))
+	}
+	if byName["thematicep_broker_events_in_total"] != nil {
+		var terms []string
+		for _, b := range broker.Conservation(families) {
+			terms = append(terms, fmt.Sprintf("%s: %.0f = %.0f", b.Identity, b.Up, b.Down))
+		}
+		fmt.Printf("accounting: %s\n", strings.Join(terms, "; "))
 	}
 
 	fmt.Println("latency (p50 / p95 / p99 / count):")

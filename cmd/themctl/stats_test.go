@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"thematicep/internal/broker"
+	"thematicep/internal/event"
+	"thematicep/internal/telemetry"
 )
 
 // fakeMember serves a minimal /metrics exposition and, when given a
@@ -115,5 +121,63 @@ func TestScrapeClusterSingleNodeFallback(t *testing.T) {
 	}
 	if len(scrapes) != 1 || len(down) != 0 {
 		t.Fatalf("got %d scrapes / %d down, want 1 / 0", len(scrapes), len(down))
+	}
+}
+
+// -lint checks the broker's accounting identities on a live exposition: a
+// quiescent broker's scrape passes, and the same scrape with one term off by
+// one fails, whether the term lags its source (a remainder that never
+// closes) or runs ahead of it.
+func TestStatsLintAccounting(t *testing.T) {
+	b := broker.New(broker.MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
+		if event.ExactMatch(s, e) {
+			return 1
+		}
+		return 0
+	}))
+	defer b.Close()
+	sub := &event.Subscription{Predicates: []event.Predicate{{Attr: "type", Value: "parking event"}}}
+	if _, err := b.Subscribe(sub); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"parking event", "fire alarm"} {
+		if err := b.Publish(&event.Event{Tuples: []event.Tuple{{Attr: "type", Value: v}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Publish(&event.Event{}) // refused: no tuples
+	var sb strings.Builder
+	b.WriteMetrics(telemetry.NewExpo(&sb))
+	scrape := sb.String()
+
+	offByOne := func(family string) string {
+		re := regexp.MustCompile(`(?m)^` + family + ` (\d+)$`)
+		m := re.FindStringSubmatch(scrape)
+		if m == nil {
+			t.Fatalf("no %s in the scrape", family)
+		}
+		n, _ := strconv.Atoi(m[1])
+		return re.ReplaceAllString(scrape, fmt.Sprintf("%s %d", family, n+1))
+	}
+	for _, tc := range []struct {
+		name, exposition, want string
+	}{
+		{"balanced", scrape, ""},
+		{"downstream term lost", offByOne("thematicep_broker_events_in_total"), "unaccounted on a quiescent broker"},
+		{"downstream term ahead", offByOne("thematicep_broker_delivered_total"), "ran ahead of its source"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				fmt.Fprint(w, tc.exposition)
+			}))
+			defer srv.Close()
+			err := runStats([]string{"-metrics", srv.URL, "-lint"})
+			if tc.want == "" && err != nil {
+				t.Fatalf("balanced scrape fails -lint: %v", err)
+			}
+			if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Fatalf("-lint = %v, want an error saying %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -98,10 +98,11 @@ type Delivery struct {
 	// Replayed marks deliveries that came from the replay buffer rather
 	// than live publication.
 	Replayed bool
-	// At is the broker's admission timestamp for the delivery (when the
-	// match was made). Downstream consumers — the continuous-query engine,
-	// latency probes — use it as the event's time in window semantics and
-	// to measure event-to-detection latency.
+	// At is the broker's admission timestamp for the delivery: one per
+	// publish, taken when its matches are made (the deliver stage starts).
+	// Downstream consumers — the continuous-query engine, latency probes —
+	// use it as the event's time in window semantics and to measure
+	// event-to-detection latency.
 	At time.Time
 }
 
@@ -303,22 +304,9 @@ type Broker struct {
 	// re-collected — every publish.
 	pubBufs chan *pubBatchBuf
 
-	// Cumulative counters; atomics so the match hot loop takes no lock
-	// (and offer cannot deadlock against b.mu).
-	published atomic.Uint64
-	shed      atomic.Uint64
-	scanned   atomic.Uint64
-	pruned    atomic.Uint64
-	matched   atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-
-	// Publish-batch counters (see Stats for semantics).
-	batches            atomic.Uint64
-	batchTermsInterned atomic.Uint64
-	batchTermsReused   atomic.Uint64
-	batchRowsComputed  atomic.Uint64
-	batchRowsReused    atomic.Uint64
+	// ctr is the accounting table (see counter); atomics so the chain
+	// takes no lock to count.
+	ctr [numCounters]atomic.Uint64
 
 	// Drain/shutdown coordination: draining refuses new publishes while
 	// inflight tracks the Publish calls still running, so Drain can wait
@@ -331,14 +319,11 @@ type Broker struct {
 	// WithTraceSampling enabled it.
 	clock         telemetry.Clock
 	tracer        *telemetry.Tracer
-	deliverySLO   *telemetry.SLO       // nil unless WithDeliverySLO enabled it
-	publishHist   *telemetry.Histogram // end-to-end Publish latency
-	compileHist   *telemetry.Histogram // event preparation (theme compile)
-	enumerateHist *telemetry.Histogram // candidate enumeration
-	scoreHist     *telemetry.Histogram // matching fan-out (score stage)
-	deliverHist   *telemetry.Histogram // per subscriber-group queue handoff
-	candHist      *telemetry.Histogram // candidate-set size distribution
-	batchSizeHist *telemetry.Histogram // events per admitted publish
+	deliverySLO   *telemetry.SLO                  // nil unless WithDeliverySLO enabled it
+	publishHist   *telemetry.Histogram            // end-to-end Publish latency
+	stageHist     [numStages]*telemetry.Histogram // per stage; nil for ingest
+	candHist      *telemetry.Histogram            // candidate-set size distribution
+	batchSizeHist *telemetry.Histogram            // events per admitted publish
 
 	mu     sync.RWMutex
 	subs   map[string]*Subscriber
@@ -407,18 +392,15 @@ func New(m Matcher, opts ...Option) *Broker {
 			append([]telemetry.TracerOption{telemetry.WithClock(cfg.clock)}, cfg.traceOpts...)...),
 		publishHist: telemetry.NewHistogram("thematicep_broker_publish_seconds",
 			"End-to-end Publish latency (ingest through last delivery).", lat),
-		compileHist: telemetry.NewHistogram("thematicep_broker_compile_seconds",
-			"Event preparation latency (canonicalization and theme compile).", lat),
-		enumerateHist: telemetry.NewHistogram("thematicep_broker_enumerate_seconds",
-			"Candidate enumeration latency (pruning-index lookup or full-scan setup).", lat),
-		scoreHist: telemetry.NewHistogram("thematicep_broker_score_seconds",
-			"Matching fan-out latency per event (all candidate scorings).", lat),
-		deliverHist: telemetry.NewHistogram("thematicep_broker_deliver_seconds",
-			"Per-delivery queue handoff latency.", lat),
 		candHist: telemetry.NewHistogram("thematicep_subindex_candidates_per_event",
 			"Candidates enumerated per published event (after pruning).", telemetry.SizeBuckets()),
 		batchSizeHist: telemetry.NewHistogram("thematicep_publish_batch_size",
 			"Events per admitted publish (a serial Publish is a batch of one).", telemetry.SizeBuckets()),
+	}
+	for st, s := range stages {
+		if s.help != "" {
+			b.stageHist[st] = telemetry.NewHistogram("thematicep_broker_"+s.span+"_seconds", s.help, lat)
+		}
 	}
 	if eng, ok := m.(Engine); ok {
 		b.engine = eng
@@ -592,7 +574,8 @@ func (o gateOption) applySub(c *subConfig) { c.gate = o }
 // Gate puts fn in front of the subscription's queue: it is called under the
 // queue lock, in queue order, for every delivery about to be enqueued —
 // pipeline matches, the replay backlog and Offer alike — and a false return
-// discards the delivery uncounted. The federation layer's event-ID window
+// discards the delivery, counted in stopped{deliver, gate_refused} unless a
+// federation peer offered it. The federation layer's event-ID window
 // is the one caller: local and remote copies of one event meet at the
 // queue, so whichever arrives second is dropped there. fn must not block.
 func Gate(fn func(*event.Event) bool) SubscribeOption { return gateOption(fn) }
@@ -664,9 +647,8 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 	// the reference scorer.
 	for _, e := range backlog {
 		if score := b.matcher.Score(sub, e); score >= b.cfg.threshold && score > 0 {
-			if s.Offer(Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()}) {
-				b.delivered.Add(1)
-			}
+			b.ctr[cReplayMatched].Add(1)
+			b.ctr[s.offer(Delivery{Event: e, SubscriptionID: id, Score: score, Replayed: true, At: b.clock.Now()})].Add(1)
 		}
 	}
 	return s, nil
@@ -692,21 +674,18 @@ func (b *Broker) unsubscribe(id string) {
 
 // enqueue puts d on the subscriber's queue unless the gate refuses it,
 // dropping the oldest queued delivery when the queue is full
-// (synchronization decoupling: publishers never block). It returns whether
-// d was enqueued and how many deliveries it pushed out. The caller holds
-// s.mu and has checked s.closed.
-func (s *Subscriber) enqueue(d Delivery) (ok bool, dropped uint64) {
+// (synchronization decoupling: publishers never block). It returns d's
+// outcome, cDelivered or cDeliverGate, and whether a queued delivery was
+// pushed out. The caller holds s.mu and has checked s.closed.
+func (s *Subscriber) enqueue(d Delivery) (out counter, dropped bool) {
 	if s.gate != nil && !s.gate(d.Event) {
-		return false, 0
+		return cDeliverGate, false
 	}
 	limit := s.broker.cfg.queueSize
 	if s.q == nil {
 		s.q = &deliveryRing{buf: make([]Delivery, min(ringStart, limit))}
 	}
-	if s.q.push(d, limit) {
-		dropped = 1
-	}
-	return true, dropped
+	return cDelivered, s.q.push(d, limit)
 }
 
 // Offer enqueues one delivery from outside the publish pipeline — the
@@ -715,65 +694,62 @@ func (s *Subscriber) enqueue(d Delivery) (ok bool, dropped uint64) {
 // refused it). Overflow is counted in Stats.Dropped; Stats.Delivered is the
 // caller's to count, so that deliveries matched on another broker never
 // outrun this broker's Matched.
-func (s *Subscriber) Offer(d Delivery) bool {
+func (s *Subscriber) Offer(d Delivery) bool { return s.offer(d) == cDelivered }
+
+// offer is Offer naming the outcome: cDelivered or the deliver stage's stop.
+func (s *Subscriber) offer(d Delivery) counter {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return false
+		return cDeliverClosed
 	}
-	ok, dropped := s.enqueue(d)
+	out, dropped := s.enqueue(d)
 	notify := s.notify
 	s.mu.Unlock()
-	if dropped > 0 {
-		s.broker.dropped.Add(dropped)
+	if dropped {
+		s.broker.ctr[cDropped].Add(1)
 	}
-	if ok && notify != nil {
+	if out == cDelivered && notify != nil {
 		notify()
 	}
-	return ok
+	return out
 }
 
-// Stats returns a snapshot of the broker counters, taken in one pass
-// with no lock held across the counter loads.
-//
-// Counter consistency under concurrent Publish: each counter is advanced
-// downstream-first relative to this snapshot's load order — deliveries and
-// drops are loaded before matches, matches before scans — and in the
-// pipeline itself every Matched increment happens before its delivery is
-// counted. A scrape racing a publish therefore never observes a delivery
+// counts loads the accounting table in its order, downstream terms first.
+func (b *Broker) counts() (v [numCounters]uint64) {
+	for c := range b.ctr {
+		v[c] = b.ctr[c].Load()
+	}
+	return v
+}
+
+// Stats returns a snapshot of the broker counters, taken in one pass with
+// no lock held across the counter loads. A publish adds its terms at its
+// one exit, upstream first, and the snapshot loads them downstream first
+// (see counter), so a snapshot racing a publish never holds a delivery
 // whose match is missing: absent replay traffic (replayed deliveries are
-// counted in Delivered but have no live match), Delivered <= Matched holds
-// in every snapshot, with at most a transient deficit (a match counted
-// whose delivery lands after the scrape). The same holds pairwise up the
-// pipeline: Matched <= Scanned, because each publish counts its scans
-// before its matches.
+// counted in Delivered but have no live match), Delivered <= Matched <=
+// Scanned holds in every snapshot.
 func (b *Broker) Stats() Stats {
 	b.mu.RLock()
 	subscribers := len(b.subs)
 	b.mu.RUnlock()
-	// Load order mirrors reverse pipeline order; do not reorder.
-	dropped := b.dropped.Load()
-	delivered := b.delivered.Load()
-	matched := b.matched.Load()
-	scanned := b.scanned.Load()
-	pruned := b.pruned.Load()
-	published := b.published.Load()
-	shed := b.shed.Load()
+	v := b.counts()
 	return Stats{
-		Published:   published,
-		Shed:        shed,
-		Scanned:     scanned,
-		Pruned:      pruned,
-		Matched:     matched,
-		Delivered:   delivered,
-		Dropped:     dropped,
+		Published:   v[cPublished],
+		Shed:        v[cShed],
+		Scanned:     v[cScanned],
+		Pruned:      v[cPruned],
+		Matched:     v[cMatched],
+		Delivered:   v[cDelivered],
+		Dropped:     v[cDropped],
 		Subscribers: subscribers,
 
-		Batches:            b.batches.Load(),
-		BatchTermsInterned: b.batchTermsInterned.Load(),
-		BatchTermsReused:   b.batchTermsReused.Load(),
-		BatchRowsComputed:  b.batchRowsComputed.Load(),
-		BatchRowsReused:    b.batchRowsReused.Load(),
+		Batches:            v[cBatches],
+		BatchTermsInterned: v[cTermsInterned],
+		BatchTermsReused:   v[cTermsReused],
+		BatchRowsComputed:  v[cRowsComputed],
+		BatchRowsReused:    v[cRowsReused],
 	}
 }
 
@@ -789,10 +765,6 @@ func (b *Broker) TracesHandler() http.Handler { return b.tracer.Handler() }
 
 // Clock returns the clock the broker stamps pipeline stages with.
 func (b *Broker) Clock() telemetry.Clock { return b.clock }
-
-// PublishLatency returns a snapshot of the end-to-end publish latency
-// histogram (for programmatic inspection; /metrics serves the full set).
-func (b *Broker) PublishLatency() telemetry.HistogramSnapshot { return b.publishHist.Snapshot() }
 
 // Drain shuts the broker down gracefully: it stops admitting publishes
 // (Publish returns ErrDraining), waits for every in-flight Publish to

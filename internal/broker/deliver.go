@@ -30,6 +30,7 @@ const flushTargets = 8192
 // back, and a delivery never joins a frame earlier than the one holding the
 // subscription's previous delivery.
 type DeliveryWriter struct {
+	b *Broker // counts the write stage's stops
 	// send writes one buffer of whole frames carrying the given number of
 	// deliveries. An error stops the writer for good.
 	send func(frames []byte, deliveries int) error
@@ -57,9 +58,11 @@ type attachedSub struct {
 	queued atomic.Bool // on the ready list (or about to be drained)
 }
 
-// NewDeliveryWriter starts a writer over send. Close stops it.
-func NewDeliveryWriter(send func(frames []byte, deliveries int) error) *DeliveryWriter {
+// NewDeliveryWriter starts a writer over send, the write stage of b's
+// deliveries. Close stops it.
+func (b *Broker) NewDeliveryWriter(send func(frames []byte, deliveries int) error) *DeliveryWriter {
 	w := &DeliveryWriter{
+		b:       b,
 		send:    send,
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -178,12 +181,13 @@ func (w *DeliveryWriter) flush() bool {
 // encode appends f to the buffer and returns how many targets went in. A
 // frame over MaxFrameSize despite the target cap (long subscription IDs, a
 // huge event) is halved until it fits; a single target that cannot fit is
-// dropped, as the frame-size cap demands.
+// dropped, as the frame-size cap demands, into stopped{write, oversize}.
 func (w *DeliveryWriter) encode(f *Frame) int {
 	if appendFrame(&w.buf, f) == nil {
 		return len(f.Targets)
 	}
 	if len(f.Targets) < 2 {
+		w.b.ctr[cWriteOversize].Add(uint64(len(f.Targets)))
 		return 0
 	}
 	half := len(f.Targets) / 2

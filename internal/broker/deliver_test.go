@@ -60,6 +60,7 @@ func (s *fakeSub) push(events ...*event.Event) {
 // blocks until open is called, so everything announced in between is
 // drained in one wake-up — which makes coalescing deterministic.
 type gatedWire struct {
+	b       *Broker       // owns the writer's accounting
 	entered chan struct{} // closed when the first send is blocked
 	gate    chan struct{}
 	once    sync.Once
@@ -86,7 +87,9 @@ func (g *gatedWire) send(frames []byte, deliveries int) error {
 // start returns a writer parked inside its first send.
 func (g *gatedWire) start(t *testing.T) *DeliveryWriter {
 	t.Helper()
-	w := NewDeliveryWriter(g.send)
+	g.b = New(exactMatcher())
+	t.Cleanup(g.b.Close)
+	w := g.b.NewDeliveryWriter(g.send)
 	t.Cleanup(w.Close)
 	gate := newFakeSub("gate")
 	w.Attach(gate, "gate")
@@ -236,6 +239,28 @@ func TestServerDeliveryOversizeFrameIsHalved(t *testing.T) {
 	}
 	if len(ids) != 0 || len(frames) < 2 {
 		t.Errorf("%d frames, %d of 3 targets missing", len(frames), len(ids))
+	}
+}
+
+// A target that cannot fit in MaxFrameSize even alone is the write stage's
+// one loss: it is counted in stopped{write, oversize}, and the other targets
+// of the same wake-up still arrive.
+func TestServerDeliveryOversizeTargetCounted(t *testing.T) {
+	g := newGatedWire()
+	w := g.start(t)
+	huge := parkingEvent("huge")
+	huge.Tuples = append(huge.Tuples, event.Tuple{Attr: "blob", Value: strings.Repeat("x", MaxFrameSize)})
+	big, small := newFakeSub("big"), newFakeSub("small")
+	w.Attach(big, "big")
+	w.Attach(small, "small")
+	big.push(parkingEvent("a"), huge, parkingEvent("b"))
+	small.push(parkingEvent("c"))
+	got := perSub(g.open(t, 1+3)[1:]) // the gate's, then big's a and b and small's c
+	if fmt.Sprint(got) != "map[big:[a b] small:[c]]" {
+		t.Errorf("delivered %v, want big [a b] and small [c]", got)
+	}
+	if n := g.b.ctr[cWriteOversize].Load(); n != 1 {
+		t.Errorf("stopped{write, oversize} = %d, want 1", n)
 	}
 }
 

@@ -270,9 +270,9 @@ func (cs *connState) write(f *Frame) error {
 // attach hands sub to the connection's delivery writer. The caller has
 // written the subscribe acknowledgement: the writer sends nothing of a
 // subscription before Attach, so ok precedes its first delivery on the wire.
-func (cs *connState) attach(sub SubHandle) {
+func (cs *connState) attach(b *Broker, sub SubHandle) {
 	if cs.deliveries == nil {
-		cs.deliveries = NewDeliveryWriter(func(frames []byte, _ int) error {
+		cs.deliveries = b.NewDeliveryWriter(func(frames []byte, _ int) error {
 			cs.writeMu.Lock()
 			defer cs.writeMu.Unlock()
 			_, err := cs.conn.Write(frames)
@@ -383,7 +383,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if sub, ok := rec.AttachSub(f.Subscription.ID); ok {
 					cs.subs[sub.ID()] = sub
 					cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-					cs.attach(sub)
+					cs.attach(s.broker, sub)
 					continue
 				}
 			}
@@ -405,7 +405,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			cs.subs[sub.ID()] = sub
 			cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-			cs.attach(sub)
+			cs.attach(s.broker, sub)
 
 		case FrameQuery:
 			qr := s.getQueryRegistrar()

@@ -40,7 +40,7 @@ func TestPublishLatencyExactBucketPlacement(t *testing.T) {
 	// One scored subscription advanced the clock exactly 2ms; every other
 	// stage took zero manual time. LatencyBuckets are powers of four from
 	// 1µs: 2ms falls in the (1.024ms, 4.096ms] bucket, index 6.
-	s := b.PublishLatency()
+	s := b.publishHist.Snapshot()
 	if s.Count != 1 {
 		t.Fatalf("publish histogram count = %d, want 1", s.Count)
 	}
@@ -51,16 +51,16 @@ func TestPublishLatencyExactBucketPlacement(t *testing.T) {
 		t.Errorf("sum = %v, want 0.002", s.Sum)
 	}
 
-	score := b.scoreHist.Snapshot()
+	score := b.stageHist[stScore].Snapshot()
 	if score.Counts[6] != 1 {
 		t.Errorf("score stage not in bucket 6: counts %v", score.Counts)
 	}
-	for _, h := range []*telemetry.Histogram{b.compileHist, b.enumerateHist} {
+	for _, h := range []*telemetry.Histogram{b.stageHist[stCompile], b.stageHist[stEnumerate]} {
 		if got := h.Snapshot(); got.Counts[0] != 1 {
 			t.Errorf("%s: zero-duration stage not in first bucket: counts %v", h.Name(), got.Counts)
 		}
 	}
-	if d := b.deliverHist.Snapshot(); d.Count != 1 {
+	if d := b.stageHist[stDeliver].Snapshot(); d.Count != 1 {
 		t.Errorf("deliver histogram count = %d, want 1", d.Count)
 	}
 	if c := b.candHist.Snapshot(); c.Count != 1 {

@@ -671,7 +671,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 
 	// Every hosted remote copy streams its matches back through one writer:
 	// deliverb frames naming the origin subscription IDs.
-	deliveries := broker.NewDeliveryWriter(func(frames []byte, sent int) error {
+	deliveries := n.broker.NewDeliveryWriter(func(frames []byte, sent int) error {
 		writeMu.Lock()
 		defer writeMu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteTimeout))
@@ -866,17 +866,17 @@ func (n *Node) PeersHandler() http.Handler {
 // one family share a single HELP/TYPE header.
 func (n *Node) WriteMetrics(w io.Writer) {
 	st := n.Stats()
-	broker.WriteCounter(w, "thematicep_cluster_forwarded_total", "Events forwarded toward peer shards.", st.Forwarded)
-	broker.WriteCounter(w, "thematicep_cluster_received_total", "Forwarded events accepted from peers.", st.Received)
-	broker.WriteCounter(w, "thematicep_cluster_deduped_total", "Duplicate deliveries suppressed by event ID.", st.Deduped)
-	broker.WriteCounter(w, "thematicep_cluster_peer_reconnects_total", "Peer links re-established after a drop.", st.PeerReconnects)
-	broker.WriteCounter(w, "thematicep_cluster_peer_queue_drops_total", "Forwards dropped by the bounded peer queues.", st.QueueDrops)
-	broker.WriteCounter(w, "thematicep_cluster_forwards_shed_total", "Forwards shed because a peer circuit breaker was not closed.", st.ForwardsShed)
-	broker.WriteCounter(w, "thematicep_cluster_breaker_trips_total", "Peer circuit-breaker transitions to open.", st.BreakerTrips)
-	broker.WriteCounter(w, "thematicep_cluster_remote_deliveries_total", "Matches streamed back to peer subscribers.", st.RemoteDeliveries)
-	broker.WriteGauge(w, "thematicep_cluster_remote_subscriptions", "Remote registrations currently hosted.", st.RemoteSubs)
-	broker.WriteGauge(w, "thematicep_cluster_peers", "Live peer links.", st.Peers)
-	broker.WriteGauge(w, "thematicep_cluster_peers_connected", "Peer links currently established.", st.PeersConnected)
+	telemetry.WriteCounter(w, "thematicep_cluster_forwarded_total", "Events forwarded toward peer shards.", st.Forwarded)
+	telemetry.WriteCounter(w, "thematicep_cluster_received_total", "Forwarded events accepted from peers.", st.Received)
+	telemetry.WriteCounter(w, "thematicep_cluster_deduped_total", "Duplicate deliveries suppressed by event ID.", st.Deduped)
+	telemetry.WriteCounter(w, "thematicep_cluster_peer_reconnects_total", "Peer links re-established after a drop.", st.PeerReconnects)
+	telemetry.WriteCounter(w, "thematicep_cluster_peer_queue_drops_total", "Forwards dropped by the bounded peer queues.", st.QueueDrops)
+	telemetry.WriteCounter(w, "thematicep_cluster_forwards_shed_total", "Forwards shed because a peer circuit breaker was not closed.", st.ForwardsShed)
+	telemetry.WriteCounter(w, "thematicep_cluster_breaker_trips_total", "Peer circuit-breaker transitions to open.", st.BreakerTrips)
+	telemetry.WriteCounter(w, "thematicep_cluster_remote_deliveries_total", "Matches streamed back to peer subscribers.", st.RemoteDeliveries)
+	telemetry.WriteGauge(w, "thematicep_cluster_remote_subscriptions", "Remote registrations currently hosted.", st.RemoteSubs)
+	telemetry.WriteGauge(w, "thematicep_cluster_peers", "Live peer links.", st.Peers)
+	telemetry.WriteGauge(w, "thematicep_cluster_peers_connected", "Peer links currently established.", st.PeersConnected)
 
 	// Membership view: member counts by state plus the cumulative
 	// transition counters, so dashboards see joins, suspicion, and deaths
@@ -886,14 +886,14 @@ func (n *Node) WriteMetrics(w io.Writer) {
 		counts[m.State]++
 	}
 	for _, s := range []MemberState{MemberAlive, MemberSuspect, MemberDead} {
-		broker.WriteGaugeVec(w, "thematicep_cluster_members",
+		telemetry.WriteGaugeVec(w, "thematicep_cluster_members",
 			"Federation members known to this node, by membership state.",
 			[]telemetry.Label{{Key: "state", Value: s.String()}}, float64(counts[s]))
 	}
 	joins, leaves, suspects := n.ms.Counters()
-	broker.WriteCounter(w, "thematicep_cluster_member_join_total", "Members discovered or revived from dead.", joins)
-	broker.WriteCounter(w, "thematicep_cluster_member_leave_total", "Members declared dead.", leaves)
-	broker.WriteCounter(w, "thematicep_cluster_member_suspect_total", "Member transitions to suspect.", suspects)
+	telemetry.WriteCounter(w, "thematicep_cluster_member_join_total", "Members discovered or revived from dead.", joins)
+	telemetry.WriteCounter(w, "thematicep_cluster_member_leave_total", "Members declared dead.", leaves)
+	telemetry.WriteCounter(w, "thematicep_cluster_member_suspect_total", "Member transitions to suspect.", suspects)
 
 	peers := n.peersSnapshot()
 	ids := make([]string, 0, len(peers))
@@ -902,12 +902,12 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		broker.WriteGaugeVec(w, "thematicep_cluster_forward_queue_depth",
+		telemetry.WriteGaugeVec(w, "thematicep_cluster_forward_queue_depth",
 			"Forwards waiting in a peer link's bounded queue.",
 			[]telemetry.Label{{Key: "peer", Value: id}}, float64(len(peers[id].queue)))
 	}
 	for _, id := range ids {
-		broker.WriteGaugeVec(w, "thematicep_cluster_breaker_state",
+		telemetry.WriteGaugeVec(w, "thematicep_cluster_breaker_state",
 			"Peer circuit-breaker position (0 closed, 1 half-open, 2 open).",
 			[]telemetry.Label{{Key: "peer", Value: id}}, float64(peers[id].bk.State()))
 	}

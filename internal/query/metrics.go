@@ -3,7 +3,6 @@ package query
 import (
 	"io"
 
-	"thematicep/internal/broker"
 	"thematicep/internal/telemetry"
 )
 
@@ -13,19 +12,19 @@ import (
 // exposition is stable across scrapes.
 func (e *Engine) WriteMetrics(w io.Writer) {
 	stats := e.Stats()
-	broker.WriteGauge(w, "thematicep_query_active",
+	telemetry.WriteGauge(w, "thematicep_query_active",
 		"Currently registered continuous queries.", len(stats))
 	for _, st := range stats {
 		labels := []telemetry.Label{{Key: "query", Value: st.Name}}
-		broker.WriteCounterVec(w, "thematicep_query_events_total",
+		telemetry.WriteCounterVec(w, "thematicep_query_events_total",
 			"Deliveries fed into a query's pattern.", labels, st.Fed)
-		broker.WriteCounterVec(w, "thematicep_query_deduped_total",
+		telemetry.WriteCounterVec(w, "thematicep_query_deduped_total",
 			"Duplicate event IDs suppressed before a query's pattern.", labels, st.Deduped)
-		broker.WriteCounterVec(w, "thematicep_query_detections_total",
+		telemetry.WriteCounterVec(w, "thematicep_query_detections_total",
 			"Detections emitted by a query.", labels, st.Detections)
-		broker.WriteCounterVec(w, "thematicep_query_dropped_total",
+		telemetry.WriteCounterVec(w, "thematicep_query_dropped_total",
 			"Detections dropped by a query's overflow policy.", labels, st.Dropped)
-		broker.WriteGaugeVec(w, "thematicep_query_window_events",
+		telemetry.WriteGaugeVec(w, "thematicep_query_window_events",
 			"Window state held by a query's pattern (open partials, buffered matches, pending triggers).",
 			labels, float64(st.Occupancy))
 	}

@@ -407,15 +407,6 @@ func (a *ActiveTrace) SetEvents(ids []string) {
 	a.mu.Unlock()
 }
 
-// AddSpan records a stage that started at start and ends now (per the
-// tracer's clock).
-func (a *ActiveTrace) AddSpan(stage string, start time.Time) {
-	if a == nil {
-		return
-	}
-	a.AddSpanDuration(stage, start, a.t.clock.Now().Sub(start))
-}
-
 // AddSpanDuration records a stage with an explicit duration.
 func (a *ActiveTrace) AddSpanDuration(stage string, start time.Time, d time.Duration) {
 	if a == nil {

@@ -34,8 +34,7 @@ func TestTracerNilSafe(t *testing.T) {
 	if a != nil {
 		t.Fatal("nil tracer sampled an event")
 	}
-	a.AddSpan("score", time.Now()) // must not panic
-	a.AddSpanDuration("deliver", time.Now(), time.Millisecond)
+	a.AddSpanDuration("deliver", time.Now(), time.Millisecond) // must not panic
 	a.Finish()
 	if tr.AppendSpan("ev", "forward", time.Now(), time.Millisecond) {
 		t.Error("nil tracer accepted a late span")
@@ -59,10 +58,10 @@ func TestTracerSpansDeterministic(t *testing.T) {
 	}
 	s0 := clk.Now()
 	clk.Advance(2 * time.Millisecond)
-	a.AddSpan("compile", s0)
+	a.AddSpanDuration("compile", s0, clk.Now().Sub(s0))
 	s1 := clk.Now()
 	clk.Advance(3 * time.Millisecond)
-	a.AddSpan("score", s1)
+	a.AddSpanDuration("score", s1, clk.Now().Sub(s1))
 	a.Finish()
 
 	got := tr.Recent()
@@ -292,7 +291,7 @@ func TestTracerBatchTrace(t *testing.T) {
 	a.SetEvents(ids)
 	s := clk.Now()
 	clk.Advance(2 * time.Millisecond)
-	a.AddSpan("score", s)
+	a.AddSpanDuration("score", s, clk.Now().Sub(s))
 	a.Finish()
 
 	got := tr.Recent()[0]

@@ -40,6 +40,7 @@ import (
 
 	"thematicep/internal/broker"
 	"thematicep/internal/event"
+	"thematicep/internal/telemetry"
 )
 
 var (
@@ -568,12 +569,12 @@ func (l *Log) Stats() Stats {
 // the daemon's Prometheus endpoint.
 func (l *Log) WriteMetrics(w io.Writer) {
 	st := l.Stats()
-	broker.WriteCounter(w, "thematicep_wal_appends_total", "Registration records appended to the WAL.", st.Appends)
-	broker.WriteCounter(w, "thematicep_wal_snapshots_total", "WAL snapshots written.", st.Snapshots)
-	broker.WriteCounter(w, "thematicep_wal_fsyncs_total", "WAL fsync calls issued.", st.Fsyncs)
-	broker.WriteGauge(w, "thematicep_wal_replayed_records", "Records recovered from the log at startup.", st.Replayed)
-	broker.WriteGauge(w, "thematicep_wal_truncated_bytes", "Bytes of torn or corrupt log tail discarded at startup.", int(st.Truncated))
-	broker.WriteGauge(w, "thematicep_wal_log_bytes", "Current WAL file size.", int(st.LogBytes))
-	broker.WriteGauge(w, "thematicep_wal_live_subscriptions", "Durable subscription registrations in the materialized state.", st.LiveSubs)
-	broker.WriteGauge(w, "thematicep_wal_live_queries", "Durable continuous-query registrations in the materialized state.", st.LiveQueries)
+	telemetry.WriteCounter(w, "thematicep_wal_appends_total", "Registration records appended to the WAL.", st.Appends)
+	telemetry.WriteCounter(w, "thematicep_wal_snapshots_total", "WAL snapshots written.", st.Snapshots)
+	telemetry.WriteCounter(w, "thematicep_wal_fsyncs_total", "WAL fsync calls issued.", st.Fsyncs)
+	telemetry.WriteGauge(w, "thematicep_wal_replayed_records", "Records recovered from the log at startup.", st.Replayed)
+	telemetry.WriteGauge(w, "thematicep_wal_truncated_bytes", "Bytes of torn or corrupt log tail discarded at startup.", int(st.Truncated))
+	telemetry.WriteGauge(w, "thematicep_wal_log_bytes", "Current WAL file size.", int(st.LogBytes))
+	telemetry.WriteGauge(w, "thematicep_wal_live_subscriptions", "Durable subscription registrations in the materialized state.", st.LiveSubs)
+	telemetry.WriteGauge(w, "thematicep_wal_live_queries", "Durable continuous-query registrations in the materialized state.", st.LiveQueries)
 }
