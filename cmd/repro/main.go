@@ -6,6 +6,7 @@
 //	repro -exp all                 # run everything at quick scale
 //	repro -exp fig7 -full          # one experiment at paper scale
 //	repro -exp headline -csvdir out
+//	repro -exp headline -check      # exit non-zero outside the E6 bands
 //
 // Quick scale keeps the full pipeline (corpus → index → space → workload →
 // grid) but reduces the event set and grid so a run completes in minutes on
@@ -19,9 +20,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"thematicep/internal/broker"
@@ -52,6 +55,7 @@ func run(args []string) error {
 		verbose  = fs.Bool("v", false, "per-cell progress")
 		parallel = fs.Int("parallel", 1, "grid workers; >1 runs cells concurrently with identical F1 results")
 		benchout = fs.String("benchjson", "", "write headline metrics as JSON to this file")
+		check    = fs.Bool("check", false, "with -exp headline: fail when a claim leaves its EXPERIMENTS.md E6 band")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,6 +67,7 @@ func run(args []string) error {
 	}
 	env.parallel = *parallel
 	env.benchjson = *benchout
+	env.check = *check
 	fmt.Printf("corpus: %d docs, %d terms; workload: %d events (%d seeds), %d subscriptions\n\n",
 		env.space.Index().NumDocs(), env.space.Index().VocabSize(),
 		len(env.work.Events), len(env.work.Seeds), len(env.work.ApproxSubs))
@@ -113,6 +118,7 @@ type env0 struct {
 	csvdir    string
 	parallel  int
 	benchjson string
+	check     bool
 
 	// memoized results shared between experiments
 	baselineRes *eval.Result
@@ -422,8 +428,34 @@ func runHeadline(e *env0) error {
 	}
 	fmt.Println()
 	if e.benchjson != "" {
-		return writeBenchJSON(e, base, sum)
+		if err := writeBenchJSON(e, base, sum); err != nil {
+			return err
+		}
 	}
+	if e.check {
+		return checkHeadline(sum)
+	}
+	return nil
+}
+
+// checkHeadline gates the paper's shape on the EXPERIMENTS.md E6 bands:
+// more than 70% of the grid's F1 cells and 92% of its throughput cells
+// above the non-thematic baseline, and mean thematic F1 within 72 ± 2 pts.
+func checkHeadline(sum eval.GridSummary) error {
+	var out []string
+	if sum.FracF1AboveBaseline < 0.70 {
+		out = append(out, fmt.Sprintf("F1 cells above baseline %.0f%% < 70%%", 100*sum.FracF1AboveBaseline))
+	}
+	if sum.FracThroughputAboveBaseline < 0.92 {
+		out = append(out, fmt.Sprintf("throughput cells above baseline %.0f%% < 92%%", 100*sum.FracThroughputAboveBaseline))
+	}
+	if math.Abs(sum.MeanF1-0.72) > 0.02 {
+		out = append(out, fmt.Sprintf("mean thematic F1 %.1f%% outside 72 ± 2 pts", 100*sum.MeanF1))
+	}
+	if len(out) > 0 {
+		return fmt.Errorf("headline outside its E6 bands: %s", strings.Join(out, "; "))
+	}
+	fmt.Println("headline check: inside the E6 bands")
 	return nil
 }
 

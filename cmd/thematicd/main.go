@@ -153,8 +153,9 @@ func run(args []string) error {
 	// *matcher.Matcher is a broker.Engine, which turns on the prepare-once
 	// fast path (subscriptions canonicalized and theme-compiled at
 	// Subscribe time, events once per publish), the pruning index, and
-	// arena scoring with interning and row memos that persist across
-	// publishes.
+	// arena scoring with term interning and row memos. A row memo lives only
+	// while the event's term vectors stay the same: the arena clears it
+	// whenever the next event's vectors differ (matcher/publishbatch.go).
 	b := broker.New(m, opts...)
 	defer b.Close()
 

@@ -626,7 +626,9 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 	if b.index != nil {
 		// Under b.mu so the index and the subscription map stay in step
 		// (lock order is always b.mu before the index's internal lock).
-		b.index.Add(id, sub, s)
+		// The index files the matcher's pruning view, which requires the
+		// relaxed terms that can only match themselves.
+		b.index.Add(id, prep.PruningView(), s)
 	}
 	var backlog []*event.Event
 	if sc.replay {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"thematicep/internal/event"
+	"thematicep/internal/subindex"
 )
 
 // scoredEvent is one delivery as the oracle compares it: which event, with
@@ -96,6 +97,35 @@ func oracleRun(t *testing.T, m Matcher, subs, late []*event.Subscription, events
 	return got, st
 }
 
+// rawFlagPruned is the number of pairs an index filing every subscription
+// as written, ~ flags and all, prunes over oracleRun's scenario: the first
+// half of events against subs, then every third of subs removed and late
+// added, then the second half.
+func rawFlagPruned(subs, late []*event.Subscription, events []*event.Event) uint64 {
+	ix := subindex.New[int]()
+	var pruned int
+	add := func(ss []*event.Subscription) {
+		for _, s := range ss {
+			ix.Add(s.ID, s, 0)
+		}
+	}
+	enumerate := func(evs []*event.Event) {
+		for _, e := range evs {
+			_, p := ix.Candidates(e, func(int) {})
+			pruned += p
+		}
+	}
+	mid := len(events) / 2
+	add(subs)
+	enumerate(events[:mid])
+	for j := 0; j < len(subs); j += 3 {
+		ix.Remove(subs[j].ID)
+	}
+	add(late)
+	enumerate(events[mid:])
+	return uint64(pruned)
+}
+
 // TestPublishOracle is the one equivalence argument of the publish
 // pipeline, checked instead of asserted: whatever the entry point, batch
 // size, worker count or candidate source, the deliveries are exactly those
@@ -173,6 +203,17 @@ func TestPublishOracle(t *testing.T) {
 		}
 		if wantStats.Dropped != 0 || wantStats.Pruned != 0 {
 			t.Fatalf("reference dropped %d, pruned %d; want 0, 0", wantStats.Dropped, wantStats.Pruned)
+		}
+		filtered := 0
+		for _, s := range subs {
+			if m.PrepareSubscription(s).PruningView() != s {
+				filtered++
+			}
+		}
+		_, viewStats := oracleRun(t, thematicMatcher(t), subs, late, events, 64, WithMatchParallelism(1))
+		if raw := rawFlagPruned(subs, late, events); filtered == 0 || viewStats.Pruned <= raw {
+			t.Fatalf("%d subscriptions carry a filtered relaxed term and the broker prunes %d pairs, raw ~ flags %d: the pruning view goes unexercised",
+				filtered, viewStats.Pruned, raw)
 		}
 
 		for _, r := range rows {

@@ -106,7 +106,7 @@ func Run(scorer Scorer, w *workload.Workload, opts ...RunOption) Result {
 		for si, s := range w.ApproxSubs {
 			prepared[si] = m.PrepareSubscription(s)
 			if ix != nil {
-				ix.Add(strconv.Itoa(si), s, si)
+				ix.Add(strconv.Itoa(si), prepared[si].PruningView(), si)
 			}
 		}
 		for ei, e := range w.Events {

@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"encoding/binary"
+	"slices"
 	"sync"
 
 	"thematicep/internal/assign"
@@ -32,6 +33,11 @@ type PreparedSubscription struct {
 	// bit-identical scores against any event, so the batch scorer memoizes
 	// one score per signature per event (see Matcher.sigID).
 	sig uint32
+	// pinned marks the relaxed terms that can only match themselves (bit
+	// 2i: predicate i's attribute, bit 2i+1: its equality value); see
+	// PruningView. It fills the padding before preds, so only the first
+	// pinnable predicates can be pinned; a term left relaxed is always sound.
+	pinned uint32
 
 	// preds holds the first four predicates' hot scoring fields inline
 	// (spill holds all of them when np > 4 — beyond the exhaustive-search
@@ -91,6 +97,31 @@ type predDesc struct {
 
 // Subscription returns the underlying subscription.
 func (p *PreparedSubscription) Subscription() *event.Subscription { return p.sub }
+
+// PruningView returns the subscription as the pruning index should see it:
+// ~ cleared on every relaxed attribute, and every relaxed equality value,
+// whose projection under the subscription's theme is zero. Such a term
+// scores 1 against its canonical twin and 0 against anything else, exactly
+// like an exact term, so the index may require it. It returns the
+// underlying subscription itself when no term qualifies, and a fresh copy
+// otherwise: the underlying subscription is never modified, and it alone
+// is what the matcher scores.
+func (p *PreparedSubscription) PruningView() *event.Subscription {
+	if p.pinned == 0 {
+		return p.sub
+	}
+	view := *p.sub
+	view.Predicates = slices.Clone(p.sub.Predicates)
+	for i := range view.Predicates[:min(len(view.Predicates), pinnable)] {
+		if p.pinned>>(2*i)&1 != 0 {
+			view.Predicates[i].ApproxAttr = false
+		}
+		if p.pinned>>(2*i+1)&1 != 0 {
+			view.Predicates[i].ApproxValue = false
+		}
+	}
+	return &view
+}
 
 // PreparedEvent caches an event's canonical terms and compiled theme. A
 // broker matches one event against many subscriptions; preparing it once
@@ -185,7 +216,27 @@ func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscripti
 		p.sig = m.sigID(key)
 	}
 	p.resolveUnits(m.space)
+	p.pin(m.space)
 	return p
+}
+
+// pinnable is how many predicates PreparedSubscription.pinned covers, at
+// two bits each.
+const pinnable = 16
+
+// pin decides, once, which relaxed terms can only match themselves: those
+// the space filters completely under the subscription's theme (nil in
+// non-thematic mode, the full space). Comparison values are never scored
+// by similarity, so only equality values qualify.
+func (p *PreparedSubscription) pin(space *semantics.Space) {
+	for i, pred := range p.sub.Predicates[:min(len(p.sub.Predicates), pinnable)] {
+		if pred.ApproxAttr && space.Filtered(p.attrs[i], p.theme) {
+			p.pinned |= 1 << (2 * i)
+		}
+		if pred.ApproxValue && pred.Op == event.OpEq && space.Filtered(p.values[i], p.theme) {
+			p.pinned |= 2 << (2 * i)
+		}
+	}
 }
 
 // resolveUnits resolves the unit projections of the ~-relaxed terms — the

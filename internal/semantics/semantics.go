@@ -579,6 +579,16 @@ func (s *Space) ResolveUnit(term string, t *CompiledTheme) (sparse.Unit, bool) {
 	return s.unitProjection(term, t), true
 }
 
+// Filtered reports whether the thematic projection of a canonical term
+// under t has zero norm — the space is "filtered completely" for it
+// (§5.3.2). Such a term relates 0 to every other term whatever the scoring
+// configuration: both distance modes return 0 on a zero-norm side, and the
+// score cache memoizes that same measure. Only canonical identity, which
+// the matcher decides before asking the space, can relate it to anything.
+func (s *Space) Filtered(term string, t *CompiledTheme) bool {
+	return s.unitProjection(term, t).IsZero()
+}
+
 // RelatednessRowPreUnits fills out[j] with RelatednessCompiled(subTerm,
 // subTheme, eventTerms[j], eventTheme) for every j, given the unit
 // projections of both sides pre-resolved (a by ResolveUnit against subTheme,

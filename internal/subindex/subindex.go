@@ -26,6 +26,11 @@
 //  3. An injective predicates→tuples mapping needs at least as many tuples
 //     as predicates; with fewer, no feasible mapping exists and the score
 //     is 0.
+//  4. A ~ term whose thematic projection under the subscription's theme is
+//     zero relates 0 to every other term (§5.3.2: the space is filtered
+//     completely), so it scores 1 on canonical equality and 0 otherwise —
+//     exactly like an exact term. Rules 1 and 2 therefore apply to it too:
+//     "exact" means "matches only itself", not "written without ~".
 //
 // In inverted-index terms: rules 1 and 2 say a subscription's requirement
 // term set must be a subset of the event's term set, rule 3 caps predicate
@@ -33,6 +38,12 @@
 // conservative approximate-only posting that is always scored (rule 3
 // aside), guaranteeing no recall loss: delivery sets are bit-identical to
 // the unpruned scan.
+//
+// The index itself reads only the ~ flags as written; it knows nothing of
+// projections. Rule 4 reaches it through the caller, which may file a view
+// of the subscription with ~ cleared on the terms that can only match
+// themselves (matcher.PreparedSubscription.PruningView) while scoring the
+// original.
 //
 // The index assumes the matcher honors the §3.4 exact-term contract
 // (canonical equality for non-~ terms). The thematic matcher and the
