@@ -9,11 +9,12 @@
 // Clients (for example cmd/themctl) publish events and register thematic
 // subscriptions; the daemon delivers matching events asynchronously.
 //
-// With -peers, the daemon joins a theme-sharded federation: each broker
+// With -seeds, the daemon joins a theme-sharded federation: each broker
 // owns a consistent-hash shard of the theme space, and events are
-// forwarded only to the peers whose shard overlaps their theme tags:
+// forwarded only to the peers whose shard overlaps their theme tags. One
+// reachable seed is enough; the rest of the members are found by gossip:
 //
-//	thematicd -addr :7070 -advertise host1:7070 -peers host2:7070,host3:7070
+//	thematicd -addr :7070 -advertise host1:7070 -seeds host2:7070,host3:7070
 package main
 
 import (
@@ -62,8 +63,7 @@ func run(args []string) error {
 		seed      = fs.Int64("seed", 42, "corpus generation seed")
 		indexPath = fs.String("index", "", "index cache file: loaded when present, written after indexing")
 		metrics   = fs.String("metrics", "", "optional HTTP address serving /metrics (Prometheus text format)")
-		peers     = fs.String("peers", "", "comma-separated peer broker addresses, kept as static seed links for the gossiped membership (enables theme-sharded federation)")
-		seeds     = fs.String("seeds", "", "comma-separated seed broker addresses to join an existing federation through gossip (enables federation; the rest of the membership is discovered)")
+		seeds     = fs.String("seeds", "", "comma-separated seed broker addresses, kept as static links, to join a theme-sharded federation through gossip (enables federation; the rest of the membership is discovered)")
 		suspectT  = fs.Duration("suspect-timeout", 10*time.Second, "membership: how long an unreachable member stays suspect before it is declared dead and its shards rebalance")
 		dataDir   = fs.String("data-dir", "", "durable state directory: subscription/query registrations are journaled (WAL + snapshot) and replayed on restart (empty disables durability)")
 		fsyncPol  = fs.String("fsync", "always", "with -data-dir: WAL fsync policy — always, never, or a flush interval like 100ms")
@@ -173,10 +173,9 @@ func run(args []string) error {
 	}
 	var node *cluster.Node
 	var collectors []broker.Collector
-	if *peers != "" || *seeds != "" {
+	if *seeds != "" {
 		ccfg := cluster.Config{
 			Self:           self,
-			Peers:          splitAddrs(*peers),
 			Seeds:          splitAddrs(*seeds),
 			SuspectTimeout: *suspectT,
 			MetricsAddr:    *metrics,
@@ -266,8 +265,8 @@ func run(args []string) error {
 	if node != nil {
 		node.Start()
 		defer node.Close()
-		fmt.Fprintf(os.Stderr, "federation: shard %s (peers=%s seeds=%s suspect-timeout=%s)\n",
-			node.ID(), *peers, *seeds, *suspectT)
+		fmt.Fprintf(os.Stderr, "federation: shard %s (seeds=%s suspect-timeout=%s)\n",
+			node.ID(), *seeds, *suspectT)
 	}
 
 	// Continuous profiling: a bounded on-disk ring of CPU/heap captures,

@@ -24,16 +24,6 @@ type Client struct {
 	// caller gets a fast, clear error rather than a hang.
 	timeout time.Duration
 
-	// maxBatch > 1 turns Publish into an auto-batching call: concurrent
-	// publishes coalesce into one publishb frame, cut through as soon as
-	// the batch fills, and a partial batch lingers at most `linger` before
-	// flushing.
-	maxBatch int
-	linger   time.Duration
-
-	batchMu  sync.Mutex
-	curBatch *pendingBatch // batch accepting events, nil when none open
-
 	writeMu sync.Mutex // serializes frame writes and their pending slots
 
 	mu       sync.Mutex
@@ -68,42 +58,8 @@ func (e *RedirectError) Error() string {
 	return fmt.Sprintf("broker client: redirected to %s", e.Addr)
 }
 
-// DefaultLinger is how long an auto-batching client holds a partial batch
-// open before flushing, when WithMaxBatch is set without WithLinger. Short
-// enough to be invisible in end-to-end latency, long enough for a bursty
-// publisher's next event to usually make the same frame.
-const DefaultLinger = 500 * time.Microsecond
-
-// ClientOption configures a Client at dial time.
-type ClientOption func(*Client)
-
-// WithMaxBatch enables client-side auto-batching: Publish calls coalesce
-// into publishb frames of at most n events. A batch is flushed the moment
-// it fills (cut-through — a full batch never waits on the linger timer) or
-// when the linger window expires, whichever comes first. n <= 1 disables
-// batching (the default).
-func WithMaxBatch(n int) ClientOption {
-	return func(c *Client) { c.maxBatch = n }
-}
-
-// WithLinger sets how long a partial auto-batch may wait for more events
-// before flushing (DefaultLinger when unset). Only meaningful with
-// WithMaxBatch; larger values trade per-event latency for bigger batches.
-func WithLinger(d time.Duration) ClientOption {
-	return func(c *Client) { c.linger = d }
-}
-
-// pendingBatch is one in-flight auto-batch: events accumulate under
-// batchMu, and every Publish that contributed blocks on done until the
-// flusher records the shared acknowledgement in err.
-type pendingBatch struct {
-	evs  []*event.Event
-	done chan struct{}
-	err  error
-}
-
 // Dial connects to a broker server.
-func Dial(addr string, opts ...ClientOption) (*Client, error) { return DialTimeout(addr, 0, opts...) }
+func Dial(addr string) (*Client, error) { return DialTimeout(addr, 0) }
 
 // DialTimeout connects to a broker server with a bound on both the dial
 // and every subsequent request/response exchange (publish, subscribe,
@@ -111,7 +67,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) { return DialTimeo
 // timeout error within d instead of hanging the caller; streaming delivery
 // reads are not bounded (an idle subscription is legitimate). d <= 0 means
 // no timeout, identical to Dial.
-func DialTimeout(addr string, d time.Duration, opts ...ClientOption) (*Client, error) {
+func DialTimeout(addr string, d time.Duration) (*Client, error) {
 	var conn net.Conn
 	var err error
 	if d > 0 {
@@ -125,18 +81,11 @@ func DialTimeout(addr string, d time.Duration, opts ...ClientOption) (*Client, e
 	c := &Client{
 		conn:     conn,
 		timeout:  d,
-		linger:   DefaultLinger,
 		subs:     make(map[string]chan Delivery),
 		orphans:  make(map[string][]Delivery),
 		queries:  make(map[string]chan QueryDetection),
 		qorphans: make(map[string][]QueryDetection),
 		done:     make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	if c.linger <= 0 {
-		c.linger = DefaultLinger
 	}
 	// The handshake: a first frame now, so the server's handshake deadline
 	// never drops a client that dials and then only waits for deliveries.
@@ -312,59 +261,10 @@ func (c *Client) request(f *Frame) (*Frame, error) {
 	return resp, nil
 }
 
-// Publish sends an event and waits for the broker's acknowledgement. On a
-// client dialed with WithMaxBatch, concurrent publishes coalesce into one
-// publishb frame and share its acknowledgement — admission stays
-// all-or-nothing per frame, so every contributor sees the same error.
+// Publish sends an event and waits for the broker's acknowledgement.
 func (c *Client) Publish(e *event.Event) error {
-	if c.maxBatch <= 1 {
-		_, err := c.request(&Frame{Type: FramePublish, Event: e})
-		return err
-	}
-
-	c.batchMu.Lock()
-	pb := c.curBatch
-	if pb == nil {
-		pb = &pendingBatch{done: make(chan struct{})}
-		c.curBatch = pb
-		// The linger timer closes a partial batch; a batch that fills
-		// first is cut through below and the timer's flush becomes a
-		// no-op (curBatch has moved on).
-		time.AfterFunc(c.linger, func() { c.flushBatch(pb) })
-	}
-	pb.evs = append(pb.evs, e)
-	full := len(pb.evs) >= c.maxBatch
-	if full {
-		c.curBatch = nil // cut-through: don't wait out the linger window
-	}
-	c.batchMu.Unlock()
-
-	if full {
-		c.sendBatch(pb)
-	} else {
-		<-pb.done
-	}
-	return pb.err
-}
-
-// flushBatch closes pb if it is still the open batch and sends it. Called
-// by the linger timer; harmless when cut-through already flushed pb.
-func (c *Client) flushBatch(pb *pendingBatch) {
-	c.batchMu.Lock()
-	if c.curBatch != pb {
-		c.batchMu.Unlock()
-		return
-	}
-	c.curBatch = nil
-	c.batchMu.Unlock()
-	c.sendBatch(pb)
-}
-
-// sendBatch publishes a closed batch and wakes every contributor with the
-// shared result. pb must no longer be reachable as curBatch.
-func (c *Client) sendBatch(pb *pendingBatch) {
-	pb.err = c.PublishBatch(pb.evs)
-	close(pb.done)
+	_, err := c.request(&Frame{Type: FramePublish, Event: e})
+	return err
 }
 
 // PublishBatch sends a batch of events as one publishb frame and waits for

@@ -527,7 +527,7 @@ func TestServerDeliveryHelloHandoffKeepsBufferedFrames(t *testing.T) {
 	for _, f := range []*Frame{
 		{Type: FrameHello, NodeID: "n1"},
 		{Type: FramePing, NodeID: "n1"},
-		{Type: FrameForward, NodeID: "n1", Event: parkingEvent("pipelined")},
+		{Type: FrameForwardBatch, NodeID: "n1", Events: []*event.Event{parkingEvent("pipelined")}},
 	} {
 		if err := WriteFrame(&segment, f); err != nil {
 			t.Fatal(err)
@@ -545,11 +545,11 @@ func TestServerDeliveryHelloHandoffKeepsBufferedFrames(t *testing.T) {
 	var got []string
 	for f := range peer.frames {
 		got = append(got, f.Type)
-		if f.Type == FrameForward && f.Event.Tuples[1].Value != "pipelined" {
+		if f.Type == FrameForwardBatch && f.Events[0].Tuples[1].Value != "pipelined" {
 			t.Errorf("forward frame = %+v", f)
 		}
 	}
-	if want := []string{FrameHello, FramePing, FrameForward}; fmt.Sprint(got) != fmt.Sprint(want) {
+	if want := []string{FrameHello, FramePing, FrameForwardBatch}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("ServePeer saw %v, want %v", got, want)
 	}
 }

@@ -28,13 +28,13 @@ func FuzzReadFrame(f *testing.F) {
 			Theme:  []string{"land transport"},
 			Tuples: []event.Tuple{{Attr: "type", Value: "parking event"}},
 		}},
-		{Type: FrameForward, NodeID: "n1", Event: &event.Event{
+		{Type: FrameForwardBatch, NodeID: "n1", Events: []*event.Event{{
 			ID:     "n1/e1",
 			Tuples: []event.Tuple{{Attr: "a", Value: "b"}},
-		}},
-		{Type: FrameForward, NodeID: "n1",
-			Trace: &telemetry.TraceContext{TraceID: "n1.1a2b.3", Parent: "n1", Sampled: true},
-			Event: &event.Event{ID: "n1/e2", Tuples: []event.Tuple{{Attr: "a", Value: "b"}}}},
+		}}},
+		{Type: FrameForwardBatch, NodeID: "n1",
+			Trace:  &telemetry.TraceContext{TraceID: "n1.1a2b.3", Parent: "n1", Sampled: true},
+			Events: []*event.Event{{ID: "n1/e2", Tuples: []event.Tuple{{Attr: "a", Value: "b"}}}}},
 		{Type: FrameHello, NodeID: "n2", MetricsAddr: "10.0.0.2:9090"},
 		{Type: FrameSubscribe, Replay: true, Subscription: &event.Subscription{
 			Predicates: []event.Predicate{{Attr: "type", Value: "parking event"}},
@@ -115,7 +115,7 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzTraceContextFrame round-trips fuzzer-shaped trace contexts through
-// forward and publishb frames: the propagated trace ID, parent, and
+// forwardb and publishb frames: the propagated trace ID, parent, and
 // sampled bit must survive the codec byte-identically, and an absent
 // context must stay absent (the omitempty contract — an unsampled event
 // carries zero trace bytes on the wire).
@@ -129,8 +129,8 @@ func FuzzTraceContextFrame(f *testing.F) {
 			return
 		}
 		tc := &telemetry.TraceContext{TraceID: id, Parent: parent, Sampled: sampled}
-		fr := &Frame{Type: FrameForward, NodeID: "n1", Trace: tc,
-			Event: &event.Event{ID: "e1", Tuples: []event.Tuple{{Attr: "a", Value: "b"}}}}
+		fr := &Frame{Type: FrameForwardBatch, NodeID: "n1", Trace: tc,
+			Events: []*event.Event{{ID: "e1", Tuples: []event.Tuple{{Attr: "a", Value: "b"}}}}}
 		if batch {
 			fr = &Frame{Type: FramePublishBatch, Trace: tc,
 				Events: []*event.Event{{ID: "e1", Tuples: []event.Tuple{{Attr: "a", Value: "b"}}}}}

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -74,52 +73,6 @@ func TestClientPublishBatchOverTCP(t *testing.T) {
 	}
 	if st := b.Stats(); st.Published != 3 {
 		t.Errorf("rejected batch partially admitted: published %d", st.Published)
-	}
-}
-
-// TestClientAutoBatching: a client dialed WithMaxBatch coalesces concurrent
-// Publish calls into publishb frames — fewer batches than events — while
-// every publisher still gets an acknowledgement.
-func TestClientAutoBatching(t *testing.T) {
-	_, b, addr := startBatchServer(t)
-
-	c, err := Dial(addr, WithMaxBatch(8), WithLinger(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const n = 64
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.Publish(parkingEvent("auto"))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-	st := b.Stats()
-	if st.Published != n {
-		t.Errorf("published = %d, want %d", st.Published, n)
-	}
-	if st.Batches == 0 || st.Batches >= n {
-		t.Errorf("batches = %d over %d publishes; auto-batching did not coalesce", st.Batches, n)
-	}
-
-	// The linger path: a single publish must not wait for a full batch.
-	start := time.Now()
-	if err := c.Publish(parkingEvent("lone")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Errorf("lone publish took %v; linger flush did not fire", d)
 	}
 }
 

@@ -35,9 +35,8 @@ type SubHandle interface {
 // default; a cluster node substitutes itself to add theme-routed
 // federation without the server knowing.
 type Backend interface {
-	Publish(e *event.Event) error
 	// PublishBatch receives a publishb frame as one batch with
-	// all-or-nothing admission.
+	// all-or-nothing admission, and a publish frame as a batch of one.
 	PublishBatch(events []*event.Event) error
 	SubscribeHandle(sub *event.Subscription, opts ...SubscribeOption) (SubHandle, error)
 }
@@ -357,7 +356,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// — the client has no request waiting on it.
 
 		case FramePublish:
-			if err := s.getBackend().Publish(f.Event); err != nil {
+			if err := s.getBackend().PublishBatch([]*event.Event{f.Event}); err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
 			}

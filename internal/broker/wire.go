@@ -43,17 +43,15 @@ const (
 	FramePublishBatch = "publishb"
 
 	// Federation frames (internal/cluster). A peer broker opens a
-	// connection with a hello identifying its node; forward carries an
-	// event from the publishing broker to the shard owners of its theme
-	// set; redirect tells a client which broker owns its subscription's
-	// themes.
+	// connection with a hello identifying its node; redirect tells a client
+	// which broker owns its subscription's themes.
 	FrameHello    = "hello"
-	FrameForward  = "forward"
 	FrameRedirect = "redirect"
 
-	// FrameForwardBatch is the federation analogue of publishb: one frame
-	// carrying a whole re-batched forward (in Events) from the publishing
-	// broker to one shard owner.
+	// FrameForwardBatch is the federation analogue of publishb and its only
+	// forward frame: the events of one publish (in Events, a single event
+	// for a serial publish) that one shard owner's theme sets overlap, sent
+	// by the publishing broker to that owner.
 	FrameForwardBatch = "forwardb"
 
 	// Liveness frames for federation links: each side pings on an
@@ -86,7 +84,7 @@ type Frame struct {
 	Replay         bool                `json:"replay,omitempty"`
 	Error          string              `json:"error,omitempty"`
 	// NodeID identifies the sending broker on federation frames (hello,
-	// forward).
+	// forwardb).
 	NodeID string `json:"nodeId,omitempty"`
 	// Addr is the target broker address on redirect frames.
 	Addr string `json:"addr,omitempty"`
@@ -100,18 +98,17 @@ type Frame struct {
 	// acknowledgements, and on unsubscribe frames that cancel a query.
 	QueryName string `json:"queryName,omitempty"`
 	// Events are a detection's constituent events on detect frames, and the
-	// batch payload on publishb frames.
+	// batch payload on publishb and forwardb frames.
 	Events []*event.Event `json:"events,omitempty"`
 	// Count echoes the admitted batch size on publishb acknowledgements.
 	Count int `json:"count,omitempty"`
 	// Probability is the detection's combined probability on detect frames.
 	Probability float64 `json:"probability,omitempty"`
-	// Trace is the propagated trace context on forward/forwardb (and
-	// client publishb) frames: present only when the carried event is
+	// Trace is the propagated trace context on forwardb (and client
+	// publishb) frames: present only when the carried events are
 	// trace-sampled at the sender, so the receiving broker continues the
 	// same cross-peer trace instead of making an independent sampling
-	// decision. On batch frames it applies to the whole batch, keyed by
-	// the first event.
+	// decision. It applies to the whole batch, keyed by the first event.
 	Trace *telemetry.TraceContext `json:"trace,omitempty"`
 	// MetricsAddr advertises the sending node's metrics listen address on
 	// hello frames, so peers can serve a cluster-wide scrape map

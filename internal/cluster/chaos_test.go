@@ -44,7 +44,7 @@ func startChaosCluster(t *testing.T, size int, inj *faultinject.Injector) []*tes
 		}
 		node, err := cluster.New(tn.b, cluster.Config{
 			Self:              tn.addr,
-			Peers:             peers,
+			Seeds:             peers,
 			ReconnectMin:      5 * time.Millisecond,
 			ReconnectMax:      50 * time.Millisecond,
 			WriteTimeout:      200 * time.Millisecond,

@@ -58,7 +58,7 @@ func startCluster(t *testing.T, size int) []*testNode {
 		}
 		node, err := cluster.New(tn.b, cluster.Config{
 			Self:         tn.addr,
-			Peers:        peers,
+			Seeds:        peers,
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 200 * time.Millisecond,
 		})

@@ -44,7 +44,7 @@ func TestFullStackExpositionLints(t *testing.T) {
 	}
 	node, err := cluster.New(b, cluster.Config{
 		Self:         addr.String(),
-		Peers:        []string{peerAddr.String()},
+		Seeds:        []string{peerAddr.String()},
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
 	})
@@ -55,7 +55,7 @@ func TestFullStackExpositionLints(t *testing.T) {
 	srv.SetPeerHandler(node)
 	peerNode, err := cluster.New(peerB, cluster.Config{
 		Self:         peerAddr.String(),
-		Peers:        []string{addr.String()},
+		Seeds:        []string{addr.String()},
 		ReconnectMin: 10 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
 	})

@@ -21,7 +21,7 @@ func TestStalledPeerTripsBreaker(t *testing.T) {
 	defer b.Close()
 	node, err := cluster.New(b, cluster.Config{
 		Self:             "self:1",
-		Peers:            []string{stalled},
+		Seeds:            []string{stalled},
 		ReconnectMin:     5 * time.Millisecond,
 		ReconnectMax:     20 * time.Millisecond,
 		WriteTimeout:     50 * time.Millisecond,
@@ -106,7 +106,7 @@ func TestSilentPeerDroppedByHeartbeat(t *testing.T) {
 	defer b.Close()
 	node, err := cluster.New(b, cluster.Config{
 		Self:              "self:1",
-		Peers:             []string{ln.Addr().String()},
+		Seeds:             []string{ln.Addr().String()},
 		ReconnectMin:      5 * time.Millisecond,
 		ReconnectMax:      20 * time.Millisecond,
 		WriteTimeout:      100 * time.Millisecond,

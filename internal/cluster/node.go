@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -21,13 +22,10 @@ type Config struct {
 	// Self is this node's identity: the wire address its peers dial
 	// (host:port). It doubles as the shard ID on the ring.
 	Self string
-	// Peers are other members' wire addresses, honored as static seeds:
-	// the node keeps a link to every configured peer for its whole life
-	// (even through death rumors), and the rest of the federation is
-	// discovered from them by gossip. Members no longer need identical
-	// peer lists — the rings converge through the membership exchange.
-	Peers []string
-	// Seeds are additional bootstrap addresses, merged with Peers. A node
+	// Seeds are other members' wire addresses, the node's way into the
+	// federation: it keeps a link to every seed for its whole life (even
+	// through death rumors), and discovers the rest of the members from
+	// them by gossip, so members need not list the same seeds. A node
 	// needs at least one reachable seed to join an existing federation; a
 	// node with none starts a federation of one and waits to be dialed.
 	Seeds []string
@@ -124,7 +122,7 @@ type Stats struct {
 	Deduped          uint64 // duplicate deliveries suppressed by event ID
 	PeerReconnects   uint64 // successful peer connections after a drop
 	QueueDrops       uint64 // forwards dropped by the bounded peer queues
-	ForwardsShed     uint64 // forwards shed because a peer's breaker was not closed
+	ForwardsShed     uint64 // forwards shed: the owner's breaker was not closed, or it had no link yet
 	BreakerTrips     uint64 // circuit-breaker transitions to open, summed over peers
 	RemoteDeliveries uint64 // matches sent back to a peer's subscriber
 	RemoteSubs       int    // remote registrations currently hosted here
@@ -183,12 +181,11 @@ func New(b *broker.Broker, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: Self identity required")
 	}
 	c := cfg.withDefaults()
-	seeds := append(append([]string(nil), c.Peers...), c.Seeds...)
 	n := &Node{
 		cfg:        c,
 		id:         c.Self,
 		broker:     b,
-		ms:         newMembership(c.Self, c.MetricsAddr, seeds),
+		ms:         newMembership(c.Self, c.MetricsAddr, c.Seeds),
 		peers:      make(map[string]*peer),
 		edges:      make(map[string]*edgeSub),
 		reaperDone: make(chan struct{}),
@@ -403,112 +400,109 @@ func (n *Node) Close() {
 }
 
 // Publish accepts an event locally and forwards it to every peer whose
-// shard overlaps the event's theme set. Events without an ID are assigned
-// one so downstream de-duplication can identify re-deliveries.
+// shard overlaps its theme set: it is a batch of one.
 func (n *Node) Publish(e *event.Event) error {
-	if e == nil {
-		return broker.ErrNilEvent
-	}
-	ev := e
-	if ev.ID == "" {
-		cp := *e
-		cp.ID = fmt.Sprintf("%s/e%d", n.id, n.nextEvent.Add(1))
-		ev = &cp
-	}
-	if err := n.broker.Publish(ev); err != nil {
-		return err
-	}
-	// If the local publish sampled a trace, forward its context so the
-	// owning peers continue the same span tree. Publish is synchronous, so
-	// the trace is already in the ring and ContextFor resolves it.
-	var tc *telemetry.TraceContext
-	if c, ok := n.broker.Tracer().ContextFor(ev.ID); ok {
-		tc = &c
-	}
-	for _, owner := range n.Ring().Owners(ev.Theme) {
-		if owner == n.id {
-			continue
-		}
-		if p := n.getPeer(owner); p != nil {
-			if p.enqueue(ev, tc) {
-				n.ctrForwarded.Add(1)
-			} else {
-				// The peer's breaker is open (or probing): shed now rather
-				// than queue toward a dead link. Never silent — counted and
-				// exported.
-				n.ctrShed.Add(1)
-			}
-		}
-	}
-	return nil
+	return n.PublishBatch([]*event.Event{e})
 }
 
-// maxForwardBatch caps one forwardb frame's event count: a re-batched
-// forward larger than this is split, bounding frame size and the work one
-// queue item represents.
+// maxForwardBatch caps one forwardb frame's event count: a forward larger
+// than this is split, bounding frame size and the work one queue item
+// represents.
 const maxForwardBatch = 256
 
 // PublishBatch accepts a batch locally through the broker's batched
-// pipeline, then re-batches the admitted events per owning peer shard: one
-// forwardb frame per destination (split at maxForwardBatch) instead of one
-// forward frame per event. Admission is all-or-nothing, matching
-// broker.PublishBatch; forwarding inherits Publish's shed/drop policy with
-// whole sub-batches counted event-by-event.
+// pipeline, then forwards the admitted events per owning peer shard: one
+// forwardb frame per destination (split at maxForwardBatch). Events without
+// an ID are assigned one so downstream de-duplication can identify
+// re-deliveries. Admission is all-or-nothing, matching broker.PublishBatch.
 func (n *Node) PublishBatch(events []*event.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	evs := events
-	var copied []*event.Event
-	for i, e := range events {
-		if e == nil {
-			return broker.ErrNilEvent
-		}
-		if e.ID == "" {
-			if copied == nil {
-				copied = append([]*event.Event(nil), events...)
-			}
+	// The node's own copy: queued forwards keep sharing it after the
+	// caller has reused its slice.
+	evs := append([]*event.Event(nil), events...)
+	for i, e := range evs {
+		if e != nil && e.ID == "" {
 			cp := *e
 			cp.ID = fmt.Sprintf("%s/e%d", n.id, n.nextEvent.Add(1))
-			copied[i] = &cp
+			evs[i] = &cp
 		}
-	}
-	if copied != nil {
-		evs = copied
 	}
 	if err := n.broker.PublishBatch(evs); err != nil {
 		return err
 	}
-	ring, peers := n.Ring(), n.peersSnapshot()
-	var groups map[string][]*event.Event
-	for _, ev := range evs {
-		for _, owner := range ring.Owners(ev.Theme) {
-			if owner == n.id || peers[owner] == nil {
+	n.forward(evs)
+	return nil
+}
+
+// fwdGroup is the events of one publish bound for one remote owner. They
+// are evs[lo:hi] of the publish while contiguous there — always so for a
+// batch of one — and a slice of their own (own) after the first gap.
+type fwdGroup struct {
+	owner  string
+	p      *peer // nil while the owner has no link
+	lo, hi int
+	own    []*event.Event
+}
+
+func (g *fwdGroup) add(evs []*event.Event, i int) {
+	switch {
+	case g.own != nil:
+		g.own = append(g.own, evs[i])
+	case g.hi == i:
+		g.hi++
+	default:
+		g.own = append(slices.Clone(evs[g.lo:g.hi]), evs[i])
+	}
+}
+
+// forward queues the admitted events toward their remote owners. Every
+// (event, remote owner) pair is counted once: forwarded, or shed when the
+// owner's breaker is not closed or its link is not open yet (the ring is
+// swapped before the links are reconciled).
+func (n *Node) forward(evs []*event.Event) {
+	ring := n.Ring()
+	var gbuf [4]fwdGroup
+	var obuf [8]string
+	groups := gbuf[:0]
+	for i, ev := range evs {
+		for _, owner := range ring.ownersInto(obuf[:], ev.Theme) {
+			if owner == n.id {
 				continue
 			}
-			if groups == nil {
-				groups = make(map[string][]*event.Event)
+			j := slices.IndexFunc(groups, func(g fwdGroup) bool { return g.owner == owner })
+			if j < 0 {
+				groups = append(groups, fwdGroup{owner: owner, p: n.getPeer(owner), lo: i, hi: i})
+				j = len(groups) - 1
 			}
-			groups[owner] = append(groups[owner], ev)
+			groups[j].add(evs, i)
 		}
 	}
-	for owner, g := range groups {
-		p := peers[owner]
-		for lo := 0; lo < len(g); lo += maxForwardBatch {
-			hi := min(lo+maxForwardBatch, len(g))
-			// Batch traces index every member event, so the sub-batch's
-			// first event resolves the batch's context; the receiving peer
-			// adopts it keyed by the same convention.
-			var tc *telemetry.TraceContext
-			if c, ok := n.broker.Tracer().ContextFor(g[lo].ID); ok {
-				tc = &c
-			}
-			if p.enqueueBatch(g[lo:hi], tc) {
-				n.ctrForwarded.Add(uint64(hi - lo))
+	for _, g := range groups {
+		run := g.own
+		if run == nil {
+			run = evs[g.lo:g.hi]
+		}
+		for lo := 0; lo < len(run); lo += maxForwardBatch {
+			sub := run[lo:min(lo+maxForwardBatch, len(run))]
+			if g.p != nil && g.p.enqueue(sub, n.traceContext(sub[0].ID)) {
+				n.ctrForwarded.Add(uint64(len(sub)))
 			} else {
-				n.ctrShed.Add(uint64(hi - lo))
+				n.ctrShed.Add(uint64(len(sub)))
 			}
 		}
+	}
+}
+
+// traceContext is the context of the sampled trace holding eventID, or nil.
+// Batch traces index every member event, so a sub-batch's first event
+// resolves its publish's context; the receiving peer adopts it keyed by the
+// same convention, and continues the sender's span tree.
+func (n *Node) traceContext(eventID string) *telemetry.TraceContext {
+	if c, ok := n.broker.Tracer().ContextFor(eventID); ok {
+		tc := c // allocated only for a sampled publish
+		return &tc
 	}
 	return nil
 }
@@ -724,29 +718,19 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 			n.mergeGossip(f.Members)
 			write(&broker.Frame{Type: broker.FramePong, NodeID: n.id, Members: n.gossip()})
 
-		case broker.FrameForward:
-			if f.Event == nil {
-				continue
-			}
-			n.ctrReceived.Add(1)
-			// A propagated trace context forces sampling of this publish
-			// under the originating trace ID, so the remote fragment joins
-			// the sender's span tree when themctl trace merges the ring.
-			n.broker.Tracer().Adopt(f.Event.ID, f.Trace)
-			// Publish locally only: forwarded events are never
-			// re-forwarded, so federation traffic is a single hop.
-			n.broker.Publish(f.Event)
-
 		case broker.FrameForwardBatch:
 			if len(f.Events) == 0 {
 				continue
 			}
 			n.ctrReceived.Add(uint64(len(f.Events)))
-			// Batch adoption keys on the first member, matching the
-			// sender's ContextFor convention and the broker's StartAt key.
+			// A propagated trace context forces sampling of this publish
+			// under the originating trace ID, so the remote fragment joins
+			// the sender's span tree when themctl trace merges the ring.
+			// Adoption keys on the first member, matching the sender's
+			// ContextFor convention and the broker's StartAt key.
 			n.broker.Tracer().Adopt(f.Events[0].ID, f.Trace)
-			// Single hop, batched: the whole forward lands in the local
-			// broker through the batched pipeline.
+			// Publish locally only: forwarded events are never
+			// re-forwarded, so federation traffic is a single hop.
 			n.broker.PublishBatch(f.Events)
 
 		case broker.FrameSubscribe:
@@ -871,7 +855,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	telemetry.WriteCounter(w, "thematicep_cluster_deduped_total", "Duplicate deliveries suppressed by event ID.", st.Deduped)
 	telemetry.WriteCounter(w, "thematicep_cluster_peer_reconnects_total", "Peer links re-established after a drop.", st.PeerReconnects)
 	telemetry.WriteCounter(w, "thematicep_cluster_peer_queue_drops_total", "Forwards dropped by the bounded peer queues.", st.QueueDrops)
-	telemetry.WriteCounter(w, "thematicep_cluster_forwards_shed_total", "Forwards shed because a peer circuit breaker was not closed.", st.ForwardsShed)
+	telemetry.WriteCounter(w, "thematicep_cluster_forwards_shed_total", "Forwards shed because the owner's circuit breaker was not closed or it had no peer link yet.", st.ForwardsShed)
 	telemetry.WriteCounter(w, "thematicep_cluster_breaker_trips_total", "Peer circuit-breaker transitions to open.", st.BreakerTrips)
 	telemetry.WriteCounter(w, "thematicep_cluster_remote_deliveries_total", "Matches streamed back to peer subscribers.", st.RemoteDeliveries)
 	telemetry.WriteGauge(w, "thematicep_cluster_remote_subscriptions", "Remote registrations currently hosted.", st.RemoteSubs)

@@ -12,25 +12,16 @@ import (
 	"thematicep/internal/telemetry"
 )
 
-// forwardItem is one queued forward with its enqueue timestamp, so the hop
-// latency (enqueue to successful wire write) is measurable per peer. A
-// batched forward carries its events in evs (ev nil) and goes out as one
-// forwardb frame. tc is the propagated trace context, set only when the
-// event (or batch) is trace-sampled at this node — it rides the frame so
-// the receiving peer continues the same cross-cluster trace.
+// forwardItem is one queued forward: the events one publish sends this
+// peer, which go out as one forwardb frame, with the enqueue timestamp, so
+// the hop latency (enqueue to successful wire write) is measurable per
+// peer. tc is the propagated trace context, set only when the publish is
+// trace-sampled at this node — it rides the frame so the receiving peer
+// continues the same cross-cluster trace.
 type forwardItem struct {
-	ev  *event.Event
 	evs []*event.Event
 	enq time.Time
 	tc  *telemetry.TraceContext
-}
-
-// count is how many events the item represents, for drop/shed accounting.
-func (it forwardItem) count() uint64 {
-	if it.evs != nil {
-		return uint64(len(it.evs))
-	}
-	return 1
 }
 
 // peer is one outbound federation link. The run loop owns the connection:
@@ -84,26 +75,18 @@ func newPeer(n *Node, addr string) *peer {
 	}
 }
 
-// enqueue offers an event to the forward queue and reports whether it was
+// enqueue offers a forward to the queue and reports whether it was
 // accepted. While the peer's breaker is not closed the forward is shed
 // immediately (the peer is down; queueing would only delay the drop and
-// hold memory), otherwise the oldest queued event is dropped when the
+// hold memory), otherwise the oldest queued forward is dropped when the
 // queue is full (the broker's overflow policy: publishers never block on a
-// slow or dead peer).
-func (p *peer) enqueue(e *event.Event, tc *telemetry.TraceContext) bool {
-	return p.offer(forwardItem{ev: e, enq: p.n.broker.Clock().Now(), tc: tc})
-}
-
-// enqueueBatch offers a re-batched forward as one queue item; the whole
-// sub-batch is shed or dropped together (accounted per event).
-func (p *peer) enqueueBatch(evs []*event.Event, tc *telemetry.TraceContext) bool {
-	return p.offer(forwardItem{evs: evs, enq: p.n.broker.Clock().Now(), tc: tc})
-}
-
-func (p *peer) offer(item forwardItem) bool {
+// slow or dead peer). A forward is shed or dropped whole, accounted per
+// event.
+func (p *peer) enqueue(evs []*event.Event, tc *telemetry.TraceContext) bool {
 	if p.bk.State() != BreakerClosed {
 		return false
 	}
+	item := forwardItem{evs: evs, enq: p.n.broker.Clock().Now(), tc: tc}
 	for {
 		select {
 		case p.queue <- item:
@@ -111,7 +94,7 @@ func (p *peer) offer(item forwardItem) bool {
 		default:
 			select {
 			case old := <-p.queue:
-				p.n.ctrQueueDrops.Add(old.count())
+				p.n.ctrQueueDrops.Add(uint64(len(old.evs)))
 			default:
 			}
 		}
@@ -329,27 +312,19 @@ func (p *peer) run() {
 					alive, linkFailed = false, true
 				}
 			case item := <-p.queue:
-				fr := &broker.Frame{Type: broker.FrameForward, Event: item.ev, NodeID: p.n.id, Trace: item.tc}
-				if item.evs != nil {
-					fr = &broker.Frame{Type: broker.FrameForwardBatch, Events: item.evs, NodeID: p.n.id, Trace: item.tc}
-				}
-				if p.writeFrame(conn, fr) != nil {
+				if p.writeFrame(conn, &broker.Frame{Type: broker.FrameForwardBatch,
+					Events: item.evs, NodeID: p.n.id, Trace: item.tc}) != nil {
 					alive, linkFailed = false, true
 					break
 				}
 				// The hop is done once the frame is on the wire; attach it
 				// to the sampled trace (if any) as a late span so
-				// /debug/traces shows the federation leg. A batched
-				// forward observes one hop per frame and attaches through
-				// its first event — any member ID resolves to the batch
-				// trace.
+				// /debug/traces shows the federation leg. A forward
+				// observes one hop per frame and attaches through its
+				// first event — any member ID resolves to the batch trace.
 				hop := p.n.broker.Clock().Now().Sub(item.enq)
 				p.hop.ObserveDuration(hop)
-				if item.evs == nil {
-					p.n.broker.Tracer().AppendSpan(item.ev.ID, "forward:"+p.id, item.enq, hop)
-				} else {
-					p.n.broker.Tracer().AppendSpan(item.evs[0].ID, "forward:"+p.id, item.enq, hop)
-				}
+				p.n.broker.Tracer().AppendSpan(item.evs[0].ID, "forward:"+p.id, item.enq, hop)
 			}
 		}
 		hb.Stop()

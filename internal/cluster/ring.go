@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"thematicep/internal/text"
@@ -121,24 +122,21 @@ func (r *Ring) Owner(tag string) string {
 // An empty theme set has no partition key, so it maps to every node: a
 // theme-less subscription may match any event and a theme-less event may
 // match any subscription.
-func (r *Ring) Owners(theme []string) []string {
-	if len(r.nodes) == 0 {
-		return nil
-	}
+func (r *Ring) Owners(theme []string) []string { return r.ownersInto(nil, theme) }
+
+// ownersInto is Owners built in buf's storage, so the publish path can keep
+// the owners in a buffer on its stack.
+func (r *Ring) ownersInto(buf []string, theme []string) []string {
+	out := buf[:0]
 	if len(theme) == 0 {
-		return r.Nodes()
+		return append(out, r.nodes...)
 	}
-	seen := make(map[string]bool, len(theme))
-	out := make([]string, 0, len(theme))
 	for _, tag := range theme {
-		n := r.Owner(tag)
-		if n == "" || seen[n] {
-			continue
+		if n := r.Owner(tag); n != "" && !slices.Contains(out, n) {
+			out = append(out, n)
 		}
-		seen[n] = true
-		out = append(out, n)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -43,7 +43,7 @@ func startTracedPair(t *testing.T) []*testNode {
 	for i, tn := range ns {
 		node, err := cluster.New(tn.b, cluster.Config{
 			Self:         tn.addr,
-			Peers:        []string{addrs[1-i]},
+			Seeds:        []string{addrs[1-i]},
 			ReconnectMin: 10 * time.Millisecond,
 			ReconnectMax: 200 * time.Millisecond,
 			MetricsAddr:  "metrics-" + names[i],

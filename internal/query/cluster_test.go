@@ -50,7 +50,7 @@ func startQueryCluster(t *testing.T, size int, inj *faultinject.Injector) []*clu
 		}
 		node, err := cluster.New(tn.b, cluster.Config{
 			Self:              tn.addr,
-			Peers:             peers,
+			Seeds:             peers,
 			ReconnectMin:      5 * time.Millisecond,
 			ReconnectMax:      50 * time.Millisecond,
 			WriteTimeout:      200 * time.Millisecond,

@@ -455,8 +455,6 @@ func (s *stubSub) push(d broker.Delivery) {
 	}
 }
 
-func (b *stubBackend) Publish(e *event.Event) error { return nil }
-
 func (b *stubBackend) PublishBatch(events []*event.Event) error { return nil }
 
 func (b *stubBackend) SubscribeHandle(sub *event.Subscription, opts ...broker.SubscribeOption) (broker.SubHandle, error) {
