@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"thematicep/internal/broker"
@@ -24,7 +23,8 @@ import (
 // and burst window expectations must detect every burst; the report
 // grades its detections (precision, recall, detection delay in simulated
 // time) and measures wall-clock event-to-detection latency (publish to
-// detection arrival, p50/p99).
+// detection taken, p50/p99). Everything but the wall-clock figures is a
+// function of the seed.
 func runBurst(e *env0) error {
 	cfg := workload.DefaultBurstConfig()
 	cfg.Seed = e.seed
@@ -49,11 +49,7 @@ func runBurst(e *env0) error {
 		}
 		return 0
 	})
-	b := broker.New(exact,
-		broker.WithClock(clk),
-		broker.WithReplayBuffer(0),
-		broker.WithQueueSize(8192),
-	)
+	b := broker.New(exact, broker.WithClock(clk), broker.WithReplayBuffer(0))
 	defer b.Close()
 	eng := query.New(b, query.WithClock(clk), query.WithFlushInterval(-1))
 	defer eng.Close()
@@ -72,80 +68,45 @@ func runBurst(e *env0) error {
 		return err
 	}
 
-	// Wall-clock publish times by event ID: detection latency is measured
-	// from the newest constituent's publish to the detection's arrival.
-	var pubMu sync.Mutex
+	// The query observes its feed inside Publish, so every detection an
+	// event fires is queued when its Publish returns, stamped with the
+	// simulated clock of that event. Detection latency in wall time runs
+	// from the newest constituent's publish to the Take that hands the
+	// detection out.
 	wallPub := make(map[string]time.Time)
-
-	var simOffsets []time.Duration
-	var wallLat []time.Duration
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for d := range q.C() {
-			now := time.Now()
+	var simOffsets, wallLat []time.Duration
+	var dets []broker.QueryDetection
+	collect := func() {
+		now := time.Now()
+		dets, _ = q.Take(dets[:0])
+		for _, d := range dets {
 			simOffsets = append(simOffsets, d.At.Sub(simStart))
 			var newest time.Time
-			pubMu.Lock()
 			for _, ev := range d.Events {
 				if at, ok := wallPub[ev.ID]; ok && at.After(newest) {
 					newest = at
 				}
 			}
-			pubMu.Unlock()
 			if !newest.IsZero() {
 				wallLat = append(wallLat, now.Sub(newest))
 			}
 		}
-	}()
-
-	// fedTotal waits until the engine has consumed n deliveries, bounding
-	// the gap between the simulated clock and the window state so a
-	// detection's simulated timestamp stays close to its burst.
-	fed := func() uint64 {
-		for _, st := range eng.Stats() {
-			if st.Name == "burst" {
-				return st.Fed
-			}
-		}
-		return 0
-	}
-	catchUp := func(n uint64) error {
-		deadline := time.Now().Add(30 * time.Second)
-		for fed() < n {
-			if time.Now().After(deadline) {
-				return fmt.Errorf("engine stalled: fed %d of %d deliveries", fed(), n)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		return nil
 	}
 
 	wallStart := time.Now()
-	for i, te := range tl.Events {
+	for _, te := range tl.Events {
 		clk.Advance(te.At - clk.Now().Sub(simStart))
-		pubMu.Lock()
 		wallPub[te.Event.ID] = time.Now()
-		pubMu.Unlock()
 		if err := b.Publish(te.Event); err != nil {
 			return err
 		}
-		if i%32 == 31 {
-			if err := catchUp(uint64(i + 1)); err != nil {
-				return err
-			}
-		}
+		collect()
 	}
-	if err := catchUp(uint64(len(tl.Events))); err != nil {
-		return err
-	}
-	// Close out the final window and stop the stream; the consumer drains
-	// whatever is in flight before collected closes.
+	// Close out the final window.
 	clk.Advance(2 * window)
 	eng.FlushExpired()
 	wallElapsed := time.Since(wallStart)
-	q.Close()
-	<-collected
+	collect()
 
 	sc := tl.Score(simOffsets, window+time.Second)
 	p50, p99 := quantileDur(wallLat, 0.50), quantileDur(wallLat, 0.99)
@@ -183,6 +144,7 @@ func runBurst(e *env0) error {
 			"recall":               sc.Recall,
 			"mean_delay_seconds":   sc.MeanDelay.Seconds(),
 			"max_delay_seconds":    sc.MaxDelay.Seconds(),
+			"sim_p99_seconds":      simHist.Quantile(0.99),
 			"wall_p50_seconds":     p50.Seconds(),
 			"wall_p99_seconds":     p99.Seconds(),
 			"pipeline_events_sec":  float64(len(tl.Events)) / wallElapsed.Seconds(),

@@ -210,7 +210,6 @@ func run(args []string) error {
 	}
 	qopts := []query.Option{
 		query.WithFlushInterval(*queryTick),
-		query.WithTracer(b.Tracer()),
 		query.WithDetectionSLO(detectionSLO),
 	}
 	if wlog != nil {

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -188,7 +187,7 @@ func clusterStats(base string, lint bool, timeout time.Duration) error {
 		line := "(no observations)"
 		for _, f := range s.fams {
 			if f.Name == "thematicep_broker_publish_seconds" && f.Type == "histogram" {
-				if count, p50, p95, p99 := histogramQuantiles(f); count > 0 {
+				if count, p50, p95, p99 := quantiles(f); count > 0 {
 					line = fmt.Sprintf("%s / %s / %s / %.0f",
 						secs(p50), secs(p95), secs(p99), count)
 				}
@@ -475,7 +474,7 @@ func summarize(families []*telemetry.Family) {
 		if f == nil || f.Type != "histogram" {
 			continue
 		}
-		count, p50, p95, p99 := histogramQuantiles(f)
+		count, p50, p95, p99 := quantiles(f)
 		if count == 0 {
 			fmt.Printf("  %-10s (no observations)\n", h.label)
 			continue
@@ -493,7 +492,7 @@ func summarize(families []*telemetry.Family) {
 		fmt.Println("batching (every publish; serial = size 1):")
 		fmt.Printf("  %-14s %.0f\n", "batches", batches)
 		if f := byName["thematicep_publish_batch_size"]; f != nil && f.Type == "histogram" {
-			count, p50, p95, _ := histogramQuantiles(f)
+			count, p50, p95, _ := quantiles(f)
 			if count > 0 {
 				fmt.Printf("  %-14s p50 %.0f / p95 %.0f\n", "batch size", p50, p95)
 			}
@@ -540,7 +539,7 @@ func summarize(families []*telemetry.Family) {
 			fmt.Printf("  %-14s %.2f\n", "avg bucket", v)
 		}
 		if f := byName["thematicep_subindex_candidates_per_event"]; f != nil && f.Type == "histogram" {
-			count, p50, p95, _ := histogramQuantiles(f)
+			count, p50, p95, _ := quantiles(f)
 			if count > 0 {
 				fmt.Printf("  %-14s p50 %.0f / p95 %.0f over %.0f events", "candidates", p50, p95, count)
 				if subs > 0 {
@@ -595,7 +594,7 @@ func summarize(families []*telemetry.Family) {
 		}
 		fmt.Printf("  %-14s %.0f\n", "gc cycles", counter("thematicep_runtime_gc_total"))
 		if f := byName["thematicep_runtime_gc_pause_seconds"]; f != nil && f.Type == "histogram" {
-			if count, p50, p95, _ := histogramQuantiles(f); count > 0 {
+			if count, p50, p95, _ := quantiles(f); count > 0 {
 				fmt.Printf("  %-14s p50 %s / p95 %s\n", "gc pause", secs(p50), secs(p95))
 			}
 		}
@@ -707,61 +706,11 @@ func printSLO(byName map[string]*telemetry.Family, pad string) {
 	}
 }
 
-// histogramQuantiles aggregates every label set of a histogram family into
-// one distribution and estimates p50/p95/p99 by linear interpolation within
-// the containing bucket.
-func histogramQuantiles(f *telemetry.Family) (count, p50, p95, p99 float64) {
-	type bucket struct{ le, cum float64 }
-	sums := map[float64]float64{}
-	for _, s := range f.Samples {
-		if !strings.HasSuffix(s.Name, "_bucket") {
-			continue
-		}
-		le, err := parseLe(s.Labels["le"])
-		if err != nil {
-			continue
-		}
-		sums[le] += s.Value
-	}
-	buckets := make([]bucket, 0, len(sums))
-	for le, cum := range sums {
-		buckets = append(buckets, bucket{le, cum})
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	if len(buckets) == 0 {
-		return 0, 0, 0, 0
-	}
-	count = buckets[len(buckets)-1].cum
-	quantile := func(q float64) float64 {
-		rank := q * count
-		prevLe, prevCum := 0.0, 0.0
-		for _, b := range buckets {
-			if b.cum >= rank {
-				if math.IsInf(b.le, 1) {
-					return prevLe
-				}
-				if b.cum == prevCum {
-					return b.le
-				}
-				return prevLe + (b.le-prevLe)*(rank-prevCum)/(b.cum-prevCum)
-			}
-			prevLe, prevCum = b.le, b.cum
-		}
-		return prevLe
-	}
-	if count > 0 {
-		p50, p95, p99 = quantile(0.5), quantile(0.95), quantile(0.99)
-	}
-	return count, p50, p95, p99
-}
-
-func parseLe(s string) (float64, error) {
-	if s == "+Inf" {
-		return math.Inf(1), nil
-	}
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	return v, err
+// quantiles returns a histogram family's observation count and its
+// p50/p95/p99, every label set merged into one distribution.
+func quantiles(f *telemetry.Family) (count, p50, p95, p99 float64) {
+	s, _ := telemetry.FamilySnapshot(f)
+	return float64(s.Count), s.Quantile(0.5), s.Quantile(0.95), s.Quantile(0.99)
 }
 
 func printTraces(body []byte) {

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
@@ -179,5 +181,79 @@ func TestStatsLintAccounting(t *testing.T) {
 				t.Fatalf("-lint = %v, want an error saying %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// publishHistogram is one node's publish latency exposition: cumulative
+// counts at le = 1 ms, 10 ms, 100 ms and +Inf.
+func publishHistogram(c1, c10, c100 int, sum float64) string {
+	return fmt.Sprintf(`# TYPE thematicep_broker_publish_seconds histogram
+thematicep_broker_publish_seconds_bucket{le="0.001"} %d
+thematicep_broker_publish_seconds_bucket{le="0.01"} %d
+thematicep_broker_publish_seconds_bucket{le="0.1"} %d
+thematicep_broker_publish_seconds_bucket{le="+Inf"} %d
+thematicep_broker_publish_seconds_sum %g
+thematicep_broker_publish_seconds_count %d
+`, c1, c10, c100, c100, sum, c100)
+}
+
+// stdout runs fn and returns what it printed.
+func stdout(t *testing.T, fn func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	err = fn()
+	os.Stdout = saved
+	w.Close()
+	printed := <-out
+	if err != nil {
+		t.Fatal(err)
+	}
+	return printed
+}
+
+// The quantiles `stats -cluster` prints are those of the bucket-wise merge
+// (telemetry.FamilySnapshot, then HistogramSnapshot.Quantile), pinned here
+// for a fixed two-node exposition: node A observed two publishes under
+// 1 ms and two in (1, 10] ms, node B two in (1, 10] ms and two in
+// (10, 100] ms.
+func TestStatsClusterQuantiles(t *testing.T) {
+	var dir []peerInfo
+	member := func(body string, withDir bool) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, body) })
+		if withDir {
+			mux.HandleFunc("/debug/peers", func(w http.ResponseWriter, r *http.Request) { json.NewEncoder(w).Encode(dir) })
+		}
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	a := member(publishHistogram(2, 4, 4, 0.01), true)
+	b := member(publishHistogram(0, 2, 4, 0.1), false)
+	dir = []peerInfo{
+		{Node: "node-a", Metrics: a.URL, Self: true, State: "alive"},
+		{Node: "node-b", Metrics: b.URL, State: "alive"},
+	}
+
+	out := stdout(t, func() error { return runStats([]string{"-metrics", a.URL, "-cluster"}) })
+	for _, want := range []string{
+		// Merged: 8 observations, 2 / 4 / 2 per bucket.
+		"  publish    5.5ms / 82ms / 96.4ms / 8\n",
+		"  node-a                   1ms / 9.1ms / 9.82ms / 4\n",
+		"  node-b                   10ms / 91ms / 98.2ms / 4\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stats -cluster output lacks %q:\n%s", want, out)
+		}
 	}
 }

@@ -415,42 +415,48 @@ func New(m Matcher, opts ...Option) *Broker {
 	return b
 }
 
-// ringStart is a subscriber queue's capacity at its first delivery; the ring
-// doubles while full, up to the broker's queue size (WithQueueSize).
+// ringStart is a queue's capacity at its first entry; the ring doubles while
+// full, up to its limit.
 const ringStart = 4
 
-// deliveryRing is a subscriber's queue: a FIFO of deliveries guarded by the
-// subscriber's mu. It is allocated on the first delivery and then kept, so
-// its capacity is the subscription's high-water depth and a consumer that
-// keeps up costs no allocation per delivery.
-type deliveryRing struct {
-	buf  []Delivery // len(buf) is the capacity
-	head int        // index of the oldest delivery
-	n    int        // deliveries queued
+// Ring is the consumer queue of the broker's streams: a subscriber's
+// deliveries and a continuous query's detections. It is a FIFO guarded by
+// its owner's lock that holds no buffer until its first entry and then keeps
+// it, so its capacity is the stream's high-water depth and a consumer that
+// keeps up costs no allocation per entry. At its limit it drops the oldest
+// entry: producers never wait on a consumer.
+type Ring[T any] struct {
+	buf  []T // len(buf) is the capacity
+	head int // index of the oldest entry
+	n    int // entries queued
 }
 
-// push appends d, growing a full ring up to limit and, at limit, dropping
-// the oldest delivery. It reports whether one was dropped.
-func (q *deliveryRing) push(d Delivery, limit int) (dropped bool) {
+// Push appends v, growing a full ring up to limit and, at limit, dropping
+// the oldest entry. It reports whether one was dropped.
+func (q *Ring[T]) Push(v T, limit int) (dropped bool) {
 	if q.n == len(q.buf) {
 		if len(q.buf) < limit {
-			buf := make([]Delivery, min(2*len(q.buf), limit))
+			buf := make([]T, min(max(2*len(q.buf), ringStart), limit))
 			k := copy(buf, q.buf[q.head:])
 			copy(buf[k:], q.buf[:q.head])
 			q.buf, q.head = buf, 0
 		} else {
-			q.buf[q.head] = Delivery{}
+			var zero T
+			q.buf[q.head] = zero
 			q.head, q.n, dropped = (q.head+1)%len(q.buf), q.n-1, true
 		}
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = d
+	q.buf[(q.head+q.n)%len(q.buf)] = v
 	q.n++
 	return dropped
 }
 
-// takeInto moves every queued delivery onto dst in queue order; the next
-// delivery goes where the taken ones ended.
-func (q *deliveryRing) takeInto(dst []Delivery) []Delivery {
+// Take moves every queued entry onto dst in queue order; the next entry goes
+// where the taken ones ended.
+func (q *Ring[T]) Take(dst []T) []T {
+	if q.n == 0 {
+		return dst
+	}
 	first := q.buf[q.head:min(q.head+q.n, len(q.buf))]
 	wrapped := q.buf[:q.n-len(first)]
 	dst = append(append(dst, first...), wrapped...)
@@ -459,6 +465,9 @@ func (q *deliveryRing) takeInto(dst []Delivery) []Delivery {
 	q.head, q.n = (q.head+q.n)%len(q.buf), 0
 	return dst
 }
+
+// Len returns how many entries are queued.
+func (q *Ring[T]) Len() int { return q.n }
 
 // Subscriber is one active subscription with its delivery queue.
 type Subscriber struct {
@@ -472,7 +481,7 @@ type Subscriber struct {
 
 	mu     sync.Mutex
 	closed bool
-	q      *deliveryRing           // nil until the first delivery
+	q      *Ring[Delivery]         // nil until the first delivery
 	notify func()                  // see SetNotify
 	gate   func(*event.Event) bool // see Gate; nil admits everything
 }
@@ -487,7 +496,7 @@ func (s *Subscriber) Take(dst []Delivery) (taken []Delivery, open bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.q != nil {
-		dst = s.q.takeInto(dst)
+		dst = s.q.Take(dst)
 	}
 	return dst, !s.closed
 }
@@ -499,7 +508,7 @@ func (s *Subscriber) queued() int {
 	if s.q == nil {
 		return 0
 	}
-	return s.q.n
+	return s.q.Len()
 }
 
 // SetNotify installs fn to be called after deliveries have been enqueued and
@@ -683,11 +692,10 @@ func (s *Subscriber) enqueue(d Delivery) (out counter, dropped bool) {
 	if s.gate != nil && !s.gate(d.Event) {
 		return cDeliverGate, false
 	}
-	limit := s.broker.cfg.queueSize
 	if s.q == nil {
-		s.q = &deliveryRing{buf: make([]Delivery, min(ringStart, limit))}
+		s.q = new(Ring[Delivery])
 	}
-	return cDelivered, s.q.push(d, limit)
+	return cDelivered, s.q.Push(d, s.broker.cfg.queueSize)
 }
 
 // Offer enqueues one delivery from outside the publish pipeline — the

@@ -14,8 +14,8 @@ import (
 
 // Client connects to a broker Server over TCP. It is safe for concurrent
 // use: concurrent requests are pipelined on the connection (the server
-// answers in request order), deliveries are dispatched to per subscription
-// channels by a background reader.
+// answers in request order), deliveries and detections are dispatched to
+// per-stream channels by a background reader.
 type Client struct {
 	conn net.Conn
 
@@ -26,14 +26,12 @@ type Client struct {
 
 	writeMu sync.Mutex // serializes frame writes and their pending slots
 
-	mu       sync.Mutex
-	pending  []chan *Frame                  // FIFO of waiting response channels, in write order
-	subs     map[string]chan Delivery       // subscription id -> delivery channel
-	orphans  map[string][]Delivery          // deliveries that raced Subscribe's return
-	queries  map[string]chan QueryDetection // query name -> detection channel
-	qorphans map[string][]QueryDetection    // detections that raced Query's return
-	closed   bool
-	readErr  error
+	mu      sync.Mutex
+	pending []chan *Frame           // FIFO of waiting response channels, in write order
+	subs    streams[Delivery]       // by subscription id
+	queries streams[QueryDetection] // by query name
+	closed  bool
+	readErr error
 
 	done chan struct{}
 }
@@ -79,13 +77,11 @@ func DialTimeout(addr string, d time.Duration) (*Client, error) {
 		return nil, fmt.Errorf("broker client: %w", err)
 	}
 	c := &Client{
-		conn:     conn,
-		timeout:  d,
-		subs:     make(map[string]chan Delivery),
-		orphans:  make(map[string][]Delivery),
-		queries:  make(map[string]chan QueryDetection),
-		qorphans: make(map[string][]QueryDetection),
-		done:     make(chan struct{}),
+		conn:    conn,
+		timeout: d,
+		subs:    newStreams[Delivery](),
+		queries: newStreams[QueryDetection](),
+		done:    make(chan struct{}),
 	}
 	// The handshake: a first frame now, so the server's handshake deadline
 	// never drops a client that dials and then only waits for deliveries.
@@ -113,90 +109,124 @@ func (c *Client) readLoop() {
 			c.readErr = err
 			pending := c.pending
 			c.pending = nil
-			subs := c.subs
-			c.subs = make(map[string]chan Delivery)
-			queries := c.queries
-			c.queries = make(map[string]chan QueryDetection)
+			c.subs.closeAll()
+			c.queries.closeAll()
 			c.closed = true
 			c.mu.Unlock()
 			for _, ch := range pending {
 				close(ch)
 			}
-			for _, ch := range subs {
-				close(ch)
-			}
-			for _, ch := range queries {
-				close(ch)
-			}
 			return
 		}
-		if f.Type == FrameDetect {
-			d := QueryDetection{
-				Query:       f.QueryName,
-				Probability: f.Probability,
-				Events:      f.Events,
-				At:          f.At,
-			}
-			// Same discipline as deliveries: route under the lock, never
-			// block the reader, park detections that raced Query's return.
+		switch f.Type {
+		case FrameDeliveryBatch:
+			// The targets share f.Event, which is read-only from here on.
 			c.mu.Lock()
-			if ch := c.queries[f.QueryName]; ch != nil {
-				select {
-				case ch <- d:
-				default:
-				}
-			} else if len(c.qorphans[f.QueryName]) < 64 {
-				c.qorphans[f.QueryName] = append(c.qorphans[f.QueryName], d)
+			for _, t := range f.Targets {
+				c.subs.route(t.SubscriptionID, Delivery{Event: f.Event, SubscriptionID: t.SubscriptionID, Score: t.Score, Replayed: t.Replay, At: f.At})
 			}
 			c.mu.Unlock()
-			continue
-		}
-		if f.Type == FrameDeliveryBatch {
-			c.dispatch(f.Event, f.At, f.Targets)
-			continue
-		}
-		if f.Type == FrameDelivery {
-			// The legacy one-target frame: nothing in the tree sends it any
-			// more, but it is the same dispatch with one target.
-			c.dispatch(f.Event, f.At, []DeliveryTarget{{SubscriptionID: f.SubscriptionID, Score: f.Score, Replay: f.Replay}})
-			continue
-		}
-		// Request responses arrive in request order.
-		c.mu.Lock()
-		var ch chan *Frame
-		if len(c.pending) > 0 {
-			ch = c.pending[0]
-			c.pending = c.pending[1:]
-		}
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- f
+		case FrameDetect:
+			c.mu.Lock()
+			c.queries.route(f.QueryName, QueryDetection{Query: f.QueryName, Probability: f.Probability, Events: f.Events, At: f.At})
+			c.mu.Unlock()
+		default:
+			// Request responses arrive in request order.
+			c.mu.Lock()
+			var ch chan *Frame
+			if len(c.pending) > 0 {
+				ch = c.pending[0]
+				c.pending = c.pending[1:]
+			}
+			c.mu.Unlock()
+			if ch != nil {
+				ch <- f
+			}
 		}
 	}
 }
 
-// dispatch routes one frame's deliveries to their subscription channels
-// under a single lock acquisition. The targets share e, which is read-only
-// from here on. Sends happen under the lock so Unsubscribe's close cannot
-// race them; a full buffer drops the delivery (the same overflow policy as
-// the broker's subscriber queues), so the reader never blocks on a slow
-// consumer.
-func (c *Client) dispatch(e *event.Event, at time.Time, targets []DeliveryTarget) {
+// streamBuffer is a client stream's channel capacity, the server-side queue
+// default; it also bounds what is parked for a stream not yet open.
+const streamBuffer = 64
+
+// streams is the client's table of one kind of stream — subscriptions
+// carrying deliveries, queries carrying detections — keyed by the name the
+// server's acknowledgement gave it. Guarded by Client.mu.
+type streams[T any] struct {
+	open   map[string]chan T
+	parked map[string][]T // arrived before the registering request returned
+}
+
+func newStreams[T any]() streams[T] {
+	return streams[T]{open: make(map[string]chan T), parked: make(map[string][]T)}
+}
+
+// route hands v to its stream without blocking the reader: a full channel
+// drops it (the broker queues' overflow policy), and a stream whose
+// acknowledgement is still in flight to its caller gets it parked. Sends
+// happen under Client.mu, so a close cannot race them.
+func (s *streams[T]) route(key string, v T) {
+	if ch := s.open[key]; ch != nil {
+		select {
+		case ch <- v:
+		default:
+		}
+	} else if len(s.parked[key]) < streamBuffer {
+		s.parked[key] = append(s.parked[key], v)
+	}
+}
+
+// close closes key's channel, if it is open.
+func (s *streams[T]) close(key string) {
+	if ch, ok := s.open[key]; ok {
+		delete(s.open, key)
+		close(ch)
+	}
+}
+
+// closeAll closes every open channel.
+func (s *streams[T]) closeAll() {
+	for key := range s.open {
+		s.close(key)
+	}
+}
+
+// register sends f, a request opening a stream, and opens the stream named
+// by the acknowledgement: a channel that first receives what was parked for
+// it, and is closed by unregister or when the connection drops.
+func register[T any](c *Client, f *Frame, tab *streams[T], name func(ack *Frame) string) (string, <-chan T, error) {
+	resp, err := c.request(f)
+	if err != nil {
+		return "", nil, err
+	}
+	key := name(resp)
+	ch := make(chan T, streamBuffer)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, t := range targets {
-		d := Delivery{Event: e, SubscriptionID: t.SubscriptionID, Score: t.Score, Replayed: t.Replay, At: at}
-		if ch := c.subs[t.SubscriptionID]; ch != nil {
-			select {
-			case ch <- d:
-			default:
-			}
-		} else if len(c.orphans[t.SubscriptionID]) < 64 {
-			// The subscribe acknowledgement is still in flight to the
-			// caller; park the delivery until Subscribe registers.
-			c.orphans[t.SubscriptionID] = append(c.orphans[t.SubscriptionID], d)
-		}
+	if c.closed {
+		// The connection died between the acknowledgement and now; the read
+		// loop has already swept the table, so registering would leak an
+		// open channel. Hand back a closed one instead.
+		close(ch)
+		return key, ch, nil
 	}
+	tab.open[key] = ch
+	for _, v := range tab.parked[key] {
+		ch <- v // parked entries never exceed the buffer
+	}
+	delete(tab.parked, key)
+	return key, ch, nil
+}
+
+// unregister sends f, a request cancelling the stream key, and closes the
+// stream's channel.
+func unregister[T any](c *Client, f *Frame, tab *streams[T], key string) error {
+	_, err := c.request(f)
+	c.mu.Lock()
+	tab.close(key)
+	c.mu.Unlock()
+	return err
 }
 
 // request writes a frame and waits for its ok/error response. The reply
@@ -284,30 +314,8 @@ func (c *Client) PublishBatch(events []*event.Event) error {
 // closed on Unsubscribe or when the connection drops; its buffer matches
 // the server-side queue default.
 func (c *Client) Subscribe(sub *event.Subscription, replay bool) (id string, deliveries <-chan Delivery, err error) {
-	resp, err := c.request(&Frame{Type: FrameSubscribe, Subscription: sub, Replay: replay})
-	if err != nil {
-		return "", nil, err
-	}
-	ch := make(chan Delivery, 64)
-	c.mu.Lock()
-	if c.closed {
-		// The connection died between the acknowledgement and now; the
-		// read loop has already swept c.subs, so registering would leak
-		// an open channel. Hand back a closed one instead.
-		c.mu.Unlock()
-		close(ch)
-		return resp.SubscriptionID, ch, nil
-	}
-	c.subs[resp.SubscriptionID] = ch
-	for _, d := range c.orphans[resp.SubscriptionID] {
-		select {
-		case ch <- d:
-		default:
-		}
-	}
-	delete(c.orphans, resp.SubscriptionID)
-	c.mu.Unlock()
-	return resp.SubscriptionID, ch, nil
+	return register(c, &Frame{Type: FrameSubscribe, Subscription: sub, Replay: replay}, &c.subs,
+		func(ack *Frame) string { return ack.SubscriptionID })
 }
 
 // Query registers a continuous query and returns its detection stream.
@@ -315,52 +323,19 @@ func (c *Client) Subscribe(sub *event.Subscription, replay bool) (id string, del
 // On a clustered broker that does not own the query's theme shard, the
 // error is a *RedirectError naming the owning broker.
 func (c *Client) Query(spec *QuerySpec) (name string, detections <-chan QueryDetection, err error) {
-	resp, err := c.request(&Frame{Type: FrameQuery, Query: spec})
-	if err != nil {
-		return "", nil, err
-	}
-	ch := make(chan QueryDetection, 64)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		close(ch)
-		return resp.QueryName, ch, nil
-	}
-	c.queries[resp.QueryName] = ch
-	for _, d := range c.qorphans[resp.QueryName] {
-		select {
-		case ch <- d:
-		default:
-		}
-	}
-	delete(c.qorphans, resp.QueryName)
-	c.mu.Unlock()
-	return resp.QueryName, ch, nil
+	return register(c, &Frame{Type: FrameQuery, Query: spec}, &c.queries,
+		func(ack *Frame) string { return ack.QueryName })
 }
 
 // UnregisterQuery cancels a continuous query and closes its detection
 // channel.
 func (c *Client) UnregisterQuery(name string) error {
-	_, err := c.request(&Frame{Type: FrameUnsubscribe, QueryName: name})
-	c.mu.Lock()
-	if ch, ok := c.queries[name]; ok {
-		delete(c.queries, name)
-		close(ch)
-	}
-	c.mu.Unlock()
-	return err
+	return unregister(c, &Frame{Type: FrameUnsubscribe, QueryName: name}, &c.queries, name)
 }
 
 // Unsubscribe cancels a subscription and closes its delivery channel.
 func (c *Client) Unsubscribe(id string) error {
-	_, err := c.request(&Frame{Type: FrameUnsubscribe, SubscriptionID: id})
-	c.mu.Lock()
-	if ch, ok := c.subs[id]; ok {
-		delete(c.subs, id)
-		close(ch)
-	}
-	c.mu.Unlock()
-	return err
+	return unregister(c, &Frame{Type: FrameUnsubscribe, SubscriptionID: id}, &c.subs, id)
 }
 
 // Close drops the connection; all delivery channels close.

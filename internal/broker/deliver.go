@@ -19,15 +19,16 @@ const maxFrameTargets = 512
 const flushTargets = 8192
 
 // DeliveryWriter streams the deliveries of every subscription attached to
-// it onto one connection from a single goroutine. Subscriptions announce
-// pending deliveries through their SetNotify hook; the writer then Takes
-// every announced queue whole, groups the deliveries by event
-// into deliverb frames — the event is encoded once however many
-// subscriptions of the connection it matched — and hands all frames of the
-// wake-up to send in one buffer.
+// it, and the detections of every continuous query, onto one connection
+// from a single goroutine. Streams announce pending entries through their
+// SetNotify hook; the writer then Takes every announced queue whole, groups
+// the deliveries by event into deliverb frames — the event is encoded once
+// however many subscriptions of the connection it matched — writes one
+// detect frame per detection, and hands all frames of the wake-up to send
+// in one buffer.
 //
-// Per-subscription order is the queue's: Take hands a queue over front to
-// back, and a delivery never joins a frame earlier than the one holding the
+// Per-stream order is the queue's: Take hands a queue over front to back,
+// and a delivery never joins a frame earlier than the one holding the
 // subscription's previous delivery.
 type DeliveryWriter struct {
 	b *Broker // counts the write stage's stops
@@ -36,24 +37,27 @@ type DeliveryWriter struct {
 	send func(frames []byte, deliveries int) error
 
 	mu    sync.Mutex
-	ready []*attachedSub // announced since the writer last looked
+	ready []*attached // announced since the writer last looked
 
 	wake    chan struct{} // capacity 1: coalesced wake-ups
 	done    chan struct{}
 	stopped chan struct{}
 
 	// Writer-goroutine state, reused across wake-ups.
-	batch   []*attachedSub
-	taken   []Delivery // one subscription's queue, as drain took it
+	batch   []*attached
+	taken   []Delivery       // one subscription's queue, as drain took it
+	dets    []QueryDetection // one query's queue, as drain took it
 	frames  []Frame
 	byEvent map[*event.Event]int // event -> its latest open frame
-	pending int                  // targets in frames
+	pending int                  // targets and detections in frames
 	buf     bytes.Buffer
 }
 
-// attachedSub is one subscription on the writer's connection.
-type attachedSub struct {
+// attached is one stream on the writer's connection: a subscription, or a
+// continuous query when query is set.
+type attached struct {
 	sub    SubHandle
+	query  QueryHandle
 	wireID string
 	queued atomic.Bool // on the ready list (or about to be drained)
 }
@@ -77,8 +81,20 @@ func (b *Broker) NewDeliveryWriter(send func(frames []byte, deliveries int) erro
 // Deliveries already queued are sent first, so call it only once the
 // subscription's acknowledgement is on the wire.
 func (w *DeliveryWriter) Attach(sub SubHandle, wireID string) {
-	as := &attachedSub{sub: sub, wireID: wireID}
-	sub.SetNotify(func() {
+	sub.SetNotify(w.announcer(&attached{sub: sub, wireID: wireID}))
+}
+
+// AttachQuery starts streaming q's detections as detect frames, on the same
+// terms as Attach: detections already queued are sent first, so call it only
+// once the query's acknowledgement is on the wire.
+func (w *DeliveryWriter) AttachQuery(q QueryHandle) {
+	q.SetNotify(w.announcer(&attached{query: q}))
+}
+
+// announcer returns as's notify hook: it puts as on the ready list once and
+// wakes the writer, never blocking the producer that calls it.
+func (w *DeliveryWriter) announcer(as *attached) func() {
+	return func() {
 		if !as.queued.CompareAndSwap(false, true) {
 			return // already announced; the writer drains after clearing the flag
 		}
@@ -89,7 +105,7 @@ func (w *DeliveryWriter) Attach(sub SubHandle, wireID string) {
 		case w.wake <- struct{}{}:
 		default:
 		}
-	})
+	}
 }
 
 // Close stops the writer and waits for it to exit; call it once. Deliveries
@@ -111,8 +127,8 @@ func (w *DeliveryWriter) run() {
 		w.batch, w.ready = w.ready, w.batch[:0]
 		w.mu.Unlock()
 		for _, as := range w.batch {
-			// Cleared before draining: a delivery enqueued from here on
-			// either is seen by this drain or re-announces the subscription.
+			// Cleared before draining: an entry queued from here on either
+			// is seen by this drain or re-announces the stream.
 			as.queued.Store(false)
 			w.drain(as)
 			if w.pending >= flushTargets && !w.flush() {
@@ -128,7 +144,17 @@ func (w *DeliveryWriter) run() {
 
 // drain takes everything queued on as, under one queue-lock acquisition,
 // into frames.
-func (w *DeliveryWriter) drain(as *attachedSub) {
+func (w *DeliveryWriter) drain(as *attached) {
+	if as.query != nil {
+		w.dets, _ = as.query.Take(w.dets[:0])
+		for _, d := range w.dets {
+			f := w.nextFrame()
+			f.Type, f.QueryName, f.Events, f.Probability, f.At = FrameDetect, d.Query, d.Events, d.Probability, d.At
+			w.pending++
+		}
+		clear(w.dets)
+		return
+	}
 	w.taken, _ = as.sub.Take(w.taken[:0])
 	last := -1 // frame of this subscription's previous delivery
 	for _, d := range w.taken {
@@ -144,9 +170,18 @@ func (w *DeliveryWriter) drain(as *attachedSub) {
 	clear(w.taken)
 }
 
-// openFrame starts a new last frame for d's event, reusing the slot (and
-// its Targets capacity) of an earlier wake-up when there is one.
+// openFrame starts a new last deliverb frame for d's event.
 func (w *DeliveryWriter) openFrame(d Delivery) int {
+	f := w.nextFrame()
+	f.Type, f.Event, f.At = FrameDeliveryBatch, d.Event, d.At
+	i := len(w.frames) - 1
+	w.byEvent[d.Event] = i
+	return i
+}
+
+// nextFrame appends an empty frame, reusing the slot (and its Targets
+// capacity) of an earlier wake-up when there is one.
+func (w *DeliveryWriter) nextFrame() *Frame {
 	i := len(w.frames)
 	if i < cap(w.frames) {
 		w.frames = w.frames[:i+1]
@@ -154,9 +189,8 @@ func (w *DeliveryWriter) openFrame(d Delivery) int {
 		w.frames = append(w.frames, Frame{})
 	}
 	f := &w.frames[i]
-	f.Type, f.Event, f.At, f.Targets = FrameDeliveryBatch, d.Event, d.At, f.Targets[:0]
-	w.byEvent[d.Event] = i
-	return i
+	*f = Frame{Targets: f.Targets[:0]}
+	return f
 }
 
 // flush encodes the pending frames into one buffer and sends it. It reports
@@ -168,7 +202,7 @@ func (w *DeliveryWriter) flush() bool {
 	sent := 0
 	for i := range w.frames {
 		sent += w.encode(&w.frames[i])
-		w.frames[i].Event = nil
+		w.frames[i].Event, w.frames[i].Events = nil, nil
 	}
 	w.frames = w.frames[:0]
 	clear(w.byEvent)
@@ -181,7 +215,9 @@ func (w *DeliveryWriter) flush() bool {
 // encode appends f to the buffer and returns how many targets went in. A
 // frame over MaxFrameSize despite the target cap (long subscription IDs, a
 // huge event) is halved until it fits; a single target that cannot fit is
-// dropped, as the frame-size cap demands, into stopped{write, oversize}.
+// dropped, as the frame-size cap demands, into stopped{write, oversize}; so
+// is a detect frame that cannot fit, uncounted, as detections are no term of
+// the broker's accounting.
 func (w *DeliveryWriter) encode(f *Frame) int {
 	if appendFrame(&w.buf, f) == nil {
 		return len(f.Targets)

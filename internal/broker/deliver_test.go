@@ -264,6 +264,50 @@ func TestServerDeliveryOversizeTargetCounted(t *testing.T) {
 	}
 }
 
+// A query's detections leave through the same writer as detect frames, one
+// per detection; a frame slot reused across wake-ups by the other kind
+// carries nothing of its previous frame.
+func TestServerDeliveryWriterDetectFrames(t *testing.T) {
+	b := New(exactMatcher())
+	defer b.Close()
+	sends := make(chan []byte, 3)
+	w := b.NewDeliveryWriter(func(frames []byte, _ int) error {
+		sends <- bytes.Clone(frames)
+		return nil
+	})
+	defer w.Close()
+	sub, q := newFakeSub("s"), &fakeQueryHandle{name: "q"}
+	w.Attach(sub, "s")
+	w.AttachQuery(q)
+	next := func() *Frame { // one wake-up, one frame
+		t.Helper()
+		select {
+		case buf := <-sends:
+			f, err := ReadFrame(bytes.NewReader(buf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		case <-time.After(5 * time.Second):
+			t.Fatal("writer sent nothing")
+			return nil
+		}
+	}
+
+	q.push(QueryDetection{Query: "q", Probability: 0.5, Events: []*event.Event{parkingEvent("d1")}})
+	if f := next(); f.Type != FrameDetect || f.QueryName != "q" || f.Probability != 0.5 || len(f.Events) != 1 || f.Event != nil || len(f.Targets) != 0 {
+		t.Errorf("first detection went out as %+v", f)
+	}
+	sub.push(parkingEvent("e1"))
+	if f := next(); f.Type != FrameDeliveryBatch || len(f.Targets) != 1 || f.QueryName != "" || f.Events != nil || f.Probability != 0 {
+		t.Errorf("delivery after a detection went out as %+v", f)
+	}
+	q.push(QueryDetection{Query: "q", Probability: 0.25, Events: []*event.Event{parkingEvent("d2")}})
+	if f := next(); f.Type != FrameDetect || f.Event != nil || len(f.Targets) != 0 || f.Events[0].Tuples[1].Value != "d2" {
+		t.Errorf("detection after a delivery went out as %+v", f)
+	}
+}
+
 // rawConn speaks frames to a server without Client in between, so a test
 // sees the order of frames on the wire.
 type rawConn struct {

@@ -201,16 +201,42 @@ func TestRecoveredSubAttachOverTCP(t *testing.T) {
 	}
 }
 
-// fakeQueryHandle is a parked continuous-query stream.
+// fakeQueryHandle is a QueryHandle whose queue the test fills by hand.
 type fakeQueryHandle struct {
 	name string
-	ch   chan QueryDetection
-	once sync.Once
+
+	mu     sync.Mutex
+	dets   []QueryDetection
+	notify func()
 }
 
-func (q *fakeQueryHandle) Name() string             { return q.name }
-func (q *fakeQueryHandle) C() <-chan QueryDetection { return q.ch }
-func (q *fakeQueryHandle) Close()                   { q.once.Do(func() { close(q.ch) }) }
+func (q *fakeQueryHandle) Name() string { return q.name }
+func (q *fakeQueryHandle) Close()       {}
+func (q *fakeQueryHandle) Take(dst []QueryDetection) ([]QueryDetection, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	dst = append(dst, q.dets...)
+	q.dets = nil
+	return dst, true
+}
+func (q *fakeQueryHandle) SetNotify(fn func()) {
+	q.mu.Lock()
+	q.notify = fn
+	pending := len(q.dets) > 0
+	q.mu.Unlock()
+	if pending {
+		fn()
+	}
+}
+
+// push queues d and announces it.
+func (q *fakeQueryHandle) push(d QueryDetection) {
+	q.mu.Lock()
+	q.dets = append(q.dets, d)
+	fn := q.notify
+	q.mu.Unlock()
+	fn()
+}
 
 // failRegistrar proves attach happens INSTEAD of re-registration.
 type failRegistrar struct{ t *testing.T }
@@ -231,8 +257,7 @@ func TestRecoveredQueryAttachOverTCP(t *testing.T) {
 	t.Cleanup(func() { srv.Close(); b.Close() })
 	srv.SetQueryRegistrar(failRegistrar{t})
 
-	qh := &fakeQueryHandle{name: "congestion", ch: make(chan QueryDetection, 4)}
-	qh.ch <- QueryDetection{Query: "congestion"}
+	qh := &fakeQueryHandle{name: "congestion", dets: []QueryDetection{{Query: "congestion"}}}
 	rec := NewRecovered()
 	rec.ParkQuery(qh)
 	srv.SetRecovered(rec)

@@ -74,11 +74,17 @@ type SubscribeRedirector interface {
 }
 
 // QueryHandle is one active continuous query as the transport layer sees
-// it: a named detection stream, closed by the client's unsubscribe or by
-// connection teardown.
+// it: a named detection queue read the way a SubHandle's deliveries are,
+// closed by the client's unsubscribe or by connection teardown.
 type QueryHandle interface {
 	Name() string
-	C() <-chan QueryDetection
+	// Take moves every queued detection onto dst in queue order and reports
+	// whether the query is still open.
+	Take(dst []QueryDetection) ([]QueryDetection, bool)
+	// SetNotify installs a hook called after detections have been queued
+	// and after the query closes, outside the queue lock, and at once if
+	// the queue is already non-empty or closed.
+	SetNotify(func())
 	Close()
 }
 
@@ -246,18 +252,17 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connState tracks one client connection's subscriptions and serializes
-// writes (the delivery writer, detection forwarders and request
-// acknowledgements share the socket).
+// connState tracks one client connection's subscriptions and queries and
+// serializes writes (the delivery writer and request acknowledgements share
+// the socket).
 type connState struct {
 	conn    net.Conn
 	writeMu sync.Mutex
 	subs    map[string]SubHandle
 	queries map[string]QueryHandle
-	// deliveries streams every subscription of the connection; started by
-	// the first subscribe, so publisher connections never run one.
+	// deliveries streams every subscription and query of the connection;
+	// started by the first of them, so publisher connections never run one.
 	deliveries *DeliveryWriter
-	wg         sync.WaitGroup
 }
 
 func (cs *connState) write(f *Frame) error {
@@ -266,10 +271,11 @@ func (cs *connState) write(f *Frame) error {
 	return WriteFrame(cs.conn, f)
 }
 
-// attach hands sub to the connection's delivery writer. The caller has
-// written the subscribe acknowledgement: the writer sends nothing of a
-// subscription before Attach, so ok precedes its first delivery on the wire.
-func (cs *connState) attach(b *Broker, sub SubHandle) {
+// writer returns the connection's delivery writer, starting it on first use.
+// The caller attaches a stream only once its acknowledgement is written: the
+// writer sends nothing of a stream before Attach, so ok precedes its first
+// delivery or detection on the wire.
+func (cs *connState) writer(b *Broker) *DeliveryWriter {
 	if cs.deliveries == nil {
 		cs.deliveries = b.NewDeliveryWriter(func(frames []byte, _ int) error {
 			cs.writeMu.Lock()
@@ -283,7 +289,7 @@ func (cs *connState) attach(b *Broker, sub SubHandle) {
 			return err
 		})
 	}
-	cs.deliveries.Attach(sub, sub.ID())
+	return cs.deliveries
 }
 
 // bufferedConn is a conn whose reads go through the reader that has been
@@ -312,7 +318,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		if cs.deliveries != nil {
 			cs.deliveries.Close()
 		}
-		cs.wg.Wait()
 		conn.Close()
 		s.mu.Lock()
 		delete(s.conns, conn)
@@ -382,7 +387,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if sub, ok := rec.AttachSub(f.Subscription.ID); ok {
 					cs.subs[sub.ID()] = sub
 					cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-					cs.attach(s.broker, sub)
+					cs.writer(s.broker).Attach(sub, sub.ID())
 					continue
 				}
 			}
@@ -404,7 +409,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			cs.subs[sub.ID()] = sub
 			cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
-			cs.attach(s.broker, sub)
+			cs.writer(s.broker).Attach(sub, sub.ID())
 
 		case FrameQuery:
 			qr := s.getQueryRegistrar()
@@ -420,8 +425,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if q, ok := rec.AttachQuery(f.Query.Name); ok {
 					cs.queries[q.Name()] = q
 					cs.write(&Frame{Type: FrameOK, QueryName: q.Name()})
-					cs.wg.Add(1)
-					go forwardDetections(cs, q)
+					cs.writer(s.broker).AttachQuery(q)
 					continue
 				}
 			}
@@ -440,11 +444,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				continue
 			}
 			cs.queries[q.Name()] = q
-			// Acknowledge before starting the forwarder so the OK frame
-			// always precedes the first detect frame on the wire.
 			cs.write(&Frame{Type: FrameOK, QueryName: q.Name()})
-			cs.wg.Add(1)
-			go forwardDetections(cs, q)
+			cs.writer(s.broker).AttachQuery(q)
 
 		case FrameUnsubscribe:
 			if f.QueryName != "" {
@@ -467,24 +468,6 @@ func (s *Server) serveConn(conn net.Conn) {
 
 		default:
 			cs.write(&Frame{Type: FrameError, Error: "unknown frame type " + f.Type})
-		}
-	}
-}
-
-// forwardDetections streams a continuous query's detections onto the
-// connection.
-func forwardDetections(cs *connState, q QueryHandle) {
-	defer cs.wg.Done()
-	for d := range q.C() {
-		err := cs.write(&Frame{
-			Type:        FrameDetect,
-			QueryName:   d.Query,
-			Events:      d.Events,
-			Probability: d.Probability,
-			At:          d.At,
-		})
-		if err != nil {
-			return
 		}
 	}
 }

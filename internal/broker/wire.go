@@ -32,8 +32,8 @@ const (
 	// FrameDeliveryBatch is what brokers put on the wire for matches: the
 	// event once (in Event), one admission timestamp (At, the first
 	// target's), and in Targets every subscription of the connection the
-	// event goes to. The one-target delivery frame above is no longer sent
-	// by anything in the tree; Client still decodes it.
+	// event goes to. The one-target delivery frame above is neither sent
+	// nor decoded by anything in the tree.
 	FrameDeliveryBatch = "deliverb"
 
 	// FramePublishBatch carries many events in one frame (in Events) and is
@@ -62,9 +62,10 @@ const (
 	FramePong = "pong"
 
 	// Continuous-query frames (internal/query). A query frame registers a
-	// named CEP pattern fed by a thematic subscription; detect frames
-	// stream its detections back asynchronously, like delivery frames for
-	// a subscription. A clustered broker answers query with redirect when
+	// named CEP pattern fed by a thematic subscription; detect frames, one
+	// detection each, stream its detections back through the connection's
+	// delivery writer, beside the deliverb frames of its subscriptions. A
+	// clustered broker answers query with redirect when
 	// another node owns the feeding subscription's theme shard.
 	FrameQuery  = "query"
 	FrameDetect = "detect"

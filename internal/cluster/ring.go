@@ -81,9 +81,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 // Nodes returns the ring membership (sorted, deduplicated).
 func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
 
-// Size returns the number of member nodes.
-func (r *Ring) Size() int { return len(r.nodes) }
-
 // mix64 is the murmur3 finalizer. FNV-1a alone barely avalanches on short
 // inputs — a node's virtual points would cluster into one arc and a single
 // member would own nearly every tag — so every hash is finalized before it

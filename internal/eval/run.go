@@ -24,10 +24,14 @@ type Scorer interface {
 }
 
 // PreparedScorer is the optional prepare-once extension of Scorer.
-// *matcher.Matcher satisfies it structurally; Run uses it so eval measures
-// the same prepared hot path a production broker runs (subscriptions
-// prepared once, each event prepared once and scored against every
-// prepared subscription).
+// *matcher.Matcher satisfies it structurally; Run uses it to score through
+// the ScorePrepared reference loop (subscriptions prepared once, each event
+// prepared once and scored against every prepared subscription), the loop
+// the paper's throughput figures measure. The broker scores through
+// ScoreBatchInArena instead; TestPublishOracle holds its deliveries
+// bit-identical to the reference scorer's, and
+// TestScoreBatchInArenaMatchesScorePrepared holds the two kernels
+// bit-identical pair by pair.
 type PreparedScorer interface {
 	Scorer
 	PrepareSubscription(s *event.Subscription) *matcher.PreparedSubscription
@@ -95,9 +99,9 @@ func Run(scorer Scorer, w *workload.Workload, opts ...RunOption) Result {
 	if m, ok := scorer.(PreparedScorer); ok {
 		// Fast path: prepare subscriptions once and each event once, as a
 		// production broker would (subscriptions are long-lived; one event
-		// is matched against every subscription). Scoring goes through
-		// ScorePrepared end to end, so eval exercises exactly the loop the
-		// broker's worker pool runs.
+		// is matched against every subscription). Scoring goes through the
+		// ScorePrepared reference loop end to end, not the broker's arena
+		// kernel; the oracles tie the two together bit for bit.
 		prepared := make([]*matcher.PreparedSubscription, nSubs)
 		var ix *subindex.Index[int]
 		if cfg.pruning {

@@ -144,14 +144,6 @@ func TestClusterCountQueryAcrossPartitionHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var detections []broker.QueryDetection
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for d := range h.C() {
-			detections = append(detections, d)
-		}
-	}()
 	detected := func() uint64 {
 		for _, st := range nodeB.eng.Stats() {
 			if st.Name == "surge" {
@@ -224,7 +216,7 @@ func TestClusterCountQueryAcrossPartitionHeal(t *testing.T) {
 	}
 
 	h.Close()
-	<-collected
+	detections, _ := h.Take(nil)
 	if len(detections) != 2 {
 		t.Fatalf("collected %d detections, want 2", len(detections))
 	}

@@ -17,6 +17,12 @@
 // enter a window twice — detections stay duplicate-free across a
 // partition/heal cycle.
 //
+// A query is served like a subscription: it parks no goroutine. Its feed's
+// notify hook observes each delivery on the goroutine that enqueued it —
+// inside the publish — and its detections wait in a broker.Ring read through
+// Take and SetNotify, the way a connection's DeliveryWriter reads a
+// subscriber's queue.
+//
 // Time-driven emissions (negation expiry, aggregate re-arming) need a
 // driver even when no events arrive: a ticker flushes every pattern on an
 // interval, and Broker.OnDrain hooks the engine's Drain so shutdown closes
@@ -53,6 +59,10 @@ const DefaultFlushInterval = time.Second
 // the federation edge dedup size.
 const dedupWindow = 1024
 
+// detectionQueue bounds a query's pending detections, the broker's queue
+// default; overflow drops the oldest, as a subscriber's queue does.
+const detectionQueue = 64
+
 // Errors returned by Register.
 var (
 	ErrClosed         = errors.New("query: engine closed")
@@ -66,10 +76,6 @@ type Option func(*Engine)
 // clock is shared with every pattern the engine builds.
 func WithClock(c telemetry.Clock) Option { return func(e *Engine) { e.clock = c } }
 
-// WithTracer attaches the broker's tracer so detections append
-// "query:<name>" spans to sampled event traces.
-func WithTracer(tr *telemetry.Tracer) Option { return func(e *Engine) { e.tracer = tr } }
-
 // WithDetectionSLO attaches a latency SLO fed by every detection's
 // event-to-detection latency (the same measurement as the detect
 // histogram), so burn-rate alerting covers the CEP path alongside
@@ -80,11 +86,6 @@ func WithDetectionSLO(s *telemetry.SLO) Option { return func(e *Engine) { e.dete
 // quiet stream (DefaultFlushInterval); d <= 0 disables the ticker, leaving
 // flushing to FlushExpired callers and Drain.
 func WithFlushInterval(d time.Duration) Option { return func(e *Engine) { e.flushEvery = d } }
-
-// WithDetectionBuffer sets each query's detection channel capacity
-// (default 64, the broker's queue default). Overflow drops the oldest
-// pending detection, mirroring the broker's delivery policy.
-func WithDetectionBuffer(n int) Option { return func(e *Engine) { e.buf = n } }
 
 // Journal records durable query registration changes (implemented by
 // wal.Log): every Register and client-initiated Close is appended so a
@@ -106,9 +107,7 @@ func WithJournal(j Journal) Option { return func(e *Engine) { e.journal = j } }
 type Engine struct {
 	be         broker.Backend
 	clock      telemetry.Clock
-	tracer     *telemetry.Tracer
 	flushEvery time.Duration
-	buf        int
 
 	detectHist *telemetry.Histogram // event-to-detection latency
 	detectSLO  *telemetry.SLO       // nil unless WithDetectionSLO enabled it
@@ -128,7 +127,6 @@ func New(be broker.Backend, opts ...Option) *Engine {
 		be:         be,
 		clock:      telemetry.System,
 		flushEvery: DefaultFlushInterval,
-		buf:        64,
 		queries:    make(map[string]*Query),
 		done:       make(chan struct{}),
 		detectHist: telemetry.NewHistogram("thematicep_query_detect_seconds",
@@ -138,9 +136,6 @@ func New(be broker.Backend, opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.buf < 1 {
-		e.buf = 1
-	}
 	if e.flushEvery > 0 {
 		e.wg.Add(1)
 		go e.flushLoop()
@@ -149,7 +144,7 @@ func New(be broker.Backend, opts ...Option) *Engine {
 }
 
 // Register validates a spec, builds its pattern, subscribes the feeding
-// stream on the backend, and starts the feed goroutine.
+// stream on the backend, and installs the feed's hook.
 func (e *Engine) Register(spec *broker.QuerySpec) (*Query, error) {
 	if spec == nil {
 		return nil, errors.New("query: nil spec")
@@ -198,7 +193,6 @@ func (e *Engine) Register(spec *broker.QuerySpec) (*Query, error) {
 		spec:    spec,
 		pattern: pattern,
 		sub:     sub,
-		ch:      make(chan broker.QueryDetection, e.buf),
 		seen:    event.IDWindow{Size: dedupWindow},
 	}
 	e.mu.Lock()
@@ -211,8 +205,7 @@ func (e *Engine) Register(spec *broker.QuerySpec) (*Query, error) {
 	e.queries[spec.Name] = q
 	e.mu.Unlock()
 
-	q.wg.Add(1)
-	go q.run()
+	sub.SetNotify(q.feed)
 	if e.journal != nil {
 		e.journal.QueryRegistered(spec)
 	}
@@ -398,22 +391,25 @@ func buildPattern(spec *broker.QuerySpec, clock telemetry.Clock) (cep.Pattern, e
 }
 
 // Query is one registered continuous query: a feeding subscription, a cep
-// pattern, and a detection stream. It implements broker.QueryHandle.
+// pattern, and a detection queue. It implements broker.QueryHandle.
 type Query struct {
 	eng     *Engine
 	name    string
 	spec    *broker.QuerySpec
 	pattern cep.Pattern
 	sub     broker.SubHandle
-	ch      chan broker.QueryDetection
 
+	// mu orders the query: deliveries are taken from the feed and observed,
+	// and detections queued and taken, under it.
 	mu sync.Mutex
 	// Event-ID dedup window: the federation edge already dedups across
 	// peers, but the engine guards its window state independently so a
 	// replayed delivery or an operator re-feed cannot double-count.
 	seen   event.IDWindow
+	taken  []broker.Delivery // the feed's queue, as feed took it
+	dets   broker.Ring[broker.QueryDetection]
+	notify func() // see SetNotify
 	closed bool
-	wg     sync.WaitGroup
 
 	fed        atomic.Uint64
 	deduped    atomic.Uint64
@@ -424,14 +420,30 @@ type Query struct {
 // Name returns the query's registered name.
 func (q *Query) Name() string { return q.name }
 
-// C is the detection stream; closed by Close (or engine shutdown).
-func (q *Query) C() <-chan broker.QueryDetection { return q.ch }
+// Take moves every queued detection onto dst in queue order and reports
+// whether the query is still open. Detections queued before the query
+// closed are still handed out, together with open == false.
+func (q *Query) Take(dst []broker.QueryDetection) (taken []broker.QueryDetection, open bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.dets.Take(dst), !q.closed
+}
 
-// Spec returns the registered spec.
-func (q *Query) Spec() *broker.QuerySpec { return q.spec }
+// SetNotify installs fn to be called after detections have been queued and
+// after the query closes, outside the query's lock; it is called at once if
+// detections are already queued or the query is closed. fn must not block.
+func (q *Query) SetNotify(fn func()) {
+	q.mu.Lock()
+	q.notify = fn
+	pending := q.closed || q.dets.Len() > 0
+	q.mu.Unlock()
+	if pending && fn != nil {
+		fn()
+	}
+}
 
-// Close unregisters the query, stops its feed, and closes the detection
-// channel. Safe to call more than once.
+// Close unregisters the query and closes its feed; its consumer is notified
+// and may still Take what was queued. Safe to call more than once.
 func (q *Query) Close() {
 	q.eng.unregister(q)
 	q.shutdown()
@@ -439,53 +451,54 @@ func (q *Query) Close() {
 
 func (q *Query) shutdown() {
 	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
+	was := q.closed
+	q.closed = true
+	notify := q.notify
+	q.mu.Unlock()
+	if was {
 		return
 	}
-	q.closed = true
-	q.mu.Unlock()
-	q.sub.Close() // fires the feed's hook; run() takes what is left and exits
-	q.wg.Wait()
-	close(q.ch)
+	q.sub.Close() // fires the feed's hook: what is left is observed, not queued
+	if notify != nil {
+		notify()
+	}
 }
 
-// run feeds the subscription's deliveries into the pattern: the feed's hook
-// wakes it, and each wake-up takes the whole queue.
-func (q *Query) run() {
-	defer q.wg.Done()
-	wake := make(chan struct{}, 1)
-	q.sub.SetNotify(func() {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	})
-	var batch []broker.Delivery
-	for open := true; open; {
-		<-wake
-		batch, open = q.sub.Take(batch[:0])
-		for _, d := range batch {
-			q.observe(d)
-		}
-		clear(batch)
+// feed is the feeding subscription's notify hook. It runs on the goroutine
+// that enqueued the deliveries — a publish, or a federation peer's offer —
+// and takes and observes the whole queue under q.mu, so deliveries enter
+// the pattern in queue order however many publishers race, and a publish
+// returns only after every window it feeds has seen it.
+func (q *Query) feed() {
+	q.mu.Lock()
+	q.taken, _ = q.sub.Take(q.taken[:0])
+	fired := 0
+	for _, d := range q.taken {
+		fired += q.observe(d)
+	}
+	clear(q.taken)
+	q.unlock(fired)
+}
+
+// unlock releases q.mu and, when detections fired, wakes the consumer.
+func (q *Query) unlock(fired int) {
+	notify := q.notify
+	q.mu.Unlock()
+	if fired > 0 && notify != nil {
+		notify()
 	}
 }
 
 // observe converts one delivery into an uncertain event (probability =
-// match score, event time = broker admission time) and feeds the pattern.
-func (q *Query) observe(d broker.Delivery) {
+// match score, event time = broker admission time), feeds the pattern, and
+// returns how many detections fired. The caller holds q.mu.
+func (q *Query) observe(d broker.Delivery) int {
 	if d.Event == nil {
-		return
+		return 0
 	}
-	if d.Event.ID != "" {
-		q.mu.Lock()
-		fresh := q.seen.Fresh(d.Event.ID)
-		q.mu.Unlock()
-		if !fresh {
-			q.deduped.Add(1)
-			return
-		}
+	if d.Event.ID != "" && !q.seen.Fresh(d.Event.ID) {
+		q.deduped.Add(1)
+		return 0
 	}
 	q.fed.Add(1)
 	at := d.At
@@ -497,18 +510,10 @@ func (q *Query) observe(d broker.Delivery) {
 		Probability: d.Score,
 		At:          at,
 	})
-	if len(dets) == 0 {
-		return
+	if len(dets) > 0 {
+		q.emit(dets, q.eng.clock.Now())
 	}
-	now := q.eng.clock.Now()
-	for _, det := range dets {
-		q.emit(det, now)
-	}
-	if tr := q.eng.tracer; tr != nil {
-		// Late span on the completing event's trace: how long after
-		// admission the detection fired.
-		tr.AppendSpan(d.Event.ID, "query:"+q.name, at, now.Sub(at))
-	}
+	return len(dets)
 }
 
 // flush advances the pattern to now+pad and emits any resulting
@@ -518,50 +523,37 @@ func (q *Query) flush(now time.Time, pad time.Duration) int {
 	if !ok {
 		return 0
 	}
+	q.mu.Lock()
 	dets := f.Flush(now.Add(pad))
-	for _, det := range dets {
-		q.emit(det, now)
-	}
+	q.emit(dets, now)
+	q.unlock(len(dets))
 	return len(dets)
 }
 
-// emit records telemetry and enqueues a detection, dropping the oldest
-// pending one when the consumer lags (the broker's overflow policy).
-func (q *Query) emit(det cep.Detection, now time.Time) {
-	events := make([]*event.Event, len(det.Events))
-	var newest time.Time
-	for i, ue := range det.Events {
-		events[i] = ue.Event
-		if ue.At.After(newest) {
-			newest = ue.At
-		}
-	}
-	if !newest.IsZero() {
-		q.eng.detectHist.ObserveDuration(now.Sub(newest))
-		q.eng.detectSLO.Observe(now.Sub(newest))
-	}
-	q.detections.Add(1)
-	d := broker.QueryDetection{
-		Query:       q.name,
-		Probability: det.Probability,
-		Events:      events,
-		At:          now,
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return
-	}
-	for {
-		select {
-		case q.ch <- d:
-			return
-		default:
-			select {
-			case <-q.ch:
-				q.dropped.Add(1)
-			default:
+// emit records telemetry and queues detections, dropping the oldest pending
+// one when the consumer lags (the broker's overflow policy). The caller
+// holds q.mu.
+func (q *Query) emit(dets []cep.Detection, now time.Time) {
+	for _, det := range dets {
+		events := make([]*event.Event, len(det.Events))
+		var newest time.Time
+		for i, ue := range det.Events {
+			events[i] = ue.Event
+			if ue.At.After(newest) {
+				newest = ue.At
 			}
+		}
+		if !newest.IsZero() {
+			q.eng.detectHist.ObserveDuration(now.Sub(newest))
+			q.eng.detectSLO.Observe(now.Sub(newest))
+		}
+		q.detections.Add(1)
+		if q.closed {
+			continue
+		}
+		d := broker.QueryDetection{Query: q.name, Probability: det.Probability, Events: events, At: now}
+		if q.dets.Push(d, detectionQueue) {
+			q.dropped.Add(1)
 		}
 	}
 }

@@ -52,17 +52,39 @@ func countSpec(name string, window time.Duration, min float64) *broker.QuerySpec
 	}
 }
 
-func recvDetection(t *testing.T, ch <-chan broker.QueryDetection) broker.QueryDetection {
+// takeOne returns the one detection q holds now. A detection fired by a
+// publish or a flush is queued before that call returns, so there is
+// nothing to wait for.
+func takeOne(t *testing.T, q *Query) broker.QueryDetection {
 	t.Helper()
-	select {
-	case d, ok := <-ch:
-		if !ok {
-			t.Fatal("detection channel closed")
+	dets, open := q.Take(nil)
+	if !open || len(dets) != 1 {
+		t.Fatalf("queued detections = %+v (open %v), want exactly one", dets, open)
+	}
+	return dets[0]
+}
+
+// awaitDetection waits on q's notify hook for a detection fired off every
+// caller's path, by the flush ticker.
+func awaitDetection(t *testing.T, q *Query) broker.QueryDetection {
+	t.Helper()
+	woke := make(chan struct{}, 1)
+	q.SetNotify(func() {
+		select {
+		case woke <- struct{}{}:
+		default:
 		}
-		return d
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for detection")
-		return broker.QueryDetection{}
+	})
+	timeout := time.After(5 * time.Second)
+	for {
+		if dets, _ := q.Take(nil); len(dets) > 0 {
+			return dets[0]
+		}
+		select {
+		case <-woke:
+		case <-timeout:
+			t.Fatal("timed out waiting for detection")
+		}
 	}
 }
 
@@ -81,7 +103,7 @@ func TestCountQueryDetectsBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := recvDetection(t, q.C())
+	d := takeOne(t, q)
 	if d.Query != "burst" || len(d.Events) != 3 || d.Probability != 1 {
 		t.Errorf("detection = %+v", d)
 	}
@@ -210,13 +232,8 @@ func TestNegationFiresOnQuietStreamViaFlush(t *testing.T) {
 	if err := b.Publish(typedEvent("e1", "overload")); err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the feed goroutine to absorb the trigger.
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats()[0].Fed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("trigger never fed")
-		}
-		time.Sleep(time.Millisecond)
+	if n := fed(e, "no-shutdown"); n != 1 {
+		t.Fatalf("fed = %d after the trigger's publish returned, want 1", n)
 	}
 	// Quiet stream: nothing else arrives. Advancing the clock past the
 	// window and flushing emits the absence detection.
@@ -227,7 +244,7 @@ func TestNegationFiresOnQuietStreamViaFlush(t *testing.T) {
 	if n := e.FlushExpired(); n != 1 {
 		t.Fatalf("flush emissions = %d, want 1", n)
 	}
-	d := recvDetection(t, q.C())
+	d := takeOne(t, q)
 	if d.Query != "no-shutdown" || len(d.Events) != 1 {
 		t.Errorf("detection = %+v", d)
 	}
@@ -253,7 +270,7 @@ func TestDetectionSLOObservesLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	recvDetection(t, q.C())
+	takeOne(t, q)
 	if good, bad := sloWindow(t, slo); good != 1 || bad != 0 {
 		t.Fatalf("after inline detection: good %d bad %d, want 1/0", good, bad)
 	}
@@ -276,18 +293,11 @@ func TestDetectionSLOObservesLatency(t *testing.T) {
 	if err := b.Publish(typedEvent("e1", "overload")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for fed(e, "slo-quiet") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("trigger never fed")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	clk.Advance(2 * time.Minute)
 	if n := e.FlushExpired(); n != 1 {
 		t.Fatalf("flush emissions = %d, want 1", n)
 	}
-	recvDetection(t, nq.C())
+	takeOne(t, nq)
 	if good, bad := sloWindow(t, slo); good != 1 || bad != 1 {
 		t.Fatalf("after late detection: good %d bad %d, want 1/1", good, bad)
 	}
@@ -351,7 +361,7 @@ func TestTickerDrivesQuietStreamEmissions(t *testing.T) {
 	if err := b.Publish(typedEvent("e1", "overload")); err != nil {
 		t.Fatal(err)
 	}
-	d := recvDetection(t, q.C())
+	d := awaitDetection(t, q)
 	if d.Query != "quiet" {
 		t.Errorf("detection = %+v", d)
 	}
@@ -380,13 +390,6 @@ func TestDrainFlushesPendingWindows(t *testing.T) {
 	if err := b.Publish(typedEvent("e1", "overload")); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats()[0].Fed == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("trigger never fed")
-		}
-		time.Sleep(time.Millisecond)
-	}
 
 	// Drain must force the hour-long window closed and emit the pending
 	// absence before shutdown completes.
@@ -395,7 +398,7 @@ func TestDrainFlushesPendingWindows(t *testing.T) {
 	if err := b.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	d := recvDetection(t, q.C())
+	d := takeOne(t, q)
 	if d.Query != "pending" || len(d.Events) != 1 {
 		t.Errorf("detection = %+v", d)
 	}
@@ -470,11 +473,9 @@ func TestEngineDedupsEventIDs(t *testing.T) {
 	e := New(be, WithFlushInterval(-1))
 	defer e.Close()
 
-	q, err := e.Register(countSpec("dedup", time.Minute, 10))
-	if err != nil {
+	if _, err := e.Register(countSpec("dedup", time.Minute, 10)); err != nil {
 		t.Fatal(err)
 	}
-	_ = q
 	sub := be.subs[0]
 	ev := typedEvent("dup-1", "spike")
 	for i := 0; i < 3; i++ {
@@ -482,19 +483,8 @@ func TestEngineDedupsEventIDs(t *testing.T) {
 	}
 	sub.push(broker.Delivery{Event: typedEvent("other", "spike"), SubscriptionID: "stub", Score: 1, At: t0})
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := e.Stats()[0]
-		if st.Fed+st.Deduped == 4 {
-			if st.Fed != 2 || st.Deduped != 2 {
-				t.Fatalf("fed = %d, deduped = %d; want 2, 2", st.Fed, st.Deduped)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("stats never settled: %+v", e.Stats())
-		}
-		time.Sleep(time.Millisecond)
+	if st := e.Stats()[0]; st.Fed != 2 || st.Deduped != 2 {
+		t.Fatalf("fed = %d, deduped = %d; want 2, 2", st.Fed, st.Deduped)
 	}
 }
 
@@ -537,13 +527,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		b.Publish(typedEvent("", "spike"))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for e.Stats()[0].Detections == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no detection")
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	var sb strings.Builder

@@ -87,13 +87,6 @@ func WriteCounter(w io.Writer, name, help string, value uint64) {
 	fmt.Fprintf(w, "%s %d\n", name, value)
 }
 
-// WriteCounterFloat emits one cumulative float counter (for example total
-// seconds spent waiting).
-func WriteCounterFloat(w io.Writer, name, help string, value float64) {
-	header(w, name, "counter", help)
-	fmt.Fprintf(w, "%s %s\n", name, formatFloat(value))
-}
-
 // WriteCounterVec emits one labeled series of a counter family. Call it
 // repeatedly with different label sets; the family header is emitted once
 // when writing through an Expo.

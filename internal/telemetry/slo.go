@@ -111,22 +111,6 @@ func (s *SLO) Name() string {
 	return s.name
 }
 
-// Objective returns the required good fraction.
-func (s *SLO) Objective() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.objective
-}
-
-// Threshold returns the latency bound that defines a good event.
-func (s *SLO) Threshold() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.threshold
-}
-
 // Observe records one event latency against the objective.
 func (s *SLO) Observe(d time.Duration) { s.ObserveN(d, 1) }
 
