@@ -508,7 +508,7 @@ func summarize(families []*telemetry.Family) {
 			return 100 * hit / (hit + miss)
 		}
 		fmt.Printf("  %-14s %.0f reused / %.0f interned (%.1f%% amortized)\n", "terms", tr, ti, pct(tr, ti))
-		fmt.Printf("  %-14s %.0f reused / %.0f computed (%.1f%% amortized)\n", "sim rows", rr, rc, pct(rr, rc))
+		fmt.Printf("  %-14s %.0f reused / %.0f filled (%.1f%% amortized)\n", "sim rows", rr, rc, pct(rr, rc))
 	}
 
 	// Subscription-index occupancy and the candidates-per-event

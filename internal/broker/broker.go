@@ -129,8 +129,8 @@ type Stats struct {
 	Batches            uint64 // Publish and PublishBatch calls admitted
 	BatchTermsInterned uint64 // distinct raw terms canonicalized fresh
 	BatchTermsReused   uint64 // raw-term canonicalizations served from the interner
-	BatchRowsComputed  uint64 // similarity rows computed through the kernel
-	BatchRowsReused    uint64 // similarity rows served from the batch memo
+	BatchRowsComputed  uint64 // similarity rows whose cells were filled
+	BatchRowsReused    uint64 // row requests (mask or row) served from the batch memo
 }
 
 // Option configures a Broker.

@@ -40,11 +40,12 @@ func rowKeyOf(kind rowKind, approx bool, themeOrd, termOrd uint32) uint64 {
 	return k
 }
 
-// rowSlot is one entry of the dense row memo: the arena offset of the row,
-// the memo generation that wrote it, and the row's support mask (bit j set
-// when cell j may be nonzero; all-ones when the event is wider than 64
-// tuples). Slots from older generations are stale; the zero value (epoch 0)
-// never matches a live generation.
+// rowSlot is one entry of the dense row memo: the arena offset of the row
+// (negative while only the row's mask is known, see rowMiss), the memo
+// generation that wrote it, and the row's support mask (bit j set when cell
+// j may be nonzero; all-ones when the event is wider than 64 tuples). Slots
+// from older generations are stale; the zero value (epoch 0) never matches a
+// live generation.
 type rowSlot struct {
 	off   int32
 	epoch uint32
@@ -59,14 +60,14 @@ type rowSlot struct {
 // generation counter instead of clearing the table, so moving to the next
 // event costs O(1) regardless of how many rows the previous event touched.
 // Rows live as arena offsets, not slices, so arena growth never
-// invalidates them. computed/reused count row memo misses and hits for the
-// batch-amortization telemetry, accumulated across a whole publish batch.
+// invalidates them. For the batch-amortization telemetry, accumulated
+// across a whole publish batch, computed counts rows whose similarities
+// were filled and reused counts row requests the memo served.
 type batchBuf struct {
 	sim      simBuf
-	dense    []rowSlot    // indexed by matcher rowID
-	scores   []sigSlot    // indexed by matcher sigID
-	slots    [][2]rowSlot // per-candidate row-slot scratch (attr, value)
-	epoch    uint32       // current memo generation
+	dense    []rowSlot // indexed by matcher rowID
+	scores   []sigSlot // indexed by matcher sigID
+	epoch    uint32    // current memo generation
 	arena    []float64
 	scratch  []float64 // all-zero between rows; Index.NumDocs() long (see NewBatchArena)
 	computed uint64
@@ -95,36 +96,90 @@ func (bb *batchBuf) invalidate() {
 	}
 }
 
-// termRowMiss computes and memoizes the similarity row for predicate i's
-// attribute or value term against the event's terms, returning the row's
-// memo slot. Callers probe the dense memo inline first (see
-// scoreBatchInto) — this is the miss path only. The row semantics are
-// exactly termSimilarity's: canonical equality always scores 1 (even
-// across themes), exact terms otherwise 0, approximate terms the
-// parametric measure — swept column-wise through the resolved row kernel
-// when both sides carry their unit projections, cell by cell through the
-// scalar measure otherwise (cosine distance, an active score cache, an
-// event prepared outside a batch).
-func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
-	pd := ps.pred(i)
-	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
-	evOrds := pe.attrOrds
-	if kind == rowValue {
-		rowID, ord, approx = pd.valueRow, ps.valueOrds[i], pd.approxV
-		evOrds = pe.valueOrds
-	}
+// put memoizes a row slot under its row id.
+func (bb *batchBuf) put(rowID uint32, slot rowSlot) {
 	if int(rowID) >= len(bb.dense) {
 		bb.dense = append(bb.dense, make([]rowSlot, int(rowID)+1-len(bb.dense))...)
+	}
+	bb.dense[rowID] = slot
+}
+
+// rowMiss memoizes predicate i's attribute or value row on a memo miss and
+// returns its mask. On the resolved-unit Euclidean path (both sides carry
+// their unit projections) only the mask is decided here, by rowMask, and the
+// similarities wait for phase 2 of scoreBatchInto: most candidates fail
+// their mask check, and a row none of the survivors reads is never filled.
+// Everywhere else the row is filled at once and its mask read off it.
+func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
+	if !pe.hasUnits || !ps.hasUnits {
+		return m.fillRow(bb, kind, i, ps, pe).mask
+	}
+	rowID := ps.pred(i).attrRow
+	if kind == rowValue {
+		rowID = ps.pred(i).valueRow
+	}
+	mask := rowMask(kind, i, ps, pe)
+	bb.put(rowID, rowSlot{off: -1, epoch: bb.epoch, mask: mask})
+	return mask
+}
+
+// rowMask is the support mask of predicate i's attribute or value row, read
+// off the event's live columns instead of the filled row. It holds on the
+// resolved-unit Euclidean path only, where a relaxed term's row is nonzero
+// exactly at the event's live columns when the term's own unit is nonzero
+// (the support rule, see semantics.LiveColumns), and every row is 1 at the
+// columns canonically identical to its term. It is the mask fillRow
+// derives from the filled row.
+func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
+	pd := ps.pred(i)
+	ord, approx, evOrds, live := ps.attrOrds[i], pd.approxA, pe.attrOrds, pe.attrLive
+	if kind == rowValue {
+		ord, approx, evOrds, live = ps.valueOrds[i], pd.approxV, pe.valueOrds, pe.valueLive
+	}
+	if len(evOrds) > 64 {
+		return ^uint64(0)
+	}
+	var mask uint64
+	if approx && !ps.zeroUnit(kind, i) {
+		mask = live
+	}
+	for j, eo := range evOrds {
+		if ord == eo {
+			mask |= 1 << uint(j)
+		}
+	}
+	return mask
+}
+
+// fillRow fills and memoizes the similarity row for predicate i's
+// attribute or value term against the event's terms, returning the row's
+// memo slot. The row semantics are exactly termSimilarity's: canonical
+// equality always scores 1 (even across themes), exact terms otherwise 0,
+// approximate terms the parametric measure — swept column-wise through the
+// resolved row kernel when both sides carry their unit projections, cell by
+// cell through the scalar measure otherwise (cosine distance, an active
+// score cache, an event prepared outside a batch).
+func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
+	pd := ps.pred(i)
+	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
+	evOrds, live := pe.attrOrds, pe.attrLive
+	if kind == rowValue {
+		rowID, ord, approx = pd.valueRow, ps.valueOrds[i], pd.approxV
+		evOrds, live = pe.valueOrds, pe.valueLive
 	}
 	bb.computed++
 	off := int32(len(bb.arena))
 	mm := len(evOrds)
 	bb.arena = slices.Grow(bb.arena, mm)[:int(off)+mm]
 	row := bb.arena[off : int(off)+mm]
+	resolved := pe.hasUnits && ps.hasUnits
 	switch {
-	case !approx:
+	case !approx || resolved && live == 0:
+		// An exact term, or a relaxed one against an event with no live
+		// column: by the support rule only identity columns can be nonzero,
+		// and the pass below writes those.
 		clear(row)
-	case pe.hasUnits && ps.hasUnits:
+	case resolved:
 		// Both sides resolved their unit projections up front (subscription
 		// at preparation, event at batch prepare): the row is pure dot
 		// products against the arena's scratch, no cache lookups at all.
@@ -162,7 +217,7 @@ func (m *Matcher) termRowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSub
 		mask = ^uint64(0)
 	}
 	slot := rowSlot{off: off, epoch: bb.epoch, mask: mask}
-	bb.dense[rowID] = slot
+	bb.put(rowID, slot)
 	return slot
 }
 
@@ -194,54 +249,46 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 			out = append(out, bb.scores[s].score)
 			continue
 		}
-		// Phase 1: resolve the candidate's row slots and check feasibility
-		// from their support masks. A predicate whose matrix row has empty
-		// support (for equality ops, empty attr∧value support) forces a
-		// zero cell into every injective mapping, so the score is exactly 0
-		// — the common case at scale, where most candidates survive pruning
-		// but match nothing — and the matrix fill and mapping search are
-		// skipped entirely.
-		if cap(bb.slots) < n {
-			bb.slots = make([][2]rowSlot, n)
-		}
-		sl := bb.slots[:n]
+		// Phase 1: check feasibility from the support masks of the
+		// candidate's rows. A predicate whose matrix row has empty support
+		// (for equality ops, empty attr∧value support) forces a zero cell
+		// into every injective mapping, so the score is exactly 0 — the
+		// common case at scale, where most candidates survive pruning but
+		// match nothing — and the matrix fill and mapping search are skipped
+		// entirely. On the resolved-unit path a memo miss decides the mask
+		// alone (rowMiss), so a rejected candidate fills no row either.
 		feasible := true
 		for i := 0; i < n; i++ {
 			pd := ps.pred(i)
-			// Memo probes are inlined (termRowMiss is too big to inline and
-			// ~90% of probes hit at scale, so the call itself was measurable).
-			var as rowSlot
+			// Memo probes are inlined (rowMiss is too big to inline and most
+			// probes hit, so the call itself was measurable).
+			var am uint64
 			if r := pd.attrRow; int(r) < len(bb.dense) && bb.dense[r].epoch == bb.epoch {
-				as = bb.dense[r]
+				am = bb.dense[r].mask
 				bb.reused++
 			} else {
-				as = m.termRowMiss(bb, rowAttr, i, ps, pe)
+				am = m.rowMiss(bb, rowAttr, i, ps, pe)
 			}
 			if pd.op == event.OpEq {
-				var vs rowSlot
+				var vm uint64
 				if r := pd.valueRow; int(r) < len(bb.dense) && bb.dense[r].epoch == bb.epoch {
-					vs = bb.dense[r]
+					vm = bb.dense[r].mask
 					bb.reused++
 				} else {
-					vs = m.termRowMiss(bb, rowValue, i, ps, pe)
+					vm = m.rowMiss(bb, rowValue, i, ps, pe)
 				}
-				if as.mask&vs.mask == 0 {
-					feasible = false
-					break
-				}
-				sl[i] = [2]rowSlot{as, vs}
-			} else {
-				// Comparison ops only filter the attr row, so its support
-				// bounds the matrix row's.
-				if as.mask == 0 {
-					feasible = false
-					break
-				}
-				sl[i] = [2]rowSlot{as, as}
+				am &= vm
+			}
+			// Comparison ops only filter the attr row, so its support
+			// bounds the matrix row's.
+			if am == 0 {
+				feasible = false
+				break
 			}
 		}
 		var sc float64
 		if feasible {
+			// Phase 2: build the matrix from the candidate's rows.
 			var sim [][]float64
 			if ps.allEq {
 				// Equality rows overwrite every cell, so skip the zeroing.
@@ -252,10 +299,18 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 			for i := 0; i < n; i++ {
 				pd := ps.pred(i)
 				row := sim[i]
-				aOff := sl[i][0].off
-				arow := bb.arena[aOff : int(aOff)+mm]
+				// A slot still mask-only is filled now that a candidate
+				// that passed its masks reads it.
+				aOff := bb.dense[pd.attrRow].off
+				if aOff < 0 {
+					aOff = m.fillRow(bb, rowAttr, i, ps, pe).off
+				}
 				if pd.op == event.OpEq {
-					vOff := sl[i][1].off
+					vOff := bb.dense[pd.valueRow].off
+					if vOff < 0 {
+						vOff = m.fillRow(bb, rowValue, i, ps, pe).off
+					}
+					arow := bb.arena[aOff : int(aOff)+mm]
 					vrow := bb.arena[vOff : int(vOff)+mm]
 					for j := 0; j < mm; j++ {
 						row[j] = arow[j] * vrow[j]
@@ -263,6 +318,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 				} else {
 					// Cold branch: comparison predicates need the raw (non-
 					// canonical) value, which only the subscription holds.
+					arow := bb.arena[aOff : int(aOff)+mm]
 					pred := ps.sub.Predicates[i]
 					for j := 0; j < mm; j++ {
 						// Comparison predicates contribute the attribute

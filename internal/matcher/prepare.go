@@ -98,6 +98,19 @@ type predDesc struct {
 // Subscription returns the underlying subscription.
 func (p *PreparedSubscription) Subscription() *event.Subscription { return p.sub }
 
+// zeroUnit reports whether relaxed term i's unit projection (the attribute
+// or the equality value, by kind) is zero. For the first pinnable
+// predicates that is the pinned bit, so the check reads no unit memory.
+func (p *PreparedSubscription) zeroUnit(kind rowKind, i int) bool {
+	if i < pinnable {
+		return p.pinned>>(2*i+int(kind))&1 != 0
+	}
+	if kind == rowValue {
+		return p.valueUnits[i].IsZero()
+	}
+	return p.attrUnits[i].IsZero()
+}
+
 // PruningView returns the subscription as the pruning index should see it:
 // ~ cleared on every relaxed attribute, and every relaxed equality value,
 // whose projection under the subscription's theme is zero. Such a term
@@ -153,6 +166,13 @@ type PreparedEvent struct {
 	attrUnits  []sparse.Unit
 	valueUnits []sparse.Unit
 	hasUnits   bool
+
+	// attrLive/valueLive are the columns whose unit is nonzero
+	// (semantics.LiveColumns), set with the units: the support of every
+	// relaxed row against this event, so the batch scorer decides a row's
+	// mask before, and often instead of, filling it.
+	attrLive  uint64
+	valueLive uint64
 }
 
 // Event returns the underlying event.

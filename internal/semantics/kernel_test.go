@@ -2,6 +2,7 @@ package semantics
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"thematicep/internal/corpus"
@@ -242,5 +243,86 @@ func TestRelatednessRowKernelsMatchScalar(t *testing.T) {
 	}
 	if got := tiny.RelatednessCompiled("alpha", nil, "beta", nil); got != 1 {
 		t.Errorf("clamped pair = %v, want exactly 1", got)
+	}
+}
+
+// TestSupportRule checks the rule the batch scorer rejects candidates on
+// before it computes any similarity (see LiveColumns): on the resolved-unit
+// Euclidean path, relatedness is nonzero exactly when both unit projections
+// are nonzero. Canonical identity adds nothing here — the same term under
+// the same theme has the same unit, so it scores 1 when that unit is
+// nonzero and 0 when the term is filtered completely; the matcher scores
+// identity 1 on its own, outside the space. The rule is limited to the
+// Euclidean path because cosine is 0 for disjoint supports: the last part
+// of the test finds nonzero projections whose cosine relatedness is 0.
+func TestSupportRule(t *testing.T) {
+	s := space(t)
+	rng := rand.New(rand.NewSource(29))
+	pool := append(conceptTerms(rng, 60), "qqqunknownqqq", "tram", "ozone")
+	for j := range pool {
+		pool[j] = text.Canonical(pool[j])
+	}
+	randTheme := func() *CompiledTheme { return s.Compile(sampleTheme(rng, rng.Intn(4))) }
+	dense := make([]float64, s.Index().NumDocs())
+	var positive, zero, identical int
+	for trial := 0; trial < 200; trial++ {
+		st, et := randTheme(), randTheme()
+		if rng.Intn(3) == 0 {
+			et = st
+		}
+		sub := pool[rng.Intn(len(pool))]
+		evs := make([]string, 1+rng.Intn(12))
+		for j := range evs {
+			if evs[j] = pool[rng.Intn(len(pool))]; rng.Intn(4) == 0 {
+				evs[j] = sub
+			}
+		}
+		a, _ := s.ResolveUnit(sub, st)
+		units := make([]sparse.Unit, len(evs))
+		ords := make([]uint32, len(evs))
+		s.ResolveUnits(evs, et, units)
+		for j, ev := range evs {
+			ords[j] = s.TermOrd(ev)
+		}
+		row := make([]float64, len(evs))
+		s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row)
+		live := LiveColumns(units)
+		for j, ev := range evs {
+			want := !a.IsZero() && !units[j].IsZero()
+			if got := s.RelatednessCompiled(sub, st, ev, et) > 0; got != want {
+				t.Errorf("RelatednessCompiled(%q@%v, %q@%v) > 0 is %v, support rule says %v",
+					sub, st.Ord(), ev, et.Ord(), got, want)
+			}
+			if got := row[j] != 0; got != want {
+				t.Errorf("RelatednessRowPreUnits(%q@%v)[%d] (%q@%v) nonzero is %v, support rule says %v",
+					sub, st.Ord(), j, ev, et.Ord(), got, want)
+			}
+			if got := live>>j&1 != 0; got != !units[j].IsZero() {
+				t.Errorf("LiveColumns bit %d is %v for %q@%v", j, got, ev, et.Ord())
+			}
+			if want {
+				positive++
+			} else {
+				zero++
+			}
+			if ev == sub {
+				identical++
+			}
+		}
+	}
+	if positive == 0 || zero == 0 || identical == 0 {
+		t.Fatalf("degenerate sample: %d positive, %d zero, %d identical cells", positive, zero, identical)
+	}
+
+	cos := NewSpace(s.Index(), WithDistance(Cosine))
+	for trial := 0; ; trial++ {
+		if trial == 2000 {
+			t.Fatal("no nonzero pair with zero cosine relatedness found; the scope note is unchecked")
+		}
+		a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+		at, bt := cos.Compile(sampleTheme(rng, 1)), cos.Compile(sampleTheme(rng, 1))
+		if !cos.Filtered(a, at) && !cos.Filtered(b, bt) && cos.RelatednessCompiled(a, at, b, bt) == 0 {
+			break
+		}
 	}
 }

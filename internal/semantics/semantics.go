@@ -601,7 +601,9 @@ func (s *Space) Filtered(term string, t *CompiledTheme) bool {
 // every projection id is below that, asserted where units are built. Term
 // identity runs on interned ordinals (TermOrd), whose equality is
 // canonical-string equality, so the row stays bit-identical to the scalar
-// calls.
+// calls. out[j] is nonzero exactly when a and eventUnits[j] both are (see
+// LiveColumns), so a caller that needs only the row's support can skip the
+// call.
 func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
 	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
 	if a.IsZero() {
@@ -634,6 +636,29 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 		}
 	}
 	a.Unscatter(dense)
+}
+
+// LiveColumns returns the support RelatednessRowPreUnits can give a row
+// against the event-side units: bit j&63 set when units[j] is nonzero (so
+// beyond 64 columns the bits fold, and only a zero result is exact).
+//
+// The support rule: on the resolved-unit Euclidean path, relatedness is
+// nonzero exactly when both unit projections are nonzero. A zero side
+// scores 0 by definition (§5.3.2), and two nonzero unit vectors are at most
+// 2 apart, so 1/(d+1) ≥ 1/3. A row's support is therefore the event's live
+// columns when the subscription unit is nonzero and empty otherwise —
+// decided without a dot product, which is what lets the batch scorer reject
+// a candidate on support masks before filling any of its rows. The rule
+// does not carry over to cosine distance (0 for disjoint supports), so rows
+// there are filled before their masks are read.
+func LiveColumns(units []sparse.Unit) uint64 {
+	var live uint64
+	for j := range units {
+		if !units[j].IsZero() {
+			live |= 1 << (uint(j) & 63)
+		}
+	}
+	return live
 }
 
 // NonThematicRelatedness measures relatedness in the full space: the
