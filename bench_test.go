@@ -239,8 +239,8 @@ func BenchmarkPrecomputedScores(b *testing.B) {
 	e.work.ClearThemes()
 
 	b.Run("approximate-precomputed", func(b *testing.B) {
-		space := semantics.NewSpace(e.ix, semantics.WithScoreCache(true))
-		precompute(space, e.work)
+		space := semantics.NewSpace(e.ix)
+		precompute(space, e.work) // PrecomputeScores turns the score memo on
 		m := matcher.New(space, matcher.WithThematic(false))
 		subs := prepareSubs(m, e.work)
 		b.ResetTimer()
@@ -441,7 +441,7 @@ func BenchmarkRelatedness(b *testing.B) {
 
 // BenchmarkRelatednessWarm is the warm steady-state regime of the
 // parametric measure: unit projections cached, so each op is one cached
-// lookup plus the allocation-free sparse.NormalizedEuclidean kernel.
+// lookup plus the allocation-free sparse.DotUnit kernel.
 // AllocsPerOp must be 0 (also asserted in internal/semantics's
 // TestRelatednessWarmZeroAlloc).
 func BenchmarkRelatednessWarm(b *testing.B) {

@@ -130,9 +130,12 @@ func runPrior(e *env0) error {
 		sw := subWorkload(e.work, subs)
 
 		// Precompute all pairwise scores, then measure pure matching time.
-		e.space.ResetCaches()
-		precomputePairScores(e.space, sw)
-		m := matcher.New(e.space, matcher.WithThematic(false))
+		// The scores go into a space of their own: PrecomputeScores turns
+		// the memo on for good, and the shared space must leave E8 as it
+		// came in.
+		space := semantics.NewSpace(e.space.Index())
+		precomputePairScores(space, sw)
+		m := matcher.New(space, matcher.WithThematic(false))
 		res := eval.Run(m, sw)
 		apprF1s = append(apprF1s, res.F1)
 		apprThr = append(apprThr, res.Throughput)

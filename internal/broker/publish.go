@@ -98,7 +98,7 @@ var accounting = [numCounters]struct{ family, help, stage, reason string }{
 	{"thematicep_broker_batches_total", "Publish calls admitted (each is one batch; a serial Publish is a batch of one).", "", ""},
 	{"thematicep_broker_batch_terms_interned_total", "Terms canonicalized fresh by the batch interner.", "", ""},
 	{"thematicep_broker_batch_terms_reused_total", "Term canonicalizations served from the batch interner.", "", ""},
-	{"thematicep_broker_batch_rows_computed_total", "Similarity rows filled (a memo miss on the resolved-unit path stores only the row's mask; the row is filled when a candidate that passes its mask check reads it).", "", ""},
+	{"thematicep_broker_batch_rows_computed_total", "Similarity rows filled (under Euclidean distance a memo miss stores only the row's mask; the row is filled when a candidate that passes its mask check reads it).", "", ""},
 	{"thematicep_broker_batch_rows_reused_total", "Similarity row requests (mask or row) served from the arena memos.", "", ""},
 }
 

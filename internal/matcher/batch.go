@@ -105,13 +105,14 @@ func (bb *batchBuf) put(rowID uint32, slot rowSlot) {
 }
 
 // rowMiss memoizes predicate i's attribute or value row on a memo miss and
-// returns its mask. On the resolved-unit Euclidean path (both sides carry
-// their unit projections) only the mask is decided here, by rowMask, and the
-// similarities wait for phase 2 of scoreBatchInto: most candidates fail
-// their mask check, and a row none of the survivors reads is never filled.
-// Everywhere else the row is filled at once and its mask read off it.
+// returns its mask. Where the space's support rule holds (Euclidean
+// distance, see semantics.Space.SupportRule) only the mask is decided here,
+// by rowMask, and the similarities wait for phase 2 of scoreBatchInto: most
+// candidates fail their mask check, and a row none of the survivors reads is
+// never filled. Under cosine distance the row is filled at once and its
+// mask read off it.
 func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
-	if !pe.hasUnits || !ps.hasUnits {
+	if !m.space.SupportRule() {
 		return m.fillRow(bb, kind, i, ps, pe).mask
 	}
 	rowID := ps.pred(i).attrRow
@@ -124,12 +125,12 @@ func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 }
 
 // rowMask is the support mask of predicate i's attribute or value row, read
-// off the event's live columns instead of the filled row. It holds on the
-// resolved-unit Euclidean path only, where a relaxed term's row is nonzero
-// exactly at the event's live columns when the term's own unit is nonzero
-// (the support rule, see semantics.LiveColumns), and every row is 1 at the
-// columns canonically identical to its term. It is the mask fillRow
-// derives from the filled row.
+// off the event's live columns instead of the filled row. It holds only
+// where the space's support rule does (Euclidean distance, see
+// semantics.Space.SupportRule): a relaxed term's row is nonzero exactly at
+// the event's live columns when the term's own unit is nonzero, and every
+// row is 1 at the columns canonically identical to its term. It is the mask
+// fillRow derives from the filled row.
 func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
 	pd := ps.pred(i)
 	ord, approx, evOrds, live := ps.attrOrds[i], pd.approxA, pe.attrOrds, pe.attrLive
@@ -155,10 +156,9 @@ func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) u
 // attribute or value term against the event's terms, returning the row's
 // memo slot. The row semantics are exactly termSimilarity's: canonical
 // equality always scores 1 (even across themes), exact terms otherwise 0,
-// approximate terms the parametric measure — swept column-wise through the
-// resolved row kernel when both sides carry their unit projections, cell by
-// cell through the scalar measure otherwise (cosine distance, an active
-// score cache, an event prepared outside a batch).
+// approximate terms the parametric measure, swept column-wise through the
+// row kernel on the unit projections both sides resolved at preparation:
+// pure dot products against the arena's scratch, no cache lookups at all.
 func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
 	pd := ps.pred(i)
 	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
@@ -172,31 +172,19 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 	mm := len(evOrds)
 	bb.arena = slices.Grow(bb.arena, mm)[:int(off)+mm]
 	row := bb.arena[off : int(off)+mm]
-	resolved := pe.hasUnits && ps.hasUnits
-	switch {
-	case !approx || resolved && live == 0:
+	if !approx || live == 0 {
 		// An exact term, or a relaxed one against an event with no live
-		// column: by the support rule only identity columns can be nonzero,
-		// and the pass below writes those.
+		// column (every event unit zero, which scores 0 under either
+		// distance): only identity columns can be nonzero, and the pass
+		// below writes those.
 		clear(row)
-	case resolved:
-		// Both sides resolved their unit projections up front (subscription
-		// at preparation, event at batch prepare): the row is pure dot
-		// products against the arena's scratch, no cache lookups at all.
+	} else {
 		// Only the relaxed side's unit slice exists (see resolveUnits).
 		subUnits, units := ps.attrUnits, pe.attrUnits
 		if kind == rowValue {
 			subUnits, units = ps.valueUnits, pe.valueUnits
 		}
 		m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row)
-	default:
-		term, evTerms := ps.attrs[i], pe.attrs
-		if kind == rowValue {
-			term, evTerms = ps.values[i], pe.values
-		}
-		for j, et := range evTerms {
-			row[j] = m.space.RelatednessCompiled(term, ps.theme, et, pe.theme)
-		}
 	}
 	// Term identity is compared through interned ordinals (ordinal equality
 	// is canonical-string equality by TermOrd's construction). termSimilarity
@@ -255,7 +243,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 		// into every injective mapping, so the score is exactly 0 — the
 		// common case at scale, where most candidates survive pruning but
 		// match nothing — and the matrix fill and mapping search are skipped
-		// entirely. On the resolved-unit path a memo miss decides the mask
+		// entirely. Where the support rule holds a memo miss decides the mask
 		// alone (rowMiss), so a rejected candidate fills no row either.
 		feasible := true
 		for i := 0; i < n; i++ {

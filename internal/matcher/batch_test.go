@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"thematicep/internal/event"
+	"thematicep/internal/semantics"
 	"thematicep/internal/workload"
 )
 
@@ -131,6 +132,51 @@ func TestScoreBatchInArenaNonThematic(t *testing.T) {
 	checkArenaBitIdentity(t, m, subs, events[:5])
 }
 
+// TestScoreBatchInArenaEveryConfiguration holds the bit-identity contract
+// under every scoring configuration a space can take besides the default:
+// cosine distance (rows filled at the memo miss, no support rule), basis
+// filtering without idf recomputation, every cache off, and an active score
+// memo that ScorePrepared reads and the row kernel does not — each in
+// thematic and non-thematic mode.
+func TestScoreBatchInArenaEveryConfiguration(t *testing.T) {
+	ix := space(t).Index()
+	for _, c := range []struct {
+		name  string
+		space *semantics.Space
+	}{
+		{"cosine", semantics.NewSpace(ix, semantics.WithDistance(semantics.Cosine))},
+		{"no-idf", semantics.NewSpace(ix, semantics.WithIDFRecompute(false))},
+		{"caches-off", semantics.NewSpace(ix, semantics.WithCaching(false))},
+		{"precomputed", semantics.NewSpace(ix)},
+	} {
+		for _, thematic := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%s/thematic=%v", c.name, thematic), func(t *testing.T) {
+				m := New(c.space, WithThematic(thematic))
+				subs, events := batchPopulation(t, m)
+				events = events[len(events)-4:] // three workload events, then the wide one
+				if c.name == "caches-off" {
+					// Every cell rebuilds both of its projections from the
+					// index; the wide event's 70 columns would cost seconds
+					// under -race, and the masks past 64 columns do not depend
+					// on caching.
+					events = events[:3]
+				}
+				if c.name == "precomputed" {
+					var subTerms, eventTerms []string
+					for _, ps := range subs {
+						subTerms = append(append(subTerms, ps.attrs...), ps.values...)
+					}
+					for _, pe := range events {
+						eventTerms = append(append(eventTerms, pe.attrs...), pe.values...)
+					}
+					c.space.PrecomputeScores(subTerms, eventTerms)
+				}
+				checkArenaBitIdentity(t, m, subs, events)
+			})
+		}
+	}
+}
+
 // fuzzTerms and fuzzThemes are the vocabulary FuzzRowSupport lays out
 // subscriptions and events from: related terms, terms a theme filters
 // completely, an off-vocabulary term, and the full space.
@@ -183,12 +229,15 @@ func fuzzPairs(m *Matcher, subLayout, evLayout []byte, width, themes uint8) ([]*
 	return subs, ev
 }
 
-// FuzzRowSupport checks the lazy row fill over fuzzed term layouts: every
-// memo slot the arena holds after scoring carries the mask rowMask decides
-// without the row, which is the support of the row fillRow fills for it
-// — whether the scorer filled it (a candidate survived) or left it
-// mask-only, in which case the check fills it here — and every arena score
-// has ScorePrepared's bits.
+// FuzzRowSupport checks the lazy row fill over fuzzed term layouts. Bit 3
+// of themes, which no theme choice reads, picks the distance. Under
+// Euclidean distance every memo slot the arena holds after scoring carries
+// the mask rowMask decides without the row, which is the support of the row
+// fillRow fills for it — whether the scorer filled it (a candidate
+// survived) or left it mask-only, in which case the check fills it here.
+// Under cosine distance, where the support rule does not hold, every slot
+// was filled at its miss. Under both, every arena score has ScorePrepared's
+// bits.
 func FuzzRowSupport(f *testing.F) {
 	f.Add([]byte{0, 7, 3, 1, 9, 2, 2, 15, 0}, []byte{0, 8, 1, 9}, uint8(4), uint8(0x12))
 	f.Add([]byte{5, 17, 3, 6, 19, 2, 3, 11, 1}, []byte{5, 0, 6}, uint8(69), uint8(0x31))
@@ -196,8 +245,15 @@ func FuzzRowSupport(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 2, 2, 2}, []byte{1, 2, 3, 4, 5, 6, 7}, uint8(64), uint8(0x00))
 	f.Add([]byte{6, 15, 3, 0, 20, 2, 5, 18, 3, 1, 10, 19, 4, 7, 2, 2, 9, 1, 3, 14, 0}, []byte{4, 22, 9, 17, 41, 80}, uint8(11), uint8(0x10))
 	f.Add([]byte{0, 9, 2, 5, 16, 3, 6, 2, 1, 13, 13, 19, 7, 20, 3, 4, 11, 2}, []byte{0, 6, 13, 40, 77}, uint8(5), uint8(0x21))
-	m := New(space(f))
+	f.Add([]byte{5, 17, 3, 6, 19, 2, 3, 11, 1}, []byte{5, 0, 6}, uint8(69), uint8(0x39))
+	f.Add([]byte{6, 15, 3, 0, 20, 2, 5, 18, 3, 1, 10, 19, 4, 7, 2, 2, 9, 1, 3, 14, 0}, []byte{4, 22, 9, 17, 41, 80}, uint8(11), uint8(0x18))
+	euclidean := New(space(f))
+	cosine := New(semantics.NewSpace(space(f).Index(), semantics.WithDistance(semantics.Cosine)))
 	f.Fuzz(func(t *testing.T, subLayout, evLayout []byte, width, themes uint8) {
+		m := euclidean
+		if themes&8 != 0 {
+			m = cosine
+		}
 		subs, ev := fuzzPairs(m, subLayout, evLayout, width, themes)
 		if len(subs) == 0 {
 			return
@@ -233,7 +289,13 @@ func FuzzRowSupport(f *testing.F) {
 					}
 					lazy := bb.dense[r].mask
 					if bb.dense[r].off < 0 {
+						if m == cosine {
+							t.Errorf("sub %d pred %d kind %d: mask-only slot under cosine distance", si, i, kind)
+						}
 						m.fillRow(bb, kind, i, ps, pe)
+					}
+					if m == cosine {
+						continue // rowMask rests on the support rule
 					}
 					if filled := bb.dense[r].mask; lazy != filled || rowMask(kind, i, ps, pe) != filled {
 						t.Errorf("sub %d pred %d kind %d: memoized mask %x, rowMask %x, filled row's support %x",
@@ -288,9 +350,11 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 
 // BenchmarkScoreBatchInArena measures the columnar arena sweep against the
 // equivalent serial ScorePrepared loop over the same 64-subscription
-// candidate batch. "arena" scores an event prepared outside a batch, which
-// resolves no units, so it prices the scalar fill; "units" prices the
-// resolved-unit kernel the broker's batch-prepared events use.
+// candidate batch. Both arena sub-benches price the unit row kernel, the
+// only row fill there is: "arena" scores an event prepared outside a batch,
+// which carries no term-vector identity, so the memo is evicted and every
+// row refilled on every call; "units" alternates two batch-prepared events,
+// as the broker's publish path does.
 func BenchmarkScoreBatchInArena(b *testing.B) {
 	m := New(space(b))
 	sub, ev := benchPair()
@@ -317,11 +381,10 @@ func BenchmarkScoreBatchInArena(b *testing.B) {
 		}
 	})
 	b.Run("units", func(b *testing.B) {
-		// Events prepared through the batch context resolve their unit
-		// projections, so this prices the broker's kernel: masks first,
-		// rows filled through RelatednessRowPreUnits only for candidates
-		// that pass. The two events differ in one value, so every call
-		// moves to a new term vector and refills the memo.
+		// The broker's path: masks first, rows filled through
+		// RelatednessRowPreUnits only for candidates that pass. The two
+		// events differ in one value, so every call moves to a new term
+		// vector and refills the memo.
 		ev2 := *ev
 		ev2.Tuples = append([]event.Tuple(nil), ev.Tuples...)
 		ev2.Tuples[1].Value = "laptop"

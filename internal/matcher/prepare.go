@@ -65,14 +65,10 @@ type PreparedSubscription struct {
 	// preparation time so a row-memo miss goes straight to the dot products
 	// — the subscription-side twin of PreparedEvent's unit columns. Exact
 	// terms' entries stay zero (their rows never read a unit) and a slice
-	// with no relaxed term is nil. hasUnits means every relaxed term
-	// resolved. Unit values are deterministic for a (term, theme) pair, so
-	// they stay valid across space cache resets; they are simply unused when
-	// the event side wasn't resolved under the current scoring
-	// configuration.
+	// with no relaxed term is nil. Unit values are deterministic for a
+	// (term, theme) pair, so they stay valid across space cache resets.
 	attrUnits  []sparse.Unit
 	valueUnits []sparse.Unit
-	hasUnits   bool
 }
 
 // pred returns predicate i's descriptor (small enough to inline into the
@@ -160,17 +156,16 @@ type PreparedEvent struct {
 	valuesVec uint32
 
 	// attrUnits/valueUnits are the tuples' unit projections under the
-	// event's own theme, resolved once per event on the batch-prepare path
-	// (hasUnits true) so the row kernel skips the per-pair projection-cache
-	// lookup. Events prepared outside a batch leave them empty.
+	// event's own theme, resolved once per event so the row kernel skips the
+	// per-pair projection-cache lookup.
 	attrUnits  []sparse.Unit
 	valueUnits []sparse.Unit
-	hasUnits   bool
 
 	// attrLive/valueLive are the columns whose unit is nonzero
-	// (semantics.LiveColumns), set with the units: the support of every
-	// relaxed row against this event, so the batch scorer decides a row's
-	// mask before, and often instead of, filling it.
+	// (semantics.LiveColumns), set with the units: where the support rule
+	// holds, the support of every relaxed row against this event, so the
+	// batch scorer decides a row's mask before, and often instead of,
+	// filling it.
 	attrLive  uint64
 	valueLive uint64
 }
@@ -263,20 +258,13 @@ func (p *PreparedSubscription) pin(space *semantics.Space) {
 // only ones a similarity row ever dots; exact rows compare ordinals. A
 // subscription with no relaxed attribute (or value) keeps no slice for it.
 func (p *PreparedSubscription) resolveUnits(space *semantics.Space) {
-	p.hasUnits = true
 	resolve := func(units *[]sparse.Unit, i int, term string) {
-		u, ok := space.ResolveUnit(term, p.theme)
-		if !ok {
-			// The space scores through the scalar path, for every term alike.
-			p.hasUnits = false
-			return
-		}
 		if *units == nil {
 			*units = make([]sparse.Unit, p.np)
 		}
-		(*units)[i] = u
+		(*units)[i], _ = space.ResolveUnit(term, p.theme)
 	}
-	for i := 0; i < int(p.np) && p.hasUnits; i++ {
+	for i := 0; i < int(p.np); i++ {
 		d := p.pred(i)
 		if d.approxA {
 			resolve(&p.attrUnits, i, p.attrs[i])
@@ -289,12 +277,15 @@ func (p *PreparedSubscription) resolveUnits(space *semantics.Space) {
 
 // PrepareEvent canonicalizes an event against this matcher's space.
 func (m *Matcher) PrepareEvent(e *event.Event) *PreparedEvent {
+	n := len(e.Tuples)
 	p := &PreparedEvent{
-		ev:        e,
-		attrs:     make([]string, len(e.Tuples)),
-		values:    make([]string, len(e.Tuples)),
-		attrOrds:  make([]uint32, len(e.Tuples)),
-		valueOrds: make([]uint32, len(e.Tuples)),
+		ev:         e,
+		attrs:      make([]string, n),
+		values:     make([]string, n),
+		attrOrds:   make([]uint32, n),
+		valueOrds:  make([]uint32, n),
+		attrUnits:  make([]sparse.Unit, n),
+		valueUnits: make([]sparse.Unit, n),
 	}
 	if m.opts.thematic {
 		p.theme = m.space.Compile(e.Theme)
@@ -305,7 +296,18 @@ func (m *Matcher) PrepareEvent(e *event.Event) *PreparedEvent {
 		p.attrOrds[j] = m.space.TermOrd(p.attrs[j])
 		p.valueOrds[j] = m.space.TermOrd(p.values[j])
 	}
+	p.resolveUnits(m.space)
 	return p
+}
+
+// resolveUnits resolves the tuples' unit projections under the event's
+// theme, and their live columns, into the event's unit slices, which must
+// already be as long as its terms. Both prepare paths end here.
+func (p *PreparedEvent) resolveUnits(space *semantics.Space) {
+	space.ResolveUnits(p.attrs, p.theme, p.attrUnits)
+	space.ResolveUnits(p.values, p.theme, p.valueUnits)
+	p.attrLive = semantics.LiveColumns(p.attrUnits)
+	p.valueLive = semantics.LiveColumns(p.valueUnits)
 }
 
 // simBuf is a reusable similarity-matrix buffer: one contiguous cell slice

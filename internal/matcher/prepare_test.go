@@ -141,31 +141,28 @@ func bruteBestProduct(sim [][]float64) float64 {
 }
 
 // Only ~-relaxed terms are ever dotted, so only they get a unit projection
-// at preparation time: an all-exact subscription carries no unit slices, a
-// mixed one fills the relaxed entries alone, and hasUnits still reports
-// whether the space resolves units at all.
+// at preparation time: an all-exact subscription carries no unit slices and
+// a mixed one fills the relaxed entries alone — under cosine distance as
+// under Euclidean, since both score through unit projections.
 func TestPrepareSubscriptionResolvesOnlyRelaxedUnits(t *testing.T) {
-	m := New(space(t))
-	exact := m.PrepareSubscription(&event.Subscription{Predicates: []event.Predicate{
-		{Attr: "device", Value: "laptop"}, {Attr: "room", Value: "room 112"},
-	}})
-	if exact.attrUnits != nil || exact.valueUnits != nil || !exact.hasUnits {
-		t.Errorf("all-exact: attrUnits=%v valueUnits=%v hasUnits=%v, want none and true",
-			exact.attrUnits, exact.valueUnits, exact.hasUnits)
-	}
-	mixedSub := &event.Subscription{Predicates: []event.Predicate{
-		{Attr: "device", Value: "laptop", ApproxValue: true}, {Attr: "room", Value: "room 112"},
-	}}
-	mixed := m.PrepareSubscription(mixedSub)
-	if mixed.attrUnits != nil || len(mixed.valueUnits) != 2 || !mixed.hasUnits {
-		t.Fatalf("mixed: attrUnits=%v, %d value units, hasUnits=%v", mixed.attrUnits, len(mixed.valueUnits), mixed.hasUnits)
-	}
-	if mixed.valueUnits[0].IsZero() || !mixed.valueUnits[1].IsZero() {
-		t.Errorf("mixed: relaxed value unit zero=%v, exact value unit zero=%v, want false and true",
-			mixed.valueUnits[0].IsZero(), mixed.valueUnits[1].IsZero())
-	}
-	cosine := New(semantics.NewSpace(space(t).Index(), semantics.WithDistance(semantics.Cosine)))
-	if p := cosine.PrepareSubscription(mixedSub); p.hasUnits || p.valueUnits != nil {
-		t.Errorf("cosine space: hasUnits=%v valueUnits=%v, want the scalar path", p.hasUnits, p.valueUnits)
+	cosine := semantics.NewSpace(space(t).Index(), semantics.WithDistance(semantics.Cosine))
+	for _, s := range []*semantics.Space{space(t), cosine} {
+		m := New(s)
+		exact := m.PrepareSubscription(&event.Subscription{Predicates: []event.Predicate{
+			{Attr: "device", Value: "laptop"}, {Attr: "room", Value: "room 112"},
+		}})
+		if exact.attrUnits != nil || exact.valueUnits != nil {
+			t.Errorf("all-exact: attrUnits=%v valueUnits=%v, want none", exact.attrUnits, exact.valueUnits)
+		}
+		mixed := m.PrepareSubscription(&event.Subscription{Predicates: []event.Predicate{
+			{Attr: "device", Value: "laptop", ApproxValue: true}, {Attr: "room", Value: "room 112"},
+		}})
+		if mixed.attrUnits != nil || len(mixed.valueUnits) != 2 {
+			t.Fatalf("mixed: attrUnits=%v, %d value units", mixed.attrUnits, len(mixed.valueUnits))
+		}
+		if mixed.valueUnits[0].IsZero() || !mixed.valueUnits[1].IsZero() {
+			t.Errorf("mixed: relaxed value unit zero=%v, exact value unit zero=%v, want false and true",
+				mixed.valueUnits[0].IsZero(), mixed.valueUnits[1].IsZero())
+		}
 	}
 }

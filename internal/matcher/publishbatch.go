@@ -135,13 +135,7 @@ func (m *Matcher) PrepareEventInBatch(eb *EventBatch, e *event.Event) *PreparedE
 	}
 	p.attrsVec = eb.vecOf(rowAttr, p)
 	p.valuesVec = eb.vecOf(rowValue, p)
-	p.hasUnits = m.space.ResolveUnits(p.attrs, p.theme, p.attrUnits) &&
-		m.space.ResolveUnits(p.values, p.theme, p.valueUnits)
-	p.attrLive, p.valueLive = 0, 0
-	if p.hasUnits {
-		p.attrLive = semantics.LiveColumns(p.attrUnits)
-		p.valueLive = semantics.LiveColumns(p.valueUnits)
-	}
+	p.resolveUnits(m.space)
 	return p
 }
 

@@ -44,7 +44,7 @@ func oldRelatedness(s *Space, aTerm string, at *CompiledTheme, bTerm string, bt 
 // TestRelatednessKernelIdentity pins the dot-identity kernel to the old
 // Scale+Euclidean path over real corpus projections, across the term/theme
 // grid. The two agree within 1e-7 absolute (the documented cancellation
-// bound of sparse.NormalizedEuclidean); in practice corpus pairs agree to
+// bound of Distance.ofDot); in practice corpus pairs agree to
 // ~1e-12 because projections of distinct terms are far from parallel.
 func TestRelatednessKernelIdentity(t *testing.T) {
 	s := space(t)
@@ -169,11 +169,9 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 	}
 
 	row := make([]float64, len(evs))
-	a, ok := s.ResolveUnit(sub, st)
+	a, _ := s.ResolveUnit(sub, st)
 	units := make([]sparse.Unit, len(evs))
-	if !ok || !s.ResolveUnits(evs, et, units) {
-		t.Fatal("Euclidean space without a score cache refused to resolve units")
-	}
+	s.ResolveUnits(evs, et, units)
 	ords := make([]uint32, len(evs))
 	for j, ev := range evs {
 		ords[j] = s.TermOrd(ev)
@@ -243,6 +241,31 @@ func TestRelatednessRowKernelsMatchScalar(t *testing.T) {
 	}
 	if got := tiny.RelatednessCompiled("alpha", nil, "beta", nil); got != 1 {
 		t.Errorf("clamped pair = %v, want exactly 1", got)
+	}
+}
+
+// TestRelatednessRowKernelsMatchScalarConfigs repeats the grid sweep above
+// under the other scoring configurations: cosine distance, where the row
+// kernel maps its gathered dot products through the scalar measure's own
+// definition, and an active score memo, which the row kernel does not
+// consult and whose values it must reproduce bit for bit.
+func TestRelatednessRowKernelsMatchScalarConfigs(t *testing.T) {
+	ix := evalIndexFor(t)
+	evs := make([]string, len(kernelTerms))
+	for j, term := range kernelTerms {
+		evs[j] = text.Canonical(term)
+	}
+	memo := NewSpace(ix)
+	memo.PrecomputeScores(evs, evs)
+	dense := make([]float64, ix.NumDocs())
+	for _, s := range []*Space{NewSpace(ix, WithDistance(Cosine)), memo} {
+		for _, st := range kernelThemes {
+			for _, et := range kernelThemes {
+				for _, sub := range evs {
+					checkRowKernels(t, s, sub, s.Compile(st), evs, s.Compile(et), dense)
+				}
+			}
+		}
 	}
 }
 

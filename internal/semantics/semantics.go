@@ -59,7 +59,6 @@ type options struct {
 	distance     Distance
 	recomputeIDF bool
 	caching      bool
-	scoreCache   bool
 }
 
 type distanceOption Distance
@@ -87,16 +86,6 @@ func (c cachingOption) apply(o *options) { o.caching = bool(c) }
 // "caching and indexing techniques".
 func WithCaching(enabled bool) Option { return cachingOption(enabled) }
 
-type scoreCacheOption bool
-
-func (c scoreCacheOption) apply(o *options) { o.scoreCache = bool(c) }
-
-// WithScoreCache enables memoization of pairwise relatedness scores
-// (default disabled). The paper's normal matcher computes relatedness at
-// match time; its "precomputed esa scores" configuration (§5, the ~91,000
-// ev/s result) corresponds to enabling this and calling PrecomputeScores.
-func WithScoreCache(enabled bool) Option { return scoreCacheOption(enabled) }
-
 // Space is a parametric distributional vector space over an index. It is
 // safe for concurrent use; see the package documentation for the
 // concurrency contract.
@@ -104,8 +93,8 @@ type Space struct {
 	ix   *index.Index
 	opts options
 
-	// scoreCache gates the sm() memo; atomic because PrecomputeScores may
-	// enable it while matchers are running.
+	// scoreCache gates the sm() memo, off until PrecomputeScores turns it
+	// on; atomic because that may happen while matchers are running.
 	scoreCache atomic.Bool
 
 	termVecs   cache[sparse.Vector] // full-space term vectors
@@ -163,15 +152,13 @@ func NewSpace(ix *index.Index, opts ...Option) *Space {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	s := &Space{
+	return &Space{
 		ix:        ix,
 		opts:      o,
 		themesRaw: make(map[string]*CompiledTheme),
 		themesKey: make(map[string]*CompiledTheme),
 		termOrds:  make(map[string]uint32),
 	}
-	s.scoreCache.Store(o.scoreCache)
-	return s
 }
 
 // themesRawCap bounds the raw-ordering memo of Compile. Every distinct
@@ -479,49 +466,50 @@ func (s *Space) RelatednessCompiled(subTerm string, subTheme *CompiledTheme, eve
 	return s.relatedness(subTerm, subTheme, eventTerm, eventTheme)
 }
 
-// relatedness is the uncached measure body of RelatednessCompiled.
+// relatedness is the uncached measure body of RelatednessCompiled: a
+// function of the dot product of two cached, L2-normalized projections
+// under either distance (Distance.ofDot). Normalization makes the measure
+// scale-invariant, so the long tf-idf vectors of high-frequency terms are
+// not penalized against short ones. Two rules, shared with the row kernel,
+// come first: a completely filtered (zero) projection on either side scores
+// 0 — it offers no evidence of meaning (§5.3.2) and would otherwise be
+// spuriously close to everything under Euclidean distance — and the same
+// term under the same theme (compiled themes are interned) scores exactly
+// 1, which the dot product would lose (â·â = 1−ε in floats).
 func (s *Space) relatedness(subTerm string, subTheme *CompiledTheme, eventTerm string, eventTheme *CompiledTheme) float64 {
-	if s.opts.distance == Euclidean {
-		// Distance is measured between L2-normalized projections: Eq. 5 on
-		// unit vectors. Normalization makes the measure scale-invariant, so
-		// high-frequency terms with long tf-idf vectors are not penalized
-		// against short ones (a known artifact of raw Euclidean over VSMs).
-		// The unit forms are cached per (term, theme) with their norms
-		// precomputed, so the warm path is a single allocation-free merged
-		// dot product via ‖â−b̂‖ = √(2−2·â·b̂) — no Scale copies, no
-		// composite cache keys (see sparse.NormalizedEuclidean for the
-		// float-identity contract).
-		a := s.unitProjection(subTerm, subTheme)
-		if subTerm == eventTerm && subTheme == eventTheme {
-			// Identical term and theme project to the same vector: distance
-			// is exactly 0, relatedness exactly 1. The dot-identity kernel
-			// would lose this exactness (â·â = 1−ε in floats); compiled
-			// themes are interned, so pointer equality decides.
-			if a.IsZero() {
-				return 0
-			}
-			return 1
-		}
-		b := s.unitProjection(eventTerm, eventTheme)
-		if a.IsZero() || b.IsZero() {
-			// A completely filtered projection offers no evidence of meaning
-			// (the paper's "rare terms ... cause the space to be filtered
-			// completely", §5.3.2); without this rule a zero vector would be
-			// spuriously "close" to everything under Euclidean distance.
-			return 0
-		}
-		return 1 / (sparse.NormalizedEuclidean(a, b) + 1)
+	a := s.unitProjection(subTerm, subTheme)
+	switch {
+	case a.IsZero():
+		return 0
+	case subTerm == eventTerm && subTheme == eventTheme:
+		return 1
 	}
-	a := s.ProjectCompiled(subTerm, subTheme)
-	b := s.ProjectCompiled(eventTerm, eventTheme)
-	if a.IsZero() || b.IsZero() {
+	b := s.unitProjection(eventTerm, eventTheme)
+	if b.IsZero() {
 		return 0
 	}
-	return sparse.Cosine(a, b)
+	return s.opts.distance.ofDot(sparse.DotUnit(a, b))
+}
+
+// ofDot maps the dot product d of two nonzero unit projections to
+// relatedness, the one definition RelatednessCompiled and
+// RelatednessRowPreUnits share. Euclidean is Eq. 5 on unit vectors,
+// ‖â−b̂‖ = √(2−2d), mapped by Eq. 6; in floats the identity agrees with the
+// distance of Scale-normalized copies to ~1e-7 (2−2d cancels as d → 1).
+// Cosine (§3.1) is d itself. A dot at or above 1 (rounding on
+// near-identical vectors) is clamped to exactly 1, never NaN.
+func (dist Distance) ofDot(d float64) float64 {
+	switch {
+	case d >= 1:
+		return 1
+	case dist == Cosine:
+		return d
+	}
+	return 1 / (math.Sqrt(2-2*d) + 1)
 }
 
 // unitProjection returns the cached unit-normalized thematic projection of
-// a canonical term — the Euclidean hot path's working representation. The
+// a canonical term — the measure's working representation. The
 // full-space forms live in one Space-wide cache; thematic forms live in a
 // per-theme cache keyed by term alone, so the warm lookup never builds a
 // composite key string.
@@ -552,39 +540,31 @@ func (s *Space) buildUnit(termKey string, t *CompiledTheme) sparse.Unit {
 }
 
 // ResolveUnits fills out[j] with the unit-normalized thematic projection
-// of each canonical term — the event-side column of the Euclidean row
-// kernel, resolved once per event instead of once per row. It returns
-// false (leaving out untouched) when the space scores through the scalar
-// path (cosine distance or an active score cache), where pre-resolved
-// units are unused. len(out) must be at least len(terms).
-func (s *Space) ResolveUnits(terms []string, t *CompiledTheme, out []sparse.Unit) bool {
-	if s.opts.distance != Euclidean || s.scoreCache.Load() {
-		return false
-	}
+// of each canonical term — the event-side column of the row kernel,
+// resolved once per event instead of once per row. len(out) must be at
+// least len(terms).
+func (s *Space) ResolveUnits(terms []string, t *CompiledTheme, out []sparse.Unit) {
 	for j, term := range terms {
 		out[j] = s.unitProjection(term, t)
 	}
-	return true
 }
 
 // ResolveUnit is the scalar form of ResolveUnits: the unit-normalized
-// thematic projection of one canonical term, or ok=false when the space
-// scores through the scalar path and pre-resolved units are unused.
-// Prepared subscriptions resolve their predicate terms once through this at
-// preparation time (see matcher.PrepareSubscription).
-func (s *Space) ResolveUnit(term string, t *CompiledTheme) (sparse.Unit, bool) {
-	if s.opts.distance != Euclidean || s.scoreCache.Load() {
-		return sparse.Unit{}, false
-	}
+// thematic projection of one canonical term. Prepared subscriptions resolve
+// their predicate terms once through this at preparation time (see
+// matcher.PrepareSubscription). ok is always true, because every scoring
+// configuration measures relatedness on unit projections.
+func (s *Space) ResolveUnit(term string, t *CompiledTheme) (u sparse.Unit, ok bool) {
 	return s.unitProjection(term, t), true
 }
 
 // Filtered reports whether the thematic projection of a canonical term
 // under t has zero norm — the space is "filtered completely" for it
 // (§5.3.2). Such a term relates 0 to every other term whatever the scoring
-// configuration: both distance modes return 0 on a zero-norm side, and the
-// score cache memoizes that same measure. Only canonical identity, which
-// the matcher decides before asking the space, can relate it to anything.
+// configuration: the measure returns 0 on a zero-norm side under both
+// distances, and the score cache memoizes that same measure. Only canonical
+// identity, which the matcher decides before asking the space, can relate
+// it to anything.
 func (s *Space) Filtered(term string, t *CompiledTheme) bool {
 	return s.unitProjection(term, t).IsZero()
 }
@@ -592,18 +572,19 @@ func (s *Space) Filtered(term string, t *CompiledTheme) bool {
 // RelatednessRowPreUnits fills out[j] with RelatednessCompiled(subTerm,
 // subTheme, eventTerms[j], eventTheme) for every j, given the unit
 // projections of both sides pre-resolved (a by ResolveUnit against subTheme,
-// eventUnits by ResolveUnits against eventTheme, under the space's current
-// scoring configuration) — the batch path's row kernel: no cache lookup on
-// either side. a is scattered once into dense, every column's dot product is then
-// a gather over the event unit's ids alone (sparse.DotDense, bit-identical
-// to the merge behind RelatednessCompiled), and dense is all-zero again on
-// return. dense must be all-zero on entry and Index().NumDocs() long —
-// every projection id is below that, asserted where units are built. Term
+// eventUnits by ResolveUnits against eventTheme) — the batch path's row
+// kernel: no cache lookup on either side. a is scattered once into dense,
+// every column's dot product is then a gather over the event unit's ids
+// alone (sparse.DotDense, bit-identical to the merge behind
+// RelatednessCompiled) mapped by the same Distance.ofDot, and dense is
+// all-zero again on return. dense must be all-zero on entry and
+// Index().NumDocs() long — every projection id is below that, asserted
+// where units are built. Term
 // identity runs on interned ordinals (TermOrd), whose equality is
 // canonical-string equality, so the row stays bit-identical to the scalar
-// calls. out[j] is nonzero exactly when a and eventUnits[j] both are (see
-// LiveColumns), so a caller that needs only the row's support can skip the
-// call.
+// calls. Where the support rule holds (see SupportRule), out[j] is nonzero
+// exactly when a and eventUnits[j] both are, so a caller that needs only the
+// row's support can skip the call.
 func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
 	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
 	if a.IsZero() {
@@ -617,6 +598,7 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 	if subTheme != eventTheme {
 		same = 0
 	}
+	dist := s.opts.distance
 	a.Scatter(dense)
 	for j := range eventUnits {
 		b := &eventUnits[j]
@@ -626,13 +608,7 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 		case b.IsZero():
 			out[j] = 0
 		default:
-			// sparse.NormalizedEuclidean on the gathered dot: the clamp
-			// makes the distance of near-identical vectors exactly 0.
-			if d := sparse.DotDense(dense, b); d >= 1 {
-				out[j] = 1
-			} else {
-				out[j] = 1 / (math.Sqrt(2-2*d) + 1)
-			}
+			out[j] = dist.ofDot(sparse.DotDense(dense, b))
 		}
 	}
 	a.Unscatter(dense)
@@ -641,16 +617,6 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 // LiveColumns returns the support RelatednessRowPreUnits can give a row
 // against the event-side units: bit j&63 set when units[j] is nonzero (so
 // beyond 64 columns the bits fold, and only a zero result is exact).
-//
-// The support rule: on the resolved-unit Euclidean path, relatedness is
-// nonzero exactly when both unit projections are nonzero. A zero side
-// scores 0 by definition (§5.3.2), and two nonzero unit vectors are at most
-// 2 apart, so 1/(d+1) ≥ 1/3. A row's support is therefore the event's live
-// columns when the subscription unit is nonzero and empty otherwise —
-// decided without a dot product, which is what lets the batch scorer reject
-// a candidate on support masks before filling any of its rows. The rule
-// does not carry over to cosine distance (0 for disjoint supports), so rows
-// there are filled before their masks are read.
 func LiveColumns(units []sparse.Unit) uint64 {
 	var live uint64
 	for j := range units {
@@ -661,17 +627,29 @@ func LiveColumns(units []sparse.Unit) uint64 {
 	return live
 }
 
+// SupportRule reports whether the support rule holds in this space:
+// relatedness is nonzero exactly when both unit projections are nonzero. A
+// zero side scores 0 by definition (§5.3.2), and under Euclidean distance
+// two nonzero unit vectors are at most 2 apart, so 1/(d+1) ≥ 1/3. A row's
+// support is then the event's live columns (LiveColumns) when the
+// subscription unit is nonzero and empty otherwise, decided without a dot
+// product. Cosine is 0 for disjoint supports, so the rule does not hold
+// there.
+func (s *Space) SupportRule() bool { return s.opts.distance == Euclidean }
+
 // NonThematicRelatedness measures relatedness in the full space: the
 // domain-independent esa of the paper's baseline (§5.2.5).
 func (s *Space) NonThematicRelatedness(a, b string) float64 {
 	return s.Relatedness(a, nil, b, nil)
 }
 
-// PrecomputeScores enables the score cache and fills it with all pairwise
-// non-thematic relatedness values between subscription terms and event
-// terms. It reproduces the "precomputed esa scores" configuration of the
-// prior-work comparison (§5, experiment E8): after precomputation, matching
-// those pairs never touches vectors.
+// PrecomputeScores turns the score cache on — nothing else does, and
+// nothing turns it off — and fills it with all pairwise non-thematic
+// relatedness values between subscription terms and event terms. It
+// reproduces the "precomputed esa scores" configuration of the prior-work
+// comparison (§5, experiment E8): after precomputation, ScorePrepared never
+// touches vectors for those pairs. The memo holds the measure's own values,
+// so the row kernel, which never reads it, keeps their bits.
 func (s *Space) PrecomputeScores(subTerms, eventTerms []string) {
 	s.scoreCache.Store(true)
 	for _, a := range subTerms {

@@ -106,27 +106,6 @@ func (v Vector) Norm() float64 {
 	return math.Sqrt(s)
 }
 
-// Dot returns the inner product of a and b.
-func Dot(a, b Vector) float64 {
-	var (
-		s    float64
-		i, j int
-	)
-	for i < len(a.ids) && j < len(b.ids) {
-		switch {
-		case a.ids[i] == b.ids[j]:
-			s += a.weights[i] * b.weights[j]
-			i++
-			j++
-		case a.ids[i] < b.ids[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return s
-}
-
 // Euclidean returns the L2 distance between a and b (paper Eq. 5).
 func Euclidean(a, b Vector) float64 {
 	var (
@@ -159,10 +138,10 @@ func Euclidean(a, b Vector) float64 {
 
 // Unit is a unit-normalized vector bundled with the norm of the vector it
 // was normalized from. Precomputing the normalization once per cached
-// projection turns the per-pair Euclidean relatedness into a single
-// allocation-free merged dot product (see NormalizedEuclidean); the original
-// norm is kept so callers can recover the raw vector's scale without
-// touching it.
+// projection turns the per-pair relatedness — Euclidean or cosine alike —
+// into a single allocation-free merged dot product (see DotUnit); the
+// original norm is kept so callers can recover the raw vector's scale
+// without touching it.
 type Unit struct {
 	// Vec has L2 norm 1, except the zero Unit whose Vec is the zero vector.
 	Vec Vector
@@ -186,10 +165,11 @@ func (v Vector) Normalize() Unit {
 }
 
 // DotUnit returns the inner product of two unit-normalized vectors. It is
-// the hot-path kernel behind NormalizedEuclidean: a branchy sorted merge
-// over the two id slices, written with local slice headers and re-sliced
-// weight slices so the compiler can hoist the bounds checks out of the
-// loop. It allocates nothing and calls nothing.
+// the scalar relatedness kernel: a branchy sorted merge over the two id
+// slices, written with local slice headers and re-sliced weight slices so
+// the compiler can hoist the bounds checks out of the loop. It allocates
+// nothing and calls nothing. The merge reads only the ids and weights, so
+// it is the inner product of any two vectors wrapped as Units.
 func DotUnit(a, b Unit) float64 {
 	aids, bids := a.Vec.ids, b.Vec.ids
 	if len(aids) == 0 || len(bids) == 0 {
@@ -217,24 +197,6 @@ func DotUnit(a, b Unit) float64 {
 		}
 	}
 	return s
-}
-
-// NormalizedEuclidean returns the L2 distance between two unit-normalized
-// vectors via the polarization identity ‖â−b̂‖ = √(2−2·â·b̂), valid because
-// ‖â‖ = ‖b̂‖ = 1. One merged dot product replaces the two Scale copies and
-// the three-branch Euclidean merge of the naive path, and allocates
-// nothing. The identity is exact over the reals; in floats it agrees with
-// Euclidean(Scale(a,1/‖a‖), Scale(b,1/‖b‖)) to ~1e-7 absolute in the worst
-// case (catastrophic cancellation of 2−2·d when d→1, i.e. near-parallel
-// vectors), far below any matching threshold granularity — see the
-// equivalence property test. The dot product is clamped to 1 so the
-// distance of near-identical vectors is 0, never NaN.
-func NormalizedEuclidean(a, b Unit) float64 {
-	d := DotUnit(a, b)
-	if d >= 1 {
-		return 0
-	}
-	return math.Sqrt(2 - 2*d)
 }
 
 // Scatter, DotDense and Unscatter are DotUnit split for a row of dot
@@ -275,17 +237,6 @@ func DotDense(dense []float64, b *Unit) float64 {
 		s += dense[id] * w[k]
 	}
 	return s
-}
-
-// Cosine returns the cosine similarity of a and b in [0,1] for non-negative
-// weights; 0 when either vector is zero. Used by the distance-function
-// ablation (DESIGN.md §4).
-func Cosine(a, b Vector) float64 {
-	na, nb := a.Norm(), b.Norm()
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
 }
 
 // Mask returns the components of v whose dimension ids appear in basis.

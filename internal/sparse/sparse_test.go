@@ -71,8 +71,8 @@ func TestZeroValueUsable(t *testing.T) {
 func TestDot(t *testing.T) {
 	a := FromMap(map[int32]float64{1: 2, 3: 4, 5: 1})
 	b := FromMap(map[int32]float64{3: 0.5, 5: 2, 9: 7})
-	if got := Dot(a, b); !almostEqual(got, 4) {
-		t.Errorf("Dot = %v, want 4", got)
+	if got := DotUnit(Unit{Vec: a}, Unit{Vec: b}); !almostEqual(got, 4) {
+		t.Errorf("DotUnit = %v, want 4", got)
 	}
 }
 
@@ -82,22 +82,6 @@ func TestEuclideanKnown(t *testing.T) {
 	// difference is (1,0,-2) -> sqrt(5)
 	if got := Euclidean(a, b); !almostEqual(got, math.Sqrt(5)) {
 		t.Errorf("Euclidean = %v, want sqrt(5)", got)
-	}
-}
-
-func TestCosine(t *testing.T) {
-	a := FromMap(map[int32]float64{1: 1})
-	b := FromMap(map[int32]float64{1: 2})
-	if got := Cosine(a, b); !almostEqual(got, 1) {
-		t.Errorf("Cosine of parallel = %v, want 1", got)
-	}
-	c := FromMap(map[int32]float64{2: 1})
-	if got := Cosine(a, c); got != 0 {
-		t.Errorf("Cosine of orthogonal = %v, want 0", got)
-	}
-	var zero Vector
-	if got := Cosine(a, zero); got != 0 {
-		t.Errorf("Cosine with zero = %v, want 0", got)
 	}
 }
 
@@ -162,7 +146,8 @@ func TestEuclideanMatchesDense(t *testing.T) {
 	}
 }
 
-// Property: Dot agrees with a dense reference implementation.
+// Property: DotUnit agrees with a dense reference implementation on any
+// two vectors, signed weights included.
 func TestDotMatchesDense(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	const dims = 40
@@ -172,8 +157,8 @@ func TestDotMatchesDense(t *testing.T) {
 		for d := int32(0); d < dims; d++ {
 			s += a.Weight(d) * b.Weight(d)
 		}
-		if !almostEqual(Dot(a, b), s) {
-			t.Fatalf("sparse %v != dense %v", Dot(a, b), s)
+		if got := DotUnit(Unit{Vec: a}, Unit{Vec: b}); !almostEqual(got, s) {
+			t.Fatalf("sparse %v != dense %v", got, s)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -46,73 +45,20 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
-// TestDotUnitMatchesDot pins the tightened merge loop to the generic Dot
-// and the naive map reference across random vectors.
+// TestDotUnitMatchesDot pins the tightened merge loop to the naive map
+// reference across random vectors, bit for bit: both add the shared ids'
+// products in ascending id order, and the reference's extra exact +0
+// products leave its sum unchanged.
 func TestDotUnitMatchesDot(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for i := 0; i < 500; i++ {
 		a := genNonNegVector(r, 64).Normalize()
 		b := genNonNegVector(r, 64).Normalize()
-		got := DotUnit(a, b)
-		if want := Dot(a.Vec, b.Vec); got != want {
-			t.Fatalf("DotUnit = %v, Dot = %v (a=%v b=%v)", got, want, a.Vec, b.Vec)
-		}
-		if want := naiveDot(a.Vec, b.Vec); !almostEqual(got, want) {
-			t.Fatalf("DotUnit = %v, naive = %v", got, want)
+		if got, want := DotUnit(a, b), naiveDot(a.Vec, b.Vec); got != want {
+			t.Fatalf("DotUnit = %v, naive = %v (a=%v b=%v)", got, want, a.Vec, b.Vec)
 		}
 	}
-}
-
-// TestNormalizedEuclideanIdentity is the kernel-identity property test: the
-// dot-identity kernel over pre-normalized vectors must agree with the old
-// hot path — Scale(·, 1/‖·‖) twice, then the three-branch Euclidean merge
-// (paper Eq. 5 on unit vectors). The identity ‖â−b̂‖² = 2−2·â·b̂ is exact
-// over the reals but not bit-for-bit in floats: when â·b̂ → 1 the
-// subtraction cancels catastrophically, bounding the distance error by
-// ~√(n·ε) ≈ 1e-7 and the relatedness error 1/(d+1) by the same. The
-// tolerance below (1e-7 absolute on the distance and on the relatedness)
-// documents that contract; random disjoint-support pairs agree to ~1e-15.
-func TestNormalizedEuclideanIdentity(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for i := 0; i < 2000; i++ {
-		av := genNonNegVector(r, 48)
-		bv := genNonNegVector(r, 48)
-		if av.IsZero() || bv.IsZero() {
-			continue
-		}
-		// Old path: two Scale copies, then the merged Euclidean distance.
-		sa := Scale(av, 1/av.Norm())
-		sb := Scale(bv, 1/bv.Norm())
-		want := Euclidean(sa, sb)
-		got := NormalizedEuclidean(av.Normalize(), bv.Normalize())
-		if math.Abs(got-want) > 1e-7 {
-			t.Fatalf("distance: identity kernel %v vs scale+euclidean %v (Δ=%g)",
-				got, want, got-want)
-		}
-		if rg, rw := 1/(got+1), 1/(want+1); math.Abs(rg-rw) > 1e-7 {
-			t.Fatalf("relatedness: %v vs %v", rg, rw)
-		}
-	}
-}
-
-// TestNormalizedEuclideanExtremes covers the clamp and zero-vector edges.
-func TestNormalizedEuclideanExtremes(t *testing.T) {
-	a := FromMap(map[int32]float64{1: 2, 2: 1}).Normalize()
-	// Self distance: â·â = 1−ε in floats, so the result is √(2ε) ≈ 1.5e-8,
-	// not exactly 0 — the worst case of the documented cancellation bound.
-	if d := NormalizedEuclidean(a, a); d > 1e-7 {
-		t.Errorf("self distance = %v, want ≈0 within the cancellation bound", d)
-	}
-	exact := FromMap(map[int32]float64{3: 1}).Normalize()
-	if d := NormalizedEuclidean(exact, exact); d != 0 {
-		t.Errorf("single-component self distance = %v, want exactly 0 (dot is exactly 1, clamped)", d)
-	}
-	b := FromMap(map[int32]float64{7: 3}).Normalize()
-	if d := NormalizedEuclidean(a, b); !almostEqual(d, math.Sqrt2) {
-		t.Errorf("disjoint unit distance = %v, want √2", d)
-	}
-	z := Unit{}
-	if d := DotUnit(a, z); d != 0 {
+	if d := DotUnit(genNonNegVector(r, 64).Normalize(), Unit{}); d != 0 {
 		t.Errorf("dot with zero unit = %v", d)
 	}
 }
@@ -130,31 +76,4 @@ func decodeVec(data []byte) Vector {
 		data = data[3:]
 	}
 	return FromMap(m)
-}
-
-// FuzzUnitKernels drives DotUnit and NormalizedEuclidean against the naive
-// references on adversarial id layouts (shared prefixes, duplicates across
-// vectors, disjoint tails).
-func FuzzUnitKernels(f *testing.F) {
-	f.Add([]byte{1, 0, 8, 2, 0, 16}, []byte{1, 0, 8})
-	f.Add([]byte{}, []byte{5, 0, 63})
-	f.Add([]byte{0, 0, 1, 1, 0, 1, 2, 0, 1}, []byte{2, 0, 1, 3, 0, 1})
-	f.Fuzz(func(t *testing.T, araw, braw []byte) {
-		a, b := decodeVec(araw), decodeVec(braw)
-		ua, ub := a.Normalize(), b.Normalize()
-		if got, want := DotUnit(ua, ub), naiveDot(ua.Vec, ub.Vec); !almostEqual(got, want) {
-			t.Fatalf("DotUnit = %v, naive = %v", got, want)
-		}
-		got := NormalizedEuclidean(ua, ub)
-		if got < 0 || math.IsNaN(got) {
-			t.Fatalf("NormalizedEuclidean = %v", got)
-		}
-		if a.IsZero() || b.IsZero() {
-			return
-		}
-		want := Euclidean(Scale(a, 1/a.Norm()), Scale(b, 1/b.Norm()))
-		if math.Abs(got-want) > 1e-7 {
-			t.Fatalf("identity: %v vs %v", got, want)
-		}
-	})
 }
