@@ -153,9 +153,9 @@ func run(args []string) error {
 	// *matcher.Matcher is a broker.Engine, which turns on the prepare-once
 	// fast path (subscriptions canonicalized and theme-compiled at
 	// Subscribe time, events once per publish), the pruning index, and
-	// arena scoring with term interning and row memos. A row memo lives only
-	// while the event's term vectors stay the same: the arena clears it
-	// whenever the next event's vectors differ (matcher/publishbatch.go).
+	// arena scoring with term interning and row memos. A row memo lives for
+	// one prepared event: the arena clears it whenever it moves to the next
+	// event (matcher/publishbatch.go).
 	b := broker.New(m, opts...)
 	defer b.Close()
 

@@ -162,8 +162,8 @@ func TestRebalanceHandoffOnJoin(t *testing.T) {
 	}
 	cAddr := probe.Addr().String()
 	probe.Close()
-	ring2 := cluster.NewRing([]string{a.addr, b.addr}, 0)
-	ring3 := cluster.NewRing([]string{a.addr, b.addr, cAddr}, 0)
+	ring2 := cluster.NewRing([]string{a.addr, b.addr})
+	ring3 := cluster.NewRing([]string{a.addr, b.addr, cAddr})
 	var tag string
 	for i := 0; i < 20000; i++ {
 		cand := fmt.Sprintf("moving-theme-%d", i)
@@ -358,7 +358,7 @@ func TestSubscribeRacingRingChange(t *testing.T) {
 
 	// Convergence: each non-self owner hosts exactly its share of remote
 	// copies under the final ring.
-	ring := cluster.NewRing([]string{a.addr, b.addr, c.addr}, 0)
+	ring := cluster.NewRing([]string{a.addr, b.addr, c.addr})
 	want := map[string]int{}
 	for i := 0; i < subCount; i++ {
 		if o := ring.Owner(fmt.Sprintf("race-theme-%d", i)); o != a.addr {

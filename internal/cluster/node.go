@@ -35,12 +35,6 @@ type Config struct {
 	// rebalance — so the timeout trades failover latency against ring
 	// stability under transient partitions.
 	SuspectTimeout time.Duration
-	// VirtualNodes per member on the ring (DefaultVirtualNodes when 0).
-	VirtualNodes int
-	// ForwardQueue bounds each peer's outbound event queue (default 256).
-	// When full the oldest queued event is dropped, mirroring the
-	// broker's subscriber overflow policy.
-	ForwardQueue int
 	// DedupWindow is how many recent event IDs each subscription
 	// remembers for duplicate suppression (default 1024).
 	DedupWindow int
@@ -78,9 +72,6 @@ type Config struct {
 
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.ForwardQueue <= 0 {
-		out.ForwardQueue = 256
-	}
 	if out.DedupWindow <= 0 {
 		out.DedupWindow = 1024
 	}
@@ -190,7 +181,7 @@ func New(b *broker.Broker, cfg Config) (*Node, error) {
 		edges:      make(map[string]*edgeSub),
 		reaperDone: make(chan struct{}),
 	}
-	n.ringPtr.Store(NewRing(n.ms.RingMembers(), c.VirtualNodes))
+	n.ringPtr.Store(NewRing(n.ms.RingMembers()))
 	for _, m := range n.ms.Snapshot() {
 		if m.Node != c.Self {
 			n.peers[m.Node] = newPeer(n, m.Node)
@@ -282,7 +273,7 @@ func (n *Node) applyMembership() {
 	defer n.applyMu.Unlock()
 
 	version := n.ms.Version()
-	ring := NewRing(n.ms.RingMembers(), n.cfg.VirtualNodes)
+	ring := NewRing(n.ms.RingMembers())
 	n.ringPtr.Store(ring)
 
 	n.mu.Lock()

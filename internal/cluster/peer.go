@@ -12,6 +12,11 @@ import (
 	"thematicep/internal/telemetry"
 )
 
+// forwardQueue bounds each peer's outbound forward queue. When it is full
+// the oldest queued forward is dropped, mirroring the broker's subscriber
+// overflow policy.
+const forwardQueue = 256
+
 // forwardItem is one queued forward: the events one publish sends this
 // peer, which go out as one forwardb frame, with the enqueue timestamp, so
 // the hop latency (enqueue to successful wire write) is measurable per
@@ -65,7 +70,7 @@ func newPeer(n *Node, addr string) *peer {
 		n:     n,
 		id:    addr,
 		addr:  addr,
-		queue: make(chan forwardItem, n.cfg.ForwardQueue),
+		queue: make(chan forwardItem, forwardQueue),
 		nudge: make(chan struct{}, 1),
 		done:  make(chan struct{}),
 		bk:    newBreaker(n.cfg.BreakerThreshold, n.cfg.BreakerCooldown, nil),

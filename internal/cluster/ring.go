@@ -37,13 +37,10 @@ type Ring struct {
 	points []ringPoint
 }
 
-// NewRing builds a ring from the member node IDs with vnodes virtual
-// points each (DefaultVirtualNodes when vnodes <= 0). Duplicate IDs are
-// collapsed; membership order does not matter.
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// NewRing builds a ring from the member node IDs with DefaultVirtualNodes
+// points each. Duplicate IDs are collapsed; membership order does not
+// matter.
+func NewRing(nodes []string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	uniq := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -56,11 +53,11 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	sort.Strings(uniq)
 	r := &Ring{
 		nodes:  uniq,
-		points: make([]ringPoint, 0, len(uniq)*vnodes),
+		points: make([]ringPoint, 0, len(uniq)*DefaultVirtualNodes),
 	}
 	var buf [8]byte
 	for _, n := range uniq {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < DefaultVirtualNodes; i++ {
 			h := fnv.New64a()
 			h.Write([]byte(n))
 			buf[0] = byte(i >> 8)

@@ -7,8 +7,8 @@ import (
 )
 
 func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
-	a := NewRing([]string{"n1:7070", "n2:7070", "n3:7070"}, 0)
-	b := NewRing([]string{"n3:7070", "n1:7070", "n2:7070"}, 0)
+	a := NewRing([]string{"n1:7070", "n2:7070", "n3:7070"})
+	b := NewRing([]string{"n3:7070", "n1:7070", "n2:7070"})
 	for i := 0; i < 200; i++ {
 		tag := fmt.Sprintf("theme-%d", i)
 		if a.Owner(tag) != b.Owner(tag) {
@@ -21,14 +21,14 @@ func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
 }
 
 func TestRingOwnerCanonicalizesTags(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	r := NewRing([]string{"a", "b", "c"})
 	if r.Owner("Land Transport") != r.Owner("land transport") {
 		t.Error("canonically equal tags shard differently")
 	}
 }
 
 func TestRingDistribution(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	r := NewRing([]string{"a", "b", "c"})
 	counts := map[string]int{}
 	for i := 0; i < 300; i++ {
 		counts[r.Owner(fmt.Sprintf("theme-%d", i))]++
@@ -41,7 +41,7 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingOwnersEmptyThemeMapsToAllNodes(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, 0)
+	r := NewRing([]string{"a", "b", "c"})
 	owners := r.Owners(nil)
 	if len(owners) != 3 {
 		t.Fatalf("empty theme owners = %v, want all 3 nodes", owners)
@@ -52,7 +52,7 @@ func TestRingOwnersEmptyThemeMapsToAllNodes(t *testing.T) {
 }
 
 func TestRingOwnersDedupes(t *testing.T) {
-	r := NewRing([]string{"a", "b"}, 0)
+	r := NewRing([]string{"a", "b"})
 	owners := r.Owners([]string{"x", "x", "X"})
 	if len(owners) != 1 {
 		t.Errorf("owners of a repeated tag = %v, want one node", owners)
@@ -62,8 +62,8 @@ func TestRingOwnersDedupes(t *testing.T) {
 // TestRingConsistency asserts the defining property of consistent hashing:
 // removing one member only reassigns the tags that member owned.
 func TestRingConsistency(t *testing.T) {
-	full := NewRing([]string{"a", "b", "c", "d"}, 0)
-	reduced := NewRing([]string{"a", "b", "c"}, 0)
+	full := NewRing([]string{"a", "b", "c", "d"})
+	reduced := NewRing([]string{"a", "b", "c"})
 	moved := 0
 	for i := 0; i < 500; i++ {
 		tag := fmt.Sprintf("theme-%d", i)
@@ -82,7 +82,7 @@ func TestRingConsistency(t *testing.T) {
 }
 
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
-	r := NewRing([]string{"solo"}, 0)
+	r := NewRing([]string{"solo"})
 	if got := r.Owner("anything"); got != "solo" {
 		t.Errorf("Owner = %q, want solo", got)
 	}
@@ -93,7 +93,7 @@ func BenchmarkRingOwners(b *testing.B) {
 	for i := range nodes {
 		nodes[i] = fmt.Sprintf("broker-%d:7070", i)
 	}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	theme := []string{"land transport", "road traffic", "public transport"}
 	b.ReportAllocs()
 	b.ResetTimer()

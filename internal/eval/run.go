@@ -7,12 +7,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"strconv"
-
 	"thematicep/internal/event"
 	"thematicep/internal/matcher"
 	"thematicep/internal/semantics"
-	"thematicep/internal/subindex"
 	"thematicep/internal/workload"
 )
 
@@ -51,50 +48,18 @@ type Result struct {
 	Elapsed time.Duration
 	// Events and Subscriptions record the workload size.
 	Events, Subscriptions int
-	// ScoredPairs counts (subscription, event) pairs actually scored;
-	// PrunedPairs counts pairs the candidate index skipped (provably score
-	// 0; see WithCandidatePruning). Without pruning, ScoredPairs is the
-	// full product and PrunedPairs is 0.
-	ScoredPairs, PrunedPairs uint64
 }
-
-// RunOption configures Run.
-type RunOption interface {
-	applyRun(*runConfig)
-}
-
-type runConfig struct {
-	pruning bool
-}
-
-type candidatePruningOption bool
-
-func (o candidatePruningOption) applyRun(c *runConfig) { c.pruning = bool(o) }
-
-// WithCandidatePruning enables the broker's internal/subindex candidate
-// pruning inside the prepared fast path (default off: the paper's
-// throughput figures measure a full scan, so eval keeps that semantics
-// unless asked). Skipped pairs provably score 0, so F1 is unchanged;
-// PrunedPairs reports how many the index removed. Only the PreparedScorer
-// path prunes — plain scorers (the baselines) may not honor the §3.4
-// exact-term contract the index relies on.
-func WithCandidatePruning(enabled bool) RunOption { return candidatePruningOption(enabled) }
 
 // Run matches every workload event against every approximate subscription
 // with the given scorer and computes the sub-experiment result. Themes must
 // already be applied to the workload (or cleared for non-thematic runs).
-func Run(scorer Scorer, w *workload.Workload, opts ...RunOption) Result {
-	var cfg runConfig
-	for _, opt := range opts {
-		opt.applyRun(&cfg)
-	}
+func Run(scorer Scorer, w *workload.Workload) Result {
 	nSubs := len(w.ApproxSubs)
 	scores := make([][]float64, nSubs)
 	for si := range scores {
 		scores[si] = make([]float64, len(w.Events))
 	}
 
-	var scored, prunedPairs uint64
 	start := time.Now()
 	if m, ok := scorer.(PreparedScorer); ok {
 		// Fast path: prepare subscriptions once and each event once, as a
@@ -103,40 +68,20 @@ func Run(scorer Scorer, w *workload.Workload, opts ...RunOption) Result {
 		// ScorePrepared reference loop end to end, not the broker's arena
 		// kernel; the oracles tie the two together bit for bit.
 		prepared := make([]*matcher.PreparedSubscription, nSubs)
-		var ix *subindex.Index[int]
-		if cfg.pruning {
-			ix = subindex.New[int]()
-		}
 		for si, s := range w.ApproxSubs {
 			prepared[si] = m.PrepareSubscription(s)
-			if ix != nil {
-				ix.Add(strconv.Itoa(si), prepared[si].PruningView(), si)
-			}
 		}
 		for ei, e := range w.Events {
 			pe := m.PrepareEvent(e)
-			if ix != nil {
-				// Skipped pairs keep their zero score — the index only
-				// skips pairs that provably score 0, so the score matrix
-				// (and hence F1) is identical to the full scan.
-				c, p := ix.Candidates(e, func(si int) {
-					scores[si][ei] = m.ScorePrepared(prepared[si], pe)
-				})
-				scored += uint64(c)
-				prunedPairs += uint64(p)
-				continue
-			}
 			for si := range prepared {
 				scores[si][ei] = m.ScorePrepared(prepared[si], pe)
 			}
-			scored += uint64(nSubs)
 		}
 	} else {
 		for ei, e := range w.Events {
 			for si, s := range w.ApproxSubs {
 				scores[si][ei] = scorer.Score(s, e)
 			}
-			scored += uint64(nSubs)
 		}
 	}
 	elapsed := time.Since(start)
@@ -149,8 +94,6 @@ func Run(scorer Scorer, w *workload.Workload, opts ...RunOption) Result {
 		Elapsed:       elapsed,
 		Events:        len(w.Events),
 		Subscriptions: nSubs,
-		ScoredPairs:   scored,
-		PrunedPairs:   prunedPairs,
 	}
 	if nSubs > 0 {
 		res.F1 = f1Sum / float64(nSubs)

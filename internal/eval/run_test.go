@@ -105,30 +105,6 @@ func TestRunMatcherBeatsInverse(t *testing.T) {
 	t.Logf("non-thematic F1=%.3f throughput=%.0f ev/s", res.F1, res.Throughput)
 }
 
-// TestRunCandidatePruningPreservesF1 verifies the opt-in pruned eval path:
-// the index only skips pairs that provably score 0, so F1 is bit-identical
-// to the full scan and the pair accounting adds up.
-func TestRunCandidatePruningPreservesF1(t *testing.T) {
-	space, w := testEnv(t)
-	w.ClearThemes()
-	m := matcher.New(space)
-	full := Run(m, w)
-	pruned := Run(m, w, WithCandidatePruning(true))
-	if pruned.F1 != full.F1 {
-		t.Errorf("pruned F1 = %v, full-scan F1 = %v", pruned.F1, full.F1)
-	}
-	totalPairs := uint64(len(w.Events) * len(w.ApproxSubs))
-	if full.ScoredPairs != totalPairs || full.PrunedPairs != 0 {
-		t.Errorf("full scan pairs = %d scored / %d pruned, want %d / 0",
-			full.ScoredPairs, full.PrunedPairs, totalPairs)
-	}
-	if pruned.ScoredPairs+pruned.PrunedPairs != totalPairs {
-		t.Errorf("pruned accounting %d+%d != %d",
-			pruned.ScoredPairs, pruned.PrunedPairs, totalPairs)
-	}
-	t.Logf("pruned %d of %d pairs", pruned.PrunedPairs, totalPairs)
-}
-
 func TestRunGridShape(t *testing.T) {
 	space, w := testEnv(t)
 	m := matcher.New(space)

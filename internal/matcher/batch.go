@@ -27,10 +27,10 @@ const (
 // rowKeyOf packs one row identity — term ordinal, subscription theme
 // ordinal, row kind, approximate flag — into a flat integer, the key of
 // the matcher's rowID interner (see matcher.go). The event-side identity
-// is NOT part of the key: the memo's lifetime is bounded to one event's
-// term vectors by its owner (BatchArena invalidates whenever the event
-// vector changes, see publishbatch.go), so every live entry already refers
-// to the current event. Theme ordinals stay far below 2^30 (bounded by distinct themes),
+// is NOT part of the key: the memo's lifetime is bounded to one prepared
+// event by its owner (BatchArena invalidates whenever the event changes,
+// see publishbatch.go), so every live entry already refers to the current
+// event. Theme ordinals stay far below 2^30 (bounded by distinct themes),
 // term ordinals below 2^32 (bounded by vocabulary).
 func rowKeyOf(kind rowKind, approx bool, themeOrd, termOrd uint32) uint64 {
 	k := uint64(termOrd)<<32 | uint64(themeOrd)<<2 | uint64(kind)<<1
@@ -43,9 +43,9 @@ func rowKeyOf(kind rowKind, approx bool, themeOrd, termOrd uint32) uint64 {
 // rowSlot is one entry of the dense row memo: the arena offset of the row
 // (negative while only the row's mask is known, see rowMiss), the memo
 // generation that wrote it, and the row's support mask (bit j set when cell
-// j may be nonzero; all-ones when the event is wider than 64 tuples). Slots
-// from older generations are stale; the zero value (epoch 0) never matches a
-// live generation.
+// j may be nonzero — the exact support once the row is filled; all-ones
+// when the event is wider than 64 tuples). Slots from older generations are
+// stale; the zero value (epoch 0) never matches a live generation.
 type rowSlot struct {
 	off   int32
 	epoch uint32
@@ -105,16 +105,10 @@ func (bb *batchBuf) put(rowID uint32, slot rowSlot) {
 }
 
 // rowMiss memoizes predicate i's attribute or value row on a memo miss and
-// returns its mask. Where the space's support rule holds (Euclidean
-// distance, see semantics.Space.SupportRule) only the mask is decided here,
-// by rowMask, and the similarities wait for phase 2 of scoreBatchInto: most
-// candidates fail their mask check, and a row none of the survivors reads is
-// never filled. Under cosine distance the row is filled at once and its
-// mask read off it.
+// returns its mask. Only the mask is decided here, by rowMask, and the
+// similarities wait for phase 2 of scoreBatchInto: most candidates fail
+// their mask check, and a row none of the survivors reads is never filled.
 func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
-	if !m.space.SupportRule() {
-		return m.fillRow(bb, kind, i, ps, pe).mask
-	}
 	rowID := ps.pred(i).attrRow
 	if kind == rowValue {
 		rowID = ps.pred(i).valueRow
@@ -125,12 +119,14 @@ func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 }
 
 // rowMask is the support mask of predicate i's attribute or value row, read
-// off the event's live columns instead of the filled row. It holds only
-// where the space's support rule does (Euclidean distance, see
-// semantics.Space.SupportRule): a relaxed term's row is nonzero exactly at
-// the event's live columns when the term's own unit is nonzero, and every
-// row is 1 at the columns canonically identical to its term. It is the mask
-// fillRow derives from the filled row.
+// off the event's live columns instead of the filled row: every row is 1 at
+// the columns canonically identical to its term, and a relaxed term's row
+// can be nonzero only at the event's live columns, and only when the term's
+// own unit is nonzero (see semantics.RelatednessRowPreUnits). Under
+// Euclidean distance it is exactly the mask fillRow derives from the filled
+// row; under cosine, which is also 0 for disjoint nonzero units, it is a
+// superset of that mask, so a candidate it rejects has a row of empty
+// support all the same.
 func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
 	pd := ps.pred(i)
 	ord, approx, evOrds, live := ps.attrOrds[i], pd.approxA, pe.attrOrds, pe.attrLive
@@ -219,7 +215,7 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 // (asserted in batch_test.go); only the Hungarian path beyond allocates,
 // inside the solver, exactly as ScorePrepared does. Row keys carry no
 // event identity; the arena clears the memo before it can ever span two
-// distinct event vectors.
+// prepared events.
 func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
 	mm := len(pe.attrs)
 	for _, ps := range subs {
@@ -232,7 +228,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 		}
 		if s := ps.sig; s != 0 && int(s) < len(bb.scores) && bb.scores[s].epoch == bb.epoch {
 			// Duplicate of an already-scored subscription: an identical
-			// descriptor sequence against the same event vectors builds the
+			// descriptor sequence against the same event builds the
 			// same matrix, so the memoized score is bit-identical.
 			out = append(out, bb.scores[s].score)
 			continue
@@ -243,8 +239,8 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 		// into every injective mapping, so the score is exactly 0 — the
 		// common case at scale, where most candidates survive pruning but
 		// match nothing — and the matrix fill and mapping search are skipped
-		// entirely. Where the support rule holds a memo miss decides the mask
-		// alone (rowMiss), so a rejected candidate fills no row either.
+		// entirely. A memo miss decides the mask alone (rowMiss), so a
+		// rejected candidate fills no row either.
 		feasible := true
 		for i := 0; i < n; i++ {
 			pd := ps.pred(i)

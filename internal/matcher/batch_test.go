@@ -89,10 +89,9 @@ func batchPopulation(t testing.TB, m *Matcher) ([]*PreparedSubscription, []*Prep
 }
 
 // checkArenaBitIdentity sweeps every event through one arena twice — once
-// prepared through the batch context (the memo persists while consecutive
-// events share a term vector) and once prepared outside it (no vector
-// identity: the memo is evicted per call) — and requires exactly the
-// floats the row-at-a-time ScorePrepared produces.
+// prepared through the batch context and once prepared outside it, each a
+// different prepared event, so the memo is evicted between them — and
+// requires exactly the floats the row-at-a-time ScorePrepared produces.
 func checkArenaBitIdentity(t *testing.T, m *Matcher, subs []*PreparedSubscription, events []*PreparedEvent) {
 	t.Helper()
 	eb := m.NewEventBatch()
@@ -107,7 +106,7 @@ func checkArenaBitIdentity(t *testing.T, m *Matcher, subs []*PreparedSubscriptio
 			}
 			for si, ps := range subs {
 				if want := m.ScorePrepared(ps, pe); out[si] != want {
-					t.Errorf("event %d sub %d (vec %d): arena %v != serial %v", ei, si, q.attrsVec, out[si], want)
+					t.Errorf("event %d sub %d (batch-prepared %v): arena %v != serial %v", ei, si, q != pe, out[si], want)
 				}
 			}
 		}
@@ -134,7 +133,7 @@ func TestScoreBatchInArenaNonThematic(t *testing.T) {
 
 // TestScoreBatchInArenaEveryConfiguration holds the bit-identity contract
 // under every scoring configuration a space can take besides the default:
-// cosine distance (rows filled at the memo miss, no support rule), basis
+// cosine distance (masks a superset of the row's support, see rowMask), basis
 // filtering without idf recomputation, every cache off, and an active score
 // memo that ScorePrepared reads and the row kernel does not — each in
 // thematic and non-thematic mode.
@@ -174,6 +173,92 @@ func TestScoreBatchInArenaEveryConfiguration(t *testing.T) {
 				checkArenaBitIdentity(t, m, subs, events)
 			})
 		}
+	}
+}
+
+// TestArenaMemoFollowsPreparedEvent holds an arena's row memo to one
+// prepared event. Within it the memo spans calls: one event scored in two
+// candidate chunks through one arena fills exactly the rows one call fills,
+// so no row is filled twice. Across batches FinishEventBatch makes every
+// arena forget its event, because the next batch hands back the same
+// *PreparedEvent for a different event, which must not be scored with the
+// old event's rows.
+func TestArenaMemoFollowsPreparedEvent(t *testing.T) {
+	m := New(space(t))
+	subs, events := batchPopulation(t, m)
+
+	// score scores subs against one event through a fresh arena, one call
+	// per chunk ending at each cut, and reports the rows the arena filled.
+	score := func(prep func(*EventBatch) *PreparedEvent, cuts ...int) (out []float64, filled uint64) {
+		eb := m.NewEventBatch()
+		defer m.FinishEventBatch(eb)
+		ar := m.NewBatchArena(eb)
+		pe := prep(eb)
+		lo := 0
+		for _, hi := range append(cuts, len(subs)) {
+			out = m.ScoreBatchInArena(ar, subs[lo:hi], pe, out)
+			lo = hi
+		}
+		return out, ar.bb.computed
+	}
+	var filled uint64
+	for ei, pe := range events[:4] {
+		for name, prep := range map[string]func(*EventBatch) *PreparedEvent{
+			"batch-prepared": func(eb *EventBatch) *PreparedEvent { return m.PrepareEventInBatch(eb, pe.Event()) },
+			"unbatched":      func(*EventBatch) *PreparedEvent { return m.PrepareEvent(pe.Event()) },
+		} {
+			whole, wf := score(prep)
+			split, sf := score(prep, len(subs)/2)
+			if sf != wf {
+				t.Errorf("event %d (%s): %d rows filled over two chunks, %d in one call", ei, name, sf, wf)
+			}
+			for si := range subs {
+				if math.Float64bits(split[si]) != math.Float64bits(whole[si]) {
+					t.Errorf("event %d (%s) sub %d: chunked %v != whole %v", ei, name, si, split[si], whole[si])
+				}
+			}
+			filled += wf
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no row filled; the chunk check is vacuous")
+	}
+
+	// Empty the free list, so the context finished next is the one
+	// borrowed next, with its arena and prepared events.
+	for drained := false; !drained; {
+		select {
+		case <-eventBatchFree:
+		default:
+			drained = true
+		}
+	}
+	first, second := events[0], events[1]
+	eb := m.NewEventBatch()
+	ar := m.NewBatchArena(eb)
+	old := m.PrepareEventInBatch(eb, first.Event())
+	m.ScoreBatchInArena(ar, subs, old, nil)
+	m.FinishEventBatch(eb)
+	eb2 := m.NewEventBatch()
+	defer m.FinishEventBatch(eb2)
+	ar2 := m.NewBatchArena(eb2)
+	pe := m.PrepareEventInBatch(eb2, second.Event())
+	if eb2 != eb || ar2 != ar || pe != old {
+		t.Fatal("the second batch did not recycle the first batch's context, arena and prepared event")
+	}
+	out := m.ScoreBatchInArena(ar2, subs, pe, nil)
+	differ := 0
+	for si, ps := range subs {
+		want := m.ScorePrepared(ps, second)
+		if math.Float64bits(out[si]) != math.Float64bits(want) {
+			t.Errorf("recycled prepared event, sub %d: arena %v != ScorePrepared %v", si, out[si], want)
+		}
+		if want != m.ScorePrepared(ps, first) {
+			differ++
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two events score alike; the recycled event is unchecked")
 	}
 }
 
@@ -230,14 +315,15 @@ func fuzzPairs(m *Matcher, subLayout, evLayout []byte, width, themes uint8) ([]*
 }
 
 // FuzzRowSupport checks the lazy row fill over fuzzed term layouts. Bit 3
-// of themes, which no theme choice reads, picks the distance. Under
-// Euclidean distance every memo slot the arena holds after scoring carries
-// the mask rowMask decides without the row, which is the support of the row
-// fillRow fills for it — whether the scorer filled it (a candidate
+// of themes, which no theme choice reads, picks the distance. Every memo
+// slot the arena holds after scoring is checked against the support of the
+// row fillRow fills for it — whether the scorer filled it (a candidate
 // survived) or left it mask-only, in which case the check fills it here.
-// Under cosine distance, where the support rule does not hold, every slot
-// was filled at its miss. Under both, every arena score has ScorePrepared's
-// bits.
+// Under Euclidean distance the slot carries the mask rowMask decides
+// without the row, and that mask is the filled row's support. Under cosine
+// distance, which is also 0 between nonzero units of disjoint support, the
+// memoized mask and rowMask contain the filled row's support. Under both,
+// every arena score has ScorePrepared's bits.
 func FuzzRowSupport(f *testing.F) {
 	f.Add([]byte{0, 7, 3, 1, 9, 2, 2, 15, 0}, []byte{0, 8, 1, 9}, uint8(4), uint8(0x12))
 	f.Add([]byte{5, 17, 3, 6, 19, 2, 3, 11, 1}, []byte{5, 0, 6}, uint8(69), uint8(0x31))
@@ -289,15 +375,17 @@ func FuzzRowSupport(f *testing.F) {
 					}
 					lazy := bb.dense[r].mask
 					if bb.dense[r].off < 0 {
-						if m == cosine {
-							t.Errorf("sub %d pred %d kind %d: mask-only slot under cosine distance", si, i, kind)
-						}
 						m.fillRow(bb, kind, i, ps, pe)
 					}
+					filled := bb.dense[r].mask
 					if m == cosine {
-						continue // rowMask rests on the support rule
+						if filled&^lazy != 0 || filled&^rowMask(kind, i, ps, pe) != 0 {
+							t.Errorf("sub %d pred %d kind %d: memoized mask %x, rowMask %x, do not contain the filled row's support %x",
+								si, i, kind, lazy, rowMask(kind, i, ps, pe), filled)
+						}
+						continue
 					}
-					if filled := bb.dense[r].mask; lazy != filled || rowMask(kind, i, ps, pe) != filled {
+					if lazy != filled || rowMask(kind, i, ps, pe) != filled {
 						t.Errorf("sub %d pred %d kind %d: memoized mask %x, rowMask %x, filled row's support %x",
 							si, i, kind, lazy, rowMask(kind, i, ps, pe), filled)
 					}
@@ -309,8 +397,8 @@ func FuzzRowSupport(f *testing.F) {
 
 // TestScoreBatchZeroAlloc gates the warm columnar sweep at 0 allocs/op for
 // the common ≤3-predicate population, same idiom as the ScorePrepared gate
-// — both through a batch-prepared event and through the vector-less
-// fallback, which re-fills the evicted memo in place.
+// — both through a batch-prepared event and through one prepared outside a
+// batch.
 func TestScoreBatchZeroAlloc(t *testing.T) {
 	m := New(space(t))
 	sub, ev := benchPair()
@@ -328,7 +416,7 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 	scores := make([]float64, 0, len(subs))
 	for name, pe := range map[string]*PreparedEvent{
 		"batch-prepared": m.PrepareEventInBatch(eb, ev),
-		"vector-less":    m.PrepareEvent(ev),
+		"unbatched":      m.PrepareEvent(ev),
 	} {
 		scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0]) // warm caches, memo table, arena
 		if allocs := testing.AllocsPerRun(100, func() {
@@ -351,10 +439,10 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 // BenchmarkScoreBatchInArena measures the columnar arena sweep against the
 // equivalent serial ScorePrepared loop over the same 64-subscription
 // candidate batch. Both arena sub-benches price the unit row kernel, the
-// only row fill there is: "arena" scores an event prepared outside a batch,
-// which carries no term-vector identity, so the memo is evicted and every
-// row refilled on every call; "units" alternates two batch-prepared events,
-// as the broker's publish path does.
+// only row fill there is, and alternate two events that differ in one
+// value, so every call moves to the other prepared event, evicts the memo
+// and refills it: "arena" prepares the events outside a batch, "units"
+// through one, as the broker's publish path does.
 func BenchmarkScoreBatchInArena(b *testing.B) {
 	m := New(space(b))
 	sub, ev := benchPair()
@@ -366,28 +454,27 @@ func BenchmarkScoreBatchInArena(b *testing.B) {
 		subs = append(subs, m.PrepareSubscription(&s))
 	}
 	var scores []float64
+	ev2 := *ev
+	ev2.Tuples = append([]event.Tuple(nil), ev.Tuples...)
+	ev2.Tuples[1].Value = "laptop"
 	pe := m.PrepareEvent(ev)
 	b.Run("arena", func(b *testing.B) {
 		eb := m.NewEventBatch()
 		defer m.FinishEventBatch(eb)
 		ar := m.NewBatchArena(eb)
-		// A vector-less event evicts the memo on every call, so each
-		// iteration prices the row fill as well as the sweep.
-		scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
+		pes := [2]*PreparedEvent{pe, m.PrepareEvent(&ev2)}
+		for _, q := range pes {
+			scores = m.ScoreBatchInArena(ar, subs, q, scores[:0])
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
+			scores = m.ScoreBatchInArena(ar, subs, pes[i&1], scores[:0])
 		}
 	})
 	b.Run("units", func(b *testing.B) {
 		// The broker's path: masks first, rows filled through
-		// RelatednessRowPreUnits only for candidates that pass. The two
-		// events differ in one value, so every call moves to a new term
-		// vector and refills the memo.
-		ev2 := *ev
-		ev2.Tuples = append([]event.Tuple(nil), ev.Tuples...)
-		ev2.Tuples[1].Value = "laptop"
+		// RelatednessRowPreUnits only for candidates that pass.
 		eb := m.NewEventBatch()
 		defer m.FinishEventBatch(eb)
 		ar := m.NewBatchArena(eb)

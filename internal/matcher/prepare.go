@@ -147,14 +147,6 @@ type PreparedEvent struct {
 	attrOrds  []uint32
 	valueOrds []uint32
 
-	// attrsVec/valuesVec are the EventBatch-interned identities of the
-	// canonical term vectors (plus compiled theme): equal ids mean the
-	// similarity rows computed against this event apply verbatim to the
-	// other event. Zero for events prepared outside a batch — an arena
-	// evicts its row memo on every call for those (see publishbatch.go).
-	attrsVec  uint32
-	valuesVec uint32
-
 	// attrUnits/valueUnits are the tuples' unit projections under the
 	// event's own theme, resolved once per event so the row kernel skips the
 	// per-pair projection-cache lookup.
@@ -162,10 +154,10 @@ type PreparedEvent struct {
 	valueUnits []sparse.Unit
 
 	// attrLive/valueLive are the columns whose unit is nonzero
-	// (semantics.LiveColumns), set with the units: where the support rule
-	// holds, the support of every relaxed row against this event, so the
-	// batch scorer decides a row's mask before, and often instead of,
-	// filling it.
+	// (semantics.LiveColumns), set with the units: a bound on the support
+	// of every relaxed row against this event (exact under Euclidean
+	// distance), so the batch scorer decides a row's mask before, and often
+	// instead of, filling it.
 	attrLive  uint64
 	valueLive uint64
 }
@@ -220,7 +212,7 @@ func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscripti
 	}
 	if p.allEq && p.np > 0 {
 		// All-equality scores are a pure function of the descriptor
-		// sequence and the event's term vectors, so identical sequences
+		// sequence and the event, so identical sequences
 		// share one interned signature (and one score per event).
 		key := make([]byte, 0, 8*p.np)
 		for i := 0; i < int(p.np); i++ {

@@ -10,23 +10,19 @@ import (
 // This file gives the row memo of batch.go publish-batch scope. A broker
 // publishing a batch of events (one event included) prepares them all
 // through one EventBatch, which interns each distinct raw term once (one
-// text.Canonical per distinct spelling per batch, not one per tuple),
-// resolves each event's unit projections once, and assigns every prepared
-// event a term-vector id: events with identical canonical term vectors and
-// compiled theme share an id. Workers score through BatchArenas whose row
-// memos persist across every candidate chunk of the current event vector —
-// cleared only when the worker moves to an event with a different vector —
+// text.Canonical per distinct spelling per batch, not one per tuple) and
+// resolves each event's unit projections once. Workers score through
+// BatchArenas whose row memos persist across every candidate chunk of the
+// current prepared event — cleared when the worker moves to another one —
 // so at scale the semantic kernel runs once per distinct (term, theme)
 // pair per event per arena instead of once per 256-candidate chunk.
 
 // Interner growth bounds: when either map outgrows its bound at
-// FinishEventBatch time, the whole context (interners, vec namespace, and
-// every arena memo keyed by it) is reset together, keeping memory
-// proportional to the live vocabulary while preserving the invariant that
-// a vec id never aliases two distinct term vectors within one context.
+// FinishEventBatch time, both interners are cleared, keeping memory
+// proportional to the live vocabulary.
 const (
-	maxInternedTerms = 1 << 16
-	maxInternedVecs  = 1 << 12
+	maxInternedTerms  = 1 << 16
+	maxInternedThemes = 1 << 12
 )
 
 // canonTerm is one entry of the batch term interner: the canonical form
@@ -38,19 +34,17 @@ type canonTerm struct {
 }
 
 // EventBatch is the batch-scope prepare context of one publish batch: the
-// raw→canonical term interner, the term-vector namespace, and free lists
-// for prepared events and scoring arenas. It is single-owner: one
+// raw→canonical term and theme interners, and free lists for prepared
+// events and scoring arenas. It is single-owner: one
 // goroutine prepares events and borrows arenas; only the arenas themselves
 // may then be used concurrently (one goroutine each). Obtain with
 // Matcher.NewEventBatch, return with Matcher.FinishEventBatch — prepared
 // events and arenas are invalid after Finish.
 type EventBatch struct {
-	m       *Matcher
-	canon   map[string]canonTerm                // raw term -> canonical form + ordinal
-	vecs    map[string]uint32                   // term-vector signature -> vec id
-	themes  map[string]*semantics.CompiledTheme // raw joined tags -> compiled theme
-	nextVec uint32
-	sig     []byte // signature-building scratch
+	m      *Matcher
+	canon  map[string]canonTerm                // raw term -> canonical form + ordinal
+	themes map[string]*semantics.CompiledTheme // raw joined tags -> compiled theme
+	key    []byte                              // theme-key scratch
 
 	pes     []*PreparedEvent // prepared-event free list
 	usedPEs int
@@ -63,16 +57,15 @@ type EventBatch struct {
 
 // BatchArena is one worker's persistent scoring state within an
 // EventBatch: the row memo and arena shared across every candidate chunk
-// of the event-vector currently being scored. The memo is keyed by the
-// event's interned term-vector ids and cleared whenever the arena moves to
-// a different vector — keeping it cache-resident (a whole-batch memo at
-// the 100k tier grows to millions of rows and thrashes) while still
-// eliminating the per-chunk row recomputation that dominates the serial
-// path, and still carrying rows across consecutive events that share a
-// vector. Each arena may be used by one goroutine at a time.
+// of the prepared event currently being scored. The memo holds rows for
+// one event and is cleared whenever the arena moves to another — keeping
+// it cache-resident (a whole-batch memo at the 100k tier grows to millions
+// of rows and thrashes) while still eliminating the per-chunk row
+// recomputation that dominates the serial path. Each arena may be used by
+// one goroutine at a time.
 type BatchArena struct {
-	bb         *batchBuf
-	vecA, vecV uint32 // term-vector ids the memo currently holds rows for
+	bb *batchBuf
+	pe *PreparedEvent // the event the memo holds rows for
 }
 
 // eventBatchFree is a bounded free list rather than a sync.Pool: batch
@@ -82,10 +75,10 @@ type BatchArena struct {
 var eventBatchFree = make(chan *EventBatch, 4)
 
 // NewEventBatch borrows a batch-prepare context. Contexts are recycled with
-// their interners and row memos warm, so a steady stream of batches over a
-// stable vocabulary re-canonicalizes and re-computes nothing; a context
-// last used by a different matcher is reset first (vec ids and memoized
-// rows are only coherent within one matcher's space).
+// their interners warm and their arenas' memo tables grown, so a steady
+// stream of batches over a stable vocabulary re-canonicalizes nothing; a context last used by a
+// different matcher is reset first (interned ordinals and compiled themes
+// are only coherent within one matcher's space).
 func (m *Matcher) NewEventBatch() *EventBatch {
 	var eb *EventBatch
 	select {
@@ -93,7 +86,6 @@ func (m *Matcher) NewEventBatch() *EventBatch {
 	default:
 		eb = &EventBatch{
 			canon:  make(map[string]canonTerm),
-			vecs:   make(map[string]uint32),
 			themes: make(map[string]*semantics.CompiledTheme),
 		}
 	}
@@ -104,23 +96,16 @@ func (m *Matcher) NewEventBatch() *EventBatch {
 	return eb
 }
 
-// reset drops the interners, the vec namespace, and every arena memo keyed
-// by it — always together, so a recycled vec id can never resurrect a row
-// computed for a different term vector.
+// reset drops both interners.
 func (eb *EventBatch) reset() {
 	clear(eb.canon)
-	clear(eb.vecs)
 	clear(eb.themes)
-	eb.nextVec = 0
-	for _, a := range eb.arenas {
-		a.bb.invalidate()
-	}
 }
 
 // PrepareEventInBatch is PrepareEvent through the batch context: canonical
-// terms come from the interner and the event is stamped with its term
-// vector ids. The returned value is owned by the context and invalid after
-// FinishEventBatch.
+// terms come from the interner. The returned value is owned by the context
+// and invalid after FinishEventBatch, which recycles it for a later
+// batch's events.
 func (m *Matcher) PrepareEventInBatch(eb *EventBatch, e *event.Event) *PreparedEvent {
 	p := eb.nextPE(len(e.Tuples))
 	p.ev = e
@@ -133,8 +118,6 @@ func (m *Matcher) PrepareEventInBatch(eb *EventBatch, e *event.Event) *PreparedE
 		p.attrs[j], p.attrOrds[j] = a.c, a.ord
 		p.values[j], p.valueOrds[j] = v.c, v.ord
 	}
-	p.attrsVec = eb.vecOf(rowAttr, p)
-	p.valuesVec = eb.vecOf(rowValue, p)
 	p.resolveUnits(m.space)
 	return p
 }
@@ -182,17 +165,17 @@ func (eb *EventBatch) intern(raw string) canonTerm {
 // compileTheme memoizes Space.Compile per raw tag list: the space's own
 // memo returns a stable pointer but rebuilds its string key on every
 // lookup, so the batch context keeps its own allocation-free front cache
-// keyed through the signature scratch.
+// keyed through a reused byte scratch (eb.key).
 func (eb *EventBatch) compileTheme(theme []string) *semantics.CompiledTheme {
 	if len(theme) == 0 {
 		return nil
 	}
-	sb := eb.sig[:0]
+	sb := eb.key[:0]
 	for _, tag := range theme {
 		sb = append(sb, tag...)
 		sb = append(sb, 0x01)
 	}
-	eb.sig = sb
+	eb.key = sb
 	if t, ok := eb.themes[string(sb)]; ok {
 		return t
 	}
@@ -201,38 +184,8 @@ func (eb *EventBatch) compileTheme(theme []string) *semantics.CompiledTheme {
 	return t
 }
 
-// vecOf interns the (kind, compiled theme, canonical term vector)
-// signature and returns its id (ids start at 1; 0 means "no batch
-// identity"). The compiled theme participates through its canonical Key —
-// rows depend on the event theme, so two events only share an id when
-// their themes compile identically. The map lookup converts the scratch
-// bytes in place, so a warm hit allocates nothing.
-func (eb *EventBatch) vecOf(kind rowKind, p *PreparedEvent) uint32 {
-	terms := p.attrs
-	if kind == rowValue {
-		terms = p.values
-	}
-	sb := eb.sig[:0]
-	sb = append(sb, byte(kind))
-	if p.theme != nil {
-		sb = append(sb, p.theme.Key...)
-	}
-	for _, t := range terms {
-		sb = append(sb, 0x1f)
-		sb = append(sb, t...)
-	}
-	eb.sig = sb
-	if v, ok := eb.vecs[string(sb)]; ok {
-		return v
-	}
-	eb.nextVec++
-	eb.vecs[string(sb)] = eb.nextVec
-	return eb.nextVec
-}
-
-// NewBatchArena borrows a scoring arena from the context. Arenas keep
-// their row memos across borrows (they are keyed by the context's
-// persistent vec namespace); hand one to each scoring goroutine. Each
+// NewBatchArena borrows a scoring arena from the context; hand one to each
+// scoring goroutine. Each
 // arena owns the row kernel's dense scratch, one float64 per document of
 // the matcher's index (a recycled context may have served another index).
 func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
@@ -251,17 +204,13 @@ func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
 // subscriptions, appending one score per subscription (in order) to out
 // and returning it — bit-identical to ScorePrepared per pair (see
 // scoreBatchInto). The row memo is held in the arena, so rows survive
-// across calls for the same event vector: successive candidate chunks —
-// and consecutive events sharing term vectors — skip the semantic kernel
-// entirely. A different vector evicts the memo first (stale rows are
-// unreachable by key, but holding every event's rows would grow the map
-// past cache residency). Events prepared outside an EventBatch carry no
-// vector identity (both ids 0), so for them the memo is evicted on every
-// call: rows are shared within the call only.
+// across calls for the same prepared event: successive candidate chunks
+// skip the semantic kernel entirely. Another event evicts the memo first
+// (row keys carry no event identity).
 func (m *Matcher) ScoreBatchInArena(a *BatchArena, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
-	if a.vecA != pe.attrsVec || a.vecV != pe.valuesVec || pe.attrsVec == 0 {
+	if a.pe != pe {
 		a.bb.invalidate()
-		a.vecA, a.vecV = pe.attrsVec, pe.valuesVec
+		a.pe = pe
 	}
 	return m.scoreBatchInto(a.bb, subs, pe, out)
 }
@@ -270,7 +219,8 @@ func (m *Matcher) ScoreBatchInArena(a *BatchArena, subs []*PreparedSubscription,
 // amortization counters: terms interned (canonicalized fresh) vs reused
 // from the interner, and similarity rows computed vs reused from the
 // arena memos. Every PreparedEvent and BatchArena borrowed from the
-// context is invalid afterwards.
+// context is invalid afterwards; each arena forgets its event, because the
+// next batch recycles the same PreparedEvent for a different one.
 func (m *Matcher) FinishEventBatch(eb *EventBatch) (termsInterned, termsReused, rowsComputed, rowsReused uint64) {
 	termsInterned, termsReused = eb.termsInterned, eb.termsReused
 	eb.termsInterned, eb.termsReused = 0, 0
@@ -278,6 +228,7 @@ func (m *Matcher) FinishEventBatch(eb *EventBatch) (termsInterned, termsReused, 
 		rowsComputed += a.bb.computed
 		rowsReused += a.bb.reused
 		a.bb.computed, a.bb.reused = 0, 0
+		a.pe = nil
 	}
 	eb.lent = 0
 	for _, p := range eb.pes[:eb.usedPEs] {
@@ -286,7 +237,7 @@ func (m *Matcher) FinishEventBatch(eb *EventBatch) (termsInterned, termsReused, 
 		clear(p.valueUnits)
 	}
 	eb.usedPEs = 0
-	if len(eb.canon) > maxInternedTerms || len(eb.vecs) > maxInternedVecs || len(eb.themes) > maxInternedVecs {
+	if len(eb.canon) > maxInternedTerms || len(eb.themes) > maxInternedThemes {
 		eb.reset()
 	}
 	select {

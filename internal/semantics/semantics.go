@@ -582,9 +582,13 @@ func (s *Space) Filtered(term string, t *CompiledTheme) bool {
 // where units are built. Term
 // identity runs on interned ordinals (TermOrd), whose equality is
 // canonical-string equality, so the row stays bit-identical to the scalar
-// calls. Where the support rule holds (see SupportRule), out[j] is nonzero
-// exactly when a and eventUnits[j] both are, so a caller that needs only the
-// row's support can skip the call.
+// calls. Outside identity columns, out[j] is nonzero only when a and
+// eventUnits[j] both are: a zero side scores 0 by definition (§5.3.2). Under
+// Euclidean distance the converse holds too — two nonzero unit vectors are
+// at most 2 apart, so 1/(d+1) ≥ 1/3 — while cosine is also 0 for disjoint
+// supports. So LiveColumns bounds a row's support without a dot product, and
+// exactly under Euclidean distance: a caller that needs only that bound can
+// skip the call.
 func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
 	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
 	if a.IsZero() {
@@ -626,16 +630,6 @@ func LiveColumns(units []sparse.Unit) uint64 {
 	}
 	return live
 }
-
-// SupportRule reports whether the support rule holds in this space:
-// relatedness is nonzero exactly when both unit projections are nonzero. A
-// zero side scores 0 by definition (§5.3.2), and under Euclidean distance
-// two nonzero unit vectors are at most 2 apart, so 1/(d+1) ≥ 1/3. A row's
-// support is then the event's live columns (LiveColumns) when the
-// subscription unit is nonzero and empty otherwise, decided without a dot
-// product. Cosine is 0 for disjoint supports, so the rule does not hold
-// there.
-func (s *Space) SupportRule() bool { return s.opts.distance == Euclidean }
 
 // NonThematicRelatedness measures relatedness in the full space: the
 // domain-independent esa of the paper's baseline (§5.2.5).
