@@ -71,7 +71,9 @@ func (f MatchFunc) Score(s *event.Subscription, e *event.Event) float64 { return
 // scoring arena per worker, and sweeps candidate chunks through the arenas,
 // whose similarity-row memos persist across the chunks and events of the
 // publish. Scores must be bit-identical to Score — the contexts amortize
-// work, they never change a result. *matcher.Matcher satisfies Engine
+// work, they never change a result — except that an arena held to the
+// broker's threshold (BatchArena.SetThreshold) may report
+// matcher.RejectedByBound for a pair that provably scores below it. *matcher.Matcher satisfies Engine
 // directly; New asserts it once. Contexts are single-goroutine; arenas
 // drawn from one may then be used concurrently, one goroutine each, and
 // everything drawn from a context is invalid after FinishEventBatch.

@@ -214,7 +214,7 @@ func TestConservation(t *testing.T) {
 		})
 	}
 	for _, term := range []string{"shed", "admit/draining", "admit/closed", "admit/invalid", "score/zero",
-		"score/below_threshold", "deliver/gate_refused", "deliver/closed", "replay"} {
+		"score/bound", "score/below_threshold", "deliver/gate_refused", "deliver/closed", "replay"} {
 		if seen[term] == 0 {
 			t.Errorf("no seed exercised %q; the property is vacuous there", term)
 		}

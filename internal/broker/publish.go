@@ -54,6 +54,7 @@ const (
 	cMatched
 	cScoreZero
 	cScoreBelow
+	cScoreBound
 	cScanned
 	cPruned
 	cPublished
@@ -87,6 +88,7 @@ var accounting = [numCounters]struct{ family, help, stage, reason string }{
 	{"thematicep_broker_matched_total", "Event-subscription matches.", "", ""},
 	{stoppedFamily, stoppedHelp, "score", "zero"},
 	{stoppedFamily, stoppedHelp, "score", "below_threshold"},
+	{stoppedFamily, stoppedHelp, "score", "bound"},
 	{"thematicep_broker_scanned_total", "Event-subscription pairs scored by the matcher.", "", ""},
 	{"thematicep_broker_pruned_total", "Pairs skipped by the pruning index (provably score 0).", "", ""},
 	{"thematicep_broker_published_total", "Events accepted by Publish.", "", ""},
@@ -98,7 +100,7 @@ var accounting = [numCounters]struct{ family, help, stage, reason string }{
 	{"thematicep_broker_batches_total", "Publish calls admitted (each is one batch; a serial Publish is a batch of one).", "", ""},
 	{"thematicep_broker_batch_terms_interned_total", "Terms canonicalized fresh by the batch interner.", "", ""},
 	{"thematicep_broker_batch_terms_reused_total", "Term canonicalizations served from the batch interner.", "", ""},
-	{"thematicep_broker_batch_rows_computed_total", "Similarity rows filled (under Euclidean distance a memo miss stores only the row's mask; the row is filled when a candidate that passes its mask check reads it).", "", ""},
+	{"thematicep_broker_batch_rows_computed_total", "Similarity rows filled (a memo miss stores only the row's mask; the row is filled when a candidate that passes its mask check and its score bound reads it).", "", ""},
 	{"thematicep_broker_batch_rows_reused_total", "Similarity row requests (mask or row) served from the arena memos.", "", ""},
 }
 
@@ -114,7 +116,7 @@ var identities = [...]struct {
 	{"events in = published + shed + stopped{admit}",
 		[]counter{cEventsIn}, []counter{cPublished, cShed, cAdmitDraining, cAdmitClosed, cAdmitInvalid}},
 	{"scanned = stopped{score} + matched",
-		[]counter{cScanned}, []counter{cScoreZero, cScoreBelow, cMatched}},
+		[]counter{cScanned}, []counter{cScoreZero, cScoreBelow, cScoreBound, cMatched}},
 	{"matched + replay = delivered + stopped{deliver}",
 		[]counter{cMatched, cReplayMatched}, []counter{cDelivered, cDeliverGate, cDeliverClosed}},
 }
@@ -181,9 +183,9 @@ type chunkRef struct {
 // scoreScratch is one scoring worker's staging and its tally of the pairs
 // the score stage stopped.
 type scoreScratch struct {
-	subs        []*matcher.PreparedSubscription
-	scores      []float64
-	zero, below uint64
+	subs               []*matcher.PreparedSubscription
+	scores             []float64
+	zero, below, bound uint64
 }
 
 // pubBatchBuf is the whole state of one publish. Everything a publish
@@ -276,7 +278,7 @@ func (buf *pubBatchBuf) release() {
 		sc := &buf.scratch[i]
 		clear(sc.subs[:cap(sc.subs)]) // stale tails too: they pin prepared subscriptions
 		sc.subs = sc.subs[:0]
-		sc.zero, sc.below = 0, 0
+		sc.zero, sc.below, sc.bound = 0, 0, 0
 	}
 	clear(buf.merged)
 	buf.merged = buf.merged[:0]
@@ -609,7 +611,9 @@ func (buf *pubBatchBuf) score(lo int) {
 		// Drawn on the context-owning goroutine before any worker starts;
 		// they persist across every window of the batch.
 		for range b.cfg.parallelism {
-			buf.arenas = append(buf.arenas, b.engine.NewBatchArena(buf.ctx))
+			a := b.engine.NewBatchArena(buf.ctx)
+			a.SetThreshold(b.cfg.threshold)
+			buf.arenas = append(buf.arenas, a)
 		}
 	}
 spawn:
@@ -643,7 +647,7 @@ func (buf *pubBatchBuf) work(wid int) {
 	b := buf.b
 	hits := buf.hits[wid]
 	sc := &buf.scratch[wid]
-	subs, scores, zero, below := sc.subs, sc.scores, sc.zero, sc.below
+	subs, scores, zero, below, bound := sc.subs, sc.scores, sc.zero, sc.below, sc.bound
 	threshold := b.cfg.threshold
 	for {
 		c := int(buf.cursor.Add(1)) - 1
@@ -667,6 +671,8 @@ func (buf *pubBatchBuf) work(wid int) {
 		}
 		for k, s := range targets {
 			switch v := scores[k]; {
+			case v == matcher.RejectedByBound:
+				bound++
 			case !(v > 0):
 				zero++
 			case v < threshold:
@@ -677,7 +683,7 @@ func (buf *pubBatchBuf) work(wid int) {
 		}
 	}
 	buf.hits[wid] = hits
-	sc.subs, sc.scores, sc.zero, sc.below = subs, scores, zero, below
+	sc.subs, sc.scores, sc.zero, sc.below, sc.bound = subs, scores, zero, below, bound
 }
 
 // deliver buckets the hits per subscriber (chained through prev/head, no
@@ -690,6 +696,7 @@ func (buf *pubBatchBuf) deliver() {
 		merged = append(merged, buf.hits[w]...)
 		buf.tally[cScoreZero] += buf.scratch[w].zero
 		buf.tally[cScoreBelow] += buf.scratch[w].below
+		buf.tally[cScoreBound] += buf.scratch[w].bound
 	}
 	buf.merged = merged
 	buf.tally[cMatched] += uint64(len(merged))

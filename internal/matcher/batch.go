@@ -60,16 +60,20 @@ type rowSlot struct {
 // generation counter instead of clearing the table, so moving to the next
 // event costs O(1) regardless of how many rows the previous event touched.
 // Rows live as arena offsets, not slices, so arena growth never
-// invalidates them. For the batch-amortization telemetry, accumulated
+// invalidates them; so do the event-side score bounds (see eventBounds). For the batch-amortization telemetry, accumulated
 // across a whole publish batch, computed counts rows whose similarities
 // were filled and reused counts row requests the memo served.
 type batchBuf struct {
 	sim      simBuf
-	dense    []rowSlot // indexed by matcher rowID
-	scores   []sigSlot // indexed by matcher sigID
-	epoch    uint32    // current memo generation
+	dense    []rowSlot   // indexed by matcher rowID
+	scores   []sigSlot   // indexed by matcher sigID
+	evBounds []boundSlot // indexed by subscription theme ordinal (see eventBounds)
+	epoch    uint32      // current memo generation
 	arena    []float64
 	scratch  []float64 // all-zero between rows; Index.NumDocs() long (see NewBatchArena)
+	floor    float64   // a candidate whose cap is below it is rejected; ≤ 0 turns the bound off
+	relFloor float64   // the space's RelatednessFloor
+	certain  int       // a candidate with at most this many relaxed factors has a cap ≥ floor
 	computed uint64
 	reused   uint64
 }
@@ -92,6 +96,7 @@ func (bb *batchBuf) invalidate() {
 	if bb.epoch == 0 {
 		clear(bb.dense)
 		clear(bb.scores)
+		clear(bb.evBounds)
 		bb.epoch = 1
 	}
 }
@@ -215,7 +220,9 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 // (asserted in batch_test.go); only the Hungarian path beyond allocates,
 // inside the solver, exactly as ScorePrepared does. Row keys carry no
 // event identity; the arena clears the memo before it can ever span two
-// prepared events.
+// prepared events. With a threshold set on the arena, a candidate whose
+// cap (scoreCap) is below it scores RejectedByBound instead: every
+// candidate that can reach the threshold keeps its bits.
 func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
 	mm := len(pe.attrs)
 	for _, ps := range subs {
@@ -271,7 +278,16 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 			}
 		}
 		var sc float64
-		if feasible {
+		switch {
+		case !feasible:
+		case bb.floor > 0 && int(ps.relaxed) > bb.certain && (ps.theme != nil || pe.theme != nil) &&
+			m.scoreCap(bb, ps, pe, bb.floor) < bb.floor:
+			// Phase 1b: the candidate's theme-basis cap (see bound.go) proves
+			// its score below the threshold, so no row is filled for it.
+			// Without themes on either side the cap bounds nothing, and with
+			// too few relaxed factors it cannot fall below the threshold.
+			sc = RejectedByBound
+		default:
 			// Phase 2: build the matrix from the candidate's rows.
 			var sim [][]float64
 			if ps.allEq {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"thematicep/internal/event"
@@ -113,6 +114,44 @@ func checkArenaBitIdentity(t *testing.T, m *Matcher, subs []*PreparedSubscriptio
 	}
 }
 
+// checkArenaThreshold sweeps every event through one arena held to theta,
+// prepared through the batch context and outside it as checkArenaBitIdentity
+// does, and requires ScorePrepared's bits for every pair but those the
+// theme-basis bound rejects, which must report RejectedByBound and score
+// below theta. Every pair's cap must be at least its score, rejected or not.
+// It returns how many pairs the bound rejected.
+func checkArenaThreshold(t *testing.T, m *Matcher, subs []*PreparedSubscription, events []*PreparedEvent, theta float64) (rejected int) {
+	t.Helper()
+	eb := m.NewEventBatch()
+	defer m.FinishEventBatch(eb)
+	ar := m.NewBatchArena(eb)
+	ar.SetThreshold(theta)
+	var out []float64
+	for ei, pe := range events {
+		for _, q := range []*PreparedEvent{m.PrepareEventInBatch(eb, pe.Event()), pe} {
+			out = m.ScoreBatchInArena(ar, subs, q, out[:0])
+			for si, ps := range subs {
+				want := m.ScorePrepared(ps, pe)
+				switch got := out[si]; {
+				case math.Float64bits(got) == math.Float64bits(want):
+				case got == RejectedByBound && want < theta:
+					rejected++
+				default:
+					t.Errorf("θ=%v event %d sub %d (batch-prepared %v): arena %v, ScorePrepared %v", theta, ei, si, q != pe, got, want)
+				}
+				c := m.scoreCap(ar.bb, ps, q, 0)
+				if c < want {
+					t.Errorf("event %d sub %d: cap %v below ScorePrepared %v", ei, si, c, want)
+				}
+				if want > 0 && int(ps.relaxed) <= ar.bb.certain && c < ar.bb.floor {
+					t.Errorf("event %d sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", ei, si, ps.relaxed, c)
+				}
+			}
+		}
+	}
+	return rejected
+}
+
 // TestScoreBatchInArenaMatchesScorePrepared is the bit-identity contract:
 // the columnar arena sweep must produce exactly the floats the
 // row-at-a-time path produces, for every subscription shape, so the
@@ -132,17 +171,20 @@ func TestScoreBatchInArenaNonThematic(t *testing.T) {
 }
 
 // TestScoreBatchInArenaEveryConfiguration holds the bit-identity contract
-// under every scoring configuration a space can take besides the default:
-// cosine distance (masks a superset of the row's support, see rowMask), basis
+// under every scoring configuration a space can take: the default, cosine
+// distance (masks a superset of the row's support, see rowMask), basis
 // filtering without idf recomputation, every cache off, and an active score
 // memo that ScorePrepared reads and the row kernel does not — each in
-// thematic and non-thematic mode.
+// thematic and non-thematic mode, at θ = 0 and at two thresholds, where the
+// theme-basis bound may reject a pair only if it scores below θ. The bound
+// must reject some pair in every thematic configuration.
 func TestScoreBatchInArenaEveryConfiguration(t *testing.T) {
 	ix := space(t).Index()
 	for _, c := range []struct {
 		name  string
 		space *semantics.Space
 	}{
+		{"euclidean", semantics.NewSpace(ix)},
 		{"cosine", semantics.NewSpace(ix, semantics.WithDistance(semantics.Cosine))},
 		{"no-idf", semantics.NewSpace(ix, semantics.WithIDFRecompute(false))},
 		{"caches-off", semantics.NewSpace(ix, semantics.WithCaching(false))},
@@ -171,6 +213,13 @@ func TestScoreBatchInArenaEveryConfiguration(t *testing.T) {
 					c.space.PrecomputeScores(subTerms, eventTerms)
 				}
 				checkArenaBitIdentity(t, m, subs, events)
+				rejected := 0
+				for _, theta := range []float64{0.3, 0.6} {
+					rejected += checkArenaThreshold(t, m, subs, events, theta)
+				}
+				if thematic && rejected == 0 {
+					t.Error("the bound rejected no pair; the threshold leg is vacuous")
+				}
 			})
 		}
 	}
@@ -224,15 +273,7 @@ func TestArenaMemoFollowsPreparedEvent(t *testing.T) {
 		t.Fatal("no row filled; the chunk check is vacuous")
 	}
 
-	// Empty the free list, so the context finished next is the one
-	// borrowed next, with its arena and prepared events.
-	for drained := false; !drained; {
-		select {
-		case <-eventBatchFree:
-		default:
-			drained = true
-		}
-	}
+	drainEventBatchFree()
 	first, second := events[0], events[1]
 	eb := m.NewEventBatch()
 	ar := m.NewBatchArena(eb)
@@ -398,7 +439,7 @@ func FuzzRowSupport(f *testing.F) {
 // TestScoreBatchZeroAlloc gates the warm columnar sweep at 0 allocs/op for
 // the common ≤3-predicate population, same idiom as the ScorePrepared gate
 // — both through a batch-prepared event and through one prepared outside a
-// batch.
+// batch, and at a threshold whose theme-basis bound rejects some candidates.
 func TestScoreBatchZeroAlloc(t *testing.T) {
 	m := New(space(t))
 	sub, ev := benchPair()
@@ -434,6 +475,232 @@ func TestScoreBatchZeroAlloc(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("batch produced no positive scores; population is degenerate")
 	}
+
+	// Steady state at θ > 0: every call moves to the other event, so each
+	// refills its rows and its event-side bounds in the warm arena.
+	other := *ev
+	other.Theme = []string{"energy policy"}
+	pes := [2]*PreparedEvent{m.PrepareEventInBatch(eb, ev), m.PrepareEventInBatch(eb, &other)}
+	ar.SetThreshold(0.9)
+	for _, pe := range pes {
+		scores = m.ScoreBatchInArena(ar, subs, pe, scores[:0])
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		scores = m.ScoreBatchInArena(ar, subs, pes[i&1], scores[:0])
+		i++
+	}); allocs != 0 {
+		t.Errorf("warm ScoreBatchInArena at θ = 0.9: %v allocs/op, want 0", allocs)
+	}
+	rejected := 0
+	for _, pe := range pes {
+		for _, s := range m.ScoreBatchInArena(ar, subs, pe, scores[:0]) {
+			if s == RejectedByBound {
+				rejected++
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("the bound rejected no candidate; the θ > 0 case is vacuous")
+	}
+}
+
+// TestArenaThresholdDoesNotOutliveBorrow recycles an arena that was held to
+// θ > 0: NewBatchArena turns the bound off again, so the recycled arena
+// scores every candidate with ScorePrepared's bits.
+func TestArenaThresholdDoesNotOutliveBorrow(t *testing.T) {
+	m := New(space(t))
+	subs, events := batchPopulation(t, m)
+	events = events[:4]
+	drainEventBatchFree()
+	eb := m.NewEventBatch()
+	ar := m.NewBatchArena(eb)
+	ar.SetThreshold(0.6)
+	rejected := 0
+	for _, pe := range events {
+		for _, s := range m.ScoreBatchInArena(ar, subs, pe, nil) {
+			if s == RejectedByBound {
+				rejected++
+			}
+		}
+	}
+	m.FinishEventBatch(eb)
+	if rejected == 0 {
+		t.Fatal("the bound rejected no pair at θ = 0.6; the recycled arena is unchecked")
+	}
+	eb2 := m.NewEventBatch()
+	defer m.FinishEventBatch(eb2)
+	if ar2 := m.NewBatchArena(eb2); ar2 != ar {
+		t.Fatal("the second batch did not recycle the first batch's arena")
+	}
+	for ei, pe := range events {
+		out := m.ScoreBatchInArena(ar, subs, pe, nil)
+		for si, ps := range subs {
+			if want := m.ScorePrepared(ps, pe); math.Float64bits(out[si]) != math.Float64bits(want) {
+				t.Errorf("recycled arena, event %d sub %d: %v != ScorePrepared %v", ei, si, out[si], want)
+			}
+		}
+	}
+}
+
+// TestRecycledEventGetsFreshBounds hands a recycled *PreparedEvent the same
+// tuples under another theme: its units, and so its event-side bounds,
+// differ, and the arena must compute them afresh rather than serve the
+// previous event's.
+func TestRecycledEventGetsFreshBounds(t *testing.T) {
+	m := New(space(t))
+	subs, events := batchPopulation(t, m)
+	first := events[0].Event()
+	second := *first
+	second.Theme = []string{"energy policy", "computer systems"}
+	drainEventBatchFree()
+	eb := m.NewEventBatch()
+	ar := m.NewBatchArena(eb)
+	ar.SetThreshold(0.3)
+	old := m.PrepareEventInBatch(eb, first)
+	m.ScoreBatchInArena(ar, subs, old, nil)
+	m.FinishEventBatch(eb)
+
+	eb2 := m.NewEventBatch()
+	defer m.FinishEventBatch(eb2)
+	ar2 := m.NewBatchArena(eb2)
+	ar2.SetThreshold(0.3)
+	pe := m.PrepareEventInBatch(eb2, &second)
+	if eb2 != eb || ar2 != ar || pe != old {
+		t.Fatal("the second batch did not recycle the first batch's context, arena and prepared event")
+	}
+	out := m.ScoreBatchInArena(ar2, subs, pe, nil)
+	plain, stale := m.PrepareEvent(&second), m.PrepareEvent(first)
+	for si, ps := range subs {
+		switch got, want := out[si], m.ScorePrepared(ps, plain); {
+		case math.Float64bits(got) == math.Float64bits(want):
+		case got == RejectedByBound && want < 0.3:
+		default:
+			t.Errorf("recycled prepared event, sub %d: arena %v, ScorePrepared %v", si, got, want)
+		}
+	}
+	differ := 0
+	for _, ps := range subs {
+		bounds := m.eventBounds(ar2.bb, ps.theme, pe)
+		for j := range pe.attrUnits {
+			want := m.space.RelatednessBound(&plain.attrUnits[j], ps.theme)
+			if got := m.evBound(bounds, j, &pe.attrUnits[j], ps.theme); got != want {
+				t.Errorf("sub theme %v column %d: event-side bound %v, want %v", ps.theme.Ord(), j, got, want)
+			}
+			if want != m.space.RelatednessBound(&stale.attrUnits[j], ps.theme) {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("the two themes give equal event-side bounds; the recycled event is unchecked")
+	}
+}
+
+// TestThresholdArenasShareBounds scores through several arenas at once, one
+// goroutine and one batch context each, all held to a threshold and so all
+// reading and writing the matcher's shared sub-side bound table and the
+// compiled themes' basis bitmaps (run it under -race).
+func TestThresholdArenasShareBounds(t *testing.T) {
+	m := New(space(t))
+	subs, events := batchPopulation(t, m)
+	events = events[:6]
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eb := m.NewEventBatch()
+			defer m.FinishEventBatch(eb)
+			ar := m.NewBatchArena(eb)
+			ar.SetThreshold(0.3)
+			for k := range events {
+				pe := events[(k+w)%len(events)]
+				out := m.ScoreBatchInArena(ar, subs, m.PrepareEventInBatch(eb, pe.Event()), nil)
+				for si, ps := range subs {
+					want := m.ScorePrepared(ps, pe)
+					if got := out[si]; math.Float64bits(got) != math.Float64bits(want) && !(got == RejectedByBound && want < 0.3) {
+						t.Errorf("worker %d sub %d: arena %v, ScorePrepared %v", w, si, got, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// drainEventBatchFree empties the batch-context free list, so the context
+// finished next is the one borrowed next, with its arenas and prepared
+// events.
+func drainEventBatchFree() {
+	for {
+		select {
+		case <-eventBatchFree:
+		default:
+			return
+		}
+	}
+}
+
+// FuzzThemeBound checks the theme-basis bound over fuzzed term layouts,
+// subscription and event themes (themes, as FuzzRowSupport), scoring
+// configurations (cfg: bit 0 cosine distance, bit 1 no idf recomputation)
+// and thresholds θ = theta/255: every pair's cap is at least its
+// ScorePrepared score, every pair scoring at least θ keeps its bits through
+// an arena held to θ, and every other pair reports its bits or
+// RejectedByBound — below θ either way. A matching pair whose cap the arena
+// skips for its few relaxed factors must have a cap of at least θ.
+func FuzzThemeBound(f *testing.F) {
+	f.Add([]byte{0, 7, 3, 1, 9, 2, 2, 15, 0}, []byte{0, 8, 1, 9}, uint8(4), uint8(0x12), uint8(0), uint8(128))
+	f.Add([]byte{5, 17, 3, 6, 19, 2, 3, 11, 1}, []byte{5, 0, 6}, uint8(69), uint8(0x31), uint8(1), uint8(100))
+	f.Add([]byte{0, 20, 3, 13, 2, 30, 4, 4, 12}, []byte{13, 4}, uint8(79), uint8(0x23), uint8(2), uint8(200))
+	f.Add([]byte{1, 1, 1, 2, 2, 2}, []byte{1, 2, 3, 4, 5, 6, 7}, uint8(64), uint8(0x00), uint8(3), uint8(60))
+	f.Add([]byte{6, 15, 3, 0, 20, 2, 5, 18, 3, 1, 10, 19, 4, 7, 2, 2, 9, 1, 3, 14, 0}, []byte{4, 22, 9, 17, 41, 80}, uint8(11), uint8(0x10), uint8(0), uint8(160))
+	f.Add([]byte{0, 9, 2, 5, 16, 3, 6, 2, 1, 13, 13, 19, 7, 20, 3, 4, 11, 2}, []byte{0, 6, 13, 40, 77}, uint8(5), uint8(0x21), uint8(1), uint8(40))
+	f.Add([]byte{7, 8, 3, 15, 16, 3, 2, 13, 3}, []byte{8, 9, 16, 17, 12}, uint8(9), uint8(0x32), uint8(0), uint8(150))
+	ix := space(f).Index()
+	var ms [4]*Matcher
+	for c := range ms {
+		var opts []semantics.Option
+		if c&1 != 0 {
+			opts = append(opts, semantics.WithDistance(semantics.Cosine))
+		}
+		if c&2 != 0 {
+			opts = append(opts, semantics.WithIDFRecompute(false))
+		}
+		ms[c] = New(semantics.NewSpace(ix, opts...))
+	}
+	f.Fuzz(func(t *testing.T, subLayout, evLayout []byte, width, themes, cfg, theta uint8) {
+		m := ms[cfg&3]
+		th := float64(theta) / 255
+		subs, ev := fuzzPairs(m, subLayout, evLayout, width, themes)
+		if len(subs) == 0 {
+			return
+		}
+		eb := m.NewEventBatch()
+		defer m.FinishEventBatch(eb)
+		ar := m.NewBatchArena(eb)
+		ar.SetThreshold(th)
+		pe := m.PrepareEventInBatch(eb, ev)
+		scores := m.ScoreBatchInArena(ar, subs, pe, nil)
+		plain := m.PrepareEvent(ev)
+		for si, ps := range subs {
+			want := m.ScorePrepared(ps, plain)
+			c := m.scoreCap(ar.bb, ps, pe, 0)
+			if c < want {
+				t.Errorf("sub %d: cap %v below ScorePrepared %v", si, c, want)
+			}
+			if want > 0 && int(ps.relaxed) <= ar.bb.certain && c < ar.bb.floor {
+				t.Errorf("sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", si, ps.relaxed, c)
+			}
+			switch got := scores[si]; {
+			case math.Float64bits(got) == math.Float64bits(want):
+			case got == RejectedByBound && want < th:
+			default:
+				t.Errorf("θ=%v sub %d: arena %v, ScorePrepared %v", th, si, got, want)
+			}
+		}
+	})
 }
 
 // BenchmarkScoreBatchInArena measures the columnar arena sweep against the

@@ -31,6 +31,7 @@ package matcher
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"thematicep/internal/assign"
 	"thematicep/internal/event"
@@ -111,6 +112,11 @@ type Matcher struct {
 	// Ids start at 1.
 	sigsMu sync.Mutex
 	sigs   map[string]uint32
+
+	// boundTab memoizes subscription-side score bounds per (row, event
+	// theme) for every arena scored against a threshold (see bound.go);
+	// nil until first used.
+	boundTab atomic.Pointer[boundTable]
 }
 
 // New builds a matcher over a semantic space.

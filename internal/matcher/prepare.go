@@ -2,6 +2,7 @@ package matcher
 
 import (
 	"encoding/binary"
+	"math"
 	"slices"
 	"sync"
 
@@ -28,6 +29,11 @@ type PreparedSubscription struct {
 	// write all of their cells, so the batch scorer can skip zeroing the
 	// matrix for this subscription.
 	allEq bool
+	// relaxed counts the relaxed factors of the similarity cells: relaxed
+	// attributes, and relaxed values of equality ops (saturating). The
+	// batch scorer skips the score cap of a candidate with too few to fall
+	// below the threshold (see BatchArena.SetThreshold).
+	relaxed uint8
 	// sig is the interned id of the predicate descriptor sequence for
 	// all-equality subscriptions (0 otherwise): equal sigs guarantee
 	// bit-identical scores against any event, so the batch scorer memoizes
@@ -189,9 +195,16 @@ func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscripti
 	}
 	themeOrd := p.theme.Ord()
 	p.allEq = true
+	relaxed := 0
 	for i, pred := range s.Predicates {
 		if pred.Op != event.OpEq {
 			p.allEq = false
+		}
+		if pred.ApproxAttr {
+			relaxed++
+		}
+		if pred.ApproxValue && pred.Op == event.OpEq {
+			relaxed++
 		}
 		p.attrs[i] = text.Canonical(pred.Attr)
 		p.values[i] = text.Canonical(pred.Value)
@@ -210,6 +223,7 @@ func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscripti
 			p.preds[i] = d
 		}
 	}
+	p.relaxed = uint8(min(relaxed, math.MaxUint8))
 	if p.allEq && p.np > 0 {
 		// All-equality scores are a pure function of the descriptor
 		// sequence and the event, so identical sequences

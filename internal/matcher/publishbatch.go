@@ -1,6 +1,8 @@
 package matcher
 
 import (
+	"math"
+
 	"thematicep/internal/event"
 	"thematicep/internal/semantics"
 	"thematicep/internal/sparse"
@@ -188,6 +190,7 @@ func (eb *EventBatch) compileTheme(theme []string) *semantics.CompiledTheme {
 // scoring goroutine. Each
 // arena owns the row kernel's dense scratch, one float64 per document of
 // the matcher's index (a recycled context may have served another index).
+// The arena scores every candidate until SetThreshold says otherwise.
 func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
 	if eb.lent == len(eb.arenas) {
 		eb.arenas = append(eb.arenas, &BatchArena{bb: &batchBuf{epoch: 1}})
@@ -197,7 +200,31 @@ func (m *Matcher) NewBatchArena(eb *EventBatch) *BatchArena {
 	if n := m.space.Index().NumDocs(); len(a.bb.scratch) != n {
 		a.bb.scratch = make([]float64, n)
 	}
+	a.bb.floor, a.bb.relFloor = 0, m.space.RelatednessFloor()
 	return a
+}
+
+// SetThreshold sets the threshold θ the caller will hold the arena's scores
+// to. With θ > 0 a candidate whose theme-basis cap proves its score below θ
+// is reported as RejectedByBound, before any of its rows is filled; every
+// candidate scoring at least θ keeps ScorePrepared's bits. θ ≤ 0, which
+// NewBatchArena sets, scores every candidate. The memo starts afresh, so a
+// rejection under one threshold is never served under another.
+//
+// A candidate that passed its masks against an event of at most 64 tuples
+// has a column where each factor of its cell is 1 or a relaxed relatedness
+// bound, and such a bound exceeds the space's RelatednessFloor, so a
+// candidate with k relaxed factors has a cap of at least floor^k. Its cap is not computed when that already reaches θ: at
+// θ = 0.2 under Euclidean distance, every candidate with one relaxed factor.
+func (a *BatchArena) SetThreshold(theta float64) {
+	bb := a.bb
+	bb.floor = theta * (1 - boundSlack)
+	bb.certain = -1
+	for p := 1.0; p >= bb.floor && bb.certain < math.MaxUint8; p *= bb.relFloor {
+		bb.certain++
+	}
+	bb.invalidate()
+	a.pe = nil
 }
 
 // ScoreBatchInArena scores one prepared event against a batch of prepared

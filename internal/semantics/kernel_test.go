@@ -349,3 +349,42 @@ func TestSupportRule(t *testing.T) {
 		}
 	}
 }
+
+// TestRelatednessBound checks the theme-basis bound the batch scorer rejects
+// candidates on before it fills any row: for random term pairs under random
+// themes, in every scoring configuration, the relatedness of a non-identical
+// pair is at most the bound of either side against the other side's theme,
+// and the bound is below 1 often enough to matter.
+func TestRelatednessBound(t *testing.T) {
+	ix := evalIndexFor(t)
+	rng := rand.New(rand.NewSource(31))
+	pool := append(conceptTerms(rng, 60), "qqqunknownqqq", "tram", "ozone")
+	for j := range pool {
+		pool[j] = text.Canonical(pool[j])
+	}
+	for _, s := range []*Space{NewSpace(ix), NewSpace(ix, WithDistance(Cosine)),
+		NewSpace(ix, WithIDFRecompute(false)), NewSpace(ix, WithCaching(false))} {
+		var tight int
+		for trial := 0; trial < 400; trial++ {
+			st, et := s.Compile(sampleTheme(rng, rng.Intn(4))), s.Compile(sampleTheme(rng, rng.Intn(4)))
+			a, b := pool[rng.Intn(len(pool))], pool[rng.Intn(len(pool))]
+			if a == b {
+				continue
+			}
+			ua, _ := s.ResolveUnit(a, st)
+			ub, _ := s.ResolveUnit(b, et)
+			got := s.RelatednessCompiled(a, st, b, et)
+			for _, bound := range []float64{s.RelatednessBound(&ua, et), s.RelatednessBound(&ub, st)} {
+				if got > bound {
+					t.Fatalf("relatedness(%q@%v, %q@%v) = %v above its bound %v", a, st.Ord(), b, et.Ord(), got, bound)
+				}
+				if bound < 1 && got > 0 {
+					tight++
+				}
+			}
+		}
+		if tight == 0 {
+			t.Error("no bound below 1 on a related pair; the check is vacuous")
+		}
+	}
+}

@@ -140,6 +140,11 @@ type CompiledTheme struct {
 	// allocation (the projVecs path must concatenate term and theme id into
 	// a fresh key string on every call).
 	units cache[sparse.Unit]
+
+	// basisBits is the theme's basis as a bitmap over document ids (bit
+	// d&63 of word d>>6), built on first use by RelatednessBound: one bit
+	// per document of the index, 23 words for 1,424 documents.
+	basisBits atomic.Pointer[[]uint64]
 }
 
 // NewSpace builds a Space over ix.
@@ -616,6 +621,53 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 		}
 	}
 	a.Unscatter(dense)
+}
+
+// boundMargin is the slack RelatednessBound adds to a masked norm before
+// mapping it to relatedness. It sits in dot space, where the rounding it
+// covers is bounded: a gathered dot product of unit vectors is off by at most
+// nnz·ε ≈ 1.6e-13 at the index's sizes, and so is a masked norm. In
+// relatedness space no fixed slack would do, because ofDot's slope is
+// unbounded as the dot approaches 1.
+const boundMargin = 1e-9
+
+// RelatednessBound returns an upper bound on the relatedness of u with every
+// unit projection under theme t, the identity rule aside: Algorithm 1 zeroes
+// every component of such a projection b̂ outside basis(t), so by
+// Cauchy–Schwarz u·b̂ = (u restricted to basis(t))·b̂ ≤ ‖u|basis(t)‖, and
+// Distance.ofDot is non-decreasing under both distances. The bound holds
+// whatever theme u was projected under, so it bounds a pair from either
+// side; a pair's relatedness is at most the smaller of its two sides'
+// bounds. A zero u relates 0 to everything; the full space (t nil) bounds
+// nothing, 1.
+func (s *Space) RelatednessBound(u *sparse.Unit, t *CompiledTheme) float64 {
+	switch {
+	case u.IsZero():
+		return 0
+	case t == nil:
+		return 1
+	}
+	return s.opts.distance.ofDot(u.NormWithin(s.basisBitsOf(t)) + boundMargin)
+}
+
+// RelatednessFloor returns the least relatedness two nonzero unit
+// projections can have: ofDot(0), since projection weights are
+// non-negative and so is every dot product. It is 1/(1+√2) under Euclidean
+// distance and 0 under cosine.
+func (s *Space) RelatednessFloor() float64 { return s.opts.distance.ofDot(0) }
+
+// basisBitsOf returns t's basis bitmap, building it on first use. Two racing
+// builders store equal bitmaps.
+func (s *Space) basisBitsOf(t *CompiledTheme) []uint64 {
+	if p := t.basisBits.Load(); p != nil {
+		return *p
+	}
+	bits := make([]uint64, (s.ix.NumDocs()+63)/64)
+	for _, d := range s.basisOf(t) {
+		bits[d>>6] |= 1 << (uint(d) & 63)
+	}
+	t.basisBits.Store(&bits)
+	return bits
 }
 
 // LiveColumns returns the support RelatednessRowPreUnits can give a row

@@ -239,6 +239,21 @@ func DotDense(dense []float64, b *Unit) float64 {
 	return s
 }
 
+// NormWithin returns the L2 norm of u's components whose ids are set in
+// bits (bit id&63 of word id>>6): the norm of u masked to a dimension set.
+// Ids past the end of bits count as unset.
+func (u *Unit) NormWithin(bits []uint64) float64 {
+	ids := u.Vec.ids
+	w := u.Vec.weights[:len(ids)]
+	var s float64
+	for k, id := range ids {
+		if i := int(id >> 6); i < len(bits) && bits[i]>>(uint(id)&63)&1 != 0 {
+			s += w[k] * w[k]
+		}
+	}
+	return math.Sqrt(s)
+}
+
 // Mask returns the components of v whose dimension ids appear in basis.
 // It is the projection primitive: Algorithm 1 zeroes components outside the
 // thematic basis. The basis must be sorted ascending.

@@ -77,3 +77,35 @@ func decodeVec(data []byte) Vector {
 	}
 	return FromMap(m)
 }
+
+// TestNormWithin checks the masked norm against the norm of the Mask of the
+// same dimension set, and the Cauchy–Schwarz bound it exists for: a unit's
+// inner product with any unit supported inside the set is at most its norm
+// within the set.
+func TestNormWithin(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for i := 0; i < 500; i++ {
+		u := genNonNegVector(r, 150).Normalize()
+		var basis []int32
+		bits := make([]uint64, 2) // covers ids < 128; ids beyond count as unset
+		for d := int32(0); d < 150; d++ {
+			if r.Intn(3) == 0 {
+				if d < 128 {
+					basis = append(basis, d)
+					bits[d>>6] |= 1 << (uint(d) & 63)
+				}
+			}
+		}
+		got := u.NormWithin(bits)
+		if want := Mask(u.Vec, basis).Norm(); !almostEqual(got, want) {
+			t.Fatalf("NormWithin = %v, norm of the masked vector = %v", got, want)
+		}
+		b := Mask(genNonNegVector(r, 150), basis).Normalize()
+		if d := DotUnit(u, b); d > got+1e-12 {
+			t.Fatalf("dot %v with a unit inside the set exceeds NormWithin %v", d, got)
+		}
+	}
+	if n := (&Unit{}).NormWithin([]uint64{^uint64(0)}); n != 0 {
+		t.Errorf("zero unit: NormWithin = %v", n)
+	}
+}
