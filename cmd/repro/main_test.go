@@ -52,7 +52,7 @@ func TestPriorLeavesSharedSpaceUnmemoized(t *testing.T) {
 		if err := exp.run(env); err != nil {
 			t.Fatalf("%s: %v", exp.name, err)
 		}
-		if _, _, _, scores := env.space.CacheStats(); scores != 0 {
+		if _, scores := env.space.CacheStats(); scores != 0 {
 			t.Fatalf("after %s the shared space memoizes %d scores, want 0", exp.name, scores)
 		}
 	}

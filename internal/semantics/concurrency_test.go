@@ -9,9 +9,10 @@ import (
 // TestSpaceConcurrentSingleFlight hammers one Space from 8 goroutines over
 // overlapping (term, theme) pairs and checks the two halves of the
 // concurrency contract: every concurrent score equals the serial reference
-// (stability), and every cached entry was computed exactly once
-// (single-flight — Computes() equals the cache entry counts even though 8
-// goroutines raced to fill the same keys). Run with -race.
+// (stability), and every cached unit projection was computed exactly once
+// (single-flight — Computes() equals the unit cache entry counts, thematic
+// and full-space, even though 8 goroutines raced to fill the same keys).
+// Run with -race.
 func TestSpaceConcurrentSingleFlight(t *testing.T) {
 	ix := evalIndexFor(t)
 	terms := []string{
@@ -33,8 +34,10 @@ func TestSpaceConcurrentSingleFlight(t *testing.T) {
 	type quad struct{ ti, tj, a, b int }
 	var quads []quad
 	want := map[quad]float64{}
+	wantFull := map[[2]int]float64{}
 	for ti := range terms {
 		for tj := range terms {
+			wantFull[[2]int{ti, tj}] = ref.NonThematicRelatedness(terms[ti], terms[tj])
 			for a := range themes {
 				for b := range themes {
 					q := quad{ti, tj, a, b}
@@ -68,9 +71,13 @@ func TestSpaceConcurrentSingleFlight(t *testing.T) {
 						return
 					}
 				}
-				for _, term := range terms {
-					if s.TermVector(term).IsZero() {
-						t.Errorf("goroutine %d: zero term vector for %q", g, term)
+				// The full space races through the measure too: its unit
+				// cache is the only cached form of a term vector.
+				for ti := range terms {
+					tj := (ti + g) % len(terms)
+					if got, want := s.NonThematicRelatedness(terms[ti], terms[tj]), wantFull[[2]int{ti, tj}]; got != want {
+						t.Errorf("goroutine %d: non-thematic relatedness(%q,%q) = %v, want %v",
+							g, terms[ti], terms[tj], got, want)
 						return
 					}
 				}
@@ -79,24 +86,25 @@ func TestSpaceConcurrentSingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Single-flight: each cached entry cost exactly one computation, and the
+	// Single-flight: each cached unit cost exactly one computation, and the
 	// caches hold exactly the distinct keys the workload touched.
-	tv, tb, pv, _ := s.CacheStats()
+	tv := s.unitFull.len()
+	pv := 0
+	for _, ct := range compiled {
+		pv += ct.units.len()
+	}
 	termComputes, projComputes := s.Computes()
 	if termComputes != uint64(tv) {
-		t.Errorf("term computes = %d, cache entries = %d (single-flight violated)", termComputes, tv)
+		t.Errorf("term computes = %d, full-space unit entries = %d (single-flight violated)", termComputes, tv)
 	}
 	if projComputes != uint64(pv) {
-		t.Errorf("projection computes = %d, cache entries = %d (single-flight violated)", projComputes, pv)
+		t.Errorf("projection computes = %d, per-theme unit entries = %d (single-flight violated)", projComputes, pv)
 	}
 	if tv != len(terms) {
-		t.Errorf("term vector entries = %d, want %d", tv, len(terms))
+		t.Errorf("full-space unit entries = %d, want %d", tv, len(terms))
 	}
 	if pv != len(terms)*len(themes) {
-		t.Errorf("projection entries = %d, want %d", pv, len(terms)*len(themes))
-	}
-	if tb != len(themes) {
-		t.Errorf("theme basis entries = %d, want %d", tb, len(themes))
+		t.Errorf("per-theme unit entries = %d, want %d", pv, len(terms)*len(themes))
 	}
 }
 

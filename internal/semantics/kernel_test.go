@@ -101,6 +101,27 @@ func TestResetCachesDropsUnitProjections(t *testing.T) {
 	}
 }
 
+// TestResetCachesClearsEveryTheme checks that after ResetCaches no compiled
+// theme holds a unit projection or a basis, whichever path filled them.
+func TestResetCachesClearsEveryTheme(t *testing.T) {
+	s := NewSpace(evalIndexFor(t))
+	full, _ := s.ResolveUnit("parking", nil)
+	for _, th := range [][]string{{"energy policy"}, {"land transport", "road traffic"}} {
+		ct := s.Compile(th)
+		s.ResolveUnit("parking", ct)
+		s.RelatednessBound(&full, ct)
+	}
+	s.ResetCaches()
+	for _, ct := range s.compiledThemes() {
+		if n := ct.units.len(); n != 0 {
+			t.Errorf("theme %q holds %d unit projections after ResetCaches", ct.Key, n)
+		}
+		if ct.basis.Load() != nil {
+			t.Errorf("theme %q holds its basis after ResetCaches", ct.Key)
+		}
+	}
+}
+
 // TestRelatednessWarmZeroAlloc asserts the tentpole property: a warm
 // Euclidean RelatednessCompiled call allocates nothing — no Scale copies,
 // no composite cache keys.

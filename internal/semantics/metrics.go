@@ -1,7 +1,6 @@
 package semantics
 
 import (
-	"fmt"
 	"io"
 
 	"thematicep/internal/telemetry"
@@ -9,7 +8,7 @@ import (
 
 // CacheMetric is one cache's cumulative lookup and coalescing counters.
 type CacheMetric struct {
-	Name        string  // termvec, themebasis, projection, unit, score
+	Name        string  // projection, score
 	Hits        uint64  // lookups answered from the cache
 	Misses      uint64  // lookups that fell through to a computation
 	Entries     int     // current cached entries
@@ -32,51 +31,27 @@ func metricOf[V any](name string, c *cache[V]) CacheMetric {
 	return CacheMetric{Name: name, Hits: h, Misses: m, Entries: c.len(), Waits: w, WaitSeconds: ws}
 }
 
-// Metrics snapshots every cache's counters, in a stable order. The unit
-// entry aggregates the full-space unit cache and every compiled theme's
-// per-theme unit cache (the Euclidean hot path's working representation).
+// Metrics snapshots every cache's counters, in a stable order: the
+// projection working set (see ProjectionMetric), then the score memo.
 func (s *Space) Metrics() []CacheMetric {
-	unit := metricOf("unit", &s.unitFull)
-	s.themesMu.RLock()
-	themes := make([]*CompiledTheme, 0, len(s.themesKey))
-	for _, t := range s.themesKey {
-		themes = append(themes, t)
-	}
-	s.themesMu.RUnlock()
-	for _, t := range themes {
-		tm := metricOf("unit", &t.units)
-		unit.Hits += tm.Hits
-		unit.Misses += tm.Misses
-		unit.Entries += tm.Entries
-		unit.Waits += tm.Waits
-		unit.WaitSeconds += tm.WaitSeconds
-	}
-	return []CacheMetric{
-		metricOf("termvec", &s.termVecs),
-		metricOf("themebasis", &s.themeBases),
-		metricOf("projection", &s.projVecs),
-		unit,
-		metricOf("score", &s.scores),
-	}
+	return []CacheMetric{s.ProjectionMetric(), metricOf("score", &s.scores)}
 }
 
-// ProjectionMetric returns the combined counters of the projection working
-// set: the raw projection cache plus the unit caches holding the normalized
-// projections the Euclidean scoring hot path actually reads. This is the
-// hit-rate input for evaluation runs and the repro harness; per-cache
-// breakdowns stay available via Metrics.
+// ProjectionMetric returns the combined counters of the unit projection
+// caches — the full-space cache plus every compiled theme's — which hold
+// every projection the measure reads, so a miss is one projection
+// computation or a single-flight wait on one. This is the hit-rate input
+// for evaluation runs and the repro harness.
 func (s *Space) ProjectionMetric() CacheMetric {
-	var out CacheMetric
-	for _, m := range s.Metrics() {
-		if m.Name == "projection" || m.Name == "unit" {
-			out.Hits += m.Hits
-			out.Misses += m.Misses
-			out.Entries += m.Entries
-			out.Waits += m.Waits
-			out.WaitSeconds += m.WaitSeconds
-		}
+	out := metricOf("projection", &s.unitFull)
+	for _, t := range s.compiledThemes() {
+		tm := metricOf("projection", &t.units)
+		out.Hits += tm.Hits
+		out.Misses += tm.Misses
+		out.Entries += tm.Entries
+		out.Waits += tm.Waits
+		out.WaitSeconds += tm.WaitSeconds
 	}
-	out.Name = "projection"
 	return out
 }
 
@@ -85,9 +60,8 @@ func (s *Space) ProjectionMetric() CacheMetric {
 // package does not import the broker):
 //
 //   - hit/miss counters, entry gauges, and single-flight wait counters per
-//     cache (cache label: termvec, themebasis, projection, unit, score),
-//   - per-shard projection hit/miss counters and entry gauges (shard
-//     label), exposing stripe skew on the hottest cache.
+//     cache (cache label: projection, score),
+//   - term-vector and projection computation counters.
 //
 // Route the writer through a telemetry.Expo (MetricsHandler does) so the
 // labeled families emit one HELP/TYPE header across all series.
@@ -110,14 +84,4 @@ func (s *Space) WriteMetrics(w io.Writer) {
 		"Full-space term-vector constructions (cold path).", tv)
 	telemetry.WriteCounter(w, "thematicep_semantics_projection_computes_total",
 		"Thematic projection computations (Algorithm 1 executions).", pv)
-	for i := 0; i < numShards; i++ {
-		h, ms, n := s.projVecs.shardStats(i)
-		l := []telemetry.Label{{Key: "shard", Value: fmt.Sprintf("%d", i)}}
-		telemetry.WriteCounterVec(w, "thematicep_semantics_projection_shard_hits_total",
-			"Projection-cache hits per stripe.", l, h)
-		telemetry.WriteCounterVec(w, "thematicep_semantics_projection_shard_misses_total",
-			"Projection-cache misses per stripe.", l, ms)
-		telemetry.WriteGaugeVec(w, "thematicep_semantics_projection_shard_entries",
-			"Projection-cache entries per stripe.", l, float64(n))
-	}
 }

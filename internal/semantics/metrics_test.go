@@ -1,6 +1,7 @@
 package semantics
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,45 +10,36 @@ import (
 
 func TestSpaceMetricsHitMiss(t *testing.T) {
 	s := NewSpace(evalIndexFor(t))
-	// Cold projection lookups miss; a warm repeat of the same projection
-	// hits. (The warm Relatedness path reads the per-theme unit cache, so
-	// exercise projVecs directly through Project.)
-	s.Project("car", []string{"transport"})
+	// Cold relatedness misses both unit projections, thematic and
+	// full-space; a warm repeat hits them.
+	theme := []string{"transport"}
+	s.Relatedness("car", theme, "vehicle", nil)
 	cold := s.ProjectionMetric()
-	s.Project("car", []string{"transport"})
+	s.Relatedness("car", theme, "vehicle", nil)
 	warm := s.ProjectionMetric()
 
-	if cold.Misses == 0 {
-		t.Error("cold lookups recorded no projection misses")
+	if cold.Misses != 2 || cold.Entries != 2 {
+		t.Errorf("cold lookups: %+v, want 2 misses and 2 entries", cold)
 	}
-	if warm.Hits <= cold.Hits {
-		t.Errorf("warm repeat added no projection hits: cold %+v warm %+v", cold, warm)
+	if warm.Hits != cold.Hits+2 || warm.Misses != cold.Misses {
+		t.Errorf("warm repeat: cold %+v warm %+v, want 2 more hits and no miss", cold, warm)
 	}
 	if warm.HitRate() <= 0 {
 		t.Errorf("hit rate = %v, want > 0", warm.HitRate())
 	}
 
-	// The warm Relatedness path shows up on the aggregated unit cache.
-	s.Relatedness("car", []string{"transport"}, "vehicle", []string{"transport"})
-	s.Relatedness("car", []string{"transport"}, "vehicle", []string{"transport"})
-	var unit CacheMetric
-	for _, m := range s.Metrics() {
-		if m.Name == "unit" {
-			unit = m
-		}
-	}
-	if unit.Hits == 0 {
-		t.Errorf("warm relatedness recorded no unit-cache hits: %+v", unit)
+	// Each projection miss is one computation.
+	tv, pv := s.Computes()
+	if tv+pv != warm.Misses {
+		t.Errorf("computes = %d+%d, projection misses = %d", tv, pv, warm.Misses)
 	}
 
-	names := map[string]bool{}
+	var names []string
 	for _, m := range s.Metrics() {
-		names[m.Name] = true
+		names = append(names, m.Name)
 	}
-	for _, want := range []string{"termvec", "themebasis", "projection", "unit", "score"} {
-		if !names[want] {
-			t.Errorf("Metrics missing cache %q", want)
-		}
+	if want := []string{"projection", "score"}; !slices.Equal(names, want) {
+		t.Errorf("Metrics caches = %v, want %v", names, want)
 	}
 }
 
@@ -63,13 +55,17 @@ func TestSpaceWriteMetricsLints(t *testing.T) {
 	for _, want := range []string{
 		`thematicep_semantics_cache_hits_total{cache="projection"}`,
 		`thematicep_semantics_cache_misses_total{cache="projection"}`,
-		`thematicep_semantics_cache_entries{cache="unit"}`,
+		`thematicep_semantics_cache_entries{cache="projection"}`,
 		`thematicep_semantics_singleflight_waits_total{cache="score"}`,
-		`thematicep_semantics_projection_shard_hits_total{shard="0"}`,
-		`thematicep_semantics_projection_shard_entries{shard="63"}`,
+		`thematicep_semantics_projection_computes_total`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, gone := range []string{`cache="termvec"`, `cache="themebasis"`, `cache="unit"`, `_shard_`} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries %q", gone)
 		}
 	}
 }

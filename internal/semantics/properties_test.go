@@ -131,12 +131,13 @@ func TestPrecomputeProjectionsFillsCache(t *testing.T) {
 	}
 	terms := []string{"energy consumption", "parking", "laptop"}
 	s.PrecomputeProjections(terms, themes...)
-	_, bases, projections, _ := s.CacheStats()
-	if bases != len(themes) {
-		t.Errorf("bases cached = %d, want %d", bases, len(themes))
+	for _, theme := range themes {
+		if ct := s.Compile(theme); ct.basis.Load() == nil {
+			t.Errorf("theme %v: basis not built", theme)
+		}
 	}
-	if projections != len(terms)*len(themes) {
-		t.Errorf("projections cached = %d, want %d", projections, len(terms)*len(themes))
+	if units, _ := s.CacheStats(); units != len(terms)*len(themes) {
+		t.Errorf("unit projections cached = %d, want %d", units, len(terms)*len(themes))
 	}
 }
 

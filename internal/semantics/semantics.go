@@ -16,13 +16,15 @@
 // # Concurrency
 //
 // A Space is safe for concurrent use and built to scale reads across cores:
-// every cache (term vectors, theme bases, projections, memoized scores) is
-// striped over sharded maps with per-shard read-write locks, so concurrent
-// RelatednessCompiled calls on warm caches never serialize on a global
-// lock. Cold entries are single-flighted: a (term, theme) projection missed
-// by N goroutines at once is computed exactly once while the other N-1
-// wait. Compiled themes are interned under a read-mostly lock whose warm
-// path is an RLock. Cached sparse.Vector values are shared between callers
+// its caches — the unit projections of the full space and of each compiled
+// theme, and the memoized scores — are striped over sharded maps with
+// per-shard read-write locks, so concurrent RelatednessCompiled calls on
+// warm caches never serialize on a global lock. Cold entries are
+// single-flighted: a (term, theme) projection missed by N goroutines at
+// once is computed exactly once while the other N-1 wait. A compiled
+// theme's basis is built once, at first use, and read with one atomic
+// load. Compiled themes are interned under a read-mostly lock whose warm
+// path is an RLock. Cached sparse.Unit values are shared between callers
 // and must be treated as immutable.
 package semantics
 
@@ -81,9 +83,10 @@ type cachingOption bool
 
 func (c cachingOption) apply(o *options) { o.caching = bool(c) }
 
-// WithCaching enables or disables the term-vector, basis, and projection
-// caches (default enabled) — the engineering the paper's §5.3.2 calls
-// "caching and indexing techniques".
+// WithCaching enables or disables the unit projection caches (default
+// enabled) — the engineering the paper's §5.3.2 calls "caching and indexing
+// techniques". A compiled theme's basis is kept whatever this option says,
+// and the score memo is governed by PrecomputeScores alone.
 func WithCaching(enabled bool) Option { return cachingOption(enabled) }
 
 // Space is a parametric distributional vector space over an index. It is
@@ -97,11 +100,8 @@ type Space struct {
 	// on; atomic because that may happen while matchers are running.
 	scoreCache atomic.Bool
 
-	termVecs   cache[sparse.Vector] // full-space term vectors
-	themeBases cache[[]int32]       // theme key -> basis doc ids
-	projVecs   cache[sparse.Vector] // term "\x00" theme id -> projection
-	unitFull   cache[sparse.Unit]   // term -> unit-normalized full-space vector
-	scores     cache[float64]       // sm() memo
+	unitFull cache[sparse.Unit] // term -> unit-normalized full-space vector
+	scores   cache[float64]     // sm() memo
 
 	themesMu  sync.RWMutex
 	themesRaw map[string]*CompiledTheme // raw joined tags -> compiled theme
@@ -135,16 +135,21 @@ type CompiledTheme struct {
 
 	// units caches the unit-normalized projections of this theme, keyed by
 	// canonical term alone. Hanging the cache off the compiled theme keeps
-	// the warm Euclidean relatedness path free of composite-key
-	// construction: a term+theme lookup is a single string hash, no
-	// allocation (the projVecs path must concatenate term and theme id into
-	// a fresh key string on every call).
+	// the warm relatedness path free of composite-key construction: a
+	// term+theme lookup is a single string hash, no allocation.
 	units cache[sparse.Unit]
 
-	// basisBits is the theme's basis as a bitmap over document ids (bit
-	// d&63 of word d>>6), built on first use by RelatednessBound: one bit
-	// per document of the index, 23 words for 1,424 documents.
-	basisBits atomic.Pointer[[]uint64]
+	// basis is the theme's basis, built on first use by basisOf.
+	basis atomic.Pointer[thematicBasis]
+}
+
+// thematicBasis is a theme's basis (Fig. 5 steps 2-3) in the two forms its
+// readers need, built together: project merges postings against the sorted
+// ids, RelatednessBound masks a unit with the bitmap (bit d&63 of word d>>6,
+// one bit per document of the index: 23 words for 1,424 documents).
+type thematicBasis struct {
+	ids  []int32
+	bits []uint64
 }
 
 // NewSpace builds a Space over ix.
@@ -263,18 +268,10 @@ func (s *Space) TermOrd(term string) uint32 {
 func (s *Space) Index() *index.Index { return s.ix }
 
 // TermVector returns the full-space distributional vector of a (possibly
-// multi-word) term: the sum of its tokens' TF/IDF vectors (Eq. 1/4).
+// multi-word) term: the sum of its tokens' TF/IDF vectors (Eq. 1/4). It is
+// computed afresh on every call.
 func (s *Space) TermVector(term string) sparse.Vector {
-	key := text.Canonical(term)
-	if !s.opts.caching {
-		return s.termVector(key)
-	}
-	// get-before-do keeps the warm path free of the do closure, which would
-	// otherwise be heap-allocated on every call.
-	if v, ok := s.termVecs.get(key); ok {
-		return v
-	}
-	return s.termVecs.do(key, func() sparse.Vector { return s.termVector(key) })
+	return s.termVector(text.Canonical(term))
 }
 
 func (s *Space) termVector(canonical string) sparse.Vector {
@@ -316,20 +313,28 @@ func ThemeKey(theme []string) string {
 
 // ThemeBasis returns the thematic basis of a theme tag set: the sorted
 // document ids where the theme's distributional vector is non-zero
-// (Fig. 5 steps 2-3). An empty theme yields a nil basis, meaning the full
-// space.
+// (Fig. 5 steps 2-3), computed afresh on every call. An empty theme yields a
+// nil basis, meaning the full space.
 func (s *Space) ThemeBasis(theme []string) []int32 {
-	return s.basisOf(s.Compile(theme))
-}
-
-func (s *Space) basisOf(t *CompiledTheme) []int32 {
+	t := s.Compile(theme)
 	if t == nil {
 		return nil
 	}
-	if b, ok := s.themeBases.get(t.Key); ok {
+	return s.themeBasis(t.Key)
+}
+
+// basisOf returns t's basis, building it on first use. Two racing builders
+// store equal values.
+func (s *Space) basisOf(t *CompiledTheme) *thematicBasis {
+	if b := t.basis.Load(); b != nil {
 		return b
 	}
-	return s.themeBases.do(t.Key, func() []int32 { return s.themeBasis(t.Key) })
+	b := &thematicBasis{ids: s.themeBasis(t.Key), bits: make([]uint64, (s.ix.NumDocs()+63)/64)}
+	for _, d := range b.ids {
+		b.bits[d>>6] |= 1 << (uint(d) & 63)
+	}
+	t.basis.Store(b)
+	return b
 }
 
 func (s *Space) themeBasis(themeKey string) []int32 {
@@ -359,24 +364,18 @@ func (s *Space) Project(term string, theme []string) sparse.Vector {
 }
 
 // ProjectCompiled is Project for pre-canonicalized terms and compiled
-// themes — the matching hot path.
+// themes. It is computed afresh on every call; the measure reads
+// projections through the unit caches instead.
 func (s *Space) ProjectCompiled(termKey string, t *CompiledTheme) sparse.Vector {
 	if t == nil {
-		return s.TermVector(termKey)
+		return s.termVector(termKey)
 	}
-	if !s.opts.caching {
-		return s.project(termKey, t)
-	}
-	cacheKey := termKey + "\x00" + t.id
-	if v, ok := s.projVecs.get(cacheKey); ok {
-		return v
-	}
-	return s.projVecs.do(cacheKey, func() sparse.Vector { return s.project(termKey, t) })
+	return s.project(termKey, t)
 }
 
 func (s *Space) project(termKey string, t *CompiledTheme) sparse.Vector {
 	s.projComputes.Add(1)
-	basis := s.basisOf(t)
+	basis := s.basisOf(t).ids
 	if len(basis) == 0 {
 		// The theme selects nothing: the space is filtered completely
 		// (the paper's "rare terms" outlier case, §5.3.2).
@@ -647,7 +646,7 @@ func (s *Space) RelatednessBound(u *sparse.Unit, t *CompiledTheme) float64 {
 	case t == nil:
 		return 1
 	}
-	return s.opts.distance.ofDot(u.NormWithin(s.basisBitsOf(t)) + boundMargin)
+	return s.opts.distance.ofDot(u.NormWithin(s.basisOf(t).bits) + boundMargin)
 }
 
 // RelatednessFloor returns the least relatedness two nonzero unit
@@ -655,20 +654,6 @@ func (s *Space) RelatednessBound(u *sparse.Unit, t *CompiledTheme) float64 {
 // non-negative and so is every dot product. It is 1/(1+√2) under Euclidean
 // distance and 0 under cosine.
 func (s *Space) RelatednessFloor() float64 { return s.opts.distance.ofDot(0) }
-
-// basisBitsOf returns t's basis bitmap, building it on first use. Two racing
-// builders store equal bitmaps.
-func (s *Space) basisBitsOf(t *CompiledTheme) []uint64 {
-	if p := t.basisBits.Load(); p != nil {
-		return *p
-	}
-	bits := make([]uint64, (s.ix.NumDocs()+63)/64)
-	for _, d := range s.basisOf(t) {
-		bits[d>>6] |= 1 << (uint(d) & 63)
-	}
-	t.basisBits.Store(&bits)
-	return bits
-}
 
 // LiveColumns returns the support RelatednessRowPreUnits can give a row
 // against the event-side units: bit j&63 set when units[j] is nonzero (so
@@ -705,56 +690,62 @@ func (s *Space) PrecomputeScores(subTerms, eventTerms []string) {
 	}
 }
 
-// PrecomputeProjections warms the projection cache for every (term, theme)
-// pair — the paper's "building an efficient indexing for thematic
-// projection" future-work item (§7): a broker that knows its subscription
-// and event themes ahead of time projects its vocabulary up front and pays
-// only distance computation at match time.
+// PrecomputeProjections warms the unit projection caches for every
+// (term, theme) pair — the paper's "building an efficient indexing for
+// thematic projection" future-work item (§7): a broker that knows its
+// subscription and event themes ahead of time projects its vocabulary up
+// front and pays only distance computation at match time.
 func (s *Space) PrecomputeProjections(terms []string, themes ...[]string) {
 	for _, theme := range themes {
 		t := s.Compile(theme)
 		for _, term := range terms {
-			// Warming the unit form fills the raw projection cache on the
-			// way through, so both representations are hot afterwards.
 			s.unitProjection(text.Canonical(term), t)
 		}
 	}
 }
 
-// CacheStats reports cache entry counts (term vectors, theme bases,
-// projections, scores) for observability and cold-start experiments.
-func (s *Space) CacheStats() (termVecs, themeBases, projections, scores int) {
-	return s.termVecs.len(), s.themeBases.len(), s.projVecs.len(), s.scores.len()
+// CacheStats reports cache entry counts for observability and cold-start
+// experiments: unit projections (the full-space cache plus every compiled
+// theme's) and memoized scores.
+func (s *Space) CacheStats() (units, scores int) {
+	n := s.unitFull.len()
+	for _, t := range s.compiledThemes() {
+		n += t.units.len()
+	}
+	return n, s.scores.len()
 }
 
 // Computes reports how many times the expensive cold paths actually ran:
 // full-space term-vector constructions and thematic projections
 // (Algorithm 1 executions). Under the single-flight contract each cached
-// entry costs exactly one computation regardless of concurrency.
+// unit costs exactly one computation regardless of concurrency.
 func (s *Space) Computes() (termVectors, projections uint64) {
 	return s.termComputes.Load(), s.projComputes.Load()
 }
 
-// ResetCaches drops every cache. Cold-start experiments (§7 future work)
-// use it to measure first-event latency. Concurrent computations finishing
+// ResetCaches drops every cache: the unit projections, the score memo and
+// each compiled theme's basis. Cold-start experiments (§7 future work) use
+// it to measure first-event latency. Concurrent computations finishing
 // during a reset may repopulate entries they were already producing.
 func (s *Space) ResetCaches() {
-	s.termVecs.reset()
-	s.themeBases.reset()
-	s.projVecs.reset()
 	s.unitFull.reset()
 	s.scores.reset()
+	for _, t := range s.compiledThemes() {
+		t.units.reset()
+		t.basis.Store(nil)
+	}
+}
+
+// compiledThemes snapshots the interned themes. Callers walk the snapshot
+// outside themesMu, which is safe because compiled themes are never deleted.
+func (s *Space) compiledThemes() []*CompiledTheme {
 	s.themesMu.RLock()
+	defer s.themesMu.RUnlock()
 	themes := make([]*CompiledTheme, 0, len(s.themesKey))
 	for _, t := range s.themesKey {
 		themes = append(themes, t)
 	}
-	s.themesMu.RUnlock()
-	// Per-theme unit caches are reset outside themesMu: reset only takes
-	// the per-shard locks, and compiled themes are never deleted.
-	for _, t := range themes {
-		t.units.reset()
-	}
+	return themes
 }
 
 // themeID returns the interned id of a compiled theme ("" for the full

@@ -266,7 +266,7 @@ func TestCachingOffStillCorrect(t *testing.T) {
 	if a != b {
 		t.Errorf("caching changed the result: %v vs %v", a, b)
 	}
-	_, _, _, scores := uncached.CacheStats()
+	_, scores := uncached.CacheStats()
 	if scores != 0 {
 		t.Error("uncached space filled the score cache")
 	}
@@ -275,13 +275,12 @@ func TestCachingOffStillCorrect(t *testing.T) {
 func TestPrecomputeScoresFillsCache(t *testing.T) {
 	s := NewSpace(evalIndexFor(t))
 	s.PrecomputeScores([]string{"laptop", "parking"}, []string{"computer", "garage spot"})
-	_, _, _, scores := s.CacheStats()
+	_, scores := s.CacheStats()
 	if scores != 4 {
 		t.Errorf("score cache has %d entries, want 4", scores)
 	}
 	s.ResetCaches()
-	tv, tb, pv, sc := s.CacheStats()
-	if tv+tb+pv+sc != 0 {
+	if units, scores := s.CacheStats(); units+scores != 0 {
 		t.Error("ResetCaches left entries behind")
 	}
 }

@@ -79,8 +79,8 @@ func (c *cache[V]) get(key string) (V, bool) {
 
 // do returns the value for key, computing it via compute at most once
 // across concurrent callers. compute runs outside every lock, so it may
-// recurse into *other* caches (projection -> theme basis) but must not
-// re-enter the same key of the same cache.
+// recurse into *other* caches but must not re-enter the same key of the
+// same cache.
 func (c *cache[V]) do(key string, compute func() V) V {
 	sh := c.shardFor(key)
 	sh.mu.RLock()
@@ -132,18 +132,6 @@ func (c *cache[V]) do(key string, compute func() V) V {
 	return f.val
 }
 
-// set stores a value unconditionally (used by warm-up paths that already
-// computed outside the cache).
-func (c *cache[V]) set(key string, v V) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	if sh.m == nil {
-		sh.m = make(map[string]V)
-	}
-	sh.m[key] = v
-	sh.mu.Unlock()
-}
-
 // len returns the total number of cached entries across shards.
 func (c *cache[V]) len() int {
 	n := 0
@@ -163,15 +151,6 @@ func (c *cache[V]) stats() (hits, misses uint64) {
 		misses += c.shards[i].misses.Load()
 	}
 	return hits, misses
-}
-
-// shardStats reports one stripe's lookup outcomes and occupancy.
-func (c *cache[V]) shardStats(i int) (hits, misses uint64, entries int) {
-	sh := &c.shards[i]
-	sh.mu.RLock()
-	entries = len(sh.m)
-	sh.mu.RUnlock()
-	return sh.hits.Load(), sh.misses.Load(), entries
 }
 
 // waitStats reports the single-flight coalescing counters.

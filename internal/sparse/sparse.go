@@ -291,12 +291,35 @@ func Scale(v Vector, f float64) Vector {
 	return out
 }
 
-// Add returns a + b.
+// Add returns a + b: one sorted merge of the two id lists, adding the
+// weights of shared ids and dropping every component whose weight is zero,
+// as FromMap does.
 func Add(a, b Vector) Vector {
-	m := make(map[int32]float64, a.NNZ()+b.NNZ())
-	a.Range(func(id int32, w float64) { m[id] += w })
-	b.Range(func(id int32, w float64) { m[id] += w })
-	return FromMap(m)
+	ids := make([]int32, 0, len(a.ids)+len(b.ids))
+	weights := make([]float64, 0, cap(ids))
+	for i, j := 0, 0; i < len(a.ids) || j < len(b.ids); {
+		var (
+			id int32
+			w  float64
+		)
+		switch {
+		case j == len(b.ids) || i < len(a.ids) && a.ids[i] < b.ids[j]:
+			id, w = a.ids[i], a.weights[i]
+			i++
+		case i == len(a.ids) || b.ids[j] < a.ids[i]:
+			id, w = b.ids[j], b.weights[j]
+			j++
+		default:
+			id, w = a.ids[i], a.weights[i]+b.weights[j]
+			i++
+			j++
+		}
+		if w != 0 {
+			ids = append(ids, id)
+			weights = append(weights, w)
+		}
+	}
+	return Vector{ids: ids, weights: weights}
 }
 
 // Equal reports whether a and b have identical non-zero components.

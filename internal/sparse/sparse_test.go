@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,6 +96,69 @@ func TestMask(t *testing.T) {
 	if !Mask(v, nil).IsZero() {
 		t.Error("Mask with empty basis not zero")
 	}
+}
+
+// addRef is the map-based sum Add replaced, kept as its reference: every
+// component accumulates into a map from 0, and FromMap drops the zeros.
+func addRef(a, b Vector) Vector {
+	m := make(map[int32]float64, a.NNZ()+b.NNZ())
+	a.Range(func(id int32, w float64) { m[id] += w })
+	b.Range(func(id int32, w float64) { m[id] += w })
+	return FromMap(m)
+}
+
+// checkAdd fails t unless Add(a, b) has addRef's ids and weight bits.
+func checkAdd(t *testing.T, a, b Vector) {
+	t.Helper()
+	got, want := Add(a, b), addRef(a, b)
+	if !slices.Equal(got.ids, want.ids) {
+		t.Fatalf("Add(%v, %v) ids = %v, want %v", a, b, got.ids, want.ids)
+	}
+	for k := range got.weights {
+		if math.Float64bits(got.weights[k]) != math.Float64bits(want.weights[k]) {
+			t.Fatalf("Add(%v, %v) weight of %d = %v, want %v", a, b, got.ids[k], got.weights[k], want.weights[k])
+		}
+	}
+}
+
+// FuzzAdd compares the merge with the map reference bit for bit. Weights
+// are signed and drawn from a small set, so sums cancel to zero often;
+// decodeSigned keeps ids below 32 so the operands overlap.
+func FuzzAdd(f *testing.F) {
+	f.Add([]byte{1, 8, 2, 16}, []byte{1, 200})
+	f.Add([]byte{}, []byte{5, 63})
+	f.Add([]byte{0, 1, 1, 1, 2, 1}, []byte{0, 255, 1, 255, 2, 255})
+	f.Add([]byte{31, 7}, []byte{0, 3, 31, 249})
+	f.Fuzz(func(t *testing.T, araw, braw []byte) {
+		checkAdd(t, decodeSigned(araw), decodeSigned(braw))
+	})
+}
+
+// decodeSigned reads (id, weight) byte pairs into a vector: id byte mod 32,
+// weight the signed byte over 8; a repeated id keeps its last weight, and a
+// zero weight is kept as an explicit zero component, which Add must drop.
+func decodeSigned(data []byte) Vector {
+	m := make(map[int32]float64)
+	for ; len(data) >= 2; data = data[2:] {
+		m[int32(data[0]%32)] = float64(int8(data[1])) / 8
+	}
+	ids := make([]int32, 0, len(m))
+	weights := make([]float64, 0, len(m))
+	for id, w := range m {
+		ids = append(ids, id)
+		weights = append(weights, w)
+	}
+	return New(ids, weights)
+}
+
+func TestAddMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		a, b := genVector(r, 40), genVector(r, 40)
+		checkAdd(t, a, b)
+		checkAdd(t, a, Scale(a, -1))
+	}
+	checkAdd(t, Vector{}, Vector{})
 }
 
 func TestScaleAndAdd(t *testing.T) {
