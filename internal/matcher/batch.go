@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"math/bits"
 	"slices"
 
 	"thematicep/internal/event"
@@ -42,14 +43,17 @@ func rowKeyOf(kind rowKind, approx bool, themeOrd, termOrd uint32) uint64 {
 
 // rowSlot is one entry of the dense row memo: the arena offset of the row
 // (negative while only the row's mask is known, see rowMiss), the memo
-// generation that wrote it, and the row's support mask (bit j set when cell
-// j may be nonzero — the exact support once the row is filled; all-ones
-// when the event is wider than 64 tuples). Slots from older generations are
-// stale; the zero value (epoch 0) never matches a live generation.
+// generation that wrote it, the row's support mask (bit j set when cell j
+// may be nonzero; all-ones when the event is wider than 64 tuples), and the
+// columns whose cells the arena holds (see fillRow). A filled cell has
+// termSimilarity's bits; a cell not yet filled holds 0. Slots from older
+// generations are stale; the zero value (epoch 0) never matches a live
+// generation.
 type rowSlot struct {
-	off   int32
-	epoch uint32
-	mask  uint64
+	off    int32
+	epoch  uint32
+	mask   uint64
+	filled uint64
 }
 
 // batchBuf is the scoring state of one BatchArena: the row memo, the row
@@ -60,9 +64,10 @@ type rowSlot struct {
 // generation counter instead of clearing the table, so moving to the next
 // event costs O(1) regardless of how many rows the previous event touched.
 // Rows live as arena offsets, not slices, so arena growth never
-// invalidates them; so do the event-side score bounds (see eventBounds). For the batch-amortization telemetry, accumulated
-// across a whole publish batch, computed counts rows whose similarities
-// were filled and reused counts row requests the memo served.
+// invalidates them; so do the event-side score bounds (see eventBounds).
+// For the batch-amortization telemetry, accumulated across a whole publish
+// batch, computed counts rows opened in the arena (see fillRow) and reused
+// counts row requests the memo served.
 type batchBuf struct {
 	sim      simBuf
 	dense    []rowSlot   // indexed by matcher rowID
@@ -71,7 +76,7 @@ type batchBuf struct {
 	epoch    uint32      // current memo generation
 	arena    []float64
 	scratch  []float64 // all-zero between rows; Index.NumDocs() long (see NewBatchArena)
-	floor    float64   // a candidate whose cap is below it is rejected; ≤ 0 turns the bound off
+	floor    float64   // θ·(1 − 10⁻⁹): the cut of the score cap and of value cells; ≤ 0 turns both off
 	relFloor float64   // the space's RelatednessFloor
 	certain  int       // a candidate with at most this many relaxed factors has a cap ≥ floor
 	computed uint64
@@ -153,61 +158,77 @@ func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) u
 	return mask
 }
 
-// fillRow fills and memoizes the similarity row for predicate i's
-// attribute or value term against the event's terms, returning the row's
-// memo slot. The row semantics are exactly termSimilarity's: canonical
-// equality always scores 1 (even across themes), exact terms otherwise 0,
-// approximate terms the parametric measure, swept column-wise through the
-// row kernel on the unit projections both sides resolved at preparation:
-// pure dot products against the arena's scratch, no cache lookups at all.
-func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) rowSlot {
+// fillRow fills the cells cols selects (bit j for column j) of predicate
+// i's attribute or value row against the event's terms, opening the row in
+// the arena first if its slot is still mask-only, and returns the row's
+// arena offset. Opening writes every cell the support mask already decides —
+// 0 outside the mask, 1 at the columns canonically identical to the term —
+// so only the relaxed cells inside the mask wait for the row kernel, and a
+// later call fills only the selected cells still missing. The cells are
+// exactly termSimilarity's: canonical equality always scores 1 (even across
+// themes), exact terms otherwise 0, approximate terms the parametric
+// measure, through the row kernel on the unit projections both sides
+// resolved at preparation: pure dot products against the arena's scratch,
+// no cache lookups at all. A row against an event wider than 64 tuples is
+// filled whole when it opens, whatever cols says.
+func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent, cols uint64) int32 {
 	pd := ps.pred(i)
 	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
-	evOrds, live := pe.attrOrds, pe.attrLive
+	evOrds, live, subUnits, units := pe.attrOrds, pe.attrLive, ps.attrUnits, pe.attrUnits
 	if kind == rowValue {
 		rowID, ord, approx = pd.valueRow, ps.valueOrds[i], pd.approxV
-		evOrds, live = pe.valueOrds, pe.valueLive
+		evOrds, live, subUnits, units = pe.valueOrds, pe.valueLive, ps.valueUnits, pe.valueUnits
 	}
-	bb.computed++
-	off := int32(len(bb.arena))
+	s := &bb.dense[rowID]
 	mm := len(evOrds)
-	bb.arena = slices.Grow(bb.arena, mm)[:int(off)+mm]
-	row := bb.arena[off : int(off)+mm]
-	if !approx || live == 0 {
-		// An exact term, or a relaxed one against an event with no live
-		// column (every event unit zero, which scores 0 under either
-		// distance): only identity columns can be nonzero, and the pass
-		// below writes those.
+	if s.off < 0 {
+		bb.computed++
+		s.off = int32(len(bb.arena))
+		bb.arena = slices.Grow(bb.arena, mm)[:int(s.off)+mm]
+		row := bb.arena[s.off:]
 		clear(row)
-	} else {
-		// Only the relaxed side's unit slice exists (see resolveUnits).
-		subUnits, units := ps.attrUnits, pe.attrUnits
-		if kind == rowValue {
-			subUnits, units = ps.valueUnits, pe.valueUnits
+		switch {
+		case !approx || live == 0:
+			// An exact term, or a relaxed one against an event with no
+			// live column (every event unit zero, which scores 0 under
+			// either distance): only identity columns can be nonzero.
+			s.filled = ^uint64(0)
+		case mm > 64:
+			m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row, ^uint64(0))
+			s.filled = ^uint64(0)
+		default:
+			s.filled = ^s.mask
 		}
-		m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row)
-	}
-	// Term identity is compared through interned ordinals (ordinal equality
-	// is canonical-string equality by TermOrd's construction). termSimilarity
-	// scores canonically equal terms 1 regardless of theme; the row kernels'
-	// identity rule is narrower (same compiled theme), so the broader
-	// contract is applied here, in the same pass that builds the support
-	// mask.
-	var mask uint64
-	for j, eo := range evOrds {
-		if ord == eo {
-			row[j] = 1
-		}
-		if row[j] != 0 {
-			mask |= 1 << (uint(j) & 63)
+		// Term identity is compared through interned ordinals (ordinal
+		// equality is canonical-string equality by TermOrd's construction).
+		// termSimilarity scores canonically equal terms 1 regardless of
+		// theme; the row kernel's identity rule is narrower (same compiled
+		// theme), so the broader contract is applied here, and the kernel
+		// never revisits these columns.
+		for j, eo := range evOrds {
+			if ord == eo {
+				row[j] = 1
+				s.filled |= 1 << (uint(j) & 63)
+			}
 		}
 	}
-	if mm > 64 {
-		mask = ^uint64(0)
+	need := cols &^ s.filled
+	if need == 0 {
+		return s.off
 	}
-	slot := rowSlot{off: off, epoch: bb.epoch, mask: mask}
-	bb.put(rowID, slot)
-	return slot
+	// Only events of at most 64 tuples get here, and only with relaxed
+	// terms (only the relaxed side's unit slice exists, see resolveUnits).
+	row := bb.arena[s.off : int(s.off)+mm]
+	m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row, need)
+	s.filled |= need
+	// Under cosine a live cell can come out 0; the mask drops it, so a
+	// later candidate's mask check sees the support filled so far.
+	for c := need; c != 0; c &= c - 1 {
+		if j := bits.TrailingZeros64(c); row[j] == 0 {
+			s.mask &^= 1 << uint(j)
+		}
+	}
+	return s.off
 }
 
 // scoreBatchInto is the columnar sweep behind ScoreBatchInArena: one
@@ -221,8 +242,9 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 // inside the solver, exactly as ScorePrepared does. Row keys carry no
 // event identity; the arena clears the memo before it can ever span two
 // prepared events. With a threshold set on the arena, a candidate whose
-// cap (scoreCap) is below it scores RejectedByBound instead: every
-// candidate that can reach the threshold keeps its bits.
+// cap (scoreCap) is below it scores RejectedByBound instead, and so does
+// one whose matrix left out a value cell and whose best mapping then scores
+// below it: every candidate that can reach the threshold keeps its bits.
 func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe *PreparedEvent, out []float64) []float64 {
 	mm := len(pe.attrs)
 	for _, ps := range subs {
@@ -288,7 +310,21 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 			// too few relaxed factors it cannot fall below the threshold.
 			sc = RejectedByBound
 		default:
-			// Phase 2: build the matrix from the candidate's rows.
+			// Phase 2: build the matrix from the candidate's rows. Every
+			// attribute row is filled whole. A value cell is filled only
+			// where its attribute cell can carry a match: nonzero and, with
+			// a threshold, at least θ·(1 − 10⁻⁹). Every factor is at most 1
+			// and rounding is monotone, so a mapping through a cell whose
+			// attribute factor is below that scores below θ; the cell stays
+			// 0, which only lowers such mappings. The Hungarian path (more
+			// than four predicates) fills every nonzero attribute cell's
+			// value: its choice of mapping is not a plain maximum of the
+			// products, so no cell is left out there.
+			cut := bb.floor
+			if n > 4 {
+				cut = 0
+			}
+			lossy := false
 			var sim [][]float64
 			if ps.allEq {
 				// Equality rows overwrite every cell, so skip the zeroing.
@@ -300,25 +336,37 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 				pd := ps.pred(i)
 				row := sim[i]
 				// A slot still mask-only is filled now that a candidate
-				// that passed its masks reads it.
+				// that passed its masks reads it; attribute rows are
+				// filled whole, so an open one is complete.
 				aOff := bb.dense[pd.attrRow].off
 				if aOff < 0 {
-					aOff = m.fillRow(bb, rowAttr, i, ps, pe).off
+					aOff = m.fillRow(bb, rowAttr, i, ps, pe, ^uint64(0))
 				}
+				arow := bb.arena[aOff : int(aOff)+mm]
 				if pd.op == event.OpEq {
-					vOff := bb.dense[pd.valueRow].off
-					if vOff < 0 {
-						vOff = m.fillRow(bb, rowValue, i, ps, pe).off
+					var nz, carry uint64
+					for j, a := range arow {
+						if a != 0 {
+							nz |= 1 << (uint(j) & 63)
+							if a >= cut {
+								carry |= 1 << (uint(j) & 63)
+							}
+						}
 					}
-					arow := bb.arena[aOff : int(aOff)+mm]
-					vrow := bb.arena[vOff : int(vOff)+mm]
+					v := &bb.dense[pd.valueRow]
+					if v.off < 0 || carry&^v.filled != 0 {
+						m.fillRow(bb, rowValue, i, ps, pe, carry)
+					}
+					// A nonzero attribute cell whose value cell is still
+					// unfilled (and not known 0) left its cell out.
+					lossy = lossy || nz&^v.filled != 0
+					vrow := bb.arena[v.off : int(v.off)+mm]
 					for j := 0; j < mm; j++ {
 						row[j] = arow[j] * vrow[j]
 					}
 				} else {
 					// Cold branch: comparison predicates need the raw (non-
 					// canonical) value, which only the subscription holds.
-					arow := bb.arena[aOff : int(aOff)+mm]
 					pred := ps.sub.Predicates[i]
 					for j := 0; j < mm; j++ {
 						// Comparison predicates contribute the attribute
@@ -330,7 +378,12 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 					}
 				}
 			}
-			sc = m.bestScore(&bb.sim, sim)
+			// A matrix with cells left out has ScorePrepared's best score
+			// when that reaches θ·(1 − 10⁻⁹): the mappings through a left-out
+			// cell score below it. Otherwise the candidate scores below θ.
+			if sc = m.bestScore(&bb.sim, sim); lossy && sc < bb.floor {
+				sc = RejectedByBound
+			}
 		}
 		if s := ps.sig; s != 0 {
 			if int(s) >= len(bb.scores) {

@@ -23,9 +23,9 @@
 // PreparedSubscription and PreparedEvent are immutable after creation and
 // safe to share across goroutines: a broker prepares each subscription once
 // and scores it concurrently against many events. The similarity matrices
-// of the MatchPrepared/ScorePrepared hot path are pooled internally
-// (sync.Pool) and never escape, so the hot loop is allocation-free for the
-// matrix itself.
+// of the MatchPrepared/ScorePrepared hot path are recycled internally
+// (a bounded free list) and never escape, so the hot loop is
+// allocation-free for the matrix itself.
 package matcher
 
 import (
@@ -201,7 +201,7 @@ func (m *Matcher) Match(s *event.Subscription, e *event.Event) (Mapping, bool) {
 
 // bestMappingHungarian solves the general case (more than three
 // predicates) with the Hungarian solver over log-similarities. When a
-// pooled buffer is supplied the log-weight matrix is borrowed from it
+// borrowed buffer is supplied the log-weight matrix is taken from it
 // instead of allocated.
 func (m *Matcher) bestMappingHungarian(buf *simBuf, sim [][]float64) (Mapping, bool) {
 	var lw [][]float64
@@ -258,7 +258,7 @@ func (m *Matcher) Score(s *event.Subscription, e *event.Event) float64 {
 }
 
 // logWeights converts similarities to log space so that the maximum-sum
-// assignment is the maximum-product mapping (freshly allocated; the pooled
+// assignment is the maximum-product mapping (freshly allocated; the recycled
 // hot path uses simBuf.logMatrix instead).
 func logWeights(sim [][]float64) [][]float64 {
 	out := make([][]float64, len(sim))

@@ -200,7 +200,7 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 	for j := range row {
 		row[j] = math.NaN() // every cell must be written, zero rows included
 	}
-	s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row)
+	s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row, ^uint64(0))
 	for j := range evs {
 		if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
 			t.Errorf("RelatednessRowPreUnits(%q@%v, %q@%v) = %v, scalar %v",
@@ -210,6 +210,29 @@ func checkRowKernels(t *testing.T, s *Space, sub string, st *CompiledTheme, evs 
 	for id, w := range dense {
 		if w != 0 {
 			t.Fatalf("scratch[%d] = %v after the row of %q", id, w, sub)
+		}
+	}
+
+	// A column mask fills the columns it selects, with the same bits, and
+	// leaves every other cell as it was.
+	if len(evs) > 64 {
+		return // bits fold past 64 columns; only the all-ones mask is used there
+	}
+	for j := range row {
+		row[j] = math.NaN()
+	}
+	const cols uint64 = 0xAAAAAAAAAAAAAAAA // odd columns
+	s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row, cols)
+	for j := range evs {
+		selected := cols>>j&1 != 0
+		if selected && math.Float64bits(row[j]) != math.Float64bits(want[j]) || !selected && !math.IsNaN(row[j]) {
+			t.Errorf("RelatednessRowPreUnits(%q@%v, %q@%v) under mask %x: cell %d is %v, scalar %v",
+				sub, st.Ord(), evs[j], et.Ord(), uint64(cols), j, row[j], want[j])
+		}
+	}
+	for id, w := range dense {
+		if w != 0 {
+			t.Fatalf("scratch[%d] = %v after the masked row of %q", id, w, sub)
 		}
 	}
 }
@@ -329,7 +352,7 @@ func TestSupportRule(t *testing.T) {
 			ords[j] = s.TermOrd(ev)
 		}
 		row := make([]float64, len(evs))
-		s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row)
+		s.RelatednessRowPreUnits(&a, s.TermOrd(sub), st, ords, units, et, dense, row, ^uint64(0))
 		live := LiveColumns(units)
 		for j, ev := range evs {
 			want := !a.IsZero() && !units[j].IsZero()

@@ -574,29 +574,34 @@ func (s *Space) Filtered(term string, t *CompiledTheme) bool {
 }
 
 // RelatednessRowPreUnits fills out[j] with RelatednessCompiled(subTerm,
-// subTheme, eventTerms[j], eventTheme) for every j, given the unit
-// projections of both sides pre-resolved (a by ResolveUnit against subTheme,
-// eventUnits by ResolveUnits against eventTheme) — the batch path's row
-// kernel: no cache lookup on either side. a is scattered once into dense,
-// every column's dot product is then a gather over the event unit's ids
-// alone (sparse.DotDense, bit-identical to the merge behind
-// RelatednessCompiled) mapped by the same Distance.ofDot, and dense is
-// all-zero again on return. dense must be all-zero on entry and
-// Index().NumDocs() long — every projection id is below that, asserted
-// where units are built. Term
-// identity runs on interned ordinals (TermOrd), whose equality is
-// canonical-string equality, so the row stays bit-identical to the scalar
-// calls. Outside identity columns, out[j] is nonzero only when a and
-// eventUnits[j] both are: a zero side scores 0 by definition (§5.3.2). Under
-// Euclidean distance the converse holds too — two nonzero unit vectors are
-// at most 2 apart, so 1/(d+1) ≥ 1/3 — while cosine is also 0 for disjoint
-// supports. So LiveColumns bounds a row's support without a dot product, and
-// exactly under Euclidean distance: a caller that needs only that bound can
-// skip the call.
-func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64) {
+// subTheme, eventTerms[j], eventTheme) for every column j that cols selects
+// (bit j&63, so the all-ones mask is a full row at any width) and leaves
+// the other cells as they were. Both sides' unit projections come
+// pre-resolved (a by ResolveUnit against subTheme, eventUnits by
+// ResolveUnits against eventTheme) — the batch path's one row kernel, for
+// whole rows and single cells alike: no cache lookup on either side. a is
+// scattered once into dense, every selected column's dot product is then a
+// gather over the event unit's ids alone (sparse.DotDense, bit-identical to
+// the merge behind RelatednessCompiled) mapped by the same Distance.ofDot,
+// and dense is all-zero again on return. dense must be all-zero on entry
+// and Index().NumDocs() long — every projection id is below that, asserted
+// where units are built. Term identity runs on interned ordinals (TermOrd),
+// whose equality is canonical-string equality, so every cell stays
+// bit-identical to the scalar call. Outside identity columns, out[j] is
+// nonzero only when a and eventUnits[j] both are: a zero side scores 0 by
+// definition (§5.3.2). Under Euclidean distance the converse holds too —
+// two nonzero unit vectors are at most 2 apart, so 1/(d+1) ≥ 1/3 — while
+// cosine is also 0 for disjoint supports. So LiveColumns bounds a row's
+// support without a dot product, and exactly under Euclidean distance: a
+// caller that needs only that bound can skip the call.
+func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *CompiledTheme, eventOrds []uint32, eventUnits []sparse.Unit, eventTheme *CompiledTheme, dense, out []float64, cols uint64) {
 	out, eventOrds = out[:len(eventUnits)], eventOrds[:len(eventUnits)]
 	if a.IsZero() {
-		clear(out)
+		for j := range out {
+			if cols>>(uint(j)&63)&1 != 0 {
+				out[j] = 0
+			}
+		}
 		return
 	}
 	// The identity rule needs equal themes as well as equal terms. Term
@@ -611,6 +616,7 @@ func (s *Space) RelatednessRowPreUnits(a *sparse.Unit, subOrd uint32, subTheme *
 	for j := range eventUnits {
 		b := &eventUnits[j]
 		switch {
+		case cols>>(uint(j)&63)&1 == 0:
 		case eventOrds[j] == same:
 			out[j] = 1
 		case b.IsZero():
