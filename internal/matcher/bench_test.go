@@ -75,6 +75,25 @@ func BenchmarkScorePrepared(b *testing.B) {
 	}
 }
 
+// BenchmarkScorePreparedParallel scores the same pair from GOMAXPROCS
+// goroutines at once, as the benchmark oracle does: every call borrows and
+// returns a similarity buffer, so this measures the buffer free list under
+// contention.
+func BenchmarkScorePreparedParallel(b *testing.B) {
+	m := New(space(b))
+	sub, ev := benchPair()
+	ps := m.PrepareSubscription(sub)
+	pe := m.PrepareEvent(ev)
+	m.ScorePrepared(ps, pe)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			m.ScorePrepared(ps, pe)
+		}
+	})
+}
+
 // BenchmarkMatchPrepared measures the same pair through the full Mapping
 // construction.
 func BenchmarkMatchPrepared(b *testing.B) {
