@@ -124,14 +124,16 @@ type Stats struct {
 	// serial Publish is a batch of one through the same pipeline — so
 	// Batches (and the thematicep_publish_batch_size histogram) count
 	// every admitted Publish and PublishBatch call, size 1 included.
-	// Terms counts are raw-term canonicalizations served from the batch
-	// interner (reused) vs computed fresh (interned); rows counts are
+	// Terms counts are the publish path's lookups in the semantic space's
+	// raw-term memo (semantics.Space.CanonicalTerms): served from it
+	// (reused) vs canonicalized fresh (interned). Rows counts are
 	// similarity rows served from the arena memos vs computed through the
-	// semantic kernel. The interner and memos persist across publishes, so
-	// reuse is high even at batch size 1; bigger batches raise it further.
+	// semantic kernel. The term memo lives as long as the space and the
+	// row memos' tables persist across publishes, so reuse is high even at
+	// batch size 1.
 	Batches            uint64 // Publish and PublishBatch calls admitted
-	BatchTermsInterned uint64 // distinct raw terms canonicalized fresh
-	BatchTermsReused   uint64 // raw-term canonicalizations served from the interner
+	BatchTermsInterned uint64 // raw terms the space's term memo missed (canonicalized fresh)
+	BatchTermsReused   uint64 // raw terms the space's term memo served
 	BatchRowsComputed  uint64 // similarity rows opened in the arena (value cells are filled on demand)
 	BatchRowsReused    uint64 // row requests (mask or row) served from the batch memo
 }
@@ -302,9 +304,8 @@ type Broker struct {
 	sem chan struct{}
 
 	// pubBufs is the free list of publish buffers (see acquirePubBuf):
-	// broker-owned rather than a sync.Pool so the large per-publish
-	// scratch survives GC cycles instead of being regrown — and
-	// re-collected — every publish.
+	// broker-owned, so the large per-publish scratch survives GC cycles
+	// instead of being regrown — and re-collected — every publish.
 	pubBufs freelist.List[pubBatchBuf]
 
 	// ctr is the accounting table (see counter); atomics so the chain

@@ -2,7 +2,6 @@ package broker
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -234,7 +233,7 @@ func unregister[T any](c *Client, f *Frame, tab *streams[T], key string) error {
 // write order — the order the server answers in — and concurrent requests
 // pipeline instead of waiting out each other's round trips.
 func (c *Client) request(f *Frame) (*Frame, error) {
-	buf := frameBufs.Get().(*bytes.Buffer)
+	buf := frameBufs.GetOrNew()
 	defer func() {
 		buf.Reset()
 		frameBufs.Put(buf)

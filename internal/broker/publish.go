@@ -98,8 +98,8 @@ var accounting = [numCounters]struct{ family, help, stage, reason string }{
 	{stoppedFamily, stoppedHelp, "admit", "invalid"},
 	{"thematicep_broker_events_in_total", "Events handed to Publish or PublishBatch, admitted or refused.", "", ""},
 	{"thematicep_broker_batches_total", "Publish calls admitted (each is one batch; a serial Publish is a batch of one).", "", ""},
-	{"thematicep_broker_batch_terms_interned_total", "Terms canonicalized fresh by the batch interner.", "", ""},
-	{"thematicep_broker_batch_terms_reused_total", "Term canonicalizations served from the batch interner.", "", ""},
+	{"thematicep_broker_batch_terms_interned_total", "Raw event terms the semantic space's term memo missed, canonicalized fresh.", "", ""},
+	{"thematicep_broker_batch_terms_reused_total", "Raw event terms the semantic space's term memo served.", "", ""},
 	{"thematicep_broker_batch_rows_computed_total", "Similarity rows opened (a memo miss stores only the row's mask; the row is opened when a candidate that passes its mask check and its score bound reads it, an attribute row filled whole, a value row's cells filled on demand where the attribute cell can carry a match).", "", ""},
 	{"thematicep_broker_batch_rows_reused_total", "Similarity row requests (mask or row) served from the arena memos.", "", ""},
 }
@@ -235,8 +235,8 @@ func newPubBatchBuf(workers int) *pubBatchBuf {
 
 // pubBufLimit bounds each broker's free list of publish buffers. The
 // buffers are few but large (hit lists and grouping chains scale with
-// matches per batch), which is exactly the population sync.Pool serves
-// worst: every GC cycle empties the pool, and regrowing tens of megabytes
+// matches per batch), which is exactly the population a GC-emptied pool
+// serves worst: every GC cycle empties it, and regrowing tens of megabytes
 // of scratch per batch is itself what forces the next GC cycle. A small
 // broker-owned free list keeps the scratch alive across collections;
 // buffers beyond the limit (briefly needed only when more publishes are in

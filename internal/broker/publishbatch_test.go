@@ -144,9 +144,6 @@ func TestPublishBatchChurn(t *testing.T) {
 // and grouping chains are all pooled, so a steady stream of batches over a
 // stable vocabulary allocates nothing at any batch size.
 func TestPublishBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race mode: sync.Pool drops Puts at random, warm path is not alloc-free")
-	}
 	w := workload.GenerateScale(workload.ScaleConfig{
 		Seed: 7, Subscriptions: 300, Events: 32, Attrs: 32, ValuesPerAttr: 16,
 		MaxPredicates: 3, EventTuples: 6, Themes: 4, ExactFraction: 0.8, Zipf: 1.2,

@@ -2,7 +2,6 @@
 
 package broker
 
-// raceEnabled reports whether the race detector is active. Under race,
-// sync.Pool deliberately drops a quarter of Puts, so strict
-// zero-allocation assertions on pooled warm paths do not hold.
+// raceEnabled reports whether the race detector is active; allocation
+// gates that skip under it say why.
 const raceEnabled = true

@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
+	"runtime"
 	"time"
 	"unicode/utf8"
 
 	"thematicep/internal/event"
+	"thematicep/internal/freelist"
 	"thematicep/internal/telemetry"
 )
 
@@ -215,12 +216,19 @@ func appendFrame(buf *bytes.Buffer, f *Frame) error {
 	return nil
 }
 
-// frameBufs recycles WriteFrame's encode buffers.
-var frameBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameBufs holds the spare encode buffers of WriteFrame and
+// Client.request, GOMAXPROCS of them. A buffer is held until its frame is
+// written, so as many are in use at once as connections are writing: a
+// write the socket takes at once returns its buffer after one syscall, one
+// blocked on a full socket keeps it until the peer reads, and a writer that
+// finds the list empty grows a fresh buffer. A sent frame is at most
+// MaxFrameSize, so a buffer kept from one is a few MiB at most; one grown
+// by a frame that appendFrame refused as too large is kept as well.
+var frameBufs = make(freelist.List[bytes.Buffer], runtime.GOMAXPROCS(0))
 
 // WriteFrame encodes and writes one frame.
 func WriteFrame(w io.Writer, f *Frame) error {
-	buf := frameBufs.Get().(*bytes.Buffer)
+	buf := frameBufs.GetOrNew()
 	defer func() {
 		buf.Reset()
 		frameBufs.Put(buf)

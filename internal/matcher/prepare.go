@@ -284,32 +284,43 @@ func (p *PreparedSubscription) resolveUnits(space *semantics.Space) {
 
 // PrepareEvent canonicalizes an event against this matcher's space.
 func (m *Matcher) PrepareEvent(e *event.Event) *PreparedEvent {
+	p := new(PreparedEvent)
+	m.fillEvent(p, e)
+	return p
+}
+
+// fillEvent prepares e into p, reusing p's slices when they are long
+// enough; both prepare paths end here. Terms and the theme resolve through
+// the space's raw memos; misses and hits count the term lookups.
+func (m *Matcher) fillEvent(p *PreparedEvent, e *event.Event) (misses, hits uint64) {
 	n := len(e.Tuples)
-	p := &PreparedEvent{
-		ev:         e,
-		attrs:      make([]string, n),
-		values:     make([]string, n),
-		attrOrds:   make([]uint32, n),
-		valueOrds:  make([]uint32, n),
-		attrUnits:  make([]sparse.Unit, n),
-		valueUnits: make([]sparse.Unit, n),
+	if cap(p.attrs) < n {
+		p.attrs = make([]string, n)
+		p.values = make([]string, n)
+		p.attrOrds = make([]uint32, n)
+		p.valueOrds = make([]uint32, n)
+		p.attrUnits = make([]sparse.Unit, n)
+		p.valueUnits = make([]sparse.Unit, n)
 	}
+	p.attrs, p.values = p.attrs[:n], p.values[:n]
+	p.attrOrds, p.valueOrds = p.attrOrds[:n], p.valueOrds[:n]
+	p.attrUnits, p.valueUnits = p.attrUnits[:n], p.valueUnits[:n]
+	p.ev = e
+	p.theme = nil
 	if m.opts.thematic {
 		p.theme = m.space.Compile(e.Theme)
 	}
 	for j, t := range e.Tuples {
-		p.attrs[j] = text.Canonical(t.Attr)
-		p.values[j] = text.Canonical(t.Value)
-		p.attrOrds[j] = m.space.TermOrd(p.attrs[j])
-		p.valueOrds[j] = m.space.TermOrd(p.values[j])
+		p.attrs[j], p.values[j] = t.Attr, t.Value
 	}
+	hits = uint64(m.space.CanonicalTerms(p.attrs, p.attrOrds) + m.space.CanonicalTerms(p.values, p.valueOrds))
 	p.resolveUnits(m.space)
-	return p
+	return 2*uint64(n) - hits, hits
 }
 
 // resolveUnits resolves the tuples' unit projections under the event's
 // theme, and their live columns, into the event's unit slices, which must
-// already be as long as its terms. Both prepare paths end here.
+// already be as long as its terms.
 func (p *PreparedEvent) resolveUnits(space *semantics.Space) {
 	space.ResolveUnits(p.attrs, p.theme, p.attrUnits)
 	space.ResolveUnits(p.values, p.theme, p.valueUnits)
@@ -341,14 +352,6 @@ type simBuf struct {
 // sized to GOMAXPROCS as the package starts; a borrower beyond it gets a
 // fresh buffer.
 var simFree = make(freelist.List[simBuf], runtime.GOMAXPROCS(0))
-
-// getSimBuf borrows a similarity buffer from simFree.
-func getSimBuf() *simBuf {
-	if b := simFree.Get(); b != nil {
-		return b
-	}
-	return new(simBuf)
-}
 
 // shape returns an n×m matrix backed by the buffer WITHOUT zeroing the
 // cells — for callers that overwrite every cell (all-equality predicate
@@ -454,7 +457,7 @@ func (m *Matcher) fillSimilarity(sim [][]float64, ps *PreparedSubscription, pe *
 // MatchPrepared returns; the produced Mapping copies every value it needs,
 // so nothing borrowed escapes.
 func (m *Matcher) MatchPrepared(ps *PreparedSubscription, pe *PreparedEvent) (Mapping, bool) {
-	buf := getSimBuf()
+	buf := simFree.GetOrNew()
 	sim := buf.matrix(len(ps.attrs), len(pe.attrs))
 	m.fillSimilarity(sim, ps, pe)
 	mp, ok := m.bestMapping(buf, sim)
@@ -469,7 +472,7 @@ func (m *Matcher) MatchPrepared(ps *PreparedSubscription, pe *PreparedEvent) (Ma
 // bench_test.go); the Hungarian path beyond allocates only inside the
 // solver.
 func (m *Matcher) ScorePrepared(ps *PreparedSubscription, pe *PreparedEvent) float64 {
-	buf := getSimBuf()
+	buf := simFree.GetOrNew()
 	sim := buf.matrix(len(ps.attrs), len(pe.attrs))
 	m.fillSimilarity(sim, ps, pe)
 	score := m.bestScore(buf, sim)

@@ -3,11 +3,15 @@ package matcher
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"thematicep/internal/assign"
 	"thematicep/internal/event"
 	"thematicep/internal/semantics"
+	"thematicep/internal/workload"
 )
 
 // Property: the small-case exhaustive solver agrees with the Hungarian
@@ -164,5 +168,95 @@ func TestPrepareSubscriptionResolvesOnlyRelaxedUnits(t *testing.T) {
 			t.Errorf("mixed: relaxed value unit zero=%v, exact value unit zero=%v, want false and true",
 				mixed.valueUnits[0].IsZero(), mixed.valueUnits[1].IsZero())
 		}
+	}
+}
+
+// TestPreparePathsAgree prepares random events three ways — PrepareEvent,
+// and PrepareEventInBatch on a fresh context and on a recycled one that a
+// matcher over another space used last — and requires the same canonical
+// terms, ordinals, theme, units and live columns from each. The other space
+// saw the vocabulary in another order, so its ordinals differ: nothing of
+// it may survive in the recycled context. Spellings vary in case and
+// spacing, so several raw terms share each canonical form.
+func TestPreparePathsAgree(t *testing.T) {
+	ix := space(t).Index()
+	m, other := New(semantics.NewSpace(ix)), New(semantics.NewSpace(ix))
+	w := workload.Generate(workload.Config{Seed: 29, SeedEvents: 24, ExpandedPerSeed: 3, Subscriptions: 1, MaxPredicates: 1})
+	w.ApplyThemes(w.SampleThemes(rand.New(rand.NewSource(3)), 2, 1))
+	rng := rand.New(rand.NewSource(31))
+	respell := func(s string) string {
+		switch rng.Intn(3) {
+		case 0:
+			return strings.ToUpper(s)
+		case 1:
+			return "  " + strings.ReplaceAll(s, " ", "   ") + " "
+		}
+		return s
+	}
+	var events []*event.Event
+	for _, e := range w.Events {
+		ev := &event.Event{Theme: slices.Clone(e.Theme)}
+		if rng.Intn(4) == 0 {
+			ev.Theme = nil
+		}
+		for _, tu := range e.Tuples {
+			ev.Tuples = append(ev.Tuples, event.Tuple{Attr: respell(tu.Attr), Value: respell(tu.Value)})
+		}
+		events = append(events, ev)
+	}
+
+	drainEventBatchFree()
+	fresh := m.NewEventBatch()
+	defer m.FinishEventBatch(fresh)
+	used := other.NewEventBatch()
+	for i := range events {
+		other.PrepareEventInBatch(used, events[len(events)-1-i])
+	}
+	other.FinishEventBatch(used)
+	recycled := m.NewEventBatch()
+	defer m.FinishEventBatch(recycled)
+	if recycled != used {
+		t.Fatal("the matcher did not recycle the other matcher's context")
+	}
+	for i, e := range events {
+		want := m.PrepareEvent(e)
+		for name, got := range map[string]*PreparedEvent{
+			"fresh":    m.PrepareEventInBatch(fresh, e),
+			"recycled": m.PrepareEventInBatch(recycled, e),
+		} {
+			switch {
+			case !slices.Equal(got.attrs, want.attrs) || !slices.Equal(got.values, want.values):
+				t.Errorf("event %d, %s context: terms %q %q, want %q %q", i, name, got.attrs, got.values, want.attrs, want.values)
+			case !slices.Equal(got.attrOrds, want.attrOrds) || !slices.Equal(got.valueOrds, want.valueOrds):
+				t.Errorf("event %d, %s context: ordinals %v %v, want %v %v", i, name, got.attrOrds, got.valueOrds, want.attrOrds, want.valueOrds)
+			case got.theme != want.theme:
+				t.Errorf("event %d, %s context: theme %v, want %v", i, name, got.theme, want.theme)
+			case !reflect.DeepEqual(got.attrUnits, want.attrUnits) || !reflect.DeepEqual(got.valueUnits, want.valueUnits):
+				t.Errorf("event %d, %s context: units differ", i, name)
+			case got.attrLive != want.attrLive || got.valueLive != want.valueLive:
+				t.Errorf("event %d, %s context: live %x %x, want %x %x", i, name, got.attrLive, got.valueLive, want.attrLive, want.valueLive)
+			}
+		}
+	}
+}
+
+// TestPrepareThemeKeysDoNotAlias prepares an event whose one tag holds byte
+// 0x01, then, through the same recycled context, one whose two tags that
+// byte glued: the second must get its own two-tag theme.
+func TestPrepareThemeKeysDoNotAlias(t *testing.T) {
+	m := New(semantics.NewSpace(space(t).Index()))
+	tuples := []event.Tuple{{Attr: "type", Value: "spike"}}
+	drainEventBatchFree()
+	eb := m.NewEventBatch()
+	m.PrepareEventInBatch(eb, &event.Event{Theme: []string{"energy\x01transport"}, Tuples: tuples})
+	m.FinishEventBatch(eb)
+	eb2 := m.NewEventBatch()
+	defer m.FinishEventBatch(eb2)
+	if eb2 != eb {
+		t.Fatal("the second batch did not recycle the first batch's context")
+	}
+	pe := m.PrepareEventInBatch(eb2, &event.Event{Theme: []string{"energy", "transport"}, Tuples: tuples})
+	if pe.theme.Key != "energy|transport" {
+		t.Errorf("theme key %q, want \"energy|transport\"", pe.theme.Key)
 	}
 }

@@ -432,3 +432,136 @@ func TestRelatednessBound(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileRawKeysDoNotAlias compiles a tag holding byte 0x01 before the
+// two tags it glues: the raw memo's keys are length-prefixed, so the second
+// list gets its own two-tag theme, not the first list's one-tag theme.
+func TestCompileRawKeysDoNotAlias(t *testing.T) {
+	s := NewSpace(evalIndexFor(t))
+	glued := s.Compile([]string{"energy\x01transport"})
+	split := s.Compile([]string{"energy", "transport"})
+	if split.Key != "energy|transport" {
+		t.Errorf(`Compile(["energy" "transport"]).Key = %q after compiling "energy\x01transport", want "energy|transport"`, split.Key)
+	}
+	if want := ThemeKey(glued.Tags); glued.Key != want || glued == split {
+		t.Errorf("glued tag compiled to key %q (want %q), same theme as the split tags: %v", glued.Key, want, glued == split)
+	}
+}
+
+// TestCompileWarmZeroAlloc asserts that a warm Compile and a warm
+// CanonicalTerms allocate nothing: the raw memo key is built on the stack.
+func TestCompileWarmZeroAlloc(t *testing.T) {
+	s := NewSpace(evalIndexFor(t))
+	theme := []string{"Energy Policy", "computer systems"}
+	terms, ords := make([]string, 2), make([]uint32, 2)
+	resolve := func() {
+		s.Compile(theme)
+		terms[0], terms[1] = "Increased Energy Usage", "laptop"
+		s.CanonicalTerms(terms, ords)
+	}
+	resolve()
+	if allocs := testing.AllocsPerRun(100, resolve); allocs != 0 {
+		t.Errorf("warm Compile and CanonicalTerms: %v allocs/op, want 0", allocs)
+	}
+}
+
+// FuzzCompileKey compiles fuzzed tag lists, control bytes included, in
+// order against one space, then all of them again: every compiled theme's
+// key is ThemeKey of its tags, and two lists share a compiled theme exactly
+// when their keys are equal. data holds the lists: a count byte (1 + b%4
+// tags), then per tag a length byte (b%8) and that many bytes, each kept
+// when it is a control byte and otherwise mapped into a small alphabet, so
+// that distinct lists often share a key.
+func FuzzCompileKey(f *testing.F) {
+	f.Add([]byte{0, 3, 'e', 1, 'n', 1, 2, 'e', 'n'})
+	f.Add([]byte{1, 1, 'a', 1, 'b', 0, 3, 'a', 1, 'b'})
+	f.Add([]byte{2, 2, 'a', '|', 2, 'b', 0, 3, 0, 2, 'A', 0, 1, 'a'})
+	f.Add([]byte{3, 0, 1, ' ', 1, 0, 0, 5, 'a', 0x7f, 'b', 0x1f, 'a'})
+	ix := evalIndexFor(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const alphabet = "aAb |,"
+		var lists [][]string
+		for i := 0; i < len(data) && len(lists) < 16; {
+			n := 1 + int(data[i])%4
+			i++
+			var tags []string
+			for k := 0; k < n && i < len(data); k++ {
+				l := int(data[i]) % 8
+				i++
+				tag := make([]byte, 0, l)
+				for ; l > 0 && i < len(data); l-- {
+					b := data[i]
+					i++
+					if b >= 0x20 && b != 0x7f {
+						b = alphabet[int(b)%len(alphabet)]
+					}
+					tag = append(tag, b)
+				}
+				tags = append(tags, string(tag))
+			}
+			if len(tags) > 0 {
+				lists = append(lists, tags)
+			}
+		}
+		s := NewSpace(ix)
+		for pass := 0; pass < 2; pass++ {
+			got := make([]*CompiledTheme, len(lists))
+			for i, tags := range lists {
+				got[i] = s.Compile(tags)
+				if want := ThemeKey(tags); got[i].Key != want {
+					t.Fatalf("pass %d: Compile(%q).Key = %q, want ThemeKey %q", pass, tags, got[i].Key, want)
+				}
+			}
+			for i := range lists {
+				for j := range lists[:i] {
+					if (got[i] == got[j]) != (got[i].Key == got[j].Key) {
+						t.Fatalf("pass %d: %q and %q: same theme %v, keys %q and %q",
+							pass, lists[i], lists[j], got[i] == got[j], got[i].Key, got[j].Key)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestCanonicalTermsMemoBounded feeds CanonicalTerms more distinct
+// spellings of one term than the raw-term memo holds: the memo stays within
+// its cap, every spelling keeps the one canonical form and ordinal, and the
+// hit count is the number of terms the memo held, a spelling met earlier
+// in the same call included.
+func TestCanonicalTermsMemoBounded(t *testing.T) {
+	s := NewSpace(evalIndexFor(t))
+	const word = "electricityusage" // 16 letters: 2^16 case patterns
+	wantOrd := s.TermOrd(word)
+	for i := 0; i < termsRawCap+termsRawCap/2; i++ {
+		b := []byte(word)
+		for k := range b {
+			if i>>k&1 == 1 {
+				b[k] -= 'a' - 'A'
+			}
+		}
+		if i >= 1<<len(word) {
+			b = append([]byte(" "), b...)
+		}
+		terms, ords := []string{string(b), string(b)}, make([]uint32, 2)
+		hits := s.CanonicalTerms(terms, ords)
+		for k := range terms {
+			if terms[k] != word || ords[k] != wantOrd {
+				t.Fatalf("CanonicalTerms(%q) term %d = %q, %d; want %q, %d", b, k, terms[k], ords[k], word, wantOrd)
+			}
+		}
+		if hits != 1 {
+			t.Fatalf("CanonicalTerms(%q, %q): %d hits, want 1 (a new spelling twice)", b, b, hits)
+		}
+		terms[0], terms[1] = string(b), string(b)
+		if hits := s.CanonicalTerms(terms, ords); hits != 2 {
+			t.Fatalf("CanonicalTerms(%q) again: %d hits, want 2", b, hits)
+		}
+	}
+	s.termsRawMu.RLock()
+	n := len(s.termsRaw)
+	s.termsRawMu.RUnlock()
+	if n > termsRawCap {
+		t.Errorf("raw-term memo grew to %d entries, cap is %d", n, termsRawCap)
+	}
+}

@@ -23,12 +23,13 @@
 // single-flighted: a (term, theme) projection missed by N goroutines at
 // once is computed exactly once while the other N-1 wait. A compiled
 // theme's basis is built once, at first use, and read with one atomic
-// load. Compiled themes are interned under a read-mostly lock whose warm
-// path is an RLock. Cached sparse.Unit values are shared between callers
-// and must be treated as immutable.
+// load. Compiled themes, term ordinals and the raw-term memo each sit under
+// a read-mostly lock whose warm path is an RLock. Cached sparse.Unit values
+// are shared between callers and must be treated as immutable.
 package semantics
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"strings"
@@ -104,7 +105,7 @@ type Space struct {
 	scores   cache[float64]     // sm() memo
 
 	themesMu  sync.RWMutex
-	themesRaw map[string]*CompiledTheme // raw joined tags -> compiled theme
+	themesRaw map[string]*CompiledTheme // length-prefixed raw tags -> compiled theme
 	themesKey map[string]*CompiledTheme // canonical key -> compiled theme
 
 	// termOrds interns canonical terms to dense ordinals (starting at 1)
@@ -112,6 +113,11 @@ type Space struct {
 	// ordinals are only coherent within one Space.
 	termOrdsMu sync.RWMutex
 	termOrds   map[string]uint32
+
+	// termsRaw memoizes CanonicalTerms: raw term -> canonical form and
+	// ordinal, bounded by termsRawCap.
+	termsRawMu sync.RWMutex
+	termsRaw   map[string]canonTerm
 
 	// Computation counters: how many times the expensive cold paths
 	// actually ran. They certify the single-flight property (computations
@@ -168,6 +174,7 @@ func NewSpace(ix *index.Index, opts ...Option) *Space {
 		themesRaw: make(map[string]*CompiledTheme),
 		themesKey: make(map[string]*CompiledTheme),
 		termOrds:  make(map[string]uint32),
+		termsRaw:  make(map[string]canonTerm),
 	}
 }
 
@@ -176,22 +183,31 @@ func NewSpace(ix *index.Index, opts ...Option) *Space {
 // adversarial or highly varied tag stream could otherwise grow the map
 // forever even though the canonical theme set is tiny. When the memo fills
 // up it is simply cleared: hot orderings re-enter on their next call, and
-// themesKey (bounded by genuinely distinct themes) is never dropped.
-const themesRawCap = 1024
+// themesKey (bounded by genuinely distinct themes) is never dropped. Every
+// published event's theme resolves here, so the cap keeps a stream of a few
+// thousand orderings warm.
+const themesRawCap = 4096
 
-// Compile resolves a theme tag set once, memoized by the raw joined tags.
+// Compile resolves a theme tag set once, memoized by the raw tags.
 // Relatedness sits on the matching hot path and is called with the same
 // theme slices for every event; recanonicalizing, sorting, and embedding
 // full theme keys into cache keys on every call would dominate matching
-// time. The raw memo is bounded by themesRawCap. Compile(nil) returns nil:
-// the full space.
+// time. The raw memo is bounded by themesRawCap; its key is each tag's
+// uvarint length then its bytes, so no two tag lists share a key whatever
+// bytes the tags hold, and a warm call whose key fits the 256-byte stack
+// buffer allocates nothing. Compile(nil) returns nil: the full space.
 func (s *Space) Compile(theme []string) *CompiledTheme {
 	if len(theme) == 0 {
 		return nil
 	}
-	raw := strings.Join(theme, "\x01")
+	var stack [256]byte
+	raw := stack[:0]
+	for _, tag := range theme {
+		raw = binary.AppendUvarint(raw, uint64(len(tag)))
+		raw = append(raw, tag...)
+	}
 	s.themesMu.RLock()
-	t, ok := s.themesRaw[raw]
+	t, ok := s.themesRaw[string(raw)]
 	s.themesMu.RUnlock()
 	if ok {
 		return t
@@ -212,9 +228,67 @@ func (s *Space) Compile(theme []string) *CompiledTheme {
 	if len(s.themesRaw) >= themesRawCap {
 		s.themesRaw = make(map[string]*CompiledTheme, themesRawCap)
 	}
-	s.themesRaw[raw] = t
+	s.themesRaw[string(raw)] = t
 	s.themesMu.Unlock()
 	return t
+}
+
+// canonTerm is a raw term resolved against a Space: its canonical form
+// and that form's TermOrd.
+type canonTerm struct {
+	c   string
+	ord uint32
+}
+
+// termsRawCap bounds the raw-term memo of CanonicalTerms. Like themesRaw
+// it is keyed by spelling, so a varied stream could grow it without limit;
+// when it fills up it is cleared, and hot spellings re-enter on their next
+// call. Ordinals are never dropped: termOrds is keyed by canonical form.
+const termsRawCap = 1 << 16
+
+// CanonicalTerms replaces each raw term of terms by its canonical form
+// (text.Canonical) and sets ords[i] to that form's TermOrd, memoized by
+// spelling: a stream of events over a stable vocabulary canonicalizes each
+// spelling once per Space, not once per tuple. It returns how many terms
+// the memo already held. ords must be at least as long as terms. Safe for
+// concurrent use.
+func (s *Space) CanonicalTerms(terms []string, ords []uint32) (hits int) {
+	s.termsRawMu.RLock()
+	for i, raw := range terms {
+		t, ok := s.termsRaw[raw]
+		if ok {
+			terms[i] = t.c
+			hits++
+		}
+		ords[i] = t.ord // 0, which no term has, marks a miss
+	}
+	s.termsRawMu.RUnlock()
+	for i, raw := range terms {
+		if ords[i] != 0 {
+			continue
+		}
+		// A spelling met twice in terms is resolved, and counted as a
+		// miss, once.
+		s.termsRawMu.RLock()
+		t, ok := s.termsRaw[raw]
+		s.termsRawMu.RUnlock()
+		if ok {
+			terms[i], ords[i] = t.c, t.ord
+			hits++
+			continue
+		}
+		t = canonTerm{c: text.Canonical(raw)}
+		t.ord = s.TermOrd(t.c)
+		s.termsRawMu.Lock()
+		if len(s.termsRaw) >= termsRawCap {
+			s.termsRaw = make(map[string]canonTerm, termsRawCap)
+		}
+		// A clone, so the memo never pins a larger string raw may point into.
+		s.termsRaw[strings.Clone(raw)] = t
+		s.termsRawMu.Unlock()
+		terms[i], ords[i] = t.c, t.ord
+	}
+	return hits
 }
 
 // itoa is a minimal non-negative integer formatter (avoids strconv on the

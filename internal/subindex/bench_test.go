@@ -76,9 +76,6 @@ func BenchmarkCandidates100k(b *testing.B) {
 // TestCandidatesZeroAlloc gates the warm enumeration path at 0 allocs/op,
 // same idiom as the PR 3 kernel and PR 4 histogram gates.
 func TestCandidatesZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race mode: sync.Pool drops Puts at random, warm path is not alloc-free")
-	}
 	ix := New[int]()
 	attrs, values, _ := synthPopulation(ix, 5_000, 11)
 	sink := 0

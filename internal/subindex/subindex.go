@@ -66,11 +66,13 @@
 package subindex
 
 import (
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 
 	"thematicep/internal/event"
+	"thematicep/internal/freelist"
 	"thematicep/internal/text"
 )
 
@@ -348,25 +350,29 @@ type enumBuf struct {
 	hits   []uint32 // per-group anchor-term intersection
 }
 
-var enumPool = sync.Pool{New: func() any { return new(enumBuf) }}
+// enumFree holds the spare enumeration buffers. A buffer is held for one
+// enumeration, so the list needs one per concurrent enumerator: it is sized
+// to GOMAXPROCS as the package starts, and a borrower beyond it gets a
+// fresh buffer.
+var enumFree = make(freelist.List[enumBuf], runtime.GOMAXPROCS(0))
 
 // Candidates yields the payload of every subscription the event could
 // possibly match, and returns how many were yielded and how many the index
 // pruned (skipped subscriptions provably score 0). The yield callback runs
 // under the index's read lock and must not call back into the index.
 func (ix *Index[T]) Candidates(e *event.Event, yield func(T)) (candidates, pruned int) {
-	buf := enumPool.Get().(*enumBuf)
+	buf := enumFree.GetOrNew()
 	for _, t := range e.Tuples {
 		buf.attrs = append(buf.attrs, text.Canonical(t.Attr))
 		buf.values = append(buf.values, text.Canonical(t.Value))
 	}
 	candidates, pruned = ix.candidates(buf, buf.attrs, buf.values, len(e.Tuples), yield)
-	// Drop string references before pooling so the buffer never pins event
+	// Drop string references before freeing so the buffer never pins event
 	// vocabulary.
 	clear(buf.attrs)
 	clear(buf.values)
 	buf.attrs, buf.values = buf.attrs[:0], buf.values[:0]
-	enumPool.Put(buf)
+	enumFree.Put(buf)
 	return candidates, pruned
 }
 
@@ -375,9 +381,9 @@ func (ix *Index[T]) Candidates(e *event.Event, yield func(T)) (candidates, prune
 // canonicalization entirely. attrs and values must be the canonical forms
 // of the event's tuples, index-aligned.
 func (ix *Index[T]) CandidatesPrepared(attrs, values []string, yield func(T)) (candidates, pruned int) {
-	buf := enumPool.Get().(*enumBuf)
+	buf := enumFree.GetOrNew()
 	candidates, pruned = ix.candidates(buf, attrs, values, len(attrs), yield)
-	enumPool.Put(buf)
+	enumFree.Put(buf)
 	return candidates, pruned
 }
 
