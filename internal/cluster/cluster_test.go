@@ -417,8 +417,8 @@ func TestEmbeddedNodePublishSubscribe(t *testing.T) {
 
 // A federated subscription that has delivered nothing holds what its local
 // registration holds — no queue at all until its first delivery — and a few
-// hundred bytes more: no second queue, no goroutine stack, and the dedup
-// window grows with what is delivered. Sized to DedupWindow up front the
+// hundred bytes more: no second queue, no goroutine stack, and no dedup
+// window while it has no remote owner. Sized to DedupWindow up front the
 // window was ~150 KB per subscription, 590 MB for the benchmark's 4k; with
 // a 64-slot channel per registration, 4,000 of them held 20.7 MB.
 func TestIdleFederatedSubscriptionsStaySmall(t *testing.T) {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"runtime"
+	"slices"
 	"testing"
 
 	"thematicep/internal/broker"
@@ -156,5 +158,143 @@ func TestEdgeSubQueueOrderAndOverflow(t *testing.T) {
 	}
 	if st := b.Stats(); st.Dropped != 2 {
 		t.Errorf("Dropped = %d, want 2", st.Dropped)
+	}
+}
+
+// A subscription that never had a remote owner has one delivery path and
+// never opens its window: its local deliveries hold no event IDs.
+func TestEdgeSubNoWindowWithoutRemoteOwner(t *testing.T) {
+	n, _ := edgeNode(t, Config{})
+	h, err := n.SubscribeHandle(edgeSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const events = 2000
+	delivered := 0
+	for i := 0; i < events; i++ {
+		if err := n.Publish(edgeEvent(fmt.Sprintf("e%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		delivered += len(queued(h))
+	}
+	if delivered != events {
+		t.Errorf("delivered %d of %d local matches", delivered, events)
+	}
+	if h.(*edgeSub).win.Load() != nil {
+		t.Errorf("window opened after %d local deliveries with no remote owner", events)
+	}
+	if st := n.Stats(); st.DedupWindows != 0 || st.Deduped != 0 {
+		t.Errorf("DedupWindows = %d, Deduped = %d, want 0 and 0", st.DedupWindows, st.Deduped)
+	}
+}
+
+// A membership change that gives the subscription its first remote owner
+// opens its window with a snapshot of the events published here: the
+// remote copy of an event delivered locally before the change is dropped,
+// and after it both arrival orders dedup through the window.
+func TestEdgeSubSnapshotCoversEarlierLocalDelivery(t *testing.T) {
+	n, _ := edgeNode(t, Config{})
+	h, err := n.SubscribeHandle(edgeSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish := func(id string) {
+		t.Helper()
+		if err := n.Publish(edgeEvent(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(what string, deduped uint64, want ...string) {
+		t.Helper()
+		if got := queued(h); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: queue = %v, want %v", what, got, want)
+		}
+		if got := n.Stats().Deduped; got != deduped {
+			t.Errorf("%s: Deduped = %d, want %d", what, got, deduped)
+		}
+	}
+
+	publish("a")
+	expect("before the change", 0, "a")
+
+	other := ""
+	for port := 2; port < 1000 && other == ""; port++ {
+		id := fmt.Sprintf("127.0.0.1:%d", port)
+		if slices.Contains(NewRing([]string{n.ID(), id}).Owners(edgeSubscription().Theme), id) {
+			other = id
+		}
+	}
+	if other == "" {
+		t.Fatal("no member ID owns the subscription's theme")
+	}
+	n.mergeGossip([]broker.MemberInfo{{Node: other}})
+	if st := n.Stats(); st.DedupWindows != 1 {
+		t.Fatalf("DedupWindows = %d after the subscription gained remote owner %s, want 1", st.DedupWindows, other)
+	}
+
+	n.remote(h, edgeEvent("a"))
+	expect("remote copy of an earlier local delivery", 1)
+
+	publish("b")
+	n.remote(h, edgeEvent("b"))
+	expect("local then remote", 2, "b")
+
+	n.remote(h, edgeEvent("c"))
+	publish("c")
+	expect("remote then local", 3, "c")
+}
+
+// An event without an ID is never suppressed and never enters the publish
+// ring: a peer's forward of one is delivered locally, and every remote
+// copy of one is delivered too, before and after the window opens.
+func TestEdgeSubEmptyIDNeverSuppressed(t *testing.T) {
+	n, _ := edgeNode(t, Config{})
+	h, err := n.SubscribeHandle(edgeSubscription())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, peerEnd := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		n.ServePeer(conn, nil)
+	}()
+	defer func() {
+		peerEnd.Close()
+		<-done
+	}()
+	fr := broker.NewFrameReader(peerEnd)
+	forward := func() {
+		t.Helper()
+		if err := broker.WriteFrame(peerEnd, &broker.Frame{
+			Type:   broker.FrameForwardBatch,
+			Events: []*event.Event{edgeEvent("")},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		// Frames are served in order: the pong follows the forward's publish.
+		if err := broker.WriteFrame(peerEnd, &broker.Frame{Type: broker.FramePing}); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := fr.ReadFrame(); err != nil || f.Type != broker.FramePong {
+			t.Fatalf("read %v, %v; want a pong", f, err)
+		}
+	}
+
+	forward()
+	n.remote(h, edgeEvent(""))
+	forward()
+	n.remote(h, edgeEvent(""))
+	if got := queued(h); fmt.Sprint(got) != fmt.Sprint([]string{"", "", "", ""}) {
+		t.Errorf("queue = %q, want four deliveries without an ID", got)
+	}
+	if st := n.Stats(); st.Deduped != 0 || st.DedupWindows != 1 {
+		t.Errorf("Deduped = %d, DedupWindows = %d; want 0 and 1", st.Deduped, st.DedupWindows)
+	}
+	n.pubMu.Lock()
+	recorded := n.pubSeq
+	n.pubMu.Unlock()
+	if recorded != 0 {
+		t.Errorf("publish ring recorded %d IDs, want none", recorded)
 	}
 }

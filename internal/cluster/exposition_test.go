@@ -124,6 +124,7 @@ func TestFullStackExpositionLints(t *testing.T) {
 		"thematicep_subindex_subscriptions 1",
 		`thematicep_semantics_cache_hits_total{cache="projection"}`,
 		"thematicep_cluster_forward_queue_depth{peer=",
+		"thematicep_cluster_dedup_windows 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

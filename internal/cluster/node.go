@@ -35,8 +35,10 @@ type Config struct {
 	// rebalance — so the timeout trades failover latency against ring
 	// stability under transient partitions.
 	SuspectTimeout time.Duration
-	// DedupWindow is how many recent event IDs each subscription
-	// remembers for duplicate suppression (default 1024).
+	// DedupWindow is how many recent event IDs a federated subscription
+	// remembers for duplicate suppression once its window is open, and how
+	// many IDs of events published into the local broker the node keeps
+	// for the snapshot an opening window takes (default 1024).
 	DedupWindow int
 	// ReconnectMin/ReconnectMax bound the full-jitter exponential backoff
 	// between peer dial attempts (defaults 50ms and 2s).
@@ -117,6 +119,7 @@ type Stats struct {
 	BreakerTrips     uint64 // circuit-breaker transitions to open, summed over peers
 	RemoteDeliveries uint64 // matches sent back to a peer's subscriber
 	RemoteSubs       int    // remote registrations currently hosted here
+	DedupWindows     int    // federated subscriptions whose event-ID window is open
 	Peers            int    // configured peer links
 	PeersConnected   int    // peer links currently established
 	PeersOpen        int    // peer links whose breaker is currently open or half-open
@@ -163,6 +166,16 @@ type Node struct {
 	ctrShed       atomic.Uint64
 	ctrRemoteDel  atomic.Uint64
 	remoteSubs    atomic.Int64
+	windows       atomic.Int64
+
+	// pubMu guards pubIDs, a ring of the IDs of the last DedupWindow events
+	// published into the local broker (pubSeq counts every ID written to
+	// it), and snap, the set of the ring's IDs when pubSeq was snapSeq.
+	pubMu   sync.Mutex
+	pubIDs  []string
+	pubSeq  uint64
+	snap    map[string]struct{}
+	snapSeq uint64
 }
 
 // New wraps a local broker in a federation node. The node does not dial
@@ -180,6 +193,7 @@ func New(b *broker.Broker, cfg Config) (*Node, error) {
 		peers:      make(map[string]*peer),
 		edges:      make(map[string]*edgeSub),
 		reaperDone: make(chan struct{}),
+		pubIDs:     make([]string, c.DedupWindow),
 	}
 	n.ringPtr.Store(NewRing(n.ms.RingMembers()))
 	for _, m := range n.ms.Snapshot() {
@@ -317,8 +331,10 @@ func (n *Node) applyMembership() {
 	}
 
 	// Re-own every federated subscription under the new ring; the nudged
-	// reconcile loops subscribe on new owners and unsubscribe from old.
+	// reconcile loops subscribe on new owners and unsubscribe from old. A
+	// subscription's first remote owner opens its window, before the nudge.
 	n.mu.Lock()
+	var opening []*edgeSub
 	for _, e := range n.edges {
 		var owners []string
 		for _, o := range ring.Owners(e.sub.Theme) {
@@ -327,7 +343,11 @@ func (n *Node) applyMembership() {
 			}
 		}
 		e.owners = owners
+		if len(owners) > 0 && e.win.Load() == nil {
+			opening = append(opening, e)
+		}
 	}
+	n.openWindows(opening...)
 	n.mu.Unlock()
 	n.appliedVersion.Store(version)
 	n.nudgeAll()
@@ -420,11 +440,67 @@ func (n *Node) PublishBatch(events []*event.Event) error {
 			evs[i] = &cp
 		}
 	}
+	n.record(evs)
 	if err := n.broker.PublishBatch(evs); err != nil {
 		return err
 	}
 	n.forward(evs)
 	return nil
+}
+
+// record writes the IDs of events about to be published into the local
+// broker to the publish ring. It runs before the publish, so an event
+// delivered locally through a gate with no window yet is in the snapshot
+// that the window takes when it opens.
+func (n *Node) record(evs []*event.Event) {
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	for _, e := range evs {
+		if e != nil && e.ID != "" {
+			n.pubIDs[n.pubSeq%uint64(len(n.pubIDs))] = e.ID
+			n.pubSeq++
+		}
+	}
+}
+
+// publishedSnapshot returns the set of IDs in the publish ring. It is
+// shared with earlier callers while no ID has been recorded since.
+func (n *Node) publishedSnapshot() map[string]struct{} {
+	n.pubMu.Lock()
+	defer n.pubMu.Unlock()
+	if n.snap == nil || n.snapSeq != n.pubSeq {
+		n.snap = make(map[string]struct{}, min(n.pubSeq, uint64(len(n.pubIDs))))
+		for _, id := range n.pubIDs {
+			if id != "" {
+				n.snap[id] = struct{}{}
+			}
+		}
+		n.snapSeq = n.pubSeq
+	}
+	return n.snap
+}
+
+// openWindows opens the dedup window of each edge in es, none of which has
+// one yet, then attaches one snapshot of the publish ring to all of them.
+// The caller holds n.mu, and nudges the edges' owners only afterwards, so
+// no remote registration exists before its window and snapshot do.
+//
+// Installing every window before taking the snapshot closes the one race
+// a late window opens: a local delivery that passed a gate with no window
+// was recorded in the ring before it (record), so before the snapshot, and
+// handleRemoteDeliveries drops its remote copy by the snapshot.
+func (n *Node) openWindows(es ...*edgeSub) {
+	if len(es) == 0 {
+		return
+	}
+	for _, e := range es {
+		e.win.Store(&event.IDWindow{Size: n.cfg.DedupWindow})
+	}
+	snap := n.publishedSnapshot()
+	for _, e := range es {
+		e.snap = snap
+	}
+	n.windows.Add(int64(len(es)))
 }
 
 // fwdGroup is the events of one publish bound for one remote owner. They
@@ -500,8 +576,8 @@ func (n *Node) traceContext(eventID string) *telemetry.TraceContext {
 
 // SubscribeHandle registers a subscription locally and on every remote
 // shard owning one of its themes; remote matches flow back over the peer
-// links and are de-duplicated against local matches by event ID. It
-// implements broker.Backend.
+// links and are de-duplicated against local matches by event ID once the
+// subscription has a second delivery path. It implements broker.Backend.
 func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.SubscribeOption) (broker.SubHandle, error) {
 	if sub == nil {
 		return nil, fmt.Errorf("cluster: nil subscription")
@@ -512,11 +588,13 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	}
 	// The event-ID window stands in front of the local registration's queue,
 	// where local matches and remote ones (handleRemoteDeliveries) meet: the
-	// broker calls it under the queue lock, so whichever copy of an event
-	// arrives second is dropped in queue order.
-	seen := event.IDWindow{Size: n.cfg.DedupWindow}
+	// broker calls the gate under the queue lock, so once the window is
+	// open, whichever copy of an event arrives second is dropped in queue
+	// order. Until then there is one delivery path and nothing to drop.
+	e := &edgeSub{node: n, sub: &cp}
 	fresh := func(ev *event.Event) bool {
-		if ev.ID == "" || seen.Fresh(ev.ID) {
+		w := e.win.Load()
+		if w == nil || ev.ID == "" || w.Fresh(ev.ID) {
 			return true
 		}
 		n.ctrDeduped.Add(1)
@@ -526,7 +604,7 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	if err != nil {
 		return nil, err
 	}
-	e := &edgeSub{Subscriber: local, node: n, sub: &cp}
+	e.Subscriber = local
 
 	// Owners are computed under n.mu against the current ring: a
 	// subscribe racing a membership change either sees the new ring here,
@@ -546,6 +624,9 @@ func (n *Node) SubscribeHandle(sub *event.Subscription, opts ...broker.Subscribe
 	}
 	e.owners = owners
 	n.edges[cp.ID] = e
+	if len(owners) > 0 {
+		n.openWindows(e)
+	}
 	n.mu.Unlock()
 
 	n.nudgePeers(owners)
@@ -609,7 +690,10 @@ func (n *Node) desiredFor(peerID string) map[string]*event.Subscription {
 }
 
 // handleRemoteDeliveries routes a deliverb frame from a peer shard to the
-// local federated subscriptions it names.
+// local federated subscriptions it names. A remote copy opens a window that
+// is not open yet, and one of an event published here before the window
+// opened is dropped: it duplicates a local delivery, or is a copy of an
+// event published before the subscription existed (DESIGN §8).
 func (n *Node) handleRemoteDeliveries(f *broker.Frame) {
 	if f.Event == nil {
 		return
@@ -617,8 +701,17 @@ func (n *Node) handleRemoteDeliveries(f *broker.Frame) {
 	for _, t := range f.Targets {
 		n.mu.Lock()
 		e := n.edges[t.SubscriptionID]
-		n.mu.Unlock()
+		var before bool
 		if e != nil {
+			if e.win.Load() == nil {
+				n.openWindows(e)
+			}
+			_, before = e.snap[f.Event.ID]
+		}
+		n.mu.Unlock()
+		if before {
+			n.ctrDeduped.Add(1)
+		} else if e != nil {
 			e.Offer(broker.Delivery{
 				Event:          f.Event,
 				SubscriptionID: t.SubscriptionID,
@@ -714,6 +807,7 @@ func (n *Node) ServePeer(conn net.Conn, hello *broker.Frame) {
 				continue
 			}
 			n.ctrReceived.Add(uint64(len(f.Events)))
+			n.record(f.Events)
 			// A propagated trace context forces sampling of this publish
 			// under the originating trace ID, so the remote fragment joins
 			// the sender's span tree when themctl trace merges the ring.
@@ -772,6 +866,7 @@ func (n *Node) Stats() Stats {
 		BreakerTrips:     trips,
 		RemoteDeliveries: n.ctrRemoteDel.Load(),
 		RemoteSubs:       int(n.remoteSubs.Load()),
+		DedupWindows:     int(n.windows.Load()),
 		Peers:            len(peers),
 		PeersConnected:   connected,
 		PeersOpen:        open,
@@ -850,6 +945,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	telemetry.WriteCounter(w, "thematicep_cluster_breaker_trips_total", "Peer circuit-breaker transitions to open.", st.BreakerTrips)
 	telemetry.WriteCounter(w, "thematicep_cluster_remote_deliveries_total", "Matches streamed back to peer subscribers.", st.RemoteDeliveries)
 	telemetry.WriteGauge(w, "thematicep_cluster_remote_subscriptions", "Remote registrations currently hosted.", st.RemoteSubs)
+	telemetry.WriteGauge(w, "thematicep_cluster_dedup_windows", "Federated subscriptions whose event-ID dedup window is open.", st.DedupWindows)
 	telemetry.WriteGauge(w, "thematicep_cluster_peers", "Live peer links.", st.Peers)
 	telemetry.WriteGauge(w, "thematicep_cluster_peers_connected", "Peer links currently established.", st.PeersConnected)
 
@@ -901,6 +997,13 @@ type edgeSub struct {
 	node   *Node
 	sub    *event.Subscription
 	owners []string // remote shards this subscription is registered on
+
+	// win is the event-ID window the gate consults, nil until the
+	// subscription first has a remote owner or receives a remote copy, and
+	// then kept for life; snap (guarded by node.mu) is the publish-ring
+	// snapshot taken when it opened. See openWindows.
+	win  atomic.Pointer[event.IDWindow]
+	snap map[string]struct{}
 }
 
 // Close cancels the subscription locally and on every remote shard.
@@ -910,6 +1013,9 @@ func (e *edgeSub) Close() {
 	live := n.edges[e.ID()] == e
 	if live {
 		delete(n.edges, e.ID())
+		if e.win.Load() != nil {
+			n.windows.Add(-1)
+		}
 	}
 	n.mu.Unlock()
 	if !live {
