@@ -334,6 +334,7 @@ type Broker struct {
 	replay []*event.Event // ring buffer, oldest first
 	closed bool
 	nextID int
+	regs   uint64 // registrations so far: each Subscriber's registration number
 
 	// drainHooks run once inside Drain, after in-flight publishes settle
 	// and before queue flushing — the point where attached stream
@@ -479,16 +480,35 @@ type Subscriber struct {
 	sub      *event.Subscription
 	prepared *matcher.PreparedSubscription // prepare-once form; nil without an Engine
 	broker   *Broker
-
-	// ephemeral registrations bypass the journal (see Ephemeral).
-	ephemeral bool
+	// regLo and regHi hold the low 32 and high 16 bits of the registration
+	// number (see registration). They and ephemeral sit in the padding
+	// around mu, which keeps Subscriber at 80 bytes.
+	regLo uint32
 
 	mu     sync.Mutex
 	closed bool
+	// ephemeral registrations bypass the journal (see Ephemeral).
+	ephemeral bool
+	regHi     uint16
+
 	q      *Ring[Delivery]         // nil until the first delivery
 	notify func()                  // see SetNotify
 	gate   func(*event.Event) bool // see Gate; nil admits everything
 }
+
+// maxRegistrations is the last registration number a broker hands out:
+// Subscriber stores 48 bits of it. Subscribe fails past it rather than
+// wrap; at a million registrations a second it lasts nine years.
+const maxRegistrations = 1<<48 - 1
+
+// registration returns s's registration number: the broker's registration
+// count, this one included, when s registered. Numbers never wrap, so a
+// subscription keeps its place before every later cut however long it lives.
+func (s *Subscriber) registration() uint64 { return uint64(s.regHi)<<32 | uint64(s.regLo) }
+
+// registeredAfter reports whether s registered after the broker's
+// registration count cut was read.
+func (s *Subscriber) registeredAfter(cut uint64) bool { return s.registration() > cut }
 
 // ID returns the subscription id the broker assigned (or the caller chose).
 func (s *Subscriber) ID() string { return s.id }
@@ -627,11 +647,18 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSub, id)
 	}
+	if b.regs == maxRegistrations {
+		b.mu.Unlock()
+		return nil, errors.New("broker: subscribe: registration numbers exhausted")
+	}
+	b.regs++
 	s := &Subscriber{
 		id:        id,
 		sub:       sub,
 		prepared:  prep,
 		broker:    b,
+		regLo:     uint32(b.regs),
+		regHi:     uint16(b.regs >> 32),
 		ephemeral: sc.ephemeral,
 		gate:      sc.gate,
 	}

@@ -202,6 +202,7 @@ type pubBatchBuf struct {
 	ctx      *matcher.EventBatch      // batch prepare context; nil without an Engine
 	pes      []*matcher.PreparedEvent // prepared events, index-aligned with events
 	fullScan bool                     // score the snapshot in flat instead of asking the index
+	regCut   uint64                   // the broker's registration count at admission
 	flat     []*Subscriber            // window candidate buffer (index path) or snapshot (scan path)
 	perEvent [][]*Subscriber          // per-event candidate views of the current window
 	ends     []int
@@ -229,7 +230,16 @@ func newPubBatchBuf(workers int) *pubBatchBuf {
 		hits:    make([][]batchHit, workers),
 		scratch: make([]scoreScratch, workers),
 	}
-	buf.add = func(s *Subscriber) { buf.flat = append(buf.flat, s) }
+	buf.add = func(s *Subscriber) {
+		if s.registeredAfter(buf.regCut) {
+			// Registered after this publish was admitted: its replay
+			// backlog may already hold the events, so it is not a
+			// candidate here.
+			buf.tally[cPruned]++
+			return
+		}
+		buf.flat = append(buf.flat, s)
+	}
 	return buf
 }
 
@@ -502,8 +512,11 @@ func (buf *pubBatchBuf) compile() error {
 
 // ingest is admission control plus everything done under the broker lock:
 // one decision for the whole batch (all-or-nothing), the replay-ring
-// append, and — for full-scan matchers — the one subscription snapshot the
-// batch shares. It stops the publish as admit/draining, shed or
+// append, the registration cut and — for full-scan matchers — the one
+// subscription snapshot the batch shares. A publish matches exactly the
+// subscriptions registered before the cut: a later one replays the batch
+// from the ring if it asks to, and enumeration skips it (the snapshot
+// cannot hold it). It stops the publish as admit/draining, shed or
 // admit/closed.
 func (buf *pubBatchBuf) ingest() error {
 	b := buf.b
@@ -528,6 +541,7 @@ func (buf *pubBatchBuf) ingest() error {
 			b.replay = b.replay[len(b.replay)-b.cfg.replaySize:]
 		}
 	}
+	buf.regCut = b.regs
 	buf.fullScan = b.index == nil || len(b.subs) == 0
 	if b.index == nil {
 		for _, s := range b.subs {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"thematicep/internal/event"
 	"thematicep/internal/matcher"
@@ -254,4 +255,112 @@ func TestConcurrentPublishBeyondFreeLists(t *testing.T) {
 	if want == 0 {
 		t.Fatal("workload produced no deliveries; the check is vacuous")
 	}
+}
+
+// pausingClock blocks the pause-th reading after arm until release is
+// closed, signalling reached when it gets there; every other reading
+// returns at once.
+type pausingClock struct {
+	reads            atomic.Int64
+	pause            int64
+	reached, release chan struct{}
+}
+
+func (c *pausingClock) arm(pause int64) {
+	c.reads.Store(0)
+	c.pause = pause
+}
+
+func (c *pausingClock) Now() time.Time {
+	if c.reads.Add(1) == c.pause {
+		close(c.reached)
+		<-c.release
+	}
+	return time.Unix(0, 0)
+}
+
+// A publish matches exactly the subscriptions registered before it was
+// admitted. A replaying subscription that registers between the publish's
+// ingest (the replay-ring append, under the broker lock) and its
+// enumeration gets the event once, from its backlog, and is not also
+// enumerated live.
+func TestPublishRegistrationCut(t *testing.T) {
+	clk := &pausingClock{reached: make(chan struct{}), release: make(chan struct{})}
+	b := New(thematicMatcher(t), WithClock(clk), WithReplayBuffer(8), WithMatchParallelism(1))
+	defer b.Close()
+	early, err := b.Subscribe(parkingSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A publish reads the clock at its start, after compile and after
+	// ingest: it pauses at the third reading, with the broker lock released.
+	clk.arm(3)
+	done := make(chan error, 1)
+	go func() { done <- b.Publish(parkingEvent("p1")) }()
+	<-clk.reached
+	late, err := b.Subscribe(parkingSub(), WithReplay(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(clk.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	got, _ := early.Take(nil)
+	if len(got) != 1 || got[0].Replayed {
+		t.Errorf("early subscription got %+v, want one live delivery", got)
+	}
+	got, _ = late.Take(nil)
+	if len(got) != 1 || !got[0].Replayed {
+		t.Errorf("late subscription got %d deliveries %+v, want one replayed delivery", len(got), got)
+	}
+	if st := b.Stats(); st.Scanned != 1 || st.Pruned != 1 {
+		t.Errorf("scanned %d, pruned %d; want 1, 1 (the late registration counts as pruned)", st.Scanned, st.Pruned)
+	}
+}
+
+// A registration number never wraps. A subscription stays before every
+// later registration cut however many registrations follow it (2^31 + 1 of
+// them would put a wrapping 32-bit stamp after the cut), numbers carry
+// past 2^32 into their high bits, and Subscribe fails rather than hand out
+// a number past maxRegistrations.
+func TestRegistrationNumbersDoNotWrap(t *testing.T) {
+	b := New(thematicMatcher(t), WithMatchParallelism(1))
+	defer b.Close()
+	first, err := b.Subscribe(parkingSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []*Subscriber{first}
+	publish := func(id string) {
+		t.Helper()
+		if err := b.Publish(parkingEvent(id)); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subs {
+			if got, _ := s.Take(nil); len(got) != 1 || got[0].Replayed {
+				t.Errorf("%s: subscription %d got %+v, want one live delivery", id, s.registration(), got)
+			}
+		}
+	}
+	for i, regs := range []uint64{first.registration() + 1<<31 + 1, 1<<32 - 1, maxRegistrations - 1} {
+		b.mu.Lock()
+		b.regs = regs
+		b.mu.Unlock()
+		s, err := b.Subscribe(parkingSub())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.registration() != regs+1 {
+			t.Errorf("registration %d, want %d", s.registration(), regs+1)
+		}
+		subs = append(subs, s)
+		publish(fmt.Sprintf("p%d", i))
+	}
+	if _, err := b.Subscribe(parkingSub()); err == nil {
+		t.Error("Subscribe past maxRegistrations succeeded")
+	}
+	publish("last")
 }

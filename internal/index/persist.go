@@ -6,8 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Index persistence addresses the paper's "building an efficient indexing
@@ -23,6 +24,11 @@ import (
 //	      positions uvarint, posDelta uvarint...
 //
 // Doc ids and positions are delta-encoded (they are sorted ascending).
+//
+// The in-memory form (index.go) differs: doc ids and tfs are loaded into
+// columns, while each posting's positions — count and deltas — keep their
+// on-disk bytes, so WriteTo copies them through and only PhraseDocs turns
+// them into offsets.
 
 var indexMagic = []byte("TEPIDX1\n")
 
@@ -36,37 +42,34 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	writeUvarint(cw, uint64(ix.numDocs))
-	writeUvarint(cw, uint64(len(ix.postings)))
+	writeUvarint(cw, uint64(len(ix.rows)))
 
 	// Deterministic output: tokens in sorted order.
-	tokens := make([]string, 0, len(ix.postings))
-	for tok := range ix.postings {
-		tokens = append(tokens, tok)
-	}
-	sort.Strings(tokens)
-
-	for _, tok := range tokens {
+	for _, tok := range slices.Sorted(maps.Keys(ix.rows)) {
 		writeUvarint(cw, uint64(len(tok)))
 		if _, err := io.WriteString(cw, tok); err != nil {
 			return cw.n, err
 		}
-		ps := ix.postings[tok]
-		writeUvarint(cw, uint64(len(ps)))
+		sp, b, _ := ix.lookup(tok)
+		writeUvarint(cw, uint64(sp.hi-sp.lo))
+		// The positions are held in their on-disk form: copy each
+		// posting's run through.
+		pos := b.pos[sp.plo:sp.phi]
 		prevDoc := int32(0)
-		for _, p := range ps {
-			writeUvarint(cw, uint64(p.Doc-prevDoc))
-			prevDoc = p.Doc
+		for k := sp.lo; k < sp.hi; k++ {
+			doc := b.docs[k]
+			writeUvarint(cw, uint64(doc-prevDoc))
+			prevDoc = doc
 			var tfBits [8]byte
-			binary.LittleEndian.PutUint64(tfBits[:], math.Float64bits(p.TF))
+			binary.LittleEndian.PutUint64(tfBits[:], math.Float64bits(b.tfs[k]))
 			if _, err := cw.Write(tfBits[:]); err != nil {
 				return cw.n, err
 			}
-			writeUvarint(cw, uint64(len(p.Positions)))
-			prevPos := int32(0)
-			for _, pos := range p.Positions {
-				writeUvarint(cw, uint64(pos-prevPos))
-				prevPos = pos
+			n := positionsLen(pos)
+			if _, err := cw.Write(pos[:n]); err != nil {
+				return cw.n, err
 			}
+			pos = pos[n:]
 		}
 	}
 	if cw.err != nil {
@@ -75,17 +78,18 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.w.(*bufio.Writer).Flush()
 }
 
-// ReadFrom deserializes an index written by WriteTo.
+// ReadFrom deserializes an index written by WriteTo. No count the stream
+// claims (tokens, postings, positions) sizes an allocation: storage grows
+// only with what is actually read, so a corrupt header cannot make a load
+// allocate much more than its input.
 func ReadFrom(r io.Reader) (*Index, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, len(indexMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var word [8]byte // the magic's bytes, then each tf's
+	if _, err := io.ReadFull(br, word[:len(indexMagic)]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
-	for i := range magic {
-		if magic[i] != indexMagic[i] {
-			return nil, fmt.Errorf("%w: wrong magic", ErrBadIndexFile)
-		}
+	if string(word[:len(indexMagic)]) != string(indexMagic) {
+		return nil, fmt.Errorf("%w: wrong magic", ErrBadIndexFile)
 	}
 	numDocs, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -100,30 +104,22 @@ func ReadFrom(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("%w: implausible sizes", ErrBadIndexFile)
 	}
 
-	ix := &Index{
-		numDocs:  int(numDocs),
-		postings: make(map[string][]Posting, vocab),
-	}
-	tokBuf := make([]byte, 0, 64)
+	b := newBuilder()
 	for t := uint64(0); t < vocab; t++ {
 		tokLen, err := binary.ReadUvarint(br)
 		if err != nil || tokLen > 1<<16 {
 			return nil, fmt.Errorf("%w: token length", ErrBadIndexFile)
 		}
-		if uint64(cap(tokBuf)) < tokLen {
-			tokBuf = make([]byte, tokLen)
-		}
-		tokBuf = tokBuf[:tokLen]
-		if _, err := io.ReadFull(br, tokBuf); err != nil {
+		at := len(b.names)
+		b.names = slices.Grow(b.names, int(tokLen))[:at+int(tokLen)]
+		if _, err := io.ReadFull(br, b.names[at:]); err != nil {
 			return nil, fmt.Errorf("%w: token bytes: %v", ErrBadIndexFile, err)
 		}
-		tok := string(tokBuf)
-
 		nPostings, err := binary.ReadUvarint(br)
 		if err != nil || nPostings > numDocs {
-			return nil, fmt.Errorf("%w: postings count for %q", ErrBadIndexFile, tok)
+			return nil, fmt.Errorf("%w: postings count for %q", ErrBadIndexFile, b.names[at:])
 		}
-		ps := make([]Posting, 0, nPostings)
+		b.open(nPostings)
 		doc := int32(0)
 		for i := uint64(0); i < nPostings; i++ {
 			docDelta, err := binary.ReadUvarint(br)
@@ -134,11 +130,10 @@ func ReadFrom(r io.Reader) (*Index, error) {
 			if doc < 0 || uint64(doc) >= numDocs {
 				return nil, fmt.Errorf("%w: doc id out of range", ErrBadIndexFile)
 			}
-			var tfBits [8]byte
-			if _, err := io.ReadFull(br, tfBits[:]); err != nil {
+			if _, err := io.ReadFull(br, word[:]); err != nil {
 				return nil, fmt.Errorf("%w: tf: %v", ErrBadIndexFile, err)
 			}
-			tf := math.Float64frombits(binary.LittleEndian.Uint64(tfBits[:]))
+			tf := math.Float64frombits(binary.LittleEndian.Uint64(word[:]))
 			if tf < 0 || tf > 1 || math.IsNaN(tf) {
 				return nil, fmt.Errorf("%w: tf out of range", ErrBadIndexFile)
 			}
@@ -146,21 +141,22 @@ func ReadFrom(r io.Reader) (*Index, error) {
 			if err != nil || nPos > 1<<20 {
 				return nil, fmt.Errorf("%w: positions count", ErrBadIndexFile)
 			}
-			positions := make([]int32, 0, nPos)
-			pos := int32(0)
+			// Re-encoded rather than copied, so an over-long uvarint in
+			// the stream is stored, and written back, in canonical form.
+			b.pos = binary.AppendUvarint(b.pos, nPos)
 			for j := uint64(0); j < nPos; j++ {
 				posDelta, err := binary.ReadUvarint(br)
 				if err != nil {
 					return nil, fmt.Errorf("%w: position delta: %v", ErrBadIndexFile, err)
 				}
-				pos += int32(posDelta)
-				positions = append(positions, pos)
+				b.pos = binary.AppendUvarint(b.pos, posDelta)
 			}
-			ps = append(ps, Posting{Doc: doc, TF: tf, Positions: positions})
+			b.docs = append(b.docs, doc)
+			b.tfs = append(b.tfs, tf)
 		}
-		ix.postings[tok] = ps
+		b.close()
 	}
-	return ix, nil
+	return b.finish(int(numDocs)), nil
 }
 
 // countingWriter tracks bytes written and sticks on the first error.

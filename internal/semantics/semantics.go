@@ -457,8 +457,8 @@ func (s *Space) project(termKey string, t *CompiledTheme) sparse.Vector {
 	}
 	var out sparse.Vector
 	for _, tok := range text.Tokenize(termKey) {
-		ps := s.ix.Postings(tok)
-		if len(ps) == 0 {
+		docs, tfs := s.ix.Columns(tok)
+		if len(docs) == 0 {
 			continue
 		}
 		// df of tok inside the basis: both the postings list and the basis
@@ -467,8 +467,8 @@ func (s *Space) project(termKey string, t *CompiledTheme) sparse.Vector {
 		// alternative costs O(P·log B) and dominated Algorithm 1 on large
 		// themes.
 		dfB := 0
-		for i, j := 0, 0; i < len(ps) && j < len(basis); {
-			switch d := ps[i].Doc; {
+		for i, j := 0, 0; i < len(docs) && j < len(basis); {
+			switch d := docs[i]; {
 			case d == basis[j]:
 				dfB++
 				i++
@@ -491,11 +491,11 @@ func (s *Space) project(termKey string, t *CompiledTheme) sparse.Vector {
 		idfB := math.Log(float64(len(basis)+1) / float64(dfB))
 		ids := make([]int32, 0, dfB)
 		weights := make([]float64, 0, dfB)
-		for i, j := 0, 0; i < len(ps) && j < len(basis); {
-			switch d := ps[i].Doc; {
+		for i, j := 0, 0; i < len(docs) && j < len(basis); {
+			switch d := docs[i]; {
 			case d == basis[j]:
 				ids = append(ids, d)
-				weights = append(weights, ps[i].TF*idfB)
+				weights = append(weights, tfs[i]*idfB)
 				i++
 				j++
 			case d < basis[j]:
