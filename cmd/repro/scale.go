@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"thematicep/internal/broker"
@@ -44,14 +45,17 @@ type scaleRow struct {
 	BatchRowsReused     uint64  `json:"batch_rows_reused"`
 	BatchRowsComputed   uint64  `json:"batch_rows_computed"`
 	BatchTermsReused    uint64  `json:"batch_terms_reused"`
+	BytesPerSub         float64 `json:"bytes_per_sub"`
 }
 
 // scalePass subscribes every scale subscription, publishes every scale
 // event through the broker — serially or through PublishBatch in
 // scaleBatchSize batches, the same pipeline either way — and returns
-// counters + wall
-// time of the publish loop. Queue size is minimal with drop-oldest, so
-// the pass measures enumeration + scoring, not delivery consumption.
+// counters + wall time of the publish loop, and the live heap registration
+// added per subscription: the broker's registrations and everything the
+// matcher and the space (its caches reset first) interned for them. Queue
+// size is minimal with drop-oldest, so the pass measures enumeration +
+// scoring, not delivery consumption.
 func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, parallelism int) (brokerRun, error) {
 	e.space.ResetCaches()
 	m := matcher.New(e.space)
@@ -63,11 +67,17 @@ func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, paral
 		broker.WithMatchParallelism(parallelism),
 	)
 	defer b.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
 	for _, s := range w.Subs {
 		if _, err := b.Subscribe(s); err != nil {
 			return brokerRun{}, err
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perSub := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(w.Subs))
 	start := time.Now()
 	if batched {
 		for lo := 0; lo < len(w.Events); lo += scaleBatchSize {
@@ -83,7 +93,7 @@ func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, paral
 			}
 		}
 	}
-	return brokerRun{Stats: b.Stats(), Elapsed: time.Since(start)}, nil
+	return brokerRun{Stats: b.Stats(), Elapsed: time.Since(start), BytesPerSub: perSub}, nil
 }
 
 // runScale is E8: Internet-scale matching, measuring the publish pipeline
@@ -96,8 +106,8 @@ func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, paral
 func runScale(e *env0) error {
 	tiers := e.scaleTiers()
 	fmt.Println("== E8: Internet-scale matching (publish pipeline: batched vs batch-of-one serial loop) ==")
-	fmt.Printf("%-10s %-8s %-16s %-9s %-10s %-11s %-11s %-8s %s\n",
-		"subs", "events", "cand/event", "pruned%", "matched", "serial/s", "batched/s", "speedup", "wall(batched)")
+	fmt.Printf("%-10s %-8s %-16s %-9s %-10s %-11s %-11s %-8s %-14s %s\n",
+		"subs", "events", "cand/event", "pruned%", "matched", "serial/s", "batched/s", "speedup", "wall(batched)", "B/sub")
 
 	rows := make([]scaleRow, 0, len(tiers))
 	for i, n := range tiers {
@@ -149,13 +159,14 @@ func runScale(e *env0) error {
 			BatchRowsReused:     bat.Stats.BatchRowsReused,
 			BatchRowsComputed:   bat.Stats.BatchRowsComputed,
 			BatchTermsReused:    bat.Stats.BatchTermsReused,
+			BytesPerSub:         run.BytesPerSub,
 		}
 		row.BatchSpeedup = row.EventsPerSecBatched / row.EventsPerSec
 		rows = append(rows, row)
-		fmt.Printf("%-10d %-8d %-16.1f %-9.2f %-10d %-11.0f %-11.0f %-8.2f %v\n",
+		fmt.Printf("%-10d %-8d %-16.1f %-9.2f %-10d %-11.0f %-11.0f %-8.2f %-14v %.0f\n",
 			row.Subs, row.Events, row.CandPerEvent, row.PrunedPercent, row.Matched,
 			row.EventsPerSec, row.EventsPerSecBatched, row.BatchSpeedup,
-			bat.Elapsed.Round(msRound))
+			bat.Elapsed.Round(msRound), row.BytesPerSub)
 	}
 	fmt.Println()
 

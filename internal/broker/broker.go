@@ -291,9 +291,14 @@ type Broker struct {
 	engine  Engine // non-nil when matcher implements the typed fast seam
 	cfg     config
 
-	// index prunes the per-publish candidate set (WithPruning); non-nil
-	// only when pruning is on and the matcher is an Engine.
-	index *subindex.Index[*Subscriber]
+	// subs is the registry: the one map from subscription id to
+	// registration, guarded by mu for writes (lock order is always mu
+	// before the index's internal lock). When prune is set — pruning on
+	// (WithPruning) and the matcher an Engine — it also prunes the
+	// per-publish candidate set; otherwise it files registrations without
+	// requirements and every publish scans it in full.
+	subs  *subindex.Index[*Subscriber]
+	prune bool
 
 	// chunk is the scoring work unit in candidates (see batchChunkSize).
 	chunk int
@@ -330,7 +335,6 @@ type Broker struct {
 	batchSizeHist *telemetry.Histogram            // events per admitted publish
 
 	mu     sync.RWMutex
-	subs   map[string]*Subscriber
 	replay []*event.Event // ring buffer, oldest first
 	closed bool
 	nextID int
@@ -389,7 +393,7 @@ func New(m Matcher, opts ...Option) *Broker {
 		matcher:     m,
 		cfg:         cfg,
 		chunk:       1,
-		subs:        make(map[string]*Subscriber),
+		subs:        subindex.New[*Subscriber](),
 		pubBufs:     make(freelist.List[pubBatchBuf], pubBufLimit),
 		clock:       cfg.clock,
 		deliverySLO: cfg.deliverySLO,
@@ -410,9 +414,7 @@ func New(m Matcher, opts ...Option) *Broker {
 	if eng, ok := m.(Engine); ok {
 		b.engine = eng
 		b.chunk = batchChunkSize
-		if cfg.pruning {
-			b.index = subindex.New[*Subscriber]()
-		}
+		b.prune = cfg.pruning
 	}
 	if cfg.parallelism > 1 {
 		b.sem = make(chan struct{}, cfg.parallelism-1)
@@ -643,7 +645,7 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		b.nextID++
 		id = fmt.Sprintf("sub-%d", b.nextID)
 	}
-	if _, exists := b.subs[id]; exists {
+	if _, exists := b.subs.Get(id); exists {
 		b.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSub, id)
 	}
@@ -662,14 +664,14 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 		ephemeral: sc.ephemeral,
 		gate:      sc.gate,
 	}
-	b.subs[id] = s
-	if b.index != nil {
-		// Under b.mu so the index and the subscription map stay in step
-		// (lock order is always b.mu before the index's internal lock).
-		// The index files the matcher's pruning view, which requires the
-		// relaxed terms that can only match themselves.
-		b.index.Add(id, prep.PruningView(), s)
+	// A pruning broker files the matcher's pruning view, which requires the
+	// relaxed terms that can only match themselves; any other registers the
+	// subscriber alone, since it scans every registration on publish.
+	var view *event.Subscription
+	if b.prune {
+		view = prep.PruningView()
 	}
+	b.subs.Add(id, view, s)
 	var backlog []*event.Event
 	if sc.replay {
 		backlog = append(backlog, b.replay...)
@@ -698,13 +700,7 @@ func (b *Broker) Subscribe(sub *event.Subscription, opts ...SubscribeOption) (*S
 
 func (b *Broker) unsubscribe(id string) {
 	b.mu.Lock()
-	s, ok := b.subs[id]
-	if ok {
-		delete(b.subs, id)
-		if b.index != nil {
-			b.index.Remove(id)
-		}
-	}
+	s, ok := b.subs.Remove(id)
 	b.mu.Unlock()
 	if ok {
 		s.close()
@@ -772,9 +768,7 @@ func (b *Broker) counts() (v [numCounters]uint64) {
 // counted in Delivered but have no live match), Delivered <= Matched <=
 // Scanned holds in every snapshot.
 func (b *Broker) Stats() Stats {
-	b.mu.RLock()
-	subscribers := len(b.subs)
-	b.mu.RUnlock()
+	subscribers := b.subs.Len()
 	v := b.counts()
 	return Stats{
 		Published:   v[cPublished],
@@ -850,12 +844,10 @@ func (b *Broker) Drain(ctx context.Context) error {
 	// subscriber that never reads keeps its depth pinned and the drain
 	// runs into the deadline — which is why Drain takes a context.
 	for {
-		b.mu.RLock()
 		pending := 0
-		for _, s := range b.subs {
+		for _, s := range b.subs.AppendAll(nil) {
 			pending += s.queued()
 		}
-		b.mu.RUnlock()
 		if pending == 0 {
 			return nil
 		}
@@ -889,11 +881,7 @@ func (b *Broker) Close() {
 		return
 	}
 	b.closed = true
-	subs := make([]*Subscriber, 0, len(b.subs))
-	for _, s := range b.subs {
-		subs = append(subs, s)
-	}
-	b.subs = make(map[string]*Subscriber)
+	subs := b.subs.Clear()
 	b.mu.Unlock()
 
 	for _, s := range subs {

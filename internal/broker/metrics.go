@@ -49,16 +49,15 @@ func (b *Broker) WriteMetrics(w io.Writer) {
 	b.candHist.WriteMetrics(w)
 
 	// Queue depth per subscriber, sorted for a stable exposition.
-	b.mu.RLock()
 	type depth struct {
 		id string
 		n  int
 	}
-	depths := make([]depth, 0, len(b.subs))
-	for id, s := range b.subs {
-		depths = append(depths, depth{id, s.queued()})
+	subs := b.subs.AppendAll(nil)
+	depths := make([]depth, 0, len(subs))
+	for _, s := range subs {
+		depths = append(depths, depth{s.id, s.queued()})
 	}
-	b.mu.RUnlock()
 	telemetry.WriteGauge(w, "thematicep_broker_subscribers", "Currently active subscriptions.", len(depths))
 	sort.Slice(depths, func(i, j int) bool { return depths[i].id < depths[j].id })
 	for _, d := range depths {
@@ -67,8 +66,8 @@ func (b *Broker) WriteMetrics(w io.Writer) {
 			[]telemetry.Label{{Key: "subscription", Value: d.id}}, float64(d.n))
 	}
 
-	if b.index != nil {
-		ix := b.index.Stats()
+	if b.prune {
+		ix := b.subs.Stats()
 		telemetry.WriteGauge(w, "thematicep_subindex_subscriptions", "Subscriptions tracked by the pruning index.", ix.Subscriptions)
 		telemetry.WriteGauge(w, "thematicep_subindex_themes", "Distinct theme groups in the pruning index.", ix.Themes)
 		telemetry.WriteGauge(w, "thematicep_subindex_buckets", "Exact-term posting buckets in the pruning index.", ix.Buckets)

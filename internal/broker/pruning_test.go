@@ -74,7 +74,7 @@ func mixedThemeWorkload(t testing.TB, seed int64) ([]*event.Subscription, []*eve
 func TestPruningDisabledForPlainMatchers(t *testing.T) {
 	b := New(exactMatcher()) // pruning defaults on, but not an Engine
 	defer b.Close()
-	if b.index != nil {
+	if b.prune {
 		t.Fatal("plain matcher got a pruning index")
 	}
 	if _, err := b.Subscribe(parkingSub()); err != nil {

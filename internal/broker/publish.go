@@ -542,11 +542,9 @@ func (buf *pubBatchBuf) ingest() error {
 		}
 	}
 	buf.regCut = b.regs
-	buf.fullScan = b.index == nil || len(b.subs) == 0
-	if b.index == nil {
-		for _, s := range b.subs {
-			buf.flat = append(buf.flat, s)
-		}
+	buf.fullScan = !b.prune || b.subs.Len() == 0
+	if !b.prune {
+		buf.flat = b.subs.AppendAll(buf.flat)
 	}
 	return nil
 }
@@ -572,7 +570,7 @@ func (buf *pubBatchBuf) enumerate(lo int) (hi int) {
 		for hi < n && (hi == lo || len(buf.flat) < batchWindowCands) {
 			start := len(buf.flat)
 			attrs, values := buf.pes[hi].CanonicalTuples()
-			_, pruned := b.index.CandidatesPrepared(attrs, values, buf.add)
+			_, pruned := b.subs.CandidatesPrepared(attrs, values, buf.add)
 			buf.tally[cPruned] += uint64(pruned)
 			ends = append(ends, len(buf.flat))
 			b.candHist.Observe(float64(len(buf.flat) - start))

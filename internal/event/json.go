@@ -2,6 +2,7 @@ package event
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 )
 
@@ -65,6 +66,31 @@ func (e *Event) decodePlain(data []byte) bool {
 	}
 	*e = ev
 	return true
+}
+
+// A broker holds every subscription it registers for as long as it lives,
+// so a decoded subscription's bytes are resident ones. Subscriptions are
+// decoded once per registration, not once per event, so reflection's cost
+// does not matter here, but what it leaves behind does.
+
+// UnmarshalJSON decodes a subscription as encoding/json does, then sizes
+// Theme and Predicates exactly and interns theme, attribute and value
+// strings, so a registration keeps no slack and shares its vocabulary.
+func (s *Subscription) UnmarshalJSON(data []byte) error {
+	type fields Subscription // Subscription's fields, without this method
+	if err := json.Unmarshal(data, (*fields)(s)); err != nil {
+		return err
+	}
+	s.Theme = slices.Clone(s.Theme)
+	for i, t := range s.Theme {
+		s.Theme[i] = internString(t)
+	}
+	s.Predicates = slices.Clone(s.Predicates)
+	for i := range s.Predicates {
+		p := &s.Predicates[i]
+		p.Attr, p.Value = internString(p.Attr), internString(p.Value)
+	}
+	return nil
 }
 
 // plainScan walks JSON in the plain shape. ok turns false at the first
@@ -220,7 +246,25 @@ func intern(b []byte) string {
 	if ok {
 		return s
 	}
-	s = string(b)
+	return internNew(string(b))
+}
+
+// internString is intern for a string already decoded.
+func internString(s string) string {
+	if len(s) > internLen {
+		return s
+	}
+	interned.RLock()
+	v, ok := interned.m[s]
+	interned.RUnlock()
+	if ok {
+		return v
+	}
+	return internNew(s)
+}
+
+// internNew files s in the interner while it has room, and returns it.
+func internNew(s string) string {
 	interned.Lock()
 	if interned.m == nil {
 		interned.m = make(map[string]string)

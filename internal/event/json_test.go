@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // plainEvent has Event's fields without its UnmarshalJSON: what
@@ -193,4 +194,109 @@ func TestEventJSONConcurrent(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// plainSubscription has Subscription's fields without its UnmarshalJSON.
+type plainSubscription Subscription
+
+// subInputs are subscriptions encoding/json decodes, and some it refuses.
+var subInputs = []string{
+	`{"id":"s1","theme":["energy"],"predicates":[{"attr":"type","value":"increased energy usage event","approxValue":true},{"attr":"device","value":"laptop","approxAttr":true,"approxValue":true},{"attr":"temperature","value":"30","op":4}]}`,
+	`{"predicates":[{"attr":"a","value":"b"}]}`,
+	`{"id":"x","theme":[],"predicates":[]}`,
+	`{}`,
+	` { "predicates" : [ { "op" : 0 , "approxAttr" : false , "value" : "v" , "attr" : "a" , "approxValue" : false } ] , "id" : "x" } `,
+	`{"predicates":[{"attr":"a"},{"op":123456789},{}]}`,
+	`{"predicates":[{"attr":"a0","value":"0"},{"attr":"a1","value":"1"},{"attr":"a2","value":"2"},{"attr":"a3","value":"3"},{"attr":"a4","value":"4"},{"attr":"a5","value":"5"},{"attr":"a6","value":"6"},{"attr":"a7","value":"7"},{"attr":"a8","value":"8"},{"attr":"a9","value":"9"}]}`,
+	`{"predicates":[{"attr":"a","value":"b","op":-1}]}`,
+	`{"predicates":[{"attr":"a","value":"b","op":1.5}]}`,
+	`{"predicates":[{"attr":"a","value":"b","op":"1"}]}`,
+	`{"predicates":[{"attr":"a","value":"b","approxAttr":null}]}`,
+	`{"predicates":[{"attr":"a","value":"b","approxAttr":1}]}`,
+	`{"predicates":[{"Attr":"a","value":"b","ApproxValue":true}]}`,
+	`{"predicates":[{"attr":"café","value":"\n"}]}`,
+	`{"predicates":[{"attr":"a"}],"predicates":[{"value":"c"}]}`,
+	`{"predicates":[null]}`,
+	`{"predicates":null,"theme":null,"id":null}`,
+	`{"predicates":[{"attr":"a","value":"b"},]}`,
+	`{"predicates":[{"attr":"a","value":"b"}]} trailing`,
+	`null`,
+	``,
+}
+
+// decodeBothSubscription decodes in with Subscription's UnmarshalJSON and
+// with encoding/json alone, directly and as a subscribe frame's field, and
+// returns the first decode.
+func decodeBothSubscription(t *testing.T, in []byte) Subscription {
+	t.Helper()
+	var got Subscription
+	errGot := json.Unmarshal(in, &got)
+	var want plainSubscription
+	errWant := json.Unmarshal(in, &want)
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("%q: error %v, encoding/json's %v", in, errGot, errWant)
+	}
+	if errGot == nil && !reflect.DeepEqual(got, Subscription(want)) {
+		t.Fatalf("%q: decoded %#v, encoding/json decodes %#v", in, got, want)
+	}
+
+	frame := []byte(`{"subscription":` + string(in) + `}`)
+	var gotFrame struct{ Subscription *Subscription }
+	errGot = json.Unmarshal(frame, &gotFrame)
+	var wantFrame struct{ Subscription *plainSubscription }
+	errWant = json.Unmarshal(frame, &wantFrame)
+	if (errGot == nil) != (errWant == nil) {
+		t.Fatalf("%q in a frame: error %v, encoding/json's %v", in, errGot, errWant)
+	}
+	if errGot == nil && !reflect.DeepEqual(gotFrame.Subscription, (*Subscription)(wantFrame.Subscription)) {
+		t.Fatalf("%q in a frame: decoded %v, encoding/json decodes %v", in, gotFrame.Subscription, wantFrame.Subscription)
+	}
+	return got
+}
+
+// TestSubscriptionJSONExactAndInterned checks that a decoded subscription
+// is the one encoding/json decodes, with Theme and Predicates sized exactly
+// and its strings shared with every other decode of the same vocabulary.
+func TestSubscriptionJSONExactAndInterned(t *testing.T) {
+	for _, in := range subInputs {
+		got := decodeBothSubscription(t, []byte(in))
+		if cap(got.Theme) != len(got.Theme) || cap(got.Predicates) != len(got.Predicates) {
+			t.Errorf("%q: theme %d of %d, predicates %d of %d", in, len(got.Theme), cap(got.Theme), len(got.Predicates), cap(got.Predicates))
+		}
+	}
+	sub, err := ParseSubscription("({energy, appliances}, {type = spike~, device~ = laptop~, temperature > 30, floor != 2})")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := decodeBothSubscription(t, data)
+	b := decodeBothSubscription(t, data)
+	if !reflect.DeepEqual(&a, sub) {
+		t.Fatalf("%s: decoded %#v, want %#v", data, a, sub)
+	}
+	for i := range a.Theme {
+		if unsafe.StringData(a.Theme[i]) != unsafe.StringData(b.Theme[i]) {
+			t.Errorf("theme %q decoded twice into two copies", a.Theme[i])
+		}
+	}
+	for i := range a.Predicates {
+		pa, pb := a.Predicates[i], b.Predicates[i]
+		if unsafe.StringData(pa.Attr) != unsafe.StringData(pb.Attr) || unsafe.StringData(pa.Value) != unsafe.StringData(pb.Value) {
+			t.Errorf("predicate %v decoded twice into two copies", pa)
+		}
+	}
+}
+
+// FuzzSubscriptionJSON checks that Subscription's UnmarshalJSON decodes
+// every input as encoding/json does, alone and inside a frame.
+func FuzzSubscriptionJSON(f *testing.F) {
+	for _, in := range subInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		decodeBothSubscription(t, in)
+	})
 }

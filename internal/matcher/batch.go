@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"thematicep/internal/event"
+	"thematicep/internal/semantics"
 )
 
 // The batch scorer exploits what row-at-a-time ScorePrepared cannot: the
@@ -118,17 +119,14 @@ func (bb *batchBuf) put(rowID uint32, slot rowSlot) {
 // returns its mask. Only the mask is decided here, by rowMask, and the
 // similarities wait for phase 2 of scoreBatchInto: most candidates fail
 // their mask check, and a row none of the survivors reads is never filled.
-func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
-	rowID := ps.pred(i).attrRow
-	if kind == rowValue {
-		rowID = ps.pred(i).valueRow
-	}
-	mask := rowMask(kind, i, ps, pe)
+func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, pd *predDesc, pe *PreparedEvent) uint64 {
+	rowID, _, _ := pd.side(kind)
+	mask := rowMask(kind, pd, pe)
 	bb.put(rowID, rowSlot{off: -1, epoch: bb.epoch, mask: mask})
 	return mask
 }
 
-// rowMask is the support mask of predicate i's attribute or value row, read
+// rowMask is the support mask of a predicate's attribute or value row, read
 // off the event's live columns instead of the filled row: every row is 1 at
 // the columns canonically identical to its term, and a relaxed term's row
 // can be nonzero only at the event's live columns, and only when the term's
@@ -137,17 +135,17 @@ func (m *Matcher) rowMiss(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 // row; under cosine, which is also 0 for disjoint nonzero units, it is a
 // superset of that mask, so a candidate it rejects has a row of empty
 // support all the same.
-func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) uint64 {
-	pd := ps.pred(i)
-	ord, approx, evOrds, live := ps.attrOrds[i], pd.approxA, pe.attrOrds, pe.attrLive
+func rowMask(kind rowKind, pd *predDesc, pe *PreparedEvent) uint64 {
+	_, ord, approx := pd.side(kind)
+	evOrds, live := pe.attrOrds, pe.attrLive
 	if kind == rowValue {
-		ord, approx, evOrds, live = ps.valueOrds[i], pd.approxV, pe.valueOrds, pe.valueLive
+		evOrds, live = pe.valueOrds, pe.valueLive
 	}
 	if len(evOrds) > 64 {
 		return ^uint64(0)
 	}
 	var mask uint64
-	if approx && !ps.zeroUnit(kind, i) {
+	if approx && !pd.zero(kind) {
 		mask = live
 	}
 	for j, eo := range evOrds {
@@ -158,8 +156,8 @@ func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) u
 	return mask
 }
 
-// fillRow fills the cells cols selects (bit j for column j) of predicate
-// i's attribute or value row against the event's terms, opening the row in
+// fillRow fills the cells cols selects (bit j for column j) of a predicate's
+// attribute or value row against the event's terms, opening the row in
 // the arena first if its slot is still mask-only, and returns the row's
 // arena offset. Opening writes every cell the support mask already decides —
 // 0 outside the mask, 1 at the columns canonically identical to the term —
@@ -168,16 +166,15 @@ func rowMask(kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) u
 // exactly termSimilarity's: canonical equality always scores 1 (even across
 // themes), exact terms otherwise 0, approximate terms the parametric
 // measure, through the row kernel on the unit projections both sides
-// resolved at preparation: pure dot products against the arena's scratch,
-// no cache lookups at all. A row against an event wider than 64 tuples is
-// filled whole when it opens, whatever cols says.
-func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent, cols uint64) int32 {
-	pd := ps.pred(i)
-	rowID, ord, approx := pd.attrRow, ps.attrOrds[i], pd.approxA
-	evOrds, live, subUnits, units := pe.attrOrds, pe.attrLive, ps.attrUnits, pe.attrUnits
+// resolved at preparation (the subscription's in the row table): pure dot
+// products against the arena's scratch, no cache lookups at all. A row
+// against an event wider than 64 tuples is filled whole when it opens,
+// whatever cols says.
+func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, pd *predDesc, st *semantics.CompiledTheme, pe *PreparedEvent, cols uint64) int32 {
+	rowID, ord, approx := pd.side(kind)
+	evOrds, live, units := pe.attrOrds, pe.attrLive, pe.attrUnits
 	if kind == rowValue {
-		rowID, ord, approx = pd.valueRow, ps.valueOrds[i], pd.approxV
-		evOrds, live, subUnits, units = pe.valueOrds, pe.valueLive, ps.valueUnits, pe.valueUnits
+		evOrds, live, units = pe.valueOrds, pe.valueLive, pe.valueUnits
 	}
 	s := &bb.dense[rowID]
 	mm := len(evOrds)
@@ -194,7 +191,7 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 			// either distance): only identity columns can be nonzero.
 			s.filled = ^uint64(0)
 		case mm > 64:
-			m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row, ^uint64(0))
+			m.space.RelatednessRowPreUnits(m.row(rowID).unit, ord, st, evOrds, units, pe.theme, bb.scratch, row, ^uint64(0))
 			s.filled = ^uint64(0)
 		default:
 			s.filled = ^s.mask
@@ -217,9 +214,9 @@ func (m *Matcher) fillRow(bb *batchBuf, kind rowKind, i int, ps *PreparedSubscri
 		return s.off
 	}
 	// Only events of at most 64 tuples get here, and only with relaxed
-	// terms (only the relaxed side's unit slice exists, see resolveUnits).
+	// terms (only relaxed rows keep a unit, see rowInfo).
 	row := bb.arena[s.off : int(s.off)+mm]
-	m.space.RelatednessRowPreUnits(&subUnits[i], ord, ps.theme, evOrds, units, pe.theme, bb.scratch, row, need)
+	m.space.RelatednessRowPreUnits(m.row(rowID).unit, ord, st, evOrds, units, pe.theme, bb.scratch, row, need)
 	s.filled |= need
 	// Under cosine a live cell can come out 0; the mask drops it, so a
 	// later candidate's mask check sees the support filled so far.
@@ -280,15 +277,15 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 				am = bb.dense[r].mask
 				bb.reused++
 			} else {
-				am = m.rowMiss(bb, rowAttr, i, ps, pe)
+				am = m.rowMiss(bb, rowAttr, pd, pe)
 			}
-			if pd.op == event.OpEq {
+			if pd.eq() {
 				var vm uint64
 				if r := pd.valueRow; int(r) < len(bb.dense) && bb.dense[r].epoch == bb.epoch {
 					vm = bb.dense[r].mask
 					bb.reused++
 				} else {
-					vm = m.rowMiss(bb, rowValue, i, ps, pe)
+					vm = m.rowMiss(bb, rowValue, pd, pe)
 				}
 				am &= vm
 			}
@@ -302,7 +299,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 		var sc float64
 		switch {
 		case !feasible:
-		case bb.floor > 0 && int(ps.relaxed) > bb.certain && (ps.theme != nil || pe.theme != nil) &&
+		case bb.floor > 0 && (ps.theme != nil || pe.theme != nil) && ps.relaxed() > bb.certain &&
 			m.scoreCap(bb, ps, pe, bb.floor) < bb.floor:
 			// Phase 1b: the candidate's theme-basis cap (see bound.go) proves
 			// its score below the threshold, so no row is filled for it.
@@ -326,7 +323,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 			}
 			lossy := false
 			var sim [][]float64
-			if ps.allEq {
+			if ps.sig != 0 {
 				// Equality rows overwrite every cell, so skip the zeroing.
 				sim = bb.sim.shape(n, mm)
 			} else {
@@ -340,10 +337,10 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 				// filled whole, so an open one is complete.
 				aOff := bb.dense[pd.attrRow].off
 				if aOff < 0 {
-					aOff = m.fillRow(bb, rowAttr, i, ps, pe, ^uint64(0))
+					aOff = m.fillRow(bb, rowAttr, pd, ps.theme, pe, ^uint64(0))
 				}
 				arow := bb.arena[aOff : int(aOff)+mm]
-				if pd.op == event.OpEq {
+				if pd.eq() {
 					var nz, carry uint64
 					for j, a := range arow {
 						if a != 0 {
@@ -355,7 +352,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 					}
 					v := &bb.dense[pd.valueRow]
 					if v.off < 0 || carry&^v.filled != 0 {
-						m.fillRow(bb, rowValue, i, ps, pe, carry)
+						m.fillRow(bb, rowValue, pd, ps.theme, pe, carry)
 					}
 					// A nonzero attribute cell whose value cell is still
 					// unfilled (and not known 0) left its cell out.
@@ -372,7 +369,7 @@ func (m *Matcher) scoreBatchInto(bb *batchBuf, subs []*PreparedSubscription, pe 
 						// Comparison predicates contribute the attribute
 						// similarity when satisfied over raw values, exactly
 						// as fillSimilarity does.
-						if arow[j] != 0 && event.EvalOp(pd.op, pe.ev.Tuples[j].Value, pred.Value) {
+						if arow[j] != 0 && event.EvalOp(pred.Op, pe.ev.Tuples[j].Value, pred.Value) {
 							row[j] = arow[j]
 						}
 					}

@@ -146,12 +146,12 @@ func checkArenaThreshold(t *testing.T, m *Matcher, subs []*PreparedSubscription,
 				if c < want {
 					t.Errorf("event %d sub %d: cap %v below ScorePrepared %v", ei, si, c, want)
 				}
-				if want > 0 && int(ps.relaxed) <= ar.bb.certain && c < ar.bb.floor {
-					t.Errorf("event %d sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", ei, si, ps.relaxed, c)
+				if want > 0 && ps.relaxed() <= ar.bb.certain && c < ar.bb.floor {
+					t.Errorf("event %d sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", ei, si, ps.relaxed(), c)
 				}
 				// A positive score passed every mask, so the arena computed
 				// its cap whenever it has enough relaxed factors and a theme.
-				capped := want > 0 && int(ps.relaxed) > ar.bb.certain && (ps.theme != nil || q.theme != nil) && c < ar.bb.floor
+				capped := want > 0 && ps.relaxed() > ar.bb.certain && (ps.theme != nil || q.theme != nil) && c < ar.bb.floor
 				if capped && out[si] != RejectedByBound {
 					t.Errorf("θ=%v event %d sub %d: cap %v below θ, yet the arena scored %v", theta, ei, si, c, out[si])
 				}
@@ -214,7 +214,10 @@ func TestScoreBatchInArenaEveryConfiguration(t *testing.T) {
 				if c.name == "precomputed" {
 					var subTerms, eventTerms []string
 					for _, ps := range subs {
-						subTerms = append(append(subTerms, ps.attrs...), ps.values...)
+						for i := range int(ps.np) {
+							pd := ps.pred(i)
+							subTerms = append(subTerms, m.row(pd.attrRow).term, m.row(pd.valueRow).term)
+						}
 					}
 					for _, pe := range events {
 						eventTerms = append(append(eventTerms, pe.attrs...), pe.values...)
@@ -424,7 +427,7 @@ func FuzzRowSupport(f *testing.F) {
 				for _, kind := range []rowKind{rowAttr, rowValue} {
 					r := pd.attrRow
 					if kind == rowValue {
-						if pd.op != event.OpEq {
+						if !pd.eq() {
 							continue // comparison ops never request a value row
 						}
 						r = pd.valueRow
@@ -435,14 +438,14 @@ func FuzzRowSupport(f *testing.F) {
 						// failed its mask.
 						continue
 					}
-					lazy, rm := bb.dense[r].mask, rowMask(kind, i, ps, pe)
+					lazy, rm := bb.dense[r].mask, rowMask(kind, pd, pe)
 					if lazy&^rm != 0 || m == euclidean && lazy != rm {
 						t.Errorf("sub %d pred %d kind %d: memoized mask %x, rowMask %x", si, i, kind, lazy, rm)
 					}
 					if bb.dense[r].off >= 0 {
 						checkFilledCells(t, m, bb, kind, i, ps, pe)
 					}
-					m.fillRow(bb, kind, i, ps, pe, ^uint64(0))
+					m.fillRow(bb, kind, pd, ps.theme, pe, ^uint64(0))
 					checkFilledCells(t, m, bb, kind, i, ps, pe)
 					support := uint64(0)
 					if len(pe.attrs) > 64 {
@@ -469,10 +472,10 @@ func FuzzRowSupport(f *testing.F) {
 // bits and, when nonzero, lies inside the slot's mask; every other cell is 0.
 func checkFilledCells(t *testing.T, m *Matcher, bb *batchBuf, kind rowKind, i int, ps *PreparedSubscription, pe *PreparedEvent) {
 	t.Helper()
-	pd := ps.pred(i)
-	r, term, approx, evTerms := pd.attrRow, ps.attrs[i], pd.approxA, pe.attrs
+	r, _, approx := ps.pred(i).side(kind)
+	term, evTerms := m.row(r).term, pe.attrs
 	if kind == rowValue {
-		r, term, approx, evTerms = pd.valueRow, ps.values[i], pd.approxV, pe.values
+		evTerms = pe.values
 	}
 	slot := bb.dense[r]
 	row := bb.arena[slot.off:][:len(evTerms)]
@@ -829,8 +832,8 @@ func FuzzThemeBound(f *testing.F) {
 			if c < want {
 				t.Errorf("sub %d: cap %v below ScorePrepared %v", si, c, want)
 			}
-			if want > 0 && int(ps.relaxed) <= ar.bb.certain && c < ar.bb.floor {
-				t.Errorf("sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", si, ps.relaxed, c)
+			if want > 0 && ps.relaxed() <= ar.bb.certain && c < ar.bb.floor {
+				t.Errorf("sub %d: %d relaxed factors, too few to compute a cap, yet cap %v is below θ", si, ps.relaxed(), c)
 			}
 			switch got := scores[si]; {
 			case math.Float64bits(got) == math.Float64bits(want):

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"thematicep/internal/event"
 	"thematicep/internal/semantics"
 	"thematicep/internal/sparse"
 )
@@ -64,24 +63,20 @@ func (m *Matcher) bounds() *boundTable {
 	return m.boundTab.Load()
 }
 
-// subBound bounds predicate i's attribute or value cells against every
+// subBound bounds a predicate's attribute or value cells against every
 // event column under theme et that is not canonically identical to the
 // term: 0 for an exact term or one the subscription's theme filters
 // completely (their rows are nonzero only at identity columns), otherwise
 // the term's RelatednessBound against et, through the matcher's table.
 // Event themes past the table's 12 bits skip it.
-func (m *Matcher) subBound(ps *PreparedSubscription, kind rowKind, i int, et *semantics.CompiledTheme) float64 {
-	pd := ps.pred(i)
-	rowID, approx, units := pd.attrRow, pd.approxA, ps.attrUnits
-	if kind == rowValue {
-		rowID, approx, units = pd.valueRow, pd.approxV, ps.valueUnits
-	}
-	if !approx || ps.zeroUnit(kind, i) {
+func (m *Matcher) subBound(pd *predDesc, kind rowKind, et *semantics.CompiledTheme) float64 {
+	rowID, _, approx := pd.side(kind)
+	if !approx || pd.zero(kind) {
 		return 0
 	}
 	o := et.Ord()
 	if o == 0 || o >= boundThemes {
-		return m.space.RelatednessBound(&units[i], et)
+		return m.space.RelatednessBound(m.row(rowID).unit, et)
 	}
 	key := uint64(rowID)<<28 | uint64(o)<<16
 	w := &m.bounds()[(key*0x9E3779B97F4A7C15)>>(64-boundBits)]
@@ -90,7 +85,7 @@ func (m *Matcher) subBound(ps *PreparedSubscription, kind rowKind, i int, et *se
 	}
 	// Truncate and add one step: the stored bound is strictly above the
 	// computed one. RelatednessBound never exceeds 1.
-	q := min(uint64(m.space.RelatednessBound(&units[i], et)*boundQuant)+1, boundQuant)
+	q := min(uint64(m.space.RelatednessBound(m.row(rowID).unit, et)*boundQuant)+1, boundQuant)
 	w.Store(key | q)
 	return float64(q) / boundQuant
 }
@@ -153,11 +148,12 @@ func (m *Matcher) scoreCap(bb *batchBuf, ps *PreparedSubscription, pe *PreparedE
 	evA, evV := ev[:mm], ev[mm:2*mm]
 	bound := 1.0
 	for i := 0; i < int(ps.np); i++ {
-		eq := ps.pred(i).op == event.OpEq
-		fa, ord := m.subBound(ps, rowAttr, i, pe.theme), ps.attrOrds[i]
+		pd := ps.pred(i)
+		eq := pd.eq()
+		fa, ord := m.subBound(pd, rowAttr, pe.theme), pd.attrOrd
 		fv, vord := 1.0, uint32(0)
 		if eq {
-			fv, vord = m.subBound(ps, rowValue, i, pe.theme), ps.valueOrds[i]
+			fv, vord = m.subBound(pd, rowValue, pe.theme), pd.valueOrd
 		}
 		best := 0.0
 		for j := range mm {

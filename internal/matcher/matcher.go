@@ -18,11 +18,13 @@
 //
 // # Concurrency
 //
-// A Matcher is stateless apart from the shared semantics.Space (itself
-// safe for concurrent use) and may be called from any number of goroutines.
-// PreparedSubscription and PreparedEvent are immutable after creation and
-// safe to share across goroutines: a broker prepares each subscription once
-// and scores it concurrently against many events. The similarity matrices
+// A Matcher holds no per-call state beside the shared semantics.Space
+// (itself safe for concurrent use) and its interned rows and signatures,
+// and may be called from any number of goroutines. PreparedSubscription
+// and PreparedEvent are immutable after creation and safe to share across
+// goroutines: a broker prepares each subscription once and scores it
+// concurrently against many events. A prepared subscription refers to rows
+// of the matcher that prepared it, so only that matcher may score it. The similarity matrices
 // of the MatchPrepared/ScorePrepared hot path are recycled internally
 // (a bounded free list) and never escape, so the hot loop is
 // allocation-free for the matrix itself.
@@ -36,6 +38,7 @@ import (
 	"thematicep/internal/assign"
 	"thematicep/internal/event"
 	"thematicep/internal/semantics"
+	"thematicep/internal/sparse"
 )
 
 // Correspondence is one predicate-to-tuple pairing inside a mapping, e.g.
@@ -90,9 +93,8 @@ func (o thematicOption) apply(opts *options) { opts.thematic = bool(o) }
 // baseline of §5.2.5.
 func WithThematic(enabled bool) Option { return thematicOption(enabled) }
 
-// Matcher is the approximate semantic single-event matcher M. It is
-// stateless apart from the shared semantic space and safe for concurrent
-// use.
+// Matcher is the approximate semantic single-event matcher M. It is safe
+// for concurrent use.
 type Matcher struct {
 	space *semantics.Space
 	opts  options
@@ -100,9 +102,13 @@ type Matcher struct {
 	// rowIDs interns each distinct similarity-row identity — (kind, approx,
 	// subscription theme, term) — appearing in prepared subscriptions to a
 	// dense id, so the batch scorer's row memo is a small flat table indexed
-	// by id instead of a hash map (see batch.go). Ids start at 1.
-	rowIDsMu sync.Mutex
-	rowIDs   map[uint64]uint32
+	// by id instead of a hash map (see batch.go). Ids start at 1. rows holds
+	// what a row needs beyond its id, once per row (see rowInfo): pages of
+	// entries behind an atomic pointer, so scorers read it without a lock
+	// while internRow appends under rowsMu.
+	rowsMu sync.Mutex
+	rowIDs map[uint64]uint32
+	rows   atomic.Pointer[[]*rowPage]
 
 	// sigs interns all-equality predicate signatures — the ordered
 	// (attrRow, valueRow) id sequence of a subscription — to a dense id, so
@@ -125,28 +131,74 @@ func New(space *semantics.Space, opts ...Option) *Matcher {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
-	return &Matcher{
+	m := &Matcher{
 		space:  space,
 		opts:   o,
 		rowIDs: make(map[uint64]uint32),
 		sigs:   make(map[string]uint32),
 	}
+	m.rows.Store(new([]*rowPage))
+	return m
 }
 
-// rowID interns one similarity-row identity to its dense id. The id space
-// grows with the distinct (kind, approx, theme, term) combinations of the
-// prepared subscription population — the same order of growth as the
-// prepared subscriptions themselves.
-func (m *Matcher) rowID(kind rowKind, approx bool, themeOrd, termOrd uint32) uint32 {
-	key := rowKeyOf(kind, approx, themeOrd, termOrd)
-	m.rowIDsMu.Lock()
+// rowInfo is what a similarity row needs beyond its id: the canonical term
+// the scalar path measures, and for a relaxed row the term's unit
+// projection under the row's theme, which the row kernel and the score
+// bounds dot. The unit is a copy of the space's, so it stays valid across
+// Space.ResetCaches (projections are deterministic: a rebuilt one has the
+// same bits). Exact rows compare ordinals only and keep no unit.
+type rowInfo struct {
+	term string
+	unit *sparse.Unit
+}
+
+// rowPageBits sizes one page of the row table: 512 entries, 12 KB.
+const rowPageBits = 9
+
+type rowPage [1 << rowPageBits]rowInfo
+
+// internRow interns one similarity-row identity to its dense id, recording
+// its rowInfo on first sight. The id space grows with the distinct (kind,
+// approx, theme, term) combinations of the prepared subscription
+// population, not with the population itself. A new relaxed row's unit is
+// resolved outside the lock, since it may build a projection.
+func (m *Matcher) internRow(kind rowKind, approx bool, theme *semantics.CompiledTheme, term string, termOrd uint32) uint32 {
+	key := rowKeyOf(kind, approx, theme.Ord(), termOrd)
+	m.rowsMu.Lock()
 	id, ok := m.rowIDs[key]
-	if !ok {
-		id = uint32(len(m.rowIDs)) + 1
-		m.rowIDs[key] = id
+	m.rowsMu.Unlock()
+	if ok {
+		return id
 	}
-	m.rowIDsMu.Unlock()
+	info := rowInfo{term: term}
+	if approx {
+		u, _ := m.space.ResolveUnit(term, theme)
+		info.unit = &u
+	}
+	m.rowsMu.Lock()
+	defer m.rowsMu.Unlock()
+	if id, ok := m.rowIDs[key]; ok {
+		return id
+	}
+	id = uint32(len(m.rowIDs)) + 1
+	m.rowIDs[key] = id
+	pages := *m.rows.Load()
+	if p := int(id >> rowPageBits); p == len(pages) {
+		// Readers may hold the old slice, so it is never appended to in
+		// place.
+		grown := append(pages[:p:p], new(rowPage))
+		m.rows.Store(&grown)
+		pages = grown
+	}
+	pages[id>>rowPageBits][id&(1<<rowPageBits-1)] = info
 	return id
+}
+
+// row returns the entry of a row id internRow handed out. The entry was
+// written before the id reached any prepared subscription, so a scorer
+// holding one reads it without a lock.
+func (m *Matcher) row(id uint32) *rowInfo {
+	return &(*m.rows.Load())[id>>rowPageBits][id&(1<<rowPageBits-1)]
 }
 
 // sigID interns one all-equality predicate signature to its dense id. Two

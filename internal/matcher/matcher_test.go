@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -289,4 +290,60 @@ func TestConcurrentMatching(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRowTableConcurrentGrowth prepares subscriptions over fresh terms, so
+// the row table grows by several pages, while other goroutines score
+// subscriptions prepared earlier through ScorePrepared and an arena: a
+// scorer must always read its rows' entries, never a page being replaced.
+func TestRowTableConcurrentGrowth(t *testing.T) {
+	m := New(semantics.NewSpace(space(t).Index()))
+	sub, ev := paperPair()
+	pe := m.PrepareEvent(ev)
+	ready := []*PreparedSubscription{m.PrepareSubscription(sub), m.PrepareSubscription(sub.Approximate())}
+	want := make([]float64, len(ready))
+	for i, ps := range ready {
+		want[i] = m.ScorePrepared(ps, pe)
+	}
+	const writers, perWriter = 2, 600
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				term := fmt.Sprintf("fresh term %d %d", w, i)
+				m.PrepareSubscription(&event.Subscription{Theme: sub.Theme, Predicates: []event.Predicate{
+					{Attr: term, Value: term, ApproxAttr: true, ApproxValue: true},
+				}})
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eb := m.NewEventBatch()
+			defer m.FinishEventBatch(eb)
+			ar := m.NewBatchArena(eb)
+			for i := 0; i < 200; i++ {
+				for k, ps := range ready {
+					if got := m.ScorePrepared(ps, pe); got != want[k] {
+						t.Errorf("sub %d: ScorePrepared %v, want %v", k, got, want[k])
+						return
+					}
+				}
+				// A fresh event each round, so the arena refills its rows.
+				q := m.PrepareEventInBatch(eb, ev)
+				if got := m.ScoreBatchInArena(ar, ready, q, nil); got[0] != want[0] || got[1] != want[1] {
+					t.Errorf("arena %v, want %v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(*m.rows.Load()); n < 3 {
+		t.Fatalf("row table has %d pages; the growth is unexercised", n)
+	}
 }

@@ -14,39 +14,33 @@ import (
 	"thematicep/internal/text"
 )
 
-// PreparedSubscription caches a subscription's canonical terms and compiled
-// theme. Subscriptions are long-lived in a broker; preparing them once
-// removes canonicalization from the per-event hot path.
+// PreparedSubscription is a subscription as the matcher scores it: its
+// compiled theme and one descriptor per predicate. Subscriptions are
+// long-lived in a broker, so preparing them once removes canonicalization
+// from the per-event hot path, and a broker holds one per registration, so
+// it stores nothing that is a function of a similarity row alone: a
+// descriptor carries its rows' ids, and the canonical term and relaxed unit
+// projection of each row live once, in the matcher's row table (see
+// Matcher.internRow). A subscription of at most four predicates is one
+// 112-byte object.
 //
 // Field order matters: the batch scorer visits millions of these as
 // scattered heap objects per publish batch, and everything its warm path
-// reads — the predicate count, the all-equality flag, and the first four
-// predicate descriptors — is packed at the front so one cache line serves
-// the whole candidate when every row is memoized.
+// reads — the predicate count, the signature, and the first four predicate
+// descriptors — is packed at the front so one cache line serves the whole
+// candidate when every row is memoized.
 type PreparedSubscription struct {
-	// np is the predicate count (== len(attrs)).
+	// np is the predicate count.
 	np int32
-	// allEq means every predicate is an equality op: those similarity rows
-	// write all of their cells, so the batch scorer can skip zeroing the
-	// matrix for this subscription.
-	allEq bool
-	// relaxed counts the relaxed factors of the similarity cells: relaxed
-	// attributes, and relaxed values of equality ops (saturating). The
-	// batch scorer skips the score cap of a candidate with too few to fall
-	// below the threshold (see BatchArena.SetThreshold).
-	relaxed uint8
 	// sig is the interned id of the predicate descriptor sequence for
 	// all-equality subscriptions (0 otherwise): equal sigs guarantee
 	// bit-identical scores against any event, so the batch scorer memoizes
-	// one score per signature per event (see Matcher.sigID).
+	// one score per signature per event (see Matcher.sigID). It is also the
+	// all-equality flag: those similarity rows write all of their cells, so
+	// the batch scorer skips zeroing the matrix.
 	sig uint32
-	// pinned marks the relaxed terms that can only match themselves (bit
-	// 2i: predicate i's attribute, bit 2i+1: its equality value); see
-	// PruningView. It fills the padding before preds, so only the first
-	// pinnable predicates can be pinned; a term left relaxed is always sound.
-	pinned uint32
 
-	// preds holds the first four predicates' hot scoring fields inline
+	// preds holds the first four predicates' scoring descriptors inline
 	// (spill holds all of them when np > 4 — beyond the exhaustive-search
 	// mapping sizes, scoring goes through the allocating Hungarian solver
 	// anyway). The batch scorer reads only these per predicate — chasing
@@ -54,64 +48,84 @@ type PreparedSubscription struct {
 	// of the batched pipeline; the raw comparison value for non-equality
 	// ops is the one exception and takes the cold branch.
 	preds [4]predDesc
-	spill []predDesc
+	spill *[]predDesc
 
-	sub    *event.Subscription
-	theme  *semantics.CompiledTheme
-	attrs  []string // canonical predicate attributes
-	values []string // canonical predicate values
-
-	// attrOrds/valueOrds are the terms' interned ordinals
-	// (semantics.TermOrd): ordinal equality is canonical-string equality,
-	// so the batch scorer's identity rules compare integers, not strings.
-	attrOrds  []uint32
-	valueOrds []uint32
-
-	// attrUnits/valueUnits are the ~-relaxed predicate terms' unit
-	// projections under the subscription's theme, resolved once at
-	// preparation time so a row-memo miss goes straight to the dot products
-	// — the subscription-side twin of PreparedEvent's unit columns. Exact
-	// terms' entries stay zero (their rows never read a unit) and a slice
-	// with no relaxed term is nil. Unit values are deterministic for a
-	// (term, theme) pair, so they stay valid across space cache resets.
-	attrUnits  []sparse.Unit
-	valueUnits []sparse.Unit
+	sub   *event.Subscription
+	theme *semantics.CompiledTheme
 }
 
 // pred returns predicate i's descriptor (small enough to inline into the
-// scoring loops).
-func (p *PreparedSubscription) pred(i int) predDesc {
+// scoring loops). It is a pointer, so the scorers read the fields they need
+// in place instead of copying the descriptor into every call.
+func (p *PreparedSubscription) pred(i int) *predDesc {
 	if p.np <= 4 {
-		return p.preds[i]
+		return &p.preds[i]
 	}
-	return p.spill[i]
+	return &(*p.spill)[i]
 }
 
 // predDesc is one predicate's inlined scoring descriptor: the row ids the
-// batch scorer's dense row memo is indexed by (see Matcher.rowID), plus the
-// operator and approx flags.
+// batch scorer's dense row memo is indexed by (see Matcher.internRow), the
+// terms' interned ordinals (semantics.TermOrd: ordinal equality is
+// canonical-string equality, so the identity rules compare integers, not
+// strings), and the flags.
 type predDesc struct {
 	attrRow  uint32
 	valueRow uint32
-	op       event.Op
-	approxA  bool
-	approxV  bool
+	attrOrd  uint32
+	valueOrd uint32
+	flags    uint8
 }
+
+// predDesc flags. flagApprox and flagZero are shifted left by the rowKind of
+// the side they describe: approx marks a ~-relaxed term, zero a relaxed term
+// whose unit projection under the subscription's theme is zero (only for
+// equality values, since comparison values are never scored by similarity).
+// A zero term relates 0 to everything but its canonical twin: it can only
+// match itself. flagEq marks an equality op; the batch scorer reads a
+// comparison op, with its raw value, from the subscription.
+const (
+	flagApprox = 1 << iota
+	_
+	flagZero
+	_
+	flagEq
+)
+
+// side returns the row id and term ordinal of the predicate's attribute
+// (rowAttr) or value (rowValue), and whether that term is relaxed.
+func (d *predDesc) side(kind rowKind) (row, ord uint32, approx bool) {
+	approx = d.flags>>kind&flagApprox != 0
+	if kind == rowValue {
+		return d.valueRow, d.valueOrd, approx
+	}
+	return d.attrRow, d.attrOrd, approx
+}
+
+// zero reports whether the relaxed term of the given side has a zero unit
+// projection, which reads no unit memory.
+func (d *predDesc) zero(kind rowKind) bool { return d.flags>>kind&flagZero != 0 }
+
+// eq reports whether the predicate is an equality op.
+func (d *predDesc) eq() bool { return d.flags&flagEq != 0 }
 
 // Subscription returns the underlying subscription.
 func (p *PreparedSubscription) Subscription() *event.Subscription { return p.sub }
 
-// zeroUnit reports whether relaxed term i's unit projection (the attribute
-// or the equality value, by kind) is zero. For the first pinnable
-// predicates that is the pinned bit, so the check reads no unit memory.
-func (p *PreparedSubscription) zeroUnit(kind rowKind, i int) bool {
-	if i < pinnable {
-		return p.pinned>>(2*i+int(kind))&1 != 0
+// relaxed counts the relaxed factors of the similarity cells: relaxed
+// attributes, and relaxed values of equality ops (saturating at 255). The
+// batch scorer skips the score cap of a candidate with too few to fall
+// below the threshold (see BatchArena.SetThreshold).
+func (p *PreparedSubscription) relaxed() int {
+	k := 0
+	for i := 0; i < int(p.np); i++ {
+		d := p.pred(i)
+		k += int(d.flags & flagApprox)
+		if d.eq() {
+			k += int(d.flags >> rowValue & flagApprox)
+		}
 	}
-	if kind == rowValue {
-		return p.valueUnits[i].IsZero()
-	}
-	return p.attrUnits[i].IsZero()
+	return min(k, math.MaxUint8)
 }
 
 // PruningView returns the subscription as the pruning index should see it:
@@ -123,20 +137,28 @@ func (p *PreparedSubscription) zeroUnit(kind rowKind, i int) bool {
 // otherwise: the underlying subscription is never modified, and it alone
 // is what the matcher scores.
 func (p *PreparedSubscription) PruningView() *event.Subscription {
-	if p.pinned == 0 {
-		return p.sub
-	}
-	view := *p.sub
-	view.Predicates = slices.Clone(p.sub.Predicates)
-	for i := range view.Predicates[:min(len(view.Predicates), pinnable)] {
-		if p.pinned>>(2*i)&1 != 0 {
+	var view *event.Subscription
+	for i := 0; i < int(p.np); i++ {
+		d := p.pred(i)
+		if !d.zero(rowAttr) && !d.zero(rowValue) {
+			continue
+		}
+		if view == nil {
+			cp := *p.sub
+			cp.Predicates = slices.Clone(p.sub.Predicates)
+			view = &cp
+		}
+		if d.zero(rowAttr) {
 			view.Predicates[i].ApproxAttr = false
 		}
-		if p.pinned>>(2*i+1)&1 != 0 {
+		if d.zero(rowValue) {
 			view.Predicates[i].ApproxValue = false
 		}
 	}
-	return &view
+	if view == nil {
+		return p.sub
+	}
+	return view
 }
 
 // PreparedEvent caches an event's canonical terms and compiled theme. A
@@ -178,108 +200,57 @@ func (p *PreparedEvent) Event() *event.Event { return p.ev }
 func (p *PreparedEvent) CanonicalTuples() (attrs, values []string) { return p.attrs, p.values }
 
 // PrepareSubscription canonicalizes a subscription against this matcher's
-// space. The preparation is only valid for matchers sharing the space.
+// space and interns its similarity rows. The preparation is only valid for
+// this matcher.
 func (m *Matcher) PrepareSubscription(s *event.Subscription) *PreparedSubscription {
-	p := &PreparedSubscription{
-		np:        int32(len(s.Predicates)),
-		sub:       s,
-		attrs:     make([]string, len(s.Predicates)),
-		values:    make([]string, len(s.Predicates)),
-		attrOrds:  make([]uint32, len(s.Predicates)),
-		valueOrds: make([]uint32, len(s.Predicates)),
-	}
+	p := &PreparedSubscription{np: int32(len(s.Predicates)), sub: s}
+	descs := p.preds[:]
 	if len(s.Predicates) > 4 {
-		p.spill = make([]predDesc, len(s.Predicates))
+		spill := make([]predDesc, len(s.Predicates))
+		p.spill, descs = &spill, spill
 	}
 	if m.opts.thematic {
 		p.theme = m.space.Compile(s.Theme)
 	}
-	themeOrd := p.theme.Ord()
-	p.allEq = true
-	relaxed := 0
+	allEq := true
 	for i, pred := range s.Predicates {
-		if pred.Op != event.OpEq {
-			p.allEq = false
+		allEq = allEq && pred.Op == event.OpEq
+		attr, value := text.Canonical(pred.Attr), text.Canonical(pred.Value)
+		d := predDesc{attrOrd: m.space.TermOrd(attr), valueOrd: m.space.TermOrd(value)}
+		if pred.Op == event.OpEq {
+			d.flags |= flagEq
 		}
+		d.attrRow = m.internRow(rowAttr, pred.ApproxAttr, p.theme, attr, d.attrOrd)
+		d.valueRow = m.internRow(rowValue, pred.ApproxValue, p.theme, value, d.valueOrd)
+		// A relaxed term the theme filters completely can only match
+		// itself (see PruningView); comparison values are never scored by
+		// similarity, so only equality values qualify.
 		if pred.ApproxAttr {
-			relaxed++
+			d.flags |= flagApprox << rowAttr
+			if m.row(d.attrRow).unit.IsZero() {
+				d.flags |= flagZero << rowAttr
+			}
 		}
-		if pred.ApproxValue && pred.Op == event.OpEq {
-			relaxed++
+		if pred.ApproxValue {
+			d.flags |= flagApprox << rowValue
+			if pred.Op == event.OpEq && m.row(d.valueRow).unit.IsZero() {
+				d.flags |= flagZero << rowValue
+			}
 		}
-		p.attrs[i] = text.Canonical(pred.Attr)
-		p.values[i] = text.Canonical(pred.Value)
-		p.attrOrds[i] = m.space.TermOrd(p.attrs[i])
-		p.valueOrds[i] = m.space.TermOrd(p.values[i])
-		d := predDesc{
-			attrRow:  m.rowID(rowAttr, pred.ApproxAttr, themeOrd, p.attrOrds[i]),
-			valueRow: m.rowID(rowValue, pred.ApproxValue, themeOrd, p.valueOrds[i]),
-			op:       pred.Op,
-			approxA:  pred.ApproxAttr,
-			approxV:  pred.ApproxValue,
-		}
-		if p.spill != nil {
-			p.spill[i] = d
-		} else {
-			p.preds[i] = d
-		}
+		descs[i] = d
 	}
-	p.relaxed = uint8(min(relaxed, math.MaxUint8))
-	if p.allEq && p.np > 0 {
+	if allEq && p.np > 0 {
 		// All-equality scores are a pure function of the descriptor
 		// sequence and the event, so identical sequences
 		// share one interned signature (and one score per event).
 		key := make([]byte, 0, 8*p.np)
-		for i := 0; i < int(p.np); i++ {
-			d := p.pred(i)
+		for _, d := range descs[:p.np] {
 			key = binary.LittleEndian.AppendUint32(key, d.attrRow)
 			key = binary.LittleEndian.AppendUint32(key, d.valueRow)
 		}
 		p.sig = m.sigID(key)
 	}
-	p.resolveUnits(m.space)
-	p.pin(m.space)
 	return p
-}
-
-// pinnable is how many predicates PreparedSubscription.pinned covers, at
-// two bits each.
-const pinnable = 16
-
-// pin decides, once, which relaxed terms can only match themselves: those
-// the space filters completely under the subscription's theme (nil in
-// non-thematic mode, the full space). Comparison values are never scored
-// by similarity, so only equality values qualify.
-func (p *PreparedSubscription) pin(space *semantics.Space) {
-	for i, pred := range p.sub.Predicates[:min(len(p.sub.Predicates), pinnable)] {
-		if pred.ApproxAttr && space.Filtered(p.attrs[i], p.theme) {
-			p.pinned |= 1 << (2 * i)
-		}
-		if pred.ApproxValue && pred.Op == event.OpEq && space.Filtered(p.values[i], p.theme) {
-			p.pinned |= 2 << (2 * i)
-		}
-	}
-}
-
-// resolveUnits resolves the unit projections of the ~-relaxed terms — the
-// only ones a similarity row ever dots; exact rows compare ordinals. A
-// subscription with no relaxed attribute (or value) keeps no slice for it.
-func (p *PreparedSubscription) resolveUnits(space *semantics.Space) {
-	resolve := func(units *[]sparse.Unit, i int, term string) {
-		if *units == nil {
-			*units = make([]sparse.Unit, p.np)
-		}
-		(*units)[i], _ = space.ResolveUnit(term, p.theme)
-	}
-	for i := 0; i < int(p.np); i++ {
-		d := p.pred(i)
-		if d.approxA {
-			resolve(&p.attrUnits, i, p.attrs[i])
-		}
-		if d.approxV {
-			resolve(&p.valueUnits, i, p.values[i])
-		}
-	}
 }
 
 // PrepareEvent canonicalizes an event against this matcher's space.
@@ -417,7 +388,7 @@ func growMatrix(rows [][]float64, cells []float64, n, m int) ([][]float64, []flo
 // similarityMatrixPrepared allocates and fills a fresh combined similarity
 // matrix between prepared subscription and event.
 func (m *Matcher) similarityMatrixPrepared(ps *PreparedSubscription, pe *PreparedEvent) [][]float64 {
-	n, mm := len(ps.attrs), len(pe.attrs)
+	n, mm := int(ps.np), len(pe.attrs)
 	sim := make([][]float64, n)
 	cells := make([]float64, n*mm)
 	for i := range sim {
@@ -428,19 +399,21 @@ func (m *Matcher) similarityMatrixPrepared(ps *PreparedSubscription, pe *Prepare
 }
 
 // fillSimilarity writes the combined similarities into a pre-zeroed n×m
-// matrix.
+// matrix. The subscription's canonical terms come from the row table.
 func (m *Matcher) fillSimilarity(sim [][]float64, ps *PreparedSubscription, pe *PreparedEvent) {
 	mm := len(pe.attrs)
 	for i := range sim {
 		pred := ps.sub.Predicates[i]
+		d := ps.pred(i)
+		attr, value := m.row(d.attrRow).term, m.row(d.valueRow).term
 		for j := 0; j < mm; j++ {
-			attrSim := m.termSimilarity(ps.attrs[i], pred.ApproxAttr, pe.attrs[j], ps.theme, pe.theme)
+			attrSim := m.termSimilarity(attr, pred.ApproxAttr, pe.attrs[j], ps.theme, pe.theme)
 			if attrSim == 0 {
 				continue
 			}
 			var valueSim float64
 			if pred.Op == event.OpEq {
-				valueSim = m.termSimilarity(ps.values[i], pred.ApproxValue, pe.values[j], ps.theme, pe.theme)
+				valueSim = m.termSimilarity(value, pred.ApproxValue, pe.values[j], ps.theme, pe.theme)
 			} else if event.EvalOp(pred.Op, pe.ev.Tuples[j].Value, pred.Value) {
 				// Comparison predicates (an extension beyond §3.4) are
 				// exact: they contribute 1 when satisfied and 0 otherwise.
@@ -458,7 +431,7 @@ func (m *Matcher) fillSimilarity(sim [][]float64, ps *PreparedSubscription, pe *
 // so nothing borrowed escapes.
 func (m *Matcher) MatchPrepared(ps *PreparedSubscription, pe *PreparedEvent) (Mapping, bool) {
 	buf := simFree.GetOrNew()
-	sim := buf.matrix(len(ps.attrs), len(pe.attrs))
+	sim := buf.matrix(int(ps.np), len(pe.attrs))
 	m.fillSimilarity(sim, ps, pe)
 	mp, ok := m.bestMapping(buf, sim)
 	simFree.Put(buf)
@@ -473,7 +446,7 @@ func (m *Matcher) MatchPrepared(ps *PreparedSubscription, pe *PreparedEvent) (Ma
 // solver.
 func (m *Matcher) ScorePrepared(ps *PreparedSubscription, pe *PreparedEvent) float64 {
 	buf := simFree.GetOrNew()
-	sim := buf.matrix(len(ps.attrs), len(pe.attrs))
+	sim := buf.matrix(int(ps.np), len(pe.attrs))
 	m.fillSimilarity(sim, ps, pe)
 	score := m.bestScore(buf, sim)
 	simFree.Put(buf)

@@ -144,10 +144,10 @@ func bruteBestProduct(sim [][]float64) float64 {
 	return best
 }
 
-// Only ~-relaxed terms are ever dotted, so only they get a unit projection
-// at preparation time: an all-exact subscription carries no unit slices and
-// a mixed one fills the relaxed entries alone — under cosine distance as
-// under Euclidean, since both score through unit projections.
+// Only ~-relaxed terms are ever dotted, so only their rows keep a unit
+// projection: an all-exact subscription's rows carry none and a mixed one's
+// relaxed rows alone do — under cosine distance as under Euclidean, since
+// both score through unit projections.
 func TestPrepareSubscriptionResolvesOnlyRelaxedUnits(t *testing.T) {
 	cosine := semantics.NewSpace(space(t).Index(), semantics.WithDistance(semantics.Cosine))
 	for _, s := range []*semantics.Space{space(t), cosine} {
@@ -155,18 +155,21 @@ func TestPrepareSubscriptionResolvesOnlyRelaxedUnits(t *testing.T) {
 		exact := m.PrepareSubscription(&event.Subscription{Predicates: []event.Predicate{
 			{Attr: "device", Value: "laptop"}, {Attr: "room", Value: "room 112"},
 		}})
-		if exact.attrUnits != nil || exact.valueUnits != nil {
-			t.Errorf("all-exact: attrUnits=%v valueUnits=%v, want none", exact.attrUnits, exact.valueUnits)
+		for i := range int(exact.np) {
+			pd := exact.pred(i)
+			if a, v := m.row(pd.attrRow).unit, m.row(pd.valueRow).unit; a != nil || v != nil {
+				t.Errorf("all-exact predicate %d: attribute unit %v, value unit %v, want none", i, a, v)
+			}
 		}
 		mixed := m.PrepareSubscription(&event.Subscription{Predicates: []event.Predicate{
 			{Attr: "device", Value: "laptop", ApproxValue: true}, {Attr: "room", Value: "room 112"},
 		}})
-		if mixed.attrUnits != nil || len(mixed.valueUnits) != 2 {
-			t.Fatalf("mixed: attrUnits=%v, %d value units", mixed.attrUnits, len(mixed.valueUnits))
+		p0, p1 := mixed.pred(0), mixed.pred(1)
+		if m.row(p0.attrRow).unit != nil || m.row(p1.attrRow).unit != nil || m.row(p1.valueRow).unit != nil {
+			t.Errorf("mixed: an exact term's row keeps a unit")
 		}
-		if mixed.valueUnits[0].IsZero() || !mixed.valueUnits[1].IsZero() {
-			t.Errorf("mixed: relaxed value unit zero=%v, exact value unit zero=%v, want false and true",
-				mixed.valueUnits[0].IsZero(), mixed.valueUnits[1].IsZero())
+		if u := m.row(p0.valueRow).unit; u == nil || u.IsZero() {
+			t.Errorf("mixed: relaxed value row's unit %v, want a nonzero one", u)
 		}
 	}
 }
@@ -258,5 +261,56 @@ func TestPrepareThemeKeysDoNotAlias(t *testing.T) {
 	pe := m.PrepareEventInBatch(eb2, &event.Event{Theme: []string{"energy", "transport"}, Tuples: tuples})
 	if pe.theme.Key != "energy|transport" {
 		t.Errorf("theme key %q, want \"energy|transport\"", pe.theme.Key)
+	}
+}
+
+// TestResetCachesKeepsPreparedScores empties the space's caches between
+// preparing a population and scoring it. The scalar path resolves every unit
+// through the emptied caches again, and the arena dots the row table's copies
+// of the subscription units against events prepared after the reset: both
+// must keep the bits they had before, and agree with each other.
+func TestResetCachesKeepsPreparedScores(t *testing.T) {
+	m := New(semantics.NewSpace(space(t).Index()))
+	subs, events := batchPopulation(t, m)
+	score := func() (scalar, arena [][]float64) {
+		eb := m.NewEventBatch()
+		defer m.FinishEventBatch(eb)
+		ar := m.NewBatchArena(eb)
+		for _, pe := range events {
+			q := m.PrepareEvent(pe.Event())
+			row := make([]float64, len(subs))
+			for si, ps := range subs {
+				row[si] = m.ScorePrepared(ps, q)
+			}
+			scalar = append(scalar, row)
+			arena = append(arena, m.ScoreBatchInArena(ar, subs, q, nil))
+		}
+		return scalar, arena
+	}
+	wantScalar, wantArena := score()
+	m.space.ResetCaches()
+	if units, _ := m.space.CacheStats(); units != 0 {
+		t.Fatalf("%d units cached after the reset", units)
+	}
+	gotScalar, gotArena := score()
+	positive := 0
+	for ei := range events {
+		for si := range subs {
+			want := wantScalar[ei][si]
+			for name, got := range map[string]float64{
+				"scalar before": want, "arena before": wantArena[ei][si],
+				"scalar after": gotScalar[ei][si], "arena after": gotArena[ei][si],
+			} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("event %d sub %d: %s %v, want %v", ei, si, name, got, want)
+				}
+			}
+			if want > 0 && want < 1 {
+				positive++
+			}
+		}
+	}
+	if positive == 0 {
+		t.Fatal("no pair scored strictly between 0 and 1; the relaxed rows are unchecked")
 	}
 }

@@ -71,10 +71,10 @@ func TestNormalizedEuclideanIdentity(t *testing.T) {
 // range.
 func TestNormalizedEuclideanExtremes(t *testing.T) {
 	a := sparse.FromMap(map[int32]float64{1: 2, 2: 1}).Normalize()
-	// Self dot: â·â = 1−ε in floats, so the Euclidean relatedness is
-	// 1/(√(2ε)+1), not exactly 1 — the worst case of the cancellation bound.
-	if r := Euclidean.ofDot(sparse.DotUnit(a, a)); 1-r > 1e-7 {
-		t.Errorf("self relatedness = %v, want ≈1 within the cancellation bound", r)
+	// Self dot: â·â = 1−ε in floats, inside the identity band, so the
+	// relatedness is exactly 1.
+	if r := Euclidean.ofDot(sparse.DotUnit(a, a)); r != 1 {
+		t.Errorf("self relatedness = %v, want exactly 1", r)
 	}
 	exact := sparse.FromMap(map[int32]float64{3: 1}).Normalize()
 	for _, dist := range []Distance{Euclidean, Cosine} {
@@ -135,6 +135,31 @@ func FuzzUnitKernels(f *testing.F) {
 			if want := naiveRelatedness(dist, a, b); math.Abs(got-want) > 1e-7 {
 				t.Fatalf("distance %d: identity: %v vs %v", dist, got, want)
 			}
+		}
+		// Near-identical pairs: b is a with one weight nudged by 2^-k, so
+		// their dot approaches 1 and 2−2d cancels. The kernel's Euclidean
+		// relatedness must stay within the error of that cancellation plus
+		// the identity band of sparse.Euclidean's, relative to it: with
+		// r = 1/(D+1), |Δr|/r ≤ |ΔD| ≤ √(2(identityBand + nnz·ε)).
+		if len(braw) < 2 {
+			return
+		}
+		near := make(map[int32]float64, a.NNZ())
+		k, nudge := int(braw[0])%a.NNZ(), math.Ldexp(1, -int(10+braw[1]%44))
+		i := 0
+		a.Range(func(id int32, w float64) {
+			if i == k {
+				w *= 1 + nudge
+			}
+			near[id] = w
+			i++
+		})
+		nv := sparse.FromMap(near)
+		got := Euclidean.ofDot(sparse.DotUnit(ua, nv.Normalize()))
+		want := naiveRelatedness(Euclidean, a, nv)
+		tol := math.Sqrt(2 * (identityBand + float64(2*a.NNZ())*0x1p-52))
+		if math.Abs(got-want) > tol*want {
+			t.Fatalf("near-identical pair (nudge %g): kernel %v vs sparse.Euclidean %v, beyond relative %g", nudge, got, want, tol)
 		}
 	})
 }

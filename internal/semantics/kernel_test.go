@@ -3,6 +3,7 @@ package semantics
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"thematicep/internal/corpus"
@@ -563,5 +564,52 @@ func TestCanonicalTermsMemoBounded(t *testing.T) {
 	s.termsRawMu.RUnlock()
 	if n > termsRawCap {
 		t.Errorf("raw-term memo grew to %d entries, cap is %d", n, termsRawCap)
+	}
+}
+
+// TestSharedProjectionScoresOne holds distinct terms that share a unit
+// projection — a reordered phrase, or one padded with a stop word — to
+// relatedness exactly 1 through the scalar measure and the row kernel, under
+// both distances, with and without a theme. Eq. 5 puts identical vectors at
+// distance 0; the dot's rounding (â·â is 1 less a few ε) must not turn that
+// into 0.99999992.
+func TestSharedProjectionScoresOne(t *testing.T) {
+	ix := space(t).Index()
+	pairs := [][2]string{
+		{"energy consumption", "consumption energy"}, {"road traffic", "traffic road"},
+		{"car park", "park car"}, {"energy", "the energy"},
+	}
+	dense := make([]float64, ix.NumDocs())
+	checked, rounded := 0, 0
+	for _, dist := range []Distance{Euclidean, Cosine} {
+		s := NewSpace(ix, WithDistance(dist))
+		for _, theme := range [][]string{nil, {"energy"}, {"land transport"}} {
+			th := s.Compile(theme)
+			for _, p := range pairs {
+				a, _ := s.ResolveUnit(p[0], th)
+				b, _ := s.ResolveUnit(p[1], th)
+				if a.IsZero() {
+					continue
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%q and %q under %v: projections differ", p[0], p[1], theme)
+				}
+				if sparse.DotUnit(a, b) < 1 {
+					rounded++
+				}
+				if r := s.RelatednessCompiled(p[0], th, p[1], th); r != 1 {
+					t.Errorf("distance %d, %q vs %q under %v: scalar relatedness %v, want 1", dist, p[0], p[1], theme, r)
+				}
+				row := []float64{math.NaN()}
+				s.RelatednessRowPreUnits(&a, s.TermOrd(p[0]), th, []uint32{s.TermOrd(p[1])}, []sparse.Unit{b}, th, dense, row, ^uint64(0))
+				if row[0] != 1 {
+					t.Errorf("distance %d, %q vs %q under %v: row kernel %v, want 1", dist, p[0], p[1], theme, row[0])
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 || rounded == 0 {
+		t.Fatalf("%d pairs checked, %d with a dot below 1: the band is unexercised", checked, rounded)
 	}
 }

@@ -569,16 +569,25 @@ func (s *Space) relatedness(subTerm string, subTheme *CompiledTheme, eventTerm s
 	return s.opts.distance.ofDot(sparse.DotUnit(a, b))
 }
 
+// identityBand is how far below 1 the dot product of two identical unit
+// projections can fall by rounding alone: a gathered dot of unit vectors is
+// off by at most nnz·ε ≈ 1.6e-13 at the index's sizes (see boundMargin), and
+// distinct terms share a projection whenever their tokens do (a reordered
+// or stop-word-padded phrase). A dot within the band is an identity, and
+// Eq. 5 puts identical vectors at distance 0.
+const identityBand = 1e-12
+
 // ofDot maps the dot product d of two nonzero unit projections to
 // relatedness, the one definition RelatednessCompiled and
 // RelatednessRowPreUnits share. Euclidean is Eq. 5 on unit vectors,
 // ‖â−b̂‖ = √(2−2d), mapped by Eq. 6; in floats the identity agrees with the
-// distance of Scale-normalized copies to ~1e-7 (2−2d cancels as d → 1).
-// Cosine (§3.1) is d itself. A dot at or above 1 (rounding on
-// near-identical vectors) is clamped to exactly 1, never NaN.
+// distance of Scale-normalized copies to ~√(2·nnz·ε) (2−2d cancels as
+// d → 1). Cosine (§3.1) is d itself. A dot within identityBand of 1, or
+// above it, is exactly 1, never NaN; the map stays non-decreasing, so the
+// score bounds built on it hold.
 func (dist Distance) ofDot(d float64) float64 {
 	switch {
-	case d >= 1:
+	case d >= 1-identityBand:
 		return 1
 	case dist == Cosine:
 		return d

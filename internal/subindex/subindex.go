@@ -53,16 +53,24 @@
 // # Layout
 //
 // Every live subscription owns a dense uint32 id allocated from a free
-// list, indexing parallel columns (payload, predicate count, sorted
-// requirement-term row). Within its theme group the subscription is posted
-// under exactly one anchor term — the requirement term with the shortest
-// posting list at insert time, a cheap rarest-first heuristic — so
-// enumeration never yields duplicates and needs no deduplication set. An
-// anchor hit is only a candidate's witness; the full requirement row is
-// then verified by galloping containment against the event's term set.
-// Remove compacts posting lists in place (no tombstones) and recycles the
-// dense id. Interned term ids are never reclaimed; the interner is bounded
-// by the vocabulary of exact terms ever subscribed, not by churn.
+// list, indexing parallel columns (payload, predicate count, theme group,
+// and the place of its requirement-term row in one shared pool). Within its
+// theme group the subscription is posted under exactly one anchor term —
+// the requirement term with the shortest posting list at insert time, a
+// cheap rarest-first heuristic — so enumeration never yields duplicates and
+// needs no deduplication set. The row holds the anchor first and the other
+// requirement terms sorted; an anchor hit is only a candidate's witness,
+// and the rest of the row is then verified by galloping containment
+// against the event's term set. Remove compacts posting lists in place (no
+// tombstones) and recycles the dense id; its row stays in the pool until
+// the pool compacts. Interned term ids are never reclaimed; the interner is
+// bounded by the vocabulary of exact terms ever subscribed, not by churn.
+//
+// The index is also its owner's registry: its map from external id to
+// dense id is the one map from subscription id to payload (Get, Remove,
+// AppendAll, Clear), whether or not the owner prunes with it. An owner
+// that does not prune adds its subscriptions with a nil view, which files
+// a payload and no requirements.
 package subindex
 
 import (
@@ -79,6 +87,7 @@ import (
 // group holds one compiled theme's posting lists.
 type group[T any] struct {
 	key         string
+	id          uint32              // index in Index.groups
 	approx      []uint32            // approximate-only posting: always candidates
 	anchorTerms []uint32            // sorted term ids that have a posting here
 	posts       map[uint32][]uint32 // anchor term id -> sorted dense sub ids
@@ -98,17 +107,56 @@ type Index[T any] struct {
 	nextTerm uint32
 
 	themes map[string]*group[T]
+	groups []*group[T]       // by group id; a removed group's slot is nil until reused
 	locs   map[string]uint32 // external id -> dense id
 
-	// Columnar per-dense-id state, indexed by dense id.
-	ext      []string
+	// Per-dense-id state, indexed by dense id.
 	payloads []T
-	npreds   []int32    // rule 3: events with fewer tuples are infeasible
-	reqs     [][]uint32 // sorted unique requirement term ids; empty = approx-only
-	grp      []*group[T]
-	anchor   []uint32 // posting the sub is filed under; valid iff len(reqs) > 0
+	entries  []entry
+
+	// reqPool holds every subscription's requirement row back to back (see
+	// reqs), so a row costs its terms and no slice of its own. Remove leaves
+	// the row in place as reqGarbage terms, which compaction reclaims once
+	// they are half the pool.
+	reqPool    []uint32
+	reqGarbage int
 
 	free []uint32 // recycled dense ids
+}
+
+// entry is what enumeration reads of one subscription besides its payload,
+// in one place, so a posting visit touches one entry and the row it names.
+type entry struct {
+	npreds int32  // rule 3: events with fewer tuples are infeasible
+	reqOff uint32 // the requirement row's place in reqPool
+	reqLen uint32 // requirement terms; 0 = approx-only
+	grp    uint32 // 1 + the group id; 0 for a recycled dense id, unfiled for one Add registered alone
+}
+
+// unfiled is entry.grp of a registration filed in no group (Add with a nil
+// subscription).
+const unfiled = ^uint32(0)
+
+// reqs returns dense id d's requirement row: its unique requirement term
+// ids, the anchor (the posting it is filed under) first and the rest
+// sorted.
+func (ix *Index[T]) reqs(d uint32) []uint32 {
+	e := &ix.entries[d]
+	return ix.reqPool[e.reqOff : e.reqOff+e.reqLen]
+}
+
+// compactReqs rewrites the requirement pool with the live rows alone.
+// Caller holds the write lock.
+func (ix *Index[T]) compactReqs() {
+	pool := make([]uint32, 0, len(ix.reqPool)-ix.reqGarbage)
+	for d := range ix.entries {
+		if e := &ix.entries[d]; e.grp != 0 {
+			row := ix.reqs(uint32(d))
+			e.reqOff = uint32(len(pool))
+			pool = append(pool, row...)
+		}
+	}
+	ix.reqPool, ix.reqGarbage = pool, 0
 }
 
 // New builds an empty index.
@@ -184,10 +232,19 @@ func (ix *Index[T]) intern(sp reqSpec) uint32 {
 }
 
 // Add files a subscription under its theme group and anchor posting. Adding
-// an id that is already present replaces the previous entry.
+// an id that is already present replaces the previous entry. A nil sub
+// registers payload under id without filing it: Get, Remove, AppendAll and
+// Clear see it, candidate enumeration never yields it, and it costs no
+// interned term, posting or requirement row.
 func (ix *Index[T]) Add(id string, sub *event.Subscription, payload T) {
-	specs := requirements(sub) // canonicalization outside the lock
-	key := themeKey(sub.Theme)
+	var (
+		specs []reqSpec
+		key   string
+	)
+	if sub != nil {
+		specs = requirements(sub) // canonicalization outside the lock
+		key = themeKey(sub.Theme)
+	}
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -195,75 +252,107 @@ func (ix *Index[T]) Add(id string, sub *event.Subscription, payload T) {
 		ix.removeLocked(id)
 	}
 
-	var reqIDs []uint32
-	for _, sp := range specs {
-		reqIDs = insertSorted(reqIDs, ix.intern(sp))
-	}
-
 	var d uint32
 	if n := len(ix.free); n > 0 {
 		d = ix.free[n-1]
 		ix.free = ix.free[:n-1]
-		ix.ext[d] = id
-		ix.payloads[d] = payload
-		ix.npreds[d] = int32(len(sub.Predicates))
-		ix.reqs[d] = reqIDs
 	} else {
-		d = uint32(len(ix.ext))
-		ix.ext = append(ix.ext, id)
+		d = uint32(len(ix.payloads))
 		ix.payloads = append(ix.payloads, payload)
-		ix.npreds = append(ix.npreds, int32(len(sub.Predicates)))
-		ix.reqs = append(ix.reqs, reqIDs)
-		ix.grp = append(ix.grp, nil)
-		ix.anchor = append(ix.anchor, 0)
+		ix.entries = append(ix.entries, entry{})
 	}
+	ix.payloads[d] = payload
+	ix.locs[id] = d
+	e := &ix.entries[d]
+	if sub == nil {
+		*e = entry{grp: unfiled}
+		return
+	}
+
+	// The row is built in place at the pool's end.
+	off := len(ix.reqPool)
+	for _, sp := range specs {
+		ix.reqPool = append(ix.reqPool, ix.intern(sp))
+	}
+	slices.Sort(ix.reqPool[off:])
+	reqIDs := slices.Compact(ix.reqPool[off:])
+	ix.reqPool = ix.reqPool[:off+len(reqIDs)]
+	*e = entry{npreds: int32(len(sub.Predicates)), reqOff: uint32(off), reqLen: uint32(len(reqIDs))}
 
 	g := ix.themes[key]
 	if g == nil {
 		g = &group[T]{key: key, posts: make(map[uint32][]uint32)}
+		if i := slices.Index(ix.groups, nil); i >= 0 {
+			g.id = uint32(i)
+			ix.groups[i] = g
+		} else {
+			g.id = uint32(len(ix.groups))
+			ix.groups = append(ix.groups, g)
+		}
 		ix.themes[key] = g
 	}
-	ix.grp[d] = g
+	e.grp = g.id + 1
 	if len(reqIDs) == 0 {
 		g.approx = insertSorted(g.approx, d)
 	} else {
 		// Anchor on the requirement term with the shortest posting list at
 		// insert time: a rarest-first heuristic that keeps postings flat and
 		// maximizes the chance the anchor term is absent from an event.
-		best := reqIDs[0]
-		for _, t := range reqIDs[1:] {
-			if len(g.posts[t]) < len(g.posts[best]) {
-				best = t
+		k := 0
+		for i, t := range reqIDs {
+			if len(g.posts[t]) < len(g.posts[reqIDs[k]]) {
+				k = i
 			}
 		}
+		best := reqIDs[k]
+		copy(reqIDs[1:k+1], reqIDs[:k])
+		reqIDs[0] = best
 		if len(g.posts[best]) == 0 {
 			g.anchorTerms = insertSorted(g.anchorTerms, best)
 		}
 		g.posts[best] = insertSorted(g.posts[best], d)
-		ix.anchor[d] = best
 	}
-	ix.locs[id] = d
 }
 
 // Remove unfiles a subscription, compacting its posting list in place and
-// recycling its dense id; unknown ids are a no-op.
-func (ix *Index[T]) Remove(id string) {
+// recycling its dense id, and returns its payload; unknown ids are a no-op
+// that reports false.
+func (ix *Index[T]) Remove(id string) (T, bool) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.removeLocked(id)
+	return ix.removeLocked(id)
 }
 
-func (ix *Index[T]) removeLocked(id string) {
+func (ix *Index[T]) removeLocked(id string) (payload T, ok bool) {
 	d, ok := ix.locs[id]
 	if !ok {
-		return
+		return payload, false
 	}
+	payload = ix.payloads[d]
 	delete(ix.locs, id)
-	g := ix.grp[d]
-	if len(ix.reqs[d]) == 0 {
+	e := &ix.entries[d]
+	if e.grp != unfiled {
+		ix.unfileLocked(d)
+	}
+	var zero T
+	ix.payloads[d] = zero
+	e.grp = 0
+	ix.free = append(ix.free, d)
+	if ix.reqGarbage += int(e.reqLen); 2*ix.reqGarbage > len(ix.reqPool) {
+		ix.compactReqs()
+	}
+	return payload, true
+}
+
+// unfileLocked takes dense id d out of its group's postings, and drops the
+// group once it is empty. Caller holds the write lock.
+func (ix *Index[T]) unfileLocked(d uint32) {
+	e := &ix.entries[d]
+	g := ix.groups[e.grp-1]
+	if e.reqLen == 0 {
 		g.approx = deleteSorted(g.approx, d)
 	} else {
-		a := ix.anchor[d]
+		a := ix.reqPool[e.reqOff]
 		if p := deleteSorted(g.posts[a], d); len(p) == 0 {
 			delete(g.posts, a)
 			g.anchorTerms = deleteSorted(g.anchorTerms, a)
@@ -273,13 +362,51 @@ func (ix *Index[T]) removeLocked(id string) {
 	}
 	if len(g.approx) == 0 && len(g.anchorTerms) == 0 {
 		delete(ix.themes, g.key)
+		ix.groups[g.id] = nil
 	}
-	var zero T
-	ix.ext[d] = ""
-	ix.payloads[d] = zero
-	ix.reqs[d] = nil
-	ix.grp[d] = nil
-	ix.free = append(ix.free, d)
+}
+
+// Get returns the payload filed under id.
+func (ix *Index[T]) Get(id string) (T, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	d, ok := ix.locs[id]
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return ix.payloads[d], true
+}
+
+// AppendAll appends the payload of every indexed subscription to dst, in
+// dense-id order, and returns it.
+func (ix *Index[T]) AppendAll(dst []T) []T {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	for d := range ix.entries {
+		if ix.entries[d].grp != 0 {
+			dst = append(dst, ix.payloads[d])
+		}
+	}
+	return dst
+}
+
+// Clear removes every subscription and returns their payloads in dense-id
+// order. Interned terms stay, as they do on Remove.
+func (ix *Index[T]) Clear() []T {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	out := make([]T, 0, len(ix.locs))
+	for d := range ix.entries {
+		if ix.entries[d].grp != 0 {
+			out = append(out, ix.payloads[d])
+		}
+	}
+	ix.themes, ix.groups = make(map[string]*group[T]), nil
+	ix.locs = make(map[string]uint32)
+	ix.payloads, ix.entries, ix.free = nil, nil, nil
+	ix.reqPool, ix.reqGarbage = nil, 0
+	return out
 }
 
 // Len returns the number of indexed subscriptions.
@@ -393,10 +520,11 @@ func (ix *Index[T]) CandidatesPrepared(attrs, values []string, yield func(T)) (c
 // ids they carry; (2) per theme group, yield the approximate-only posting
 // (feasibility aside) and gallop-intersect the event's term set with the
 // group's anchor terms; (3) for each anchor hit, walk its posting list and
-// yield every subscription whose full requirement row is contained in the
-// event's term set. Terms no subscription ever required are not interned
-// and vanish in step 1, so enumeration cost tracks posting occupancy, not
-// event width times subscription count.
+// yield every subscription whose requirement row is contained in the
+// event's term set (the anchor, first in the row, is the hit itself). Terms
+// no subscription ever required are not interned and vanish in step 1, so
+// enumeration cost tracks posting occupancy, not event width times
+// subscription count.
 func (ix *Index[T]) candidates(buf *enumBuf, attrs, values []string, m int, yield func(T)) (candidates, pruned int) {
 	ix.mu.RLock()
 	total := len(ix.locs)
@@ -417,7 +545,7 @@ func (ix *Index[T]) candidates(buf *enumBuf, attrs, values []string, m int, yiel
 	hits := buf.hits
 	for _, g := range ix.themes {
 		for _, d := range g.approx {
-			if ix.npreds[d] <= m32 {
+			if ix.entries[d].npreds <= m32 {
 				yield(ix.payloads[d])
 				candidates++
 			}
@@ -428,7 +556,7 @@ func (ix *Index[T]) candidates(buf *enumBuf, attrs, values []string, m int, yiel
 		hits = intersect2(hits[:0], terms, g.anchorTerms)
 		for _, t := range hits {
 			for _, d := range g.posts[t] {
-				if ix.npreds[d] <= m32 && containsAll(ix.reqs[d], terms) {
+				if e := &ix.entries[d]; e.npreds <= m32 && containsAll(ix.reqPool[e.reqOff+1:e.reqOff+e.reqLen], terms) {
 					yield(ix.payloads[d])
 					candidates++
 				}

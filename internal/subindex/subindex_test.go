@@ -138,6 +138,51 @@ func TestRemoveAndReplace(t *testing.T) {
 	}
 }
 
+// TestRegisteredAlone checks that a subscription added with a nil view is
+// in the registry (Get, Len, AppendAll, Remove, Clear) but never a
+// candidate, costs no term or group, and can be replaced by a filed one and
+// back.
+func TestRegisteredAlone(t *testing.T) {
+	ix := New[string]()
+	sub := &event.Subscription{Predicates: []event.Predicate{{Attr: "type", Value: "v"}}}
+	ix.Add("a", nil, "a")
+	ix.Add("b", sub, "b")
+	if p, ok := ix.Get("a"); !ok || p != "a" || ix.Len() != 2 {
+		t.Fatalf("Get(a) = %q, %v; Len = %d", p, ok, ix.Len())
+	}
+	if st := ix.Stats(); st.Terms != 1 || st.Themes != 1 {
+		t.Errorf("stats %+v: the unfiled registration interned or grouped something", st)
+	}
+	got, c, p := collect(ix, ev(event.Tuple{Attr: "type", Value: "v"}))
+	if fmt.Sprint(got) != "[b]" || c != 1 || p != 1 {
+		t.Errorf("got %v (c=%d p=%d), want [b] with a pruned", got, c, p)
+	}
+
+	ix.Add("a", sub, "a-filed")
+	ix.Add("b", nil, "b-alone")
+	got, _, _ = collect(ix, ev(event.Tuple{Attr: "type", Value: "v"}))
+	if fmt.Sprint(got) != "[a-filed]" {
+		t.Errorf("after swapping filings: got %v", got)
+	}
+	all := ix.AppendAll(nil)
+	sort.Strings(all)
+	if fmt.Sprint(all) != "[a-filed b-alone]" {
+		t.Errorf("AppendAll = %v", all)
+	}
+	if p, ok := ix.Remove("b"); !ok || p != "b-alone" || ix.Len() != 1 {
+		t.Errorf("Remove(b) = %q, %v; Len = %d", p, ok, ix.Len())
+	}
+	if _, ok := ix.Remove("b"); ok {
+		t.Error("a second Remove(b) found it")
+	}
+	ix.Add("c", nil, "c")
+	cleared := ix.Clear()
+	sort.Strings(cleared)
+	if fmt.Sprint(cleared) != "[a-filed c]" || ix.Len() != 0 || ix.Themes() != 0 {
+		t.Errorf("Clear = %v, then Len %d Themes %d", cleared, ix.Len(), ix.Themes())
+	}
+}
+
 func TestThemeGroupsSharePermutedKeys(t *testing.T) {
 	ix := New[string]()
 	p := []event.Predicate{{Attr: "type", Value: "v", ApproxAttr: true, ApproxValue: true}}
