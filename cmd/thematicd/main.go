@@ -69,11 +69,11 @@ func run(args []string) error {
 		fsyncPol  = fs.String("fsync", "always", "with -data-dir: WAL fsync policy — always, never, or a flush interval like 100ms")
 		walSnap   = fs.Int("wal-snapshot", 4096, "with -data-dir: snapshot and truncate the WAL after this many appended records")
 		advertise = fs.String("advertise", "", "address peers dial for this broker (shard identity; defaults to -addr)")
-		parallel  = fs.Int("match-parallelism", 0, "matching worker pool size per publish (0 = GOMAXPROCS, 1 = serial)")
+		parallel  = fs.Int("match-parallelism", 0, "matching worker pool size, shared by concurrent publishes; one worker scores each event, so a single-event publish runs serially (0 = GOMAXPROCS, 1 = serial)")
 		pruning   = fs.Bool("pruning", true, "prune per-publish candidates via the subscription index (recall-preserving)")
 		traceN    = fs.Int("trace-sample", 0, "record a pipeline trace for 1 in N published events (0 disables; see /debug/traces)")
 		drainT    = fs.Duration("drain-timeout", 5*time.Second, "max time to flush subscriber queues on SIGTERM before closing anyway")
-		shedMark  = fs.Int("shed-watermark", 0, "shed publishes with an overload error when the match pipeline is saturated and this many are in flight (0 disables)")
+		shedMark  = fs.Int("shed-watermark", 0, "shed publishes with an overload error when more than this many are in flight and they and their helper workers fill -match-parallelism (0 disables)")
 		maxBatch  = fs.Int("max-batch", broker.DefaultMaxBatch, "largest event batch accepted per publishb frame; oversized batches are rejected whole (<=0 disables the cap)")
 		chaos     = fs.String("chaos", "", "fault injection on peer links, e.g. seed=42,latency=2ms,stall=0.01,stallfor=250ms,reset=0.005,corrupt=0.01 (testing only)")
 		queryTick = fs.Duration("query-tick", time.Second, "continuous-query flush interval: quiet streams fire pending negation/aggregate windows this often (<=0 disables)")

@@ -18,9 +18,9 @@
 // # Concurrency
 //
 // The broker is safe for concurrent use. There is one publish pipeline —
-// Publish(e) is PublishBatch of one event — and it fans the candidate set
-// out over a bounded worker pool (WithMatchParallelism, default
-// GOMAXPROCS): the publishing goroutine always participates, helper
+// Publish(e) is PublishBatch of one event — and it fans the events out over
+// a bounded worker pool, one worker per event (WithMatchParallelism,
+// default GOMAXPROCS): the publishing goroutine always participates, helper
 // workers are drawn from a broker-wide budget shared by concurrent
 // publishes, and a publish returns only after every match decision and
 // delivery of its events is done — callers keep the synchronous contract.
@@ -69,10 +69,10 @@ func (f MatchFunc) Score(s *event.Subscription, e *event.Event) float64 { return
 // typed over the matcher's own prepared forms: a subscription is prepared
 // once at Subscribe time; each publish prepares its events through one
 // batch context (every distinct term canonicalized once), draws one
-// scoring arena per worker, and sweeps candidate chunks through the arenas,
-// whose similarity-row memos persist across the chunks and events of the
-// publish. Scores must be bit-identical to Score — the contexts amortize
-// work, they never change a result — except that an arena held to the
+// scoring arena per worker, and sweeps each event's candidates through one
+// arena in one call; an arena's similarity-row memo holds the rows of the
+// event it is scoring. Scores must be bit-identical to Score — the contexts
+// amortize work, they never change a result — except that an arena held to the
 // broker's threshold (BatchArena.SetThreshold) may report
 // matcher.RejectedByBound for a pair that provably scores below it. *matcher.Matcher satisfies Engine
 // directly; New asserts it once. Contexts are single-goroutine; arenas
@@ -204,11 +204,13 @@ type parallelismOption int
 
 func (o parallelismOption) apply(c *config) { c.parallelism = int(o) }
 
-// WithMatchParallelism bounds the worker pool Publish fans the
-// subscription set out over (default GOMAXPROCS; 1 disables the pool and
-// matches serially on the publisher's goroutine). The bound is broker-wide:
-// concurrent Publish calls share one helper budget, so total matching
-// goroutines never exceed the limit regardless of publisher count.
+// WithMatchParallelism bounds the worker pool a publish fans its events out
+// over (default GOMAXPROCS; 1 disables the pool and matches serially on the
+// publisher's goroutine). The event is the unit of work: one worker scores
+// all of an event's candidates, so a publish of one event is scored on the
+// publisher's goroutine and a batch takes at most one worker per event. The
+// helper budget (the limit less one) is broker-wide, shared by concurrent
+// publishes.
 func WithMatchParallelism(n int) Option { return parallelismOption(n) }
 
 type pruningOption bool
@@ -264,10 +266,12 @@ type shedWatermarkOption int
 func (o shedWatermarkOption) apply(c *config) { c.shedWatermark = int(o) }
 
 // WithShedWatermark enables publish-side load shedding: when more than n
-// Publish calls are already in flight AND the broker-wide match semaphore
-// is saturated (every helper worker busy), additional publishes are
-// rejected with ErrOverloaded instead of piling onto the contended
-// matcher. Shed publishes are counted in Stats.Shed and exported as
+// Publish calls are already in flight AND the match pipeline is saturated
+// (the other publishes in flight, each scoring on its own goroutine, and
+// the helper workers they hold fill WithMatchParallelism), additional
+// publishes are rejected with ErrOverloaded instead of piling onto the
+// contended matcher. A broker without a worker pool (parallelism 1) never
+// sheds. Shed publishes are counted in Stats.Shed and exported as
 // thematicep_broker_shed_total — bounded degradation is explicit, never a
 // silent drop. Zero (the default) disables shedding.
 func WithShedWatermark(n int) Option { return shedWatermarkOption(n) }
@@ -299,9 +303,6 @@ type Broker struct {
 	// requirements and every publish scans it in full.
 	subs  *subindex.Index[*Subscriber]
 	prune bool
-
-	// chunk is the scoring work unit in candidates (see batchChunkSize).
-	chunk int
 
 	// sem is the broker-wide helper-worker budget (capacity
 	// parallelism-1); acquisition is non-blocking, so a saturated pool
@@ -392,7 +393,6 @@ func New(m Matcher, opts ...Option) *Broker {
 	b := &Broker{
 		matcher:     m,
 		cfg:         cfg,
-		chunk:       1,
 		subs:        subindex.New[*Subscriber](),
 		pubBufs:     make(freelist.List[pubBatchBuf], pubBufLimit),
 		clock:       cfg.clock,
@@ -413,7 +413,6 @@ func New(m Matcher, opts ...Option) *Broker {
 	}
 	if eng, ok := m.(Engine); ok {
 		b.engine = eng
-		b.chunk = batchChunkSize
 		b.prune = cfg.pruning
 	}
 	if cfg.parallelism > 1 {

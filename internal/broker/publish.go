@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,18 +152,12 @@ func Conservation(fams []*telemetry.Family) []Balance {
 	return out
 }
 
-// batchChunkSize is the unit of scoring work an Engine worker pulls off the
-// cursor: large enough that the per-call cost of an arena sweep amortizes
-// across many subscriptions, small enough that the worker pool still
-// load-balances a skewed candidate set. A plain Matcher has nothing to
-// amortize across a chunk, so its unit is one Score call (Broker.chunk).
-const batchChunkSize = 256
-
 // batchWindowCands bounds how many candidate pointers one publish window
 // stages at once: large enough that most windows hold many events (so
-// enumeration and chunking amortize), small enough that the staging buffer
-// (8 bytes per candidate) stays cache-resident instead of growing to
-// events × candidates pointers the GC must scan per batch.
+// enumeration amortizes and the scoring workers have events to share),
+// small enough that the staging buffer (8 bytes per candidate) stays
+// cache-resident instead of growing to events × candidates pointers the GC
+// must scan per batch.
 const batchWindowCands = 32 * 1024
 
 // batchHit is one above-threshold (subscriber, event) match produced by a
@@ -171,13 +166,6 @@ type batchHit struct {
 	s     *Subscriber
 	ei    int32 // index into the batch's event slice
 	score float64
-}
-
-// chunkRef is one unit of scoring work: a contiguous candidate range of
-// one event.
-type chunkRef struct {
-	ei     int32
-	lo, hi int32
 }
 
 // scoreScratch is one scoring worker's staging and its tally of the pairs
@@ -189,8 +177,8 @@ type scoreScratch struct {
 }
 
 // pubBatchBuf is the whole state of one publish. Everything a publish
-// touches — prepared events, the flat candidate arena, chunk descriptors,
-// per-worker scratch and hit lists, the per-subscriber grouping chains, the
+// touches — prepared events, the flat candidate arena, per-worker scratch,
+// per-event hit lists, the per-subscriber grouping chains, the
 // stage clocks and the accounting tally — lives here and is recycled
 // through the broker's free list, so a warm publish allocates nothing. The
 // scoring workers run as a method on this buffer rather than a closure for
@@ -206,14 +194,13 @@ type pubBatchBuf struct {
 	flat     []*Subscriber            // window candidate buffer (index path) or snapshot (scan path)
 	perEvent [][]*Subscriber          // per-event candidate views of the current window
 	ends     []int
-	chunks   []chunkRef
-	winStart int32 // global index of the current window's first event
-	cursor   atomic.Int64
+	winStart int32                 // global index of the current window's first event
+	cursor   atomic.Int64          // next window event a scoring worker takes
 	wg       sync.WaitGroup        // helper workers of the current window (a field: a local would escape per window)
 	arenas   []*matcher.BatchArena // per-worker scoring arenas
 	scratch  []scoreScratch        // per-worker arena-sweep staging
-	hits     [][]batchHit          // per-worker hit lists
-	merged   []batchHit
+	hits     [][]batchHit          // per-window-event hit lists, written by the event's one worker
+	merged   []batchHit            // every hit of the publish, in event order
 	head     map[*Subscriber]int32 // subscriber -> last hit index in merged
 	prev     []int32               // hit index -> previous hit of same subscriber
 	group    []batchHit            // per-subscriber delivery scratch
@@ -227,7 +214,6 @@ type pubBatchBuf struct {
 func newPubBatchBuf(workers int) *pubBatchBuf {
 	buf := &pubBatchBuf{
 		head:    make(map[*Subscriber]int32),
-		hits:    make([][]batchHit, workers),
 		scratch: make([]scoreScratch, workers),
 	}
 	buf.add = func(s *Subscriber) {
@@ -277,12 +263,9 @@ func (buf *pubBatchBuf) release() {
 	clear(buf.perEvent)
 	buf.perEvent = buf.perEvent[:0]
 	buf.ends = buf.ends[:0]
-	buf.chunks = buf.chunks[:0]
 	clear(buf.arenas)
 	buf.arenas = buf.arenas[:0]
-	for i := range buf.hits {
-		clear(buf.hits[i])
-		buf.hits[i] = buf.hits[i][:0]
+	for i := range buf.scratch {
 		sc := &buf.scratch[i]
 		clear(sc.subs[:cap(sc.subs)]) // stale tails too: they pin prepared subscriptions
 		sc.subs = sc.subs[:0]
@@ -310,16 +293,16 @@ func (b *Broker) Publish(e *event.Event) error {
 // PublishBatch publishes a batch of events through one amortized pipeline
 // pass: every distinct term is canonicalized once, candidate enumeration
 // shares its scratch across the batch, scoring workers (WithMatchParallelism;
-// the publishing goroutine always participates) pull (event, chunk) work
-// items from one cursor with similarity-row memos that persist across the
-// batch, and deliveries are coalesced so each matched subscriber's queue
-// lock is taken once per batch instead of once per match. Delivery sets —
-// which subscriber receives which events with which scores, and the
-// per-subscriber event order — are those of a full scan scoring every
-// (event, subscription) pair through Matcher.Score in publish order; see
-// DESIGN.md "Publish pipeline" for the argument and for what is per batch
-// rather than per event (stage histograms, one admission timestamp, one
-// trace-sampling unit).
+// the publishing goroutine always participates) pull whole events from one
+// cursor and sweep each event's candidates in one call through a scoring
+// arena that persists across the batch, and deliveries are coalesced so
+// each matched subscriber's queue lock is taken once per batch instead of
+// once per match. Delivery sets — which subscriber receives which events
+// with which scores, and the per-subscriber event order — are those of a
+// full scan scoring every (event, subscription) pair through Matcher.Score
+// in publish order; see DESIGN.md "Publish pipeline" for the argument and
+// for what is per batch rather than per event (stage histograms, one
+// admission timestamp, one trace-sampling unit).
 //
 // Admission is all-or-nothing: the batch is validated up front and either
 // every event is admitted (nil return) or none is. It returns only after
@@ -523,11 +506,13 @@ func (buf *pubBatchBuf) ingest() error {
 	if b.draining.Load() {
 		return ErrDraining
 	}
-	if w := b.cfg.shedWatermark; w > 0 && b.sem != nil &&
-		len(b.sem) == cap(b.sem) && b.inflight.Load() > int64(w) {
-		// The helper budget is exhausted and more publishes are in flight
-		// than the watermark allows: shed this one instead of queueing onto
-		// a saturated matcher. Counted per event, surfaced, never silent.
+	if w, n := b.cfg.shedWatermark, b.inflight.Load(); w > 0 && b.sem != nil &&
+		n > int64(w) && n-1+int64(len(b.sem)) >= int64(b.cfg.parallelism) {
+		// Every other publish in flight scores on its own goroutine, beside
+		// the helpers they hold. When those fill the parallelism and more
+		// publishes are in flight than the watermark allows, shed this one
+		// instead of queueing onto a saturated matcher. Counted per event,
+		// surfaced, never silent.
 		return ErrOverloaded
 	}
 	b.mu.Lock()
@@ -555,8 +540,8 @@ func (buf *pubBatchBuf) ingest() error {
 // GC must scan and the caches cannot hold — so events are staged in windows
 // whose candidate sets fit batchWindowCands (the first event always fits),
 // reusing one small flat buffer. Everything that amortizes — the batch
-// context, interned terms, per-worker arenas and their row memos, hit
-// lists, delivery coalescing — still spans the whole batch.
+// context, interned terms, per-worker arenas, the merged hit list and
+// delivery coalescing — still spans the whole batch.
 func (buf *pubBatchBuf) enumerate(lo int) (hi int) {
 	b, n := buf.b, len(buf.events)
 	perEvent := buf.perEvent[:0]
@@ -588,7 +573,7 @@ func (buf *pubBatchBuf) enumerate(lo int) (hi int) {
 	} else {
 		// Full-scan matchers share one subscription snapshot (already staged
 		// in flat) across every event; the window only bounds how many
-		// events' chunks are in flight at once.
+		// events are scored at once.
 		for hi < n && (hi == lo || (hi-lo)*len(buf.flat) < batchWindowCands) {
 			perEvent = append(perEvent, buf.flat)
 			b.candHist.Observe(float64(len(buf.flat)))
@@ -600,31 +585,32 @@ func (buf *pubBatchBuf) enumerate(lo int) (hi int) {
 	return hi
 }
 
-// score runs the window's (event, chunk) items through the scoring
-// workers, which pull them off one cursor with no per-event barrier.
+// score runs the window's events through the scoring workers, which pull
+// whole events off one cursor, then appends the window's hits to merged in
+// event order. A worker is spawned per event beyond the first, up to the
+// parallelism, so a window of one event is scored on the publishing
+// goroutine alone.
 func (buf *pubBatchBuf) score(lo int) {
 	b := buf.b
-	chunks := buf.chunks[:0]
-	for i, cands := range buf.perEvent {
-		m := len(cands)
-		for clo := 0; clo < m; clo += b.chunk {
-			chunks = append(chunks, chunkRef{ei: int32(lo + i), lo: int32(clo), hi: int32(min(clo+b.chunk, m))})
-		}
+	n := len(buf.perEvent)
+	workers := min(b.cfg.parallelism, n)
+	if len(buf.flat) == 0 {
+		workers = 1 // the window has no candidate: a helper would find no work
 	}
-	buf.chunks = chunks
 	buf.winStart = int32(lo)
 	buf.cursor.Store(0)
-	if b.engine != nil && len(buf.arenas) == 0 {
+	for len(buf.hits) < n {
+		buf.hits = append(buf.hits, nil)
+	}
+	for b.engine != nil && len(buf.arenas) < workers {
 		// Drawn on the context-owning goroutine before any worker starts;
 		// they persist across every window of the batch.
-		for range b.cfg.parallelism {
-			a := b.engine.NewBatchArena(buf.ctx)
-			a.SetThreshold(b.cfg.threshold)
-			buf.arenas = append(buf.arenas, a)
-		}
+		a := b.engine.NewBatchArena(buf.ctx)
+		a.SetThreshold(b.cfg.threshold)
+		buf.arenas = append(buf.arenas, a)
 	}
 spawn:
-	for w := 1; w < min(b.cfg.parallelism, len(chunks)); w++ {
+	for w := 1; w < workers; w++ {
 		select {
 		case b.sem <- struct{}{}:
 			buf.wg.Add(1)
@@ -641,41 +627,46 @@ spawn:
 	}
 	buf.work(0)
 	buf.wg.Wait()
+	for i, h := range buf.hits[:n] {
+		buf.merged = append(buf.merged, h...)
+		clear(h)
+		buf.hits[i] = h[:0]
+	}
 }
 
-// work is one scoring worker: it pulls chunk descriptors off the shared
-// cursor, appends above-threshold scores to its private hit list and
-// tallies the pairs it stops. It is called once per window — hit lists and
-// tallies accumulate across windows and are only reset when the buffer is
-// released. With an Engine the worker sweeps each chunk through its own
-// arena, whose row memo persists across every chunk it touches; a plain
-// Matcher is scored pair by pair through Score.
+// work is one scoring worker: it pulls window events off the shared cursor
+// and scores each one's whole candidate view, appending above-threshold
+// scores to the event's hit list and tallying the pairs it stops. With an
+// Engine the view is swept in one call through the worker's arena, whose
+// row memo holds the event's rows; a plain Matcher is scored pair by pair
+// through Score. Tallies accumulate across windows and are only reset when
+// the buffer is released.
 func (buf *pubBatchBuf) work(wid int) {
 	b := buf.b
-	hits := buf.hits[wid]
 	sc := &buf.scratch[wid]
 	subs, scores, zero, below, bound := sc.subs, sc.scores, sc.zero, sc.below, sc.bound
 	threshold := b.cfg.threshold
 	for {
-		c := int(buf.cursor.Add(1)) - 1
-		if c >= len(buf.chunks) {
+		i := int(buf.cursor.Add(1)) - 1
+		if i >= len(buf.perEvent) {
 			break
 		}
-		ch := buf.chunks[c]
-		targets := buf.perEvent[ch.ei-buf.winStart][ch.lo:ch.hi]
+		ei := buf.winStart + int32(i)
+		targets := buf.perEvent[i]
 		scores = scores[:0]
 		if b.engine != nil {
 			subs = subs[:0]
 			for _, s := range targets {
 				subs = append(subs, s.prepared)
 			}
-			scores = b.engine.ScoreBatchInArena(buf.arenas[wid], subs, buf.pes[ch.ei], scores)
+			scores = b.engine.ScoreBatchInArena(buf.arenas[wid], subs, buf.pes[ei], scores)
 		} else {
-			e := buf.events[ch.ei]
+			e := buf.events[ei]
 			for _, s := range targets {
 				scores = append(scores, b.matcher.Score(s.sub, e))
 			}
 		}
+		hits := buf.hits[i]
 		for k, s := range targets {
 			switch v := scores[k]; {
 			case v == matcher.RejectedByBound:
@@ -685,27 +676,25 @@ func (buf *pubBatchBuf) work(wid int) {
 			case v < threshold:
 				below++
 			default:
-				hits = append(hits, batchHit{s: s, ei: ch.ei, score: v})
+				hits = append(hits, batchHit{s: s, ei: ei, score: v})
 			}
 		}
+		buf.hits[i] = hits
 	}
-	buf.hits[wid] = hits
 	sc.subs, sc.scores, sc.zero, sc.below, sc.bound = subs, scores, zero, below, bound
 }
 
 // deliver buckets the hits per subscriber (chained through prev/head, no
-// per-subscriber allocation), restores each group's event order and offers
-// it under one queue-lock acquisition. It also folds the workers' score
-// stops into the tally.
+// per-subscriber allocation) and offers each group, in event order, under
+// one queue-lock acquisition. It also folds the workers' score stops into
+// the tally.
 func (buf *pubBatchBuf) deliver() {
-	merged := buf.merged[:0]
-	for w := range buf.hits {
-		merged = append(merged, buf.hits[w]...)
+	merged := buf.merged
+	for w := range buf.scratch {
 		buf.tally[cScoreZero] += buf.scratch[w].zero
 		buf.tally[cScoreBelow] += buf.scratch[w].below
 		buf.tally[cScoreBound] += buf.scratch[w].bound
 	}
-	buf.merged = merged
 	buf.tally[cMatched] += uint64(len(merged))
 	prevIdx := buf.prev[:0]
 	for i := range merged {
@@ -722,24 +711,9 @@ func (buf *pubBatchBuf) deliver() {
 		for i := last; i >= 0; i = prevIdx[i] {
 			g = append(g, merged[i])
 		}
-		sortHitsByEvent(g)
+		slices.Reverse(g) // the chain runs from the subscriber's last hit back
 		buf.group = g
 		buf.offerBatch(s, g)
-	}
-}
-
-// sortHitsByEvent restores ascending event order within one subscriber's
-// hit group (insertion sort: groups are at most batch-sized, event indexes
-// distinct, and the hot path must not allocate).
-func sortHitsByEvent(g []batchHit) {
-	for i := 1; i < len(g); i++ {
-		h := g[i]
-		j := i - 1
-		for j >= 0 && g[j].ei > h.ei {
-			g[j+1] = g[j]
-			j--
-		}
-		g[j+1] = h
 	}
 }
 

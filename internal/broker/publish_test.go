@@ -19,6 +19,7 @@ import (
 type countingEngine struct {
 	*matcher.Matcher
 	subPrepares, evPrepares, rawScores atomic.Int64
+	sweeps, swept                      atomic.Int64 // ScoreBatchInArena calls and the candidates they held
 
 	// gate, when non-nil, holds the first gateN PrepareEventInBatch calls
 	// until gateN of them have arrived — each inside a publish that already
@@ -45,6 +46,49 @@ func (c *countingEngine) PrepareEventInBatch(eb *matcher.EventBatch, e *event.Ev
 		c.gate.Wait()
 	}
 	return c.Matcher.PrepareEventInBatch(eb, e)
+}
+
+func (c *countingEngine) ScoreBatchInArena(a *matcher.BatchArena, subs []*matcher.PreparedSubscription, pe *matcher.PreparedEvent, out []float64) []float64 {
+	c.sweeps.Add(1)
+	c.swept.Add(int64(len(subs)))
+	return c.Matcher.ScoreBatchInArena(a, subs, pe, out)
+}
+
+// TestOneSweepPerEvent checks that an event is the unit of parallel
+// scoring: however wide its candidate set and however many workers the
+// broker may use, one worker sweeps all of an event's candidates through
+// its arena in one call.
+func TestOneSweepPerEvent(t *testing.T) {
+	m := &countingEngine{Matcher: thematicMatcher(t)}
+	b := New(m, WithMatchParallelism(4), WithQueueSize(16), WithReplayBuffer(0))
+	defer b.Close()
+	const nSubs, nBatch = 600, 7
+	for i := 0; i < nSubs; i++ {
+		if _, err := b.Subscribe(parkingSub()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := b.Publish(parkingEvent("p")); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.Scanned != nSubs {
+		t.Fatalf("scanned %d candidates, want %d", st.Scanned, nSubs)
+	}
+	if n, k := m.sweeps.Load(), m.swept.Load(); n != 1 || k != nSubs {
+		t.Errorf("Publish made %d sweeps over %d candidates, want 1 over %d", n, k, nSubs)
+	}
+
+	batch := make([]*event.Event, nBatch)
+	for i := range batch {
+		batch[i] = parkingEvent(fmt.Sprintf("b%d", i))
+	}
+	if err := b.PublishBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if n, k := m.sweeps.Load()-1, m.swept.Load()-nSubs; n != nBatch || k != nBatch*nSubs {
+		t.Errorf("PublishBatch of %d made %d sweeps over %d candidates, want %d over %d", nBatch, n, k, nBatch, nBatch*nSubs)
+	}
 }
 
 // TestEnginePreparesOnce checks the prepare-once contract of the fast

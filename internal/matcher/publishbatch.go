@@ -12,11 +12,12 @@ import (
 // through one EventBatch, which recycles their PreparedEvents; raw terms
 // and themes resolve through the space's memos (semantics.CanonicalTerms,
 // Compile), so a spelling is canonicalized once per space, not once per
-// tuple. Workers score through BatchArenas whose row memos persist across
-// every candidate chunk of the current prepared event — cleared when the
-// worker moves to another one — so at scale the semantic kernel runs once
-// per distinct (term, theme) pair per event per arena instead of once per
-// 256-candidate chunk.
+// tuple. Workers score through BatchArenas whose row memos hold the rows of
+// the current prepared event — across every call for it, so a caller may
+// split a candidate set — and are cleared when the worker moves to another
+// one, so the semantic kernel runs once per distinct (term, theme) pair per
+// event per arena. The broker sweeps an event's whole candidate set in one
+// call.
 
 // EventBatch is the batch-scope prepare context of one publish batch: free
 // lists for prepared events and scoring arenas. It is single-owner: one
@@ -35,13 +36,12 @@ type EventBatch struct {
 }
 
 // BatchArena is one worker's persistent scoring state within an
-// EventBatch: the row memo and arena shared across every candidate chunk
-// of the prepared event currently being scored. The memo holds rows for
-// one event and is cleared whenever the arena moves to another — keeping
-// it cache-resident (a whole-batch memo at the 100k tier grows to millions
-// of rows and thrashes) while still eliminating the per-chunk row
-// recomputation that dominates the serial path. Each arena may be used by
-// one goroutine at a time.
+// EventBatch: the row memo and arena shared across every call for the
+// prepared event currently being scored. The memo holds rows for one event
+// and is cleared whenever the arena moves to another — keeping it
+// cache-resident (a whole-batch memo at the 100k tier grows to millions of
+// rows and thrashes) while each distinct row is still computed once per
+// event. Each arena may be used by one goroutine at a time.
 type BatchArena struct {
 	bb *batchBuf
 	pe *PreparedEvent // the event the memo holds rows for
