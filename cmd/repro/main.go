@@ -131,9 +131,6 @@ type env0 struct {
 type brokerRun struct {
 	Stats   broker.Stats
 	Elapsed time.Duration
-	// BytesPerSub is the live heap registration added, per subscription
-	// (scalePass only).
-	BytesPerSub float64
 }
 
 func newEnv(full bool, seed int64, samples int, verbose bool, csvdir string) (*env0, error) {

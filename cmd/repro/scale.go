@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"thematicep/internal/broker"
@@ -29,7 +30,8 @@ const scaleBatchSize = 256
 
 // scaleRow is one tier's measurements: the publish pipeline at batch
 // size 1 (the serial Publish loop) and at scaleBatchSize over the
-// identical workload, with the batched/serial ratio alongside.
+// identical workload, each the median of scalePasses timed passes, with
+// the ratio of the medians alongside.
 type scaleRow struct {
 	Subs          int     `json:"subs"`
 	Events        int     `json:"events"`
@@ -48,15 +50,19 @@ type scaleRow struct {
 	BytesPerSub         float64 `json:"bytes_per_sub"`
 }
 
-// scalePass subscribes every scale subscription, publishes every scale
-// event through the broker — serially or through PublishBatch in
-// scaleBatchSize batches, the same pipeline either way — and returns
-// counters + wall time of the publish loop, and the live heap registration
-// added per subscription: the broker's registrations and everything the
-// matcher and the space (its caches reset first) interned for them. Queue
-// size is minimal with drop-oldest, so the pass measures enumeration +
-// scoring, not delivery consumption.
-func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, parallelism int) (brokerRun, error) {
+// scalePasses is how many timed passes of each shape E8 runs per tier, in
+// alternation after one untimed warm pass; each shape reports its median.
+// One pass is 200 events (35–540 ms), too short for a single timing of
+// each shape to order them reliably on a shared host.
+const scalePasses = 5
+
+// scaleBroker registers every scale subscription on a fresh broker and
+// returns it with the live heap registration added per subscription: the
+// broker's registrations and everything the matcher and the space (its
+// caches reset first) interned for them. Queue size is minimal with
+// drop-oldest, so a pass measures enumeration + scoring, not delivery
+// consumption.
+func (e *env0) scaleBroker(w *workload.ScaleWorkload, pruning bool, parallelism int) (*broker.Broker, float64, error) {
 	e.space.ResetCaches()
 	m := matcher.New(e.space)
 	b := broker.New(
@@ -66,18 +72,26 @@ func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, paral
 		broker.WithQueueSize(1),
 		broker.WithMatchParallelism(parallelism),
 	)
-	defer b.Close()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for _, s := range w.Subs {
 		if _, err := b.Subscribe(s); err != nil {
-			return brokerRun{}, err
+			b.Close()
+			return nil, 0, err
 		}
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	perSub := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(w.Subs))
+	return b, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(w.Subs)), nil
+}
+
+// scalePass publishes every scale event through b — serially or through
+// PublishBatch in scaleBatchSize batches, the same pipeline either way —
+// and returns the pass's counters (the broker's totals less those before
+// it) and the wall time of the publish loop.
+func scalePass(b *broker.Broker, w *workload.ScaleWorkload, batched bool) (brokerRun, error) {
+	st0 := b.Stats()
 	start := time.Now()
 	if batched {
 		for lo := 0; lo < len(w.Events); lo += scaleBatchSize {
@@ -93,16 +107,27 @@ func (e *env0) scalePass(w *workload.ScaleWorkload, pruning, batched bool, paral
 			}
 		}
 	}
-	return brokerRun{Stats: b.Stats(), Elapsed: time.Since(start), BytesPerSub: perSub}, nil
+	elapsed := time.Since(start)
+	st := b.Stats()
+	return brokerRun{Elapsed: elapsed, Stats: broker.Stats{
+		Scanned:           st.Scanned - st0.Scanned,
+		Pruned:            st.Pruned - st0.Pruned,
+		Matched:           st.Matched - st0.Matched,
+		BatchTermsReused:  st.BatchTermsReused - st0.BatchTermsReused,
+		BatchRowsComputed: st.BatchRowsComputed - st0.BatchRowsComputed,
+		BatchRowsReused:   st.BatchRowsReused - st0.BatchRowsReused,
+	}}, nil
 }
 
 // runScale is E8: Internet-scale matching, measuring the publish pipeline
 // at batch size 1 and at scaleBatchSize at every tier. Each tier
-// generates a fresh zipf-skewed population, runs the identical event
-// stream both ways, and reports what batching amortizes (the
-// batched/serial ratio) alongside candidates-per-event. Equivalence is enforced per
-// tier — the batched pass must match the serial pass pair-for-pair — and
-// the smallest tier is additionally cross-checked against a full scan.
+// generates a fresh zipf-skewed population, registers it once, and runs
+// the identical event stream both ways: one untimed warm pass, then
+// scalePasses timed passes of each shape in alternation. It reports each
+// shape's median rate, what batching amortizes (the ratio of the medians)
+// and candidates-per-event. Equivalence is enforced on every pass — each
+// must match and scan exactly what the warm pass did — and the smallest
+// tier is additionally cross-checked against a full scan.
 func runScale(e *env0) error {
 	tiers := e.scaleTiers()
 	fmt.Println("== E8: Internet-scale matching (publish pipeline: batched vs batch-of-one serial loop) ==")
@@ -115,25 +140,24 @@ func runScale(e *env0) error {
 		cfg.Seed = e.seed
 		w := workload.GenerateScale(cfg)
 
-		run, err := e.scalePass(w, true, false, e.parallel)
+		b, perSub, err := e.scaleBroker(w, true, e.parallel)
 		if err != nil {
 			return err
 		}
-		bat, err := e.scalePass(w, true, true, e.parallel)
+		run, bat, err := scaleTimed(b, w)
+		b.Close()
 		if err != nil {
-			return err
-		}
-		// Equivalence gate at every tier: batching must not change what
-		// matches (delivery-set bit-identity is enforced by the broker
-		// tests; the counters re-check it at scale).
-		if bat.Stats.Matched != run.Stats.Matched || bat.Stats.Scanned != run.Stats.Scanned {
-			return fmt.Errorf("scale tier %d: batching changed outcomes: %d/%d batched vs %d/%d serial (matched/scanned)",
-				n, bat.Stats.Matched, bat.Stats.Scanned, run.Stats.Matched, run.Stats.Scanned)
+			return fmt.Errorf("scale tier %d: %w", n, err)
 		}
 		if i == 0 {
 			// The full scan must find exactly the matches the pruned index
 			// admits.
-			full, err := e.scalePass(w, false, false, e.parallel)
+			fb, _, err := e.scaleBroker(w, false, e.parallel)
+			if err != nil {
+				return err
+			}
+			full, err := scalePass(fb, w, false)
+			fb.Close()
 			if err != nil {
 				return err
 			}
@@ -159,7 +183,7 @@ func runScale(e *env0) error {
 			BatchRowsReused:     bat.Stats.BatchRowsReused,
 			BatchRowsComputed:   bat.Stats.BatchRowsComputed,
 			BatchTermsReused:    bat.Stats.BatchTermsReused,
-			BytesPerSub:         run.BytesPerSub,
+			BytesPerSub:         perSub,
 		}
 		row.BatchSpeedup = row.EventsPerSecBatched / row.EventsPerSec
 		rows = append(rows, row)
@@ -184,4 +208,41 @@ func runScale(e *env0) error {
 		return os.WriteFile(e.benchjson, append(data, '\n'), 0o644)
 	}
 	return nil
+}
+
+// scaleTimed runs one untimed warm serial pass over b, then scalePasses
+// timed passes of each shape in alternation. It returns the warm pass's
+// counters with the serial median time, and the first batched pass's
+// counters with the batched median time. Every pass must match and scan
+// exactly what the warm pass did: batching (or a warm broker) must not
+// change what matches (delivery-set bit-identity is enforced by the broker
+// tests; the counters re-check it at scale).
+func scaleTimed(b *broker.Broker, w *workload.ScaleWorkload) (serial, batched brokerRun, err error) {
+	if serial, err = scalePass(b, w, false); err != nil {
+		return serial, batched, err
+	}
+	var times [2][]time.Duration // serial, batched
+	for k := 0; k < 2*scalePasses; k++ {
+		shape := k % 2
+		pass, err := scalePass(b, w, shape == 1)
+		if err != nil {
+			return serial, batched, err
+		}
+		if pass.Stats.Matched != serial.Stats.Matched || pass.Stats.Scanned != serial.Stats.Scanned {
+			return serial, batched, fmt.Errorf("pass %d (batched %v) changed outcomes: %d/%d vs %d/%d warm serial (matched/scanned)",
+				k, shape == 1, pass.Stats.Matched, pass.Stats.Scanned, serial.Stats.Matched, serial.Stats.Scanned)
+		}
+		if shape == 1 && len(times[1]) == 0 {
+			batched = pass
+		}
+		times[shape] = append(times[shape], pass.Elapsed)
+	}
+	serial.Elapsed, batched.Elapsed = medianDuration(times[0]), medianDuration(times[1])
+	return serial, batched, nil
+}
+
+// medianDuration is the median of ds, which it sorts.
+func medianDuration(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
 }

@@ -69,7 +69,7 @@ func run(args []string) error {
 		fsyncPol  = fs.String("fsync", "always", "with -data-dir: WAL fsync policy — always, never, or a flush interval like 100ms")
 		walSnap   = fs.Int("wal-snapshot", 4096, "with -data-dir: snapshot and truncate the WAL after this many appended records")
 		advertise = fs.String("advertise", "", "address peers dial for this broker (shard identity; defaults to -addr)")
-		parallel  = fs.Int("match-parallelism", 0, "matching worker pool size, shared by concurrent publishes; one worker scores each event, so a single-event publish runs serially (0 = GOMAXPROCS, 1 = serial)")
+		parallel  = fs.Int("match-parallelism", 0, "matching worker pool size, shared by concurrent publishes; one worker enumerates and scores each event, so a single-event publish runs serially (0 = GOMAXPROCS, 1 = serial)")
 		pruning   = fs.Bool("pruning", true, "prune per-publish candidates via the subscription index (recall-preserving)")
 		traceN    = fs.Int("trace-sample", 0, "record a pipeline trace for 1 in N published events (0 disables; see /debug/traces)")
 		drainT    = fs.Duration("drain-timeout", 5*time.Second, "max time to flush subscriber queues on SIGTERM before closing anyway")

@@ -206,11 +206,11 @@ func (o parallelismOption) apply(c *config) { c.parallelism = int(o) }
 
 // WithMatchParallelism bounds the worker pool a publish fans its events out
 // over (default GOMAXPROCS; 1 disables the pool and matches serially on the
-// publisher's goroutine). The event is the unit of work: one worker scores
-// all of an event's candidates, so a publish of one event is scored on the
-// publisher's goroutine and a batch takes at most one worker per event. The
-// helper budget (the limit less one) is broker-wide, shared by concurrent
-// publishes.
+// publisher's goroutine). The event is the unit of work: one worker
+// enumerates an event's candidates and scores all of them, so a publish of
+// one event is matched on the publisher's goroutine and a batch takes at
+// most one worker per event. The helper budget (the limit less one) is
+// broker-wide, shared by concurrent publishes.
 func WithMatchParallelism(n int) Option { return parallelismOption(n) }
 
 type pruningOption bool

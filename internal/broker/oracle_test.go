@@ -31,7 +31,7 @@ type scoredEvent struct {
 //
 // Queues are sized so drop-oldest never fires: the delivery lists are a
 // pure function of the scores.
-func oracleRun(t *testing.T, m Matcher, subs, late []*event.Subscription, events []*event.Event, bs int, opts ...Option) (map[string][]scoredEvent, Stats) {
+func oracleRun(t *testing.T, m Matcher, subs, late []*event.Subscription, events []*event.Event, bs int, opts ...Option) (map[string][]scoredEvent, Stats, *Broker) {
 	t.Helper()
 	b := New(m, append([]Option{WithQueueSize(len(events) + 1), WithReplayBuffer(0)}, opts...)...)
 
@@ -94,7 +94,7 @@ func oracleRun(t *testing.T, m Matcher, subs, late []*event.Subscription, events
 	if err := b.Publish(events[0]); !errors.Is(err, ErrDraining) && !errors.Is(err, ErrClosed) {
 		t.Errorf("publish after drain: %v, want ErrDraining or ErrClosed", err)
 	}
-	return got, st
+	return got, st, b
 }
 
 // rawFlagPruned is the number of pairs an index filing every subscription
@@ -151,6 +151,13 @@ func rawFlagPruned(subs, late []*event.Subscription, events []*event.Event) uint
 //     through PublishBatch; Published/Delivered equal; batches counted;
 //     row memo reused): bs=7 and bs=64 rows (64 ≥ each half of the
 //     stream, so each half is one batch); the stats block.
+//
+// The row matrix runs twice: at the default threshold and at
+// oracleHighThreshold, each against a reference at the same threshold. At
+// the high one about a sixth as many pairs match and the matcher's
+// rejection rules (the theme-basis bound, the mask and cell rules) stop
+// more of them; the Engine rows with pruning on must show the bound
+// stopping pairs.
 func TestPublishOracle(t *testing.T) {
 	type row struct {
 		plain   bool // plain Matcher (MatchFunc) instead of the engine
@@ -191,70 +198,87 @@ func TestPublishOracle(t *testing.T) {
 		}
 
 		m := thematicMatcher(t)
-		want, wantStats := oracleRun(t, MatchFunc(m.Score), subs, late, events, 1, WithMatchParallelism(1))
-		if wantStats.Matched == 0 || wantStats.Matched == wantStats.Scanned {
-			t.Fatalf("degenerate workload: %d of %d pairs match", wantStats.Matched, wantStats.Scanned)
-		}
-		if wantStats.Dropped != 0 || wantStats.Pruned != 0 {
-			t.Fatalf("reference dropped %d, pruned %d; want 0, 0", wantStats.Dropped, wantStats.Pruned)
-		}
 		filtered := 0
 		for _, s := range subs {
 			if m.PrepareSubscription(s).PruningView() != s {
 				filtered++
 			}
 		}
-		_, viewStats := oracleRun(t, thematicMatcher(t), subs, late, events, 64, WithMatchParallelism(1))
+		_, viewStats, _ := oracleRun(t, thematicMatcher(t), subs, late, events, 64, WithMatchParallelism(1))
 		if raw := rawFlagPruned(subs, late, events); filtered == 0 || viewStats.Pruned <= raw {
 			t.Fatalf("%d subscriptions carry a filtered relaxed term and the broker prunes %d pairs, raw ~ flags %d: the pruning view goes unexercised",
 				filtered, viewStats.Pruned, raw)
 		}
 
-		for _, r := range rows {
-			name := fmt.Sprintf("seed=%d/plain=%v/bs=%d/par=%d/pruning=%v", seed, r.plain, r.bs, r.par, r.pruning)
-			t.Run(name, func(t *testing.T) {
-				var subject Matcher = thematicMatcher(t)
-				if r.plain {
-					subject = MatchFunc(m.Score)
-				}
-				got, st := oracleRun(t, subject, subs, late, events, r.bs,
-					WithMatchParallelism(r.par), WithPruning(r.pruning))
+		for _, th := range []struct {
+			suffix string
+			opts   []Option
+		}{
+			{"", nil},
+			{fmt.Sprintf("/theta=%v", oracleHighThreshold), []Option{WithThreshold(oracleHighThreshold)}},
+		} {
+			want, wantStats, _ := oracleRun(t, MatchFunc(m.Score), subs, late, events, 1,
+				append([]Option{WithMatchParallelism(1)}, th.opts...)...)
+			if wantStats.Matched == 0 || wantStats.Matched == wantStats.Scanned {
+				t.Fatalf("degenerate workload%s: %d of %d pairs match", th.suffix, wantStats.Matched, wantStats.Scanned)
+			}
+			if wantStats.Dropped != 0 || wantStats.Pruned != 0 {
+				t.Fatalf("reference%s dropped %d, pruned %d; want 0, 0", th.suffix, wantStats.Dropped, wantStats.Pruned)
+			}
 
-				if len(got) != len(want) {
-					t.Errorf("%d subscriptions reported, want %d", len(got), len(want))
-				}
-				for id, w := range want {
-					g := got[id]
-					if len(g) != len(w) {
-						t.Errorf("sub %s: %d deliveries, want %d", id, len(g), len(w))
-						continue
+			for _, r := range rows {
+				name := fmt.Sprintf("seed=%d/plain=%v/bs=%d/par=%d/pruning=%v", seed, r.plain, r.bs, r.par, r.pruning) + th.suffix
+				t.Run(name, func(t *testing.T) {
+					var subject Matcher = thematicMatcher(t)
+					if r.plain {
+						subject = MatchFunc(m.Score)
 					}
-					for i := range w {
-						if g[i] != w[i] {
-							t.Errorf("sub %s delivery %d: got %+v, want %+v", id, i, g[i], w[i])
+					got, st, b := oracleRun(t, subject, subs, late, events, r.bs,
+						append([]Option{WithMatchParallelism(r.par), WithPruning(r.pruning)}, th.opts...)...)
+
+					if len(got) != len(want) {
+						t.Errorf("%d subscriptions reported, want %d", len(got), len(want))
+					}
+					for id, w := range want {
+						g := got[id]
+						if len(g) != len(w) {
+							t.Errorf("sub %s: %d deliveries, want %d", id, len(g), len(w))
+							continue
+						}
+						for i := range w {
+							if g[i] != w[i] {
+								t.Errorf("sub %s delivery %d: got %+v, want %+v", id, i, g[i], w[i])
+							}
 						}
 					}
-				}
 
-				if st.Published != wantStats.Published || st.Matched != wantStats.Matched ||
-					st.Delivered != wantStats.Delivered || st.Dropped != 0 {
-					t.Errorf("stats %+v, reference %+v", st, wantStats)
-				}
-				if st.Scanned+st.Pruned != wantStats.Scanned {
-					t.Errorf("scanned %d + pruned %d != full-scan count %d", st.Scanned, st.Pruned, wantStats.Scanned)
-				}
-				if pruned := r.pruning && !r.plain; (st.Pruned > 0) != pruned {
-					t.Errorf("pruned %d pairs with pruning engaged = %v", st.Pruned, pruned)
-				}
-				mid := len(events) / 2
-				calls := (mid+r.bs-1)/r.bs + (len(events)-mid+r.bs-1)/r.bs
-				if st.Batches != uint64(calls) {
-					t.Errorf("batches = %d, want one per publish call (%d)", st.Batches, calls)
-				}
-				if !r.plain && st.BatchRowsReused == 0 {
-					t.Error("arena memo reused no rows over a term-skewed workload")
-				}
-			})
+					if st.Published != wantStats.Published || st.Matched != wantStats.Matched ||
+						st.Delivered != wantStats.Delivered || st.Dropped != 0 {
+						t.Errorf("stats %+v, reference %+v", st, wantStats)
+					}
+					if st.Scanned+st.Pruned != wantStats.Scanned {
+						t.Errorf("scanned %d + pruned %d != full-scan count %d", st.Scanned, st.Pruned, wantStats.Scanned)
+					}
+					if pruned := r.pruning && !r.plain; (st.Pruned > 0) != pruned {
+						t.Errorf("pruned %d pairs with pruning engaged = %v", st.Pruned, pruned)
+					}
+					mid := len(events) / 2
+					calls := (mid+r.bs-1)/r.bs + (len(events)-mid+r.bs-1)/r.bs
+					if st.Batches != uint64(calls) {
+						t.Errorf("batches = %d, want one per publish call (%d)", st.Batches, calls)
+					}
+					if !r.plain && st.BatchRowsReused == 0 {
+						t.Error("arena memo reused no rows over a term-skewed workload")
+					}
+					if th.opts != nil && !r.plain && r.pruning && b.ctr[cScoreBound].Load() == 0 {
+						t.Error("the theme-basis bound stopped no pair at the high threshold")
+					}
+				})
+			}
 		}
 	}
 }
+
+// oracleHighThreshold is TestPublishOracle's second threshold, at which the
+// matcher's rejection rules decide more pairs than at the default.
+const oracleHighThreshold = 0.5

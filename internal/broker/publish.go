@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,10 @@ import (
 
 // stage is one step of the publish chain, in chain order. The runner
 // (publish) reads the clock once at each stage boundary and charges the
-// time since the last one to the stage that just ended; enumerate and score
-// repeat per window and add up.
+// time since the last one to the stage that just ended. Enumerate and score
+// are one match phase, run per event by the scoring workers: each worker
+// times its own two steps, and the runner splits the phase's one lap
+// between them in the ratio of the workers' summed times (match).
 type stage int
 
 const (
@@ -33,8 +36,8 @@ const (
 var stages = [numStages]struct{ span, help string }{
 	{"compile", "Event preparation latency (canonicalization and theme compile)."},
 	{"ingest", ""},
-	{"enumerate", "Candidate enumeration latency (pruning-index lookup or full-scan setup)."},
-	{"score", "Matching fan-out latency per event (all candidate scorings)."},
+	{"enumerate", "Candidate enumeration latency per publish (pruning-index lookups or full-scan setup; the match phase's wall time in the share its workers spent enumerating)."},
+	{"score", "Candidate scoring latency per publish (every candidate pair through the matcher; the match phase's wall time in the share its workers spent scoring)."},
 	{"deliver", "Delivery stage latency per publish (every subscriber group's gate and queue handoff)."},
 }
 
@@ -152,14 +155,6 @@ func Conservation(fams []*telemetry.Family) []Balance {
 	return out
 }
 
-// batchWindowCands bounds how many candidate pointers one publish window
-// stages at once: large enough that most windows hold many events (so
-// enumeration amortizes and the scoring workers have events to share),
-// small enough that the staging buffer (8 bytes per candidate) stays
-// cache-resident instead of growing to events × candidates pointers the GC
-// must scan per batch.
-const batchWindowCands = 32 * 1024
-
 // batchHit is one above-threshold (subscriber, event) match produced by a
 // scoring worker, buffered so deliveries can be coalesced per subscriber.
 type batchHit struct {
@@ -168,16 +163,21 @@ type batchHit struct {
 	score float64
 }
 
-// scoreScratch is one scoring worker's staging and its tally of the pairs
-// the score stage stopped.
+// scoreScratch is one scoring worker's state: the candidates of the event
+// it holds, their sweep staging, its accounting terms and the time it spent
+// enumerating and scoring, folded into the publish once its workers are
+// done.
 type scoreScratch struct {
-	subs               []*matcher.PreparedSubscription
-	scores             []float64
-	zero, below, bound uint64
+	cands        []*Subscriber     // the current event's candidates (index path)
+	add          func(*Subscriber) // enumeration sink, bound to cands once
+	subs         []*matcher.PreparedSubscription
+	scores       []float64
+	tally        [numCounters]uint64
+	enum, scored time.Duration
 }
 
 // pubBatchBuf is the whole state of one publish. Everything a publish
-// touches — prepared events, the flat candidate arena, per-worker scratch,
+// touches — prepared events, the full-scan snapshot, per-worker scratch,
 // per-event hit lists, the per-subscriber grouping chains, the
 // stage clocks and the accounting tally — lives here and is recycled
 // through the broker's free list, so a warm publish allocates nothing. The
@@ -189,22 +189,18 @@ type pubBatchBuf struct {
 	events   []*event.Event
 	ctx      *matcher.EventBatch      // batch prepare context; nil without an Engine
 	pes      []*matcher.PreparedEvent // prepared events, index-aligned with events
-	fullScan bool                     // score the snapshot in flat instead of asking the index
+	fullScan bool                     // score the snapshot instead of asking the index
 	regCut   uint64                   // the broker's registration count at admission
-	flat     []*Subscriber            // window candidate buffer (index path) or snapshot (scan path)
-	perEvent [][]*Subscriber          // per-event candidate views of the current window
-	ends     []int
-	winStart int32                 // global index of the current window's first event
-	cursor   atomic.Int64          // next window event a scoring worker takes
-	wg       sync.WaitGroup        // helper workers of the current window (a field: a local would escape per window)
-	arenas   []*matcher.BatchArena // per-worker scoring arenas
-	scratch  []scoreScratch        // per-worker arena-sweep staging
-	hits     [][]batchHit          // per-window-event hit lists, written by the event's one worker
-	merged   []batchHit            // every hit of the publish, in event order
-	head     map[*Subscriber]int32 // subscriber -> last hit index in merged
-	prev     []int32               // hit index -> previous hit of same subscriber
-	group    []batchHit            // per-subscriber delivery scratch
-	add      func(*Subscriber)     // enumeration sink, bound to flat once
+	snapshot []*Subscriber            // the subscription snapshot every event of a full scan shares
+	cursor   atomic.Int64             // next event a scoring worker takes
+	wg       sync.WaitGroup           // helper workers (a field: a local would escape per publish)
+	arenas   []*matcher.BatchArena    // per-worker scoring arenas
+	scratch  []scoreScratch           // per-worker candidates, staging and tallies
+	hits     [][]batchHit             // per-event hit lists, written by the event's one worker
+	merged   []batchHit               // every hit of the publish, in event order
+	head     map[*Subscriber]int32    // subscriber -> last hit index in merged
+	prev     []int32                  // hit index -> previous hit of same subscriber
+	group    []batchHit               // per-subscriber delivery scratch
 
 	start, mark time.Time                // the publish's first clock read and its latest stage boundary
 	dur         [numStages]time.Duration // time charged to each stage
@@ -216,15 +212,18 @@ func newPubBatchBuf(workers int) *pubBatchBuf {
 		head:    make(map[*Subscriber]int32),
 		scratch: make([]scoreScratch, workers),
 	}
-	buf.add = func(s *Subscriber) {
-		if s.registeredAfter(buf.regCut) {
-			// Registered after this publish was admitted: its replay
-			// backlog may already hold the events, so it is not a
-			// candidate here.
-			buf.tally[cPruned]++
-			return
+	for w := range buf.scratch {
+		sc := &buf.scratch[w]
+		sc.add = func(s *Subscriber) {
+			if s.registeredAfter(buf.regCut) {
+				// Registered after this publish was admitted: its replay
+				// backlog may already hold the events, so it is not a
+				// candidate here.
+				sc.tally[cPruned]++
+				return
+			}
+			sc.cands = append(sc.cands, s)
 		}
-		buf.flat = append(buf.flat, s)
 	}
 	return buf
 }
@@ -258,18 +257,17 @@ func (buf *pubBatchBuf) release() {
 	buf.events = nil
 	clear(buf.pes)
 	buf.pes = buf.pes[:0]
-	clear(buf.flat)
-	buf.flat = buf.flat[:0]
-	clear(buf.perEvent)
-	buf.perEvent = buf.perEvent[:0]
-	buf.ends = buf.ends[:0]
+	clear(buf.snapshot)
+	buf.snapshot = buf.snapshot[:0]
 	clear(buf.arenas)
 	buf.arenas = buf.arenas[:0]
 	for i := range buf.scratch {
 		sc := &buf.scratch[i]
-		clear(sc.subs[:cap(sc.subs)]) // stale tails too: they pin prepared subscriptions
+		// Stale tails too: they pin subscribers and prepared subscriptions.
+		clear(sc.cands[:cap(sc.cands)])
+		sc.cands = sc.cands[:0]
+		clear(sc.subs[:cap(sc.subs)])
 		sc.subs = sc.subs[:0]
-		sc.zero, sc.below, sc.bound = 0, 0, 0
 	}
 	clear(buf.merged)
 	buf.merged = buf.merged[:0]
@@ -291,13 +289,12 @@ func (b *Broker) Publish(e *event.Event) error {
 }
 
 // PublishBatch publishes a batch of events through one amortized pipeline
-// pass: every distinct term is canonicalized once, candidate enumeration
-// shares its scratch across the batch, scoring workers (WithMatchParallelism;
-// the publishing goroutine always participates) pull whole events from one
-// cursor and sweep each event's candidates in one call through a scoring
-// arena that persists across the batch, and deliveries are coalesced so
-// each matched subscriber's queue lock is taken once per batch instead of
-// once per match. Delivery sets — which subscriber receives which events
+// pass: every distinct term is canonicalized once, scoring workers
+// (WithMatchParallelism; the publishing goroutine always participates) pull
+// whole events from one cursor, enumerate each event's candidates and sweep
+// them in one call through a scoring arena that persists across the batch,
+// and deliveries are coalesced so each matched subscriber's queue lock is
+// taken once per batch instead of once per match. Delivery sets — which subscriber receives which events
 // with which scores, and the per-subscriber event order — are those of a
 // full scan scoring every (event, subscription) pair through Matcher.Score
 // in publish order; see DESIGN.md "Publish pipeline" for the argument and
@@ -316,12 +313,12 @@ func (b *Broker) PublishBatch(events []*event.Event) error {
 	return b.publish(b.acquirePubBuf(), events)
 }
 
-// publish is the chain runner: compile → ingest → (enumerate → score) per
-// window → deliver, then the one exit. A stage that stops the whole publish
-// returns the reason as an error, which names its counter (stopRow); score
-// and deliver stop single pairs and tally them. inflight covers the call
-// from entry to exit, so once Drain has seen it reach zero every publish
-// has been accounted for.
+// publish is the chain runner: compile → ingest → match (enumerate and
+// score, per event on the workers) → deliver, then the one exit. A stage
+// that stops the whole publish returns the reason as an error, which names
+// its counter (stopRow); score and deliver stop single pairs and tally
+// them. inflight covers the call from entry to exit, so once Drain has seen
+// it reach zero every publish has been accounted for.
 func (b *Broker) publish(buf *pubBatchBuf, events []*event.Event) error {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
@@ -335,13 +332,7 @@ func (b *Broker) publish(buf *pubBatchBuf, events []*event.Event) error {
 	}
 	if err == nil {
 		buf.lap(stIngest)
-		for lo := 0; lo < len(events); {
-			hi := buf.enumerate(lo)
-			buf.lap(stEnumerate)
-			buf.score(lo)
-			buf.lap(stScore)
-			lo = hi
-		}
+		buf.match()
 		buf.deliver()
 		buf.lap(stDeliver)
 	}
@@ -409,7 +400,7 @@ func (buf *pubBatchBuf) exit(err error) {
 }
 
 // trace emits a sampled publish's spans: the stages laid end to end from
-// its start (enumerate and score carry their sums over the windows) and,
+// its start, sealed at the publish's last stage boundary, and,
 // for a multi-event batch, one child span per member sharing the batch's
 // latency. The batch is one sampling unit keyed by its first member; the
 // member list is built only once a trace was started, so an unsampled
@@ -439,7 +430,7 @@ func (buf *pubBatchBuf) trace() {
 	for i := 0; n > 1 && i < min(n, maxChildSpans); i++ {
 		tr.AddSpanDuration("event:"+events[i].ID, buf.start, buf.mark.Sub(buf.start))
 	}
-	tr.Finish()
+	tr.FinishAt(buf.mark)
 }
 
 // validatePrepared checks the event-model invariants from a prepared
@@ -529,95 +520,47 @@ func (buf *pubBatchBuf) ingest() error {
 	buf.regCut = b.regs
 	buf.fullScan = !b.prune || b.subs.Len() == 0
 	if !b.prune {
-		buf.flat = b.subs.AppendAll(buf.flat)
+		buf.snapshot = b.subs.AppendAll(buf.snapshot)
 	}
 	return nil
 }
 
-// enumerate stages the candidates of the window of events starting at lo
-// and returns the window's end. A whole-batch candidate arena at the 100k
-// tier would hold millions of *Subscriber pointers — tens of megabytes the
-// GC must scan and the caches cannot hold — so events are staged in windows
-// whose candidate sets fit batchWindowCands (the first event always fits),
-// reusing one small flat buffer. Everything that amortizes — the batch
-// context, interned terms, per-worker arenas, the merged hit list and
-// delivery coalescing — still spans the whole batch.
-func (buf *pubBatchBuf) enumerate(lo int) (hi int) {
-	b, n := buf.b, len(buf.events)
-	perEvent := buf.perEvent[:0]
-	hi = lo
-	if !buf.fullScan {
-		// Candidate set from the pruning index: subscriptions whose exact
-		// predicates cannot all be satisfied by an event's tuples are
-		// skipped before any semantic measure runs.
-		buf.flat = buf.flat[:0]
-		ends := buf.ends[:0]
-		for hi < n && (hi == lo || len(buf.flat) < batchWindowCands) {
-			start := len(buf.flat)
-			attrs, values := buf.pes[hi].CanonicalTuples()
-			_, pruned := b.subs.CandidatesPrepared(attrs, values, buf.add)
-			buf.tally[cPruned] += uint64(pruned)
-			ends = append(ends, len(buf.flat))
-			b.candHist.Observe(float64(len(buf.flat) - start))
-			hi++
-		}
-		// Views into the buffer are derived only after every append of the
-		// window, since growth moves it.
-		prev := 0
-		for _, end := range ends {
-			perEvent = append(perEvent, buf.flat[prev:end])
-			prev = end
-		}
-		buf.ends = ends
-		buf.tally[cScanned] += uint64(len(buf.flat))
-	} else {
-		// Full-scan matchers share one subscription snapshot (already staged
-		// in flat) across every event; the window only bounds how many
-		// events are scored at once.
-		for hi < n && (hi == lo || (hi-lo)*len(buf.flat) < batchWindowCands) {
-			perEvent = append(perEvent, buf.flat)
-			b.candHist.Observe(float64(len(buf.flat)))
-			hi++
-		}
-		buf.tally[cScanned] += uint64(len(buf.flat) * (hi - lo))
-	}
-	buf.perEvent = perEvent
-	return hi
-}
-
-// score runs the window's events through the scoring workers, which pull
-// whole events off one cursor, then appends the window's hits to merged in
-// event order. A worker is spawned per event beyond the first, up to the
-// parallelism, so a window of one event is scored on the publishing
-// goroutine alone.
-func (buf *pubBatchBuf) score(lo int) {
+// match runs the scoring workers over every event of the publish and
+// charges the phase to enumerate and score. Workers pull whole events off
+// one cursor; a helper is spawned per event beyond the first, up to the
+// parallelism, so a batch of one runs on the publishing goroutine alone and
+// its lap is that worker's last clock read. Once the workers are done their
+// tallies are folded into the publish, and the lap is split between
+// enumerate and score in the ratio of their summed times, so the stages
+// still sum exactly to the publish's latency.
+func (buf *pubBatchBuf) match() {
 	b := buf.b
-	n := len(buf.perEvent)
+	n := len(buf.events)
 	workers := min(b.cfg.parallelism, n)
-	if len(buf.flat) == 0 {
-		workers = 1 // the window has no candidate: a helper would find no work
+	if buf.fullScan && len(buf.snapshot) == 0 {
+		workers = 1 // no subscription: a helper would find no work
 	}
-	buf.winStart = int32(lo)
 	buf.cursor.Store(0)
 	for len(buf.hits) < n {
 		buf.hits = append(buf.hits, nil)
 	}
 	for b.engine != nil && len(buf.arenas) < workers {
-		// Drawn on the context-owning goroutine before any worker starts;
-		// they persist across every window of the batch.
+		// Drawn on the context-owning goroutine before any worker starts.
 		a := b.engine.NewBatchArena(buf.ctx)
 		a.SetThreshold(b.cfg.threshold)
 		buf.arenas = append(buf.arenas, a)
 	}
+	helpers := 0
 spawn:
 	for w := 1; w < workers; w++ {
 		select {
 		case b.sem <- struct{}{}:
+			helpers++
 			buf.wg.Add(1)
 			go func(wid int) {
 				defer buf.wg.Done()
 				defer func() { <-b.sem }()
-				buf.work(wid)
+				buf.work(wid, b.clock.Now())
 			}(w)
 		default:
 			// Helper budget exhausted by concurrent publishes: the
@@ -625,49 +568,80 @@ spawn:
 			break spawn
 		}
 	}
-	buf.work(0)
-	buf.wg.Wait()
-	for i, h := range buf.hits[:n] {
-		buf.merged = append(buf.merged, h...)
-		clear(h)
-		buf.hits[i] = h[:0]
+	end := buf.work(0, buf.mark)
+	if helpers > 0 {
+		buf.wg.Wait()
+		end = b.clock.Now()
 	}
+	var enum, scored time.Duration
+	for w := range buf.scratch {
+		sc := &buf.scratch[w]
+		for c, v := range sc.tally {
+			buf.tally[c] += v
+		}
+		enum, scored = enum+sc.enum, scored+sc.scored
+		sc.tally, sc.enum, sc.scored = [numCounters]uint64{}, 0, 0
+	}
+	d := end.Sub(buf.mark)
+	var de time.Duration
+	if sum := enum + scored; sum > 0 {
+		de = time.Duration(math.Round(float64(d) * float64(enum) / float64(sum)))
+	}
+	buf.dur[stEnumerate], buf.dur[stScore] = de, d-de
+	buf.mark = end
 }
 
-// work is one scoring worker: it pulls window events off the shared cursor
-// and scores each one's whole candidate view, appending above-threshold
-// scores to the event's hit list and tallying the pairs it stops. With an
-// Engine the view is swept in one call through the worker's arena, whose
-// row memo holds the event's rows; a plain Matcher is scored pair by pair
-// through Score. Tallies accumulate across windows and are only reset when
-// the buffer is released.
-func (buf *pubBatchBuf) work(wid int) {
+// work is one scoring worker, started at t: it pulls events off the shared
+// cursor, enumerates each one's candidates — from the pruning index into
+// its own scratch, or the full-scan snapshot — and scores them, appending
+// above-threshold scores to the event's hit list and tallying the pairs it
+// stops. With an Engine the candidates are swept in one call through the
+// worker's arena, whose row memo holds the event's rows; a plain Matcher
+// is scored pair by pair through Score. It reads the clock after each step
+// and returns its last reading.
+func (buf *pubBatchBuf) work(wid int, t time.Time) time.Time {
 	b := buf.b
 	sc := &buf.scratch[wid]
-	subs, scores, zero, below, bound := sc.subs, sc.scores, sc.zero, sc.below, sc.bound
+	subs, scores := sc.subs, sc.scores
+	var zero, below, bound uint64
 	threshold := b.cfg.threshold
 	for {
-		i := int(buf.cursor.Add(1)) - 1
-		if i >= len(buf.perEvent) {
+		ei := int(buf.cursor.Add(1)) - 1
+		if ei >= len(buf.events) {
 			break
 		}
-		ei := buf.winStart + int32(i)
-		targets := buf.perEvent[i]
+		cands := buf.snapshot
+		if !buf.fullScan {
+			// Candidate set from the pruning index: subscriptions whose
+			// exact predicates cannot all be satisfied by the event's
+			// tuples are skipped before any semantic measure runs.
+			sc.cands = sc.cands[:0]
+			attrs, values := buf.pes[ei].CanonicalTuples()
+			_, pruned := b.subs.CandidatesPrepared(attrs, values, sc.add)
+			sc.tally[cPruned] += uint64(pruned)
+			cands = sc.cands
+		}
+		b.candHist.Observe(float64(len(cands)))
+		sc.tally[cScanned] += uint64(len(cands))
+		now := b.clock.Now()
+		sc.enum += now.Sub(t)
+		t = now
+
 		scores = scores[:0]
 		if b.engine != nil {
 			subs = subs[:0]
-			for _, s := range targets {
+			for _, s := range cands {
 				subs = append(subs, s.prepared)
 			}
 			scores = b.engine.ScoreBatchInArena(buf.arenas[wid], subs, buf.pes[ei], scores)
 		} else {
 			e := buf.events[ei]
-			for _, s := range targets {
+			for _, s := range cands {
 				scores = append(scores, b.matcher.Score(s.sub, e))
 			}
 		}
-		hits := buf.hits[i]
-		for k, s := range targets {
+		hits := buf.hits[ei]
+		for k, s := range cands {
 			switch v := scores[k]; {
 			case v == matcher.RejectedByBound:
 				bound++
@@ -676,25 +650,33 @@ func (buf *pubBatchBuf) work(wid int) {
 			case v < threshold:
 				below++
 			default:
-				hits = append(hits, batchHit{s: s, ei: ei, score: v})
+				hits = append(hits, batchHit{s: s, ei: int32(ei), score: v})
 			}
 		}
-		buf.hits[i] = hits
+		buf.hits[ei] = hits
+		now = b.clock.Now()
+		sc.scored += now.Sub(t)
+		t = now
 	}
-	sc.subs, sc.scores, sc.zero, sc.below, sc.bound = subs, scores, zero, below, bound
+	sc.subs, sc.scores = subs, scores
+	sc.tally[cScoreZero] += zero
+	sc.tally[cScoreBelow] += below
+	sc.tally[cScoreBound] += bound
+	return t
 }
 
-// deliver buckets the hits per subscriber (chained through prev/head, no
+// deliver appends the per-event hit lists to merged in event order,
+// buckets the hits per subscriber (chained through prev/head, no
 // per-subscriber allocation) and offers each group, in event order, under
-// one queue-lock acquisition. It also folds the workers' score stops into
-// the tally.
+// one queue-lock acquisition.
 func (buf *pubBatchBuf) deliver() {
 	merged := buf.merged
-	for w := range buf.scratch {
-		buf.tally[cScoreZero] += buf.scratch[w].zero
-		buf.tally[cScoreBelow] += buf.scratch[w].below
-		buf.tally[cScoreBound] += buf.scratch[w].bound
+	for i, h := range buf.hits[:len(buf.events)] {
+		merged = append(merged, h...)
+		clear(h)
+		buf.hits[i] = h[:0]
 	}
+	buf.merged = merged
 	buf.tally[cMatched] += uint64(len(merged))
 	prevIdx := buf.prev[:0]
 	for i := range merged {

@@ -365,6 +365,46 @@ func TestPublishRegistrationCut(t *testing.T) {
 	}
 }
 
+// The worker that takes an event off the cursor enumerates it then, not
+// ahead of the batch: a subscription removed while event 0 is being scored
+// is a candidate for event 0 but not for event 1. One worker reads the
+// clock after enumerating and after scoring each event, so the fifth
+// reading (after start, compile and ingest) ends event 0's scoring.
+func TestBatchEventEnumeratedWhenTaken(t *testing.T) {
+	clk := &pausingClock{reached: make(chan struct{}), release: make(chan struct{})}
+	b := New(thematicMatcher(t), WithClock(clk), WithReplayBuffer(0), WithMatchParallelism(1))
+	defer b.Close()
+	keep, err := b.Subscribe(parkingSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := b.Subscribe(parkingSub())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clk.arm(5)
+	done := make(chan error, 1)
+	go func() { done <- b.PublishBatch([]*event.Event{parkingEvent("e0"), parkingEvent("e1")}) }()
+	<-clk.reached
+	gone.Close()
+	close(clk.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	if got, _ := keep.Take(nil); len(got) != 2 {
+		t.Errorf("kept subscription got %d deliveries, want 2", len(got))
+	}
+	if got, _ := gone.Take(nil); len(got) != 0 {
+		t.Errorf("removed subscription got %+v, want nothing", got)
+	}
+	if st := b.Stats(); st.Scanned != 3 || st.Matched != 3 || st.Delivered != 2 {
+		t.Errorf("scanned %d, matched %d, delivered %d; want 3, 3, 2 (event 1 enumerated after the removal)",
+			st.Scanned, st.Matched, st.Delivered)
+	}
+}
+
 // A registration number never wraps. A subscription stays before every
 // later registration cut however many registrations follow it (2^31 + 1 of
 // them would put a wrapping 32-bit stamp after the cut), numbers carry

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,51 +69,60 @@ func TestPublishLatencyExactBucketPlacement(t *testing.T) {
 	}
 }
 
-func TestTraceCoversEveryPipelineStage(t *testing.T) {
-	// Real clock: stage durations come from real elapsed time, and the
-	// matcher sleeps so every span is comfortably non-zero.
-	slow := MatchFunc(func(s *event.Subscription, e *event.Event) float64 {
-		time.Sleep(200 * time.Microsecond)
-		if event.ExactMatch(s, e) {
-			return 1
-		}
-		return 0
-	})
-	b := New(slow, WithTraceSampling(1))
-	defer b.Close()
-	if _, err := b.Subscribe(parkingSub()); err != nil {
-		t.Fatal(err)
-	}
-	ev := parkingEvent("a1")
-	ev.ID = "trace-ev-1"
-	if err := b.Publish(ev); err != nil {
-		t.Fatal(err)
-	}
+// tickClock advances one microsecond on every read, so every span a
+// publish times is non-zero without anything sleeping.
+type tickClock struct{ ns atomic.Int64 }
 
-	traces := b.Tracer().Recent()
-	if len(traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(traces))
-	}
-	tr := traces[0]
-	if tr.EventID != "trace-ev-1" {
-		t.Errorf("event id = %q", tr.EventID)
-	}
-	stages := map[string]time.Duration{}
-	for _, sp := range tr.Spans {
-		stages[sp.Stage] = sp.Duration
-	}
-	for _, stage := range []string{"ingest", "compile", "enumerate", "score", "deliver"} {
-		d, ok := stages[stage]
-		if !ok {
-			t.Errorf("trace missing stage %q (spans %v)", stage, tr.Spans)
-			continue
-		}
-		if d <= 0 {
-			t.Errorf("stage %q duration = %v, want > 0", stage, d)
-		}
-	}
-	if tr.Total <= 0 {
-		t.Errorf("total = %v, want > 0", tr.Total)
+func (c *tickClock) Now() time.Time { return time.Unix(0, c.ns.Add(int64(time.Microsecond))) }
+
+// A sampled publish has one span per stage, each non-zero, and the stage
+// spans sum exactly to the trace's total: also when helper workers time
+// the match phase and the runner splits it between enumerate and score.
+func TestTraceCoversEveryPipelineStage(t *testing.T) {
+	for _, c := range []struct{ par, events int }{{1, 1}, {4, 7}} {
+		t.Run(fmt.Sprintf("par=%d/events=%d", c.par, c.events), func(t *testing.T) {
+			b := New(exactMatcher(), WithClock(&tickClock{}), WithTraceSampling(1), WithMatchParallelism(c.par))
+			defer b.Close()
+			if _, err := b.Subscribe(parkingSub()); err != nil {
+				t.Fatal(err)
+			}
+			evs := make([]*event.Event, c.events)
+			for i := range evs {
+				evs[i] = parkingEvent(fmt.Sprintf("a%d", i))
+				evs[i].ID = fmt.Sprintf("trace-ev-%d", i+1)
+			}
+			if err := b.PublishBatch(evs); err != nil {
+				t.Fatal(err)
+			}
+
+			traces := b.Tracer().Recent()
+			if len(traces) != 1 {
+				t.Fatalf("got %d traces, want 1", len(traces))
+			}
+			tr := traces[0]
+			if tr.EventID != "trace-ev-1" {
+				t.Errorf("event id = %q", tr.EventID)
+			}
+			stages := map[string]time.Duration{}
+			for _, sp := range tr.Spans {
+				stages[sp.Stage] = sp.Duration
+			}
+			var sum time.Duration
+			for _, stage := range []string{"ingest", "compile", "enumerate", "score", "deliver"} {
+				d, ok := stages[stage]
+				if !ok {
+					t.Errorf("trace missing stage %q (spans %v)", stage, tr.Spans)
+					continue
+				}
+				if d <= 0 {
+					t.Errorf("stage %q duration = %v, want > 0", stage, d)
+				}
+				sum += d
+			}
+			if tr.Total <= 0 || sum != tr.Total {
+				t.Errorf("stage spans sum to %v, total = %v; want equal and > 0", sum, tr.Total)
+			}
+		})
 	}
 }
 

@@ -420,11 +420,19 @@ func (a *ActiveTrace) AddSpanDuration(stage string, start time.Time, d time.Dura
 // Finish seals the trace (total = now - start) and publishes it to the
 // tracer's ring and slog sink.
 func (a *ActiveTrace) Finish() {
+	if a != nil {
+		a.FinishAt(a.t.clock.Now())
+	}
+}
+
+// FinishAt is Finish with an explicit end, so a caller that timed its
+// stages seals the trace at its last reading (total = end - start).
+func (a *ActiveTrace) FinishAt(end time.Time) {
 	if a == nil {
 		return
 	}
 	a.mu.Lock()
-	a.tr.Total = a.t.clock.Now().Sub(a.tr.Start)
+	a.tr.Total = end.Sub(a.tr.Start)
 	tr := a.tr
 	tr.Spans = append([]Span(nil), tr.Spans...)
 	a.mu.Unlock()
