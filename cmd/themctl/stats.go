@@ -524,7 +524,6 @@ func summarize(families []*telemetry.Family) {
 		fmt.Println("subindex:")
 		fmt.Printf("  %-14s %.0f\n", "subscriptions", subs)
 		for _, g := range []struct{ label, name string }{
-			{"themes", "thematicep_subindex_themes"},
 			{"buckets", "thematicep_subindex_buckets"},
 			{"terms", "thematicep_subindex_terms"},
 			{"approx-only", "thematicep_subindex_approx_entries"},

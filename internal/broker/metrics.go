@@ -69,8 +69,7 @@ func (b *Broker) WriteMetrics(w io.Writer) {
 	if b.prune {
 		ix := b.subs.Stats()
 		telemetry.WriteGauge(w, "thematicep_subindex_subscriptions", "Subscriptions tracked by the pruning index.", ix.Subscriptions)
-		telemetry.WriteGauge(w, "thematicep_subindex_themes", "Distinct theme groups in the pruning index.", ix.Themes)
-		telemetry.WriteGauge(w, "thematicep_subindex_buckets", "Exact-term posting buckets in the pruning index.", ix.Buckets)
+		telemetry.WriteGauge(w, "thematicep_subindex_buckets", "Non-empty anchor posting lists in the pruning index.", ix.Buckets)
 		telemetry.WriteGauge(w, "thematicep_subindex_approx_entries", "Approximate-only subscriptions (never prunable).", ix.ApproxEntries)
 		telemetry.WriteGauge(w, "thematicep_subindex_max_bucket", "Largest posting-list occupancy.", ix.MaxBucket)
 		telemetry.WriteGauge(w, "thematicep_subindex_terms", "Interned exact terms (attributes plus attribute-value pairs).", ix.Terms)

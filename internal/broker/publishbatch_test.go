@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,46 +74,44 @@ func TestPublishBatchChurn(t *testing.T) {
 			}
 		}()
 	}
-	stop := make(chan struct{})
+	// Both sides run until each has done its quota, so every cycle and
+	// batch counted overlaps the other side's work however they are
+	// scheduled.
+	const churnCycles, batches = 500, 50
+	var churned, batched atomic.Int64
+	var failed atomic.Bool
+	running := func() bool {
+		return !failed.Load() && (churned.Load() < churnCycles || batched.Load() < batches)
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { // churner: subscribe / consume a little / unsubscribe
 		defer wg.Done()
-		i := 0
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; running(); i++ {
 			s := *subs[len(subs)/2+i%(len(subs)/2)]
 			s.ID = fmt.Sprintf("churn-%d", i)
 			h, err := b.Subscribe(&s)
 			if err != nil {
-				continue
+				t.Errorf("churn subscribe: %v", err)
+				failed.Store(true)
+				return
 			}
 			h.Take(nil)
 			h.Close()
-			i++
+			churned.Add(1)
 		}
 	}()
-	go func() { // publisher: batched publishes until stopped
+	go func() { // publisher: batched publishes until both quotas are met
 		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := b.PublishBatch(events[:min(16, len(events))]); err != nil &&
-				!errors.Is(err, ErrDraining) && !errors.Is(err, ErrClosed) {
+		for running() {
+			if err := b.PublishBatch(events[:min(16, len(events))]); err != nil {
 				t.Errorf("publish batch: %v", err)
+				failed.Store(true)
 				return
 			}
+			batched.Add(1)
 		}
 	}()
-	time.Sleep(100 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 
 	// Mid-batch Drain: start a batch, drain concurrently; the admitted

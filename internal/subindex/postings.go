@@ -6,10 +6,8 @@ package subindex
 // that needs to advance far ahead probes exponentially (1, 2, 4, ...) and
 // then binary-searches the final octave, so advancing within a list of
 // length n to a target k positions ahead costs O(log k), not O(k) and not
-// O(log n). Intersections of lists with very different lengths therefore
-// run in roughly |short|·log(|long|/|short|) comparisons, which is what
-// makes candidate enumeration sublinear in subscription count when an
-// event's terms are selective.
+// O(log n). Checking a subscription's few requirement terms against an
+// event's term set therefore costs a few short probes, not a scan.
 
 // gallop returns the smallest index i in xs[from:] such that xs[i] >=
 // target, or len(xs) when every remaining element is smaller. xs must be
@@ -42,71 +40,6 @@ func gallop(xs []uint32, from int, target uint32) int {
 		}
 	}
 	return lo
-}
-
-// intersect2 appends the sorted intersection of a and b to dst and returns
-// it. Both inputs must be sorted ascending with unique elements. The
-// shorter list drives; the longer is advanced by galloping search, so the
-// cost is output-sensitive rather than linear in the longer list.
-func intersect2(dst, a, b []uint32) []uint32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	pos := 0
-	for _, x := range a {
-		pos = gallop(b, pos, x)
-		if pos >= len(b) {
-			break
-		}
-		if b[pos] == x {
-			dst = append(dst, x)
-			pos++
-		}
-	}
-	return dst
-}
-
-// intersectAll appends the sorted intersection of every list to dst and
-// returns it. With no lists it returns dst unchanged; with one list it
-// appends a copy. Lists must be sorted ascending with unique elements.
-// The fold starts from the shortest list so intermediate results shrink as
-// fast as possible.
-func intersectAll(dst []uint32, lists ...[]uint32) []uint32 {
-	switch len(lists) {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, lists[0]...)
-	}
-	shortest := 0
-	for i, l := range lists {
-		if len(l) < len(lists[shortest]) {
-			shortest = i
-		}
-	}
-	start := len(dst)
-	dst = intersect2(dst, lists[shortest], lists[(shortest+1)%len(lists)])
-	// Fold the remaining lists against the accumulated prefix in place.
-	for i := range lists {
-		if i == shortest || i == (shortest+1)%len(lists) {
-			continue
-		}
-		acc := dst[start:]
-		out := dst[start:start]
-		pos := 0
-		for _, x := range acc {
-			pos = gallop(lists[i], pos, x)
-			if pos >= len(lists[i]) {
-				break
-			}
-			if lists[i][pos] == x {
-				out = append(out, x)
-				pos++
-			}
-		}
-		dst = dst[:start+len(out)]
-	}
-	return dst
 }
 
 // containsAll reports whether every element of sub appears in super. Both

@@ -7,24 +7,16 @@ import (
 )
 
 // naiveIntersect is the oracle: map-based set intersection, sorted.
-func naiveIntersect(lists ...[]uint32) []uint32 {
-	if len(lists) == 0 {
-		return nil
-	}
-	counts := make(map[uint32]int)
-	for _, l := range lists {
-		seen := make(map[uint32]bool)
-		for _, x := range l {
-			if !seen[x] {
-				seen[x] = true
-				counts[x]++
-			}
-		}
+func naiveIntersect(a, b []uint32) []uint32 {
+	inA := make(map[uint32]bool, len(a))
+	for _, x := range a {
+		inA[x] = true
 	}
 	var out []uint32
-	for x, c := range counts {
-		if c == len(lists) {
+	for _, x := range b {
+		if inA[x] {
 			out = append(out, x)
+			delete(inA, x)
 		}
 	}
 	slices.Sort(out)
@@ -59,40 +51,73 @@ func TestGallop(t *testing.T) {
 	}
 }
 
-// TestIntersectProperty drives the galloping intersection against the
-// naive map-based oracle over random list shapes, including the skewed
-// short-vs-long case galloping exists for.
+// TestIntersectProperty drives the posting kernels against the naive
+// map-based intersection over random list shapes, including the skewed
+// short-vs-long case galloping exists for: containsAll is the subset test
+// (a ∩ b = a), gallop finds the first element not below a target, and
+// insertSorted/deleteSorted keep a posting the sorted union and difference.
 func TestIntersectProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 500; trial++ {
-		nlists := 2 + rng.Intn(4)
-		lists := make([][]uint32, nlists)
+		var lists [2][]uint32
 		for i := range lists {
 			// Mix tiny and large lists with overlapping ranges.
-			n := rng.Intn(3 + rng.Intn(200))
-			l := make([]uint32, n)
+			l := make([]uint32, rng.Intn(3+rng.Intn(200)))
 			for j := range l {
 				l[j] = uint32(rng.Intn(150))
 			}
 			lists[i] = sortedSet(l)
 		}
-		want := naiveIntersect(lists...)
+		checkKernels(t, lists[0], lists[1])
+		// A random subset of the long list, so containsAll also holds.
+		var sub []uint32
+		for _, x := range lists[1] {
+			if rng.Intn(8) == 0 {
+				sub = append(sub, x)
+			}
+		}
+		checkKernels(t, sub, lists[1])
+	}
+}
 
-		got2 := intersect2(nil, lists[0], lists[1])
-		if want2 := naiveIntersect(lists[0], lists[1]); !slices.Equal(got2, want2) {
-			t.Fatalf("intersect2(%v, %v) = %v, want %v", lists[0], lists[1], got2, want2)
+// checkKernels checks every posting kernel on sorted unique lists a and b
+// against the naive oracle.
+func checkKernels(t *testing.T, a, b []uint32) {
+	t.Helper()
+	both := naiveIntersect(a, b)
+	if got, want := containsAll(a, b), len(both) == len(a); got != want {
+		t.Fatalf("containsAll(%v, %v) = %v, want %v", a, b, got, want)
+	}
+	if !containsAll(both, a) || !containsAll(both, b) {
+		t.Fatalf("containsAll rejects %v, the intersection of %v and %v", both, a, b)
+	}
+	for _, x := range a {
+		want := 0
+		for want < len(b) && b[want] < x {
+			want++
 		}
-		gotAll := intersectAll(nil, lists...)
-		if !slices.Equal(gotAll, want) {
-			t.Fatalf("intersectAll(%v) = %v, want %v", lists, gotAll, want)
+		if got := gallop(b, 0, x); got != want {
+			t.Fatalf("gallop(%v, 0, %d) = %d, want %d", b, x, got, want)
 		}
-
-		// containsAll agrees with the subset relation.
-		sub, super := lists[0], lists[1]
-		wantSub := len(naiveIntersect(sub, super)) == len(sub)
-		if got := containsAll(sub, super); got != wantSub {
-			t.Fatalf("containsAll(%v, %v) = %v, want %v", sub, super, got, wantSub)
+	}
+	union := slices.Clone(b)
+	for _, x := range a {
+		union = insertSorted(union, x)
+	}
+	if want := sortedSet(append(slices.Clone(a), b...)); !slices.Equal(union, want) {
+		t.Fatalf("inserting %v into %v gives %v, want %v", a, b, union, want)
+	}
+	for _, x := range a {
+		union = deleteSorted(union, x)
+	}
+	var diff []uint32
+	for _, x := range b {
+		if !slices.Contains(both, x) {
+			diff = append(diff, x)
 		}
+	}
+	if !slices.Equal(union, diff) {
+		t.Fatalf("deleting %v from their union with %v gives %v, want %v", a, b, union, diff)
 	}
 }
 
@@ -120,10 +145,10 @@ func TestInsertDeleteSorted(t *testing.T) {
 	}
 }
 
-// FuzzIntersect decodes two arbitrary byte strings into sorted term-id
-// sets and checks the galloping intersection and containment against the
-// naive oracle.
-func FuzzIntersect(f *testing.F) {
+// FuzzContainsAll decodes two arbitrary byte strings into sorted term-id
+// sets and checks containment, galloping search and sorted insert/delete
+// against the naive oracle.
+func FuzzContainsAll(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4})
 	f.Add([]byte{}, []byte{0})
 	f.Add([]byte{255, 0, 128, 7}, []byte{7, 7, 7})
@@ -136,17 +161,6 @@ func FuzzIntersect(f *testing.F) {
 			}
 			return sortedSet(xs)
 		}
-		la, lb := decode(a), decode(b)
-		want := naiveIntersect(la, lb)
-		if got := intersect2(nil, la, lb); !slices.Equal(got, want) {
-			t.Fatalf("intersect2(%v, %v) = %v, want %v", la, lb, got, want)
-		}
-		if got := intersectAll(nil, la, lb); !slices.Equal(got, want) {
-			t.Fatalf("intersectAll(%v, %v) = %v, want %v", la, lb, got, want)
-		}
-		wantSub := len(want) == len(la)
-		if got := containsAll(la, lb); got != wantSub {
-			t.Fatalf("containsAll(%v, %v) = %v, want %v", la, lb, got, wantSub)
-		}
+		checkKernels(t, decode(a), decode(b))
 	})
 }

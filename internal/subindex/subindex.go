@@ -1,11 +1,12 @@
 // Package subindex implements the broker's subscription pruning index as
-// an inverted index: sorted posting lists of dense uint32 subscription ids
-// keyed by compiled-theme group and by interned exact terms — a term is
-// either an exact (non-~) attribute or an exact (attribute, value) equality
-// pair. A publish turns the event's tuples into a sorted term-id set once,
-// then intersects that set against each group's anchor-term list with
-// galloping (skip-pointer) search, so candidate enumeration is sublinear in
-// the number of live subscriptions and allocation-free on the warm path.
+// one inverted index: sorted posting lists of dense uint32 subscription ids
+// keyed by interned exact term — a term is either an exact (non-~)
+// attribute or an exact (attribute, value) equality pair. A publish turns
+// the event's tuples into a sorted term-id set once and walks the posting
+// of each of those terms, so candidate enumeration is sublinear in the
+// number of live subscriptions and allocation-free on the warm path. A
+// subscription's theme changes how its ~ terms relate (§5.3.2) but never
+// rules it out, so the index does not look at themes.
 //
 // # Why pruning never loses a delivery
 //
@@ -53,12 +54,12 @@
 // # Layout
 //
 // Every live subscription owns a dense uint32 id allocated from a free
-// list, indexing parallel columns (payload, predicate count, theme group,
-// and the place of its requirement-term row in one shared pool). Within its
-// theme group the subscription is posted under exactly one anchor term —
-// the requirement term with the shortest posting list at insert time, a
-// cheap rarest-first heuristic — so enumeration never yields duplicates and
-// needs no deduplication set. The row holds the anchor first and the other
+// list, indexing parallel columns (payload, predicate count, filing state,
+// and the place of its requirement-term row in one shared pool). The
+// subscription is posted under exactly one anchor term — the requirement
+// term with the shortest posting list at insert time, a cheap rarest-first
+// heuristic — so enumeration never yields duplicates and needs no
+// deduplication set. The row holds the anchor first and the other
 // requirement terms sorted; an anchor hit is only a candidate's witness,
 // and the rest of the row is then verified by galloping containment
 // against the event's term set. Remove compacts posting lists in place (no
@@ -76,22 +77,12 @@ package subindex
 import (
 	"runtime"
 	"slices"
-	"strings"
 	"sync"
 
 	"thematicep/internal/event"
 	"thematicep/internal/freelist"
 	"thematicep/internal/text"
 )
-
-// group holds one compiled theme's posting lists.
-type group[T any] struct {
-	key         string
-	id          uint32              // index in Index.groups
-	approx      []uint32            // approximate-only posting: always candidates
-	anchorTerms []uint32            // sorted term ids that have a posting here
-	posts       map[uint32][]uint32 // anchor term id -> sorted dense sub ids
-}
 
 // Index is the inverted subscription index. The zero value is not usable;
 // call New. All methods are safe for concurrent use.
@@ -101,13 +92,13 @@ type Index[T any] struct {
 	// Term interner. A presence-only requirement (exact attribute) interns
 	// the attribute; an exact equality requirement interns the
 	// (attribute, value) pair as its own term. Nested maps keep warm-path
-	// lookups free of key concatenation.
-	attrIDs  map[string]uint32
-	pairIDs  map[string]map[string]uint32
-	nextTerm uint32
+	// lookups free of key concatenation. Term ids are dense: the next one
+	// is len(posts).
+	attrIDs map[string]uint32
+	pairIDs map[string]map[string]uint32
 
-	themes map[string]*group[T]
-	groups []*group[T]       // by group id; a removed group's slot is nil until reused
+	posts  [][]uint32        // anchor term id -> sorted dense sub ids
+	approx []uint32          // approximate-only posting: always candidates
 	locs   map[string]uint32 // external id -> dense id
 
 	// Per-dense-id state, indexed by dense id.
@@ -130,12 +121,17 @@ type entry struct {
 	npreds int32  // rule 3: events with fewer tuples are infeasible
 	reqOff uint32 // the requirement row's place in reqPool
 	reqLen uint32 // requirement terms; 0 = approx-only
-	grp    uint32 // 1 + the group id; 0 for a recycled dense id, unfiled for one Add registered alone
+	state  slot
 }
 
-// unfiled is entry.grp of a registration filed in no group (Add with a nil
-// subscription).
-const unfiled = ^uint32(0)
+// slot is what a dense id holds.
+type slot uint8
+
+const (
+	slotFree    slot = iota // recycled, awaiting reuse
+	slotFiled               // a subscription, in a posting
+	slotUnfiled             // a payload registered alone (Add with a nil subscription)
+)
 
 // reqs returns dense id d's requirement row: its unique requirement term
 // ids, the anchor (the posting it is filed under) first and the rest
@@ -150,7 +146,7 @@ func (ix *Index[T]) reqs(d uint32) []uint32 {
 func (ix *Index[T]) compactReqs() {
 	pool := make([]uint32, 0, len(ix.reqPool)-ix.reqGarbage)
 	for d := range ix.entries {
-		if e := &ix.entries[d]; e.grp != 0 {
+		if e := &ix.entries[d]; e.state != slotFree {
 			row := ix.reqs(uint32(d))
 			e.reqOff = uint32(len(pool))
 			pool = append(pool, row...)
@@ -164,16 +160,8 @@ func New[T any]() *Index[T] {
 	return &Index[T]{
 		attrIDs: make(map[string]uint32),
 		pairIDs: make(map[string]map[string]uint32),
-		themes:  make(map[string]*group[T]),
 		locs:    make(map[string]uint32),
 	}
-}
-
-// themeKey is the canonical theme-set key: the same normalization
-// semantics.Space.Compile interns compiled themes under, so permuted or
-// duplicated tag orderings of one theme share a group.
-func themeKey(theme []string) string {
-	return strings.Join(event.NormalizeTheme(theme), "\x1f")
 }
 
 // reqSpec is one exact requirement before interning.
@@ -205,45 +193,35 @@ func requirements(sub *event.Subscription) []reqSpec {
 	return rs
 }
 
-// intern returns the term id for a requirement, assigning the next id on
-// first sight. Caller holds the write lock.
+// intern returns the term id for a requirement, assigning the next id, and
+// an empty posting, on first sight. Caller holds the write lock.
 func (ix *Index[T]) intern(sp reqSpec) uint32 {
+	ids, key := ix.attrIDs, sp.attr
 	if sp.hasValue {
-		pm := ix.pairIDs[sp.attr]
-		if pm == nil {
-			pm = make(map[string]uint32)
-			ix.pairIDs[sp.attr] = pm
+		ids, key = ix.pairIDs[sp.attr], sp.value
+		if ids == nil {
+			ids = make(map[string]uint32)
+			ix.pairIDs[sp.attr] = ids
 		}
-		t, ok := pm[sp.value]
-		if !ok {
-			t = ix.nextTerm
-			ix.nextTerm++
-			pm[sp.value] = t
-		}
-		return t
 	}
-	t, ok := ix.attrIDs[sp.attr]
+	t, ok := ids[key]
 	if !ok {
-		t = ix.nextTerm
-		ix.nextTerm++
-		ix.attrIDs[sp.attr] = t
+		t = uint32(len(ix.posts))
+		ix.posts = append(ix.posts, nil)
+		ids[key] = t
 	}
 	return t
 }
 
-// Add files a subscription under its theme group and anchor posting. Adding
-// an id that is already present replaces the previous entry. A nil sub
-// registers payload under id without filing it: Get, Remove, AppendAll and
-// Clear see it, candidate enumeration never yields it, and it costs no
-// interned term, posting or requirement row.
+// Add files a subscription under its anchor posting. Adding an id that is
+// already present replaces the previous entry. A nil sub registers payload
+// under id without filing it: Get, Remove, AppendAll and Clear see it,
+// candidate enumeration never yields it, and it costs no interned term,
+// posting or requirement row.
 func (ix *Index[T]) Add(id string, sub *event.Subscription, payload T) {
-	var (
-		specs []reqSpec
-		key   string
-	)
+	var specs []reqSpec
 	if sub != nil {
 		specs = requirements(sub) // canonicalization outside the lock
-		key = themeKey(sub.Theme)
 	}
 
 	ix.mu.Lock()
@@ -265,7 +243,7 @@ func (ix *Index[T]) Add(id string, sub *event.Subscription, payload T) {
 	ix.locs[id] = d
 	e := &ix.entries[d]
 	if sub == nil {
-		*e = entry{grp: unfiled}
+		*e = entry{state: slotUnfiled}
 		return
 	}
 
@@ -277,41 +255,25 @@ func (ix *Index[T]) Add(id string, sub *event.Subscription, payload T) {
 	slices.Sort(ix.reqPool[off:])
 	reqIDs := slices.Compact(ix.reqPool[off:])
 	ix.reqPool = ix.reqPool[:off+len(reqIDs)]
-	*e = entry{npreds: int32(len(sub.Predicates)), reqOff: uint32(off), reqLen: uint32(len(reqIDs))}
-
-	g := ix.themes[key]
-	if g == nil {
-		g = &group[T]{key: key, posts: make(map[uint32][]uint32)}
-		if i := slices.Index(ix.groups, nil); i >= 0 {
-			g.id = uint32(i)
-			ix.groups[i] = g
-		} else {
-			g.id = uint32(len(ix.groups))
-			ix.groups = append(ix.groups, g)
-		}
-		ix.themes[key] = g
-	}
-	e.grp = g.id + 1
+	*e = entry{npreds: int32(len(sub.Predicates)), reqOff: uint32(off), reqLen: uint32(len(reqIDs)), state: slotFiled}
 	if len(reqIDs) == 0 {
-		g.approx = insertSorted(g.approx, d)
-	} else {
-		// Anchor on the requirement term with the shortest posting list at
-		// insert time: a rarest-first heuristic that keeps postings flat and
-		// maximizes the chance the anchor term is absent from an event.
-		k := 0
-		for i, t := range reqIDs {
-			if len(g.posts[t]) < len(g.posts[reqIDs[k]]) {
-				k = i
-			}
-		}
-		best := reqIDs[k]
-		copy(reqIDs[1:k+1], reqIDs[:k])
-		reqIDs[0] = best
-		if len(g.posts[best]) == 0 {
-			g.anchorTerms = insertSorted(g.anchorTerms, best)
-		}
-		g.posts[best] = insertSorted(g.posts[best], d)
+		ix.approx = insertSorted(ix.approx, d)
+		return
 	}
+
+	// Anchor on the requirement term with the shortest posting list at
+	// insert time: a rarest-first heuristic that keeps postings flat and
+	// maximizes the chance the anchor term is absent from an event.
+	k := 0
+	for i, t := range reqIDs {
+		if len(ix.posts[t]) < len(ix.posts[reqIDs[k]]) {
+			k = i
+		}
+	}
+	best := reqIDs[k]
+	copy(reqIDs[1:k+1], reqIDs[:k])
+	reqIDs[0] = best
+	ix.posts[best] = insertSorted(ix.posts[best], d)
 }
 
 // Remove unfiles a subscription, compacting its posting list in place and
@@ -331,39 +293,22 @@ func (ix *Index[T]) removeLocked(id string) (payload T, ok bool) {
 	payload = ix.payloads[d]
 	delete(ix.locs, id)
 	e := &ix.entries[d]
-	if e.grp != unfiled {
-		ix.unfileLocked(d)
+	if e.state == slotFiled {
+		if e.reqLen == 0 {
+			ix.approx = deleteSorted(ix.approx, d)
+		} else {
+			a := ix.reqPool[e.reqOff]
+			ix.posts[a] = deleteSorted(ix.posts[a], d)
+		}
 	}
 	var zero T
 	ix.payloads[d] = zero
-	e.grp = 0
+	e.state = slotFree
 	ix.free = append(ix.free, d)
 	if ix.reqGarbage += int(e.reqLen); 2*ix.reqGarbage > len(ix.reqPool) {
 		ix.compactReqs()
 	}
 	return payload, true
-}
-
-// unfileLocked takes dense id d out of its group's postings, and drops the
-// group once it is empty. Caller holds the write lock.
-func (ix *Index[T]) unfileLocked(d uint32) {
-	e := &ix.entries[d]
-	g := ix.groups[e.grp-1]
-	if e.reqLen == 0 {
-		g.approx = deleteSorted(g.approx, d)
-	} else {
-		a := ix.reqPool[e.reqOff]
-		if p := deleteSorted(g.posts[a], d); len(p) == 0 {
-			delete(g.posts, a)
-			g.anchorTerms = deleteSorted(g.anchorTerms, a)
-		} else {
-			g.posts[a] = p
-		}
-	}
-	if len(g.approx) == 0 && len(g.anchorTerms) == 0 {
-		delete(ix.themes, g.key)
-		ix.groups[g.id] = nil
-	}
 }
 
 // Get returns the payload filed under id.
@@ -384,7 +329,7 @@ func (ix *Index[T]) AppendAll(dst []T) []T {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	for d := range ix.entries {
-		if ix.entries[d].grp != 0 {
+		if ix.entries[d].state != slotFree {
 			dst = append(dst, ix.payloads[d])
 		}
 	}
@@ -398,11 +343,12 @@ func (ix *Index[T]) Clear() []T {
 	defer ix.mu.Unlock()
 	out := make([]T, 0, len(ix.locs))
 	for d := range ix.entries {
-		if ix.entries[d].grp != 0 {
+		if ix.entries[d].state != slotFree {
 			out = append(out, ix.payloads[d])
 		}
 	}
-	ix.themes, ix.groups = make(map[string]*group[T]), nil
+	clear(ix.posts)
+	ix.approx = nil
 	ix.locs = make(map[string]uint32)
 	ix.payloads, ix.entries, ix.free = nil, nil, nil
 	ix.reqPool, ix.reqGarbage = nil, 0
@@ -416,18 +362,10 @@ func (ix *Index[T]) Len() int {
 	return len(ix.locs)
 }
 
-// Themes returns the number of distinct compiled-theme groups.
-func (ix *Index[T]) Themes() int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return len(ix.themes)
-}
-
 // Stats describes the index's occupancy for runtime introspection.
 type Stats struct {
 	Subscriptions int // indexed subscriptions
-	Themes        int // distinct compiled-theme groups
-	Buckets       int // anchor posting lists across all groups
+	Buckets       int // non-empty anchor posting lists
 	ApproxEntries int // approximate-only subscriptions (never prunable)
 	MaxBucket     int // longest single posting list (anchor or approx)
 	Terms         int // interned exact terms (attrs + attr/value pairs)
@@ -444,22 +382,17 @@ func (ix *Index[T]) Stats() Stats {
 	defer ix.mu.RUnlock()
 	st := Stats{
 		Subscriptions: len(ix.locs),
-		Themes:        len(ix.themes),
-		Terms:         int(ix.nextTerm),
+		ApproxEntries: len(ix.approx),
+		MaxBucket:     len(ix.approx),
+		Terms:         len(ix.posts),
 		FreeSlots:     len(ix.free),
 	}
 	posted := 0
-	for _, g := range ix.themes {
-		st.Buckets += len(g.anchorTerms)
-		st.ApproxEntries += len(g.approx)
-		if len(g.approx) > st.MaxBucket {
-			st.MaxBucket = len(g.approx)
-		}
-		for _, p := range g.posts {
+	for _, p := range ix.posts {
+		if len(p) > 0 {
+			st.Buckets++
 			posted += len(p)
-			if len(p) > st.MaxBucket {
-				st.MaxBucket = len(p)
-			}
+			st.MaxBucket = max(st.MaxBucket, len(p))
 		}
 	}
 	if st.Buckets > 0 {
@@ -474,7 +407,6 @@ type enumBuf struct {
 	attrs  []string // canonical tuple attrs (Candidates only)
 	values []string // canonical tuple values (Candidates only)
 	terms  []uint32 // event's sorted term-id set
-	hits   []uint32 // per-group anchor-term intersection
 }
 
 // enumFree holds the spare enumeration buffers. A buffer is held for one
@@ -517,11 +449,10 @@ func (ix *Index[T]) CandidatesPrepared(attrs, values []string, yield func(T)) (c
 // candidates is the shared enumeration over an event with m tuples whose
 // canonical attrs/values are index-aligned. It runs entirely under the
 // read lock: (1) map the event's tuples to the sorted set of interned term
-// ids they carry; (2) per theme group, yield the approximate-only posting
-// (feasibility aside) and gallop-intersect the event's term set with the
-// group's anchor terms; (3) for each anchor hit, walk its posting list and
+// ids they carry; (2) yield the approximate-only posting (feasibility
+// aside); (3) for each of the event's terms, walk its posting list and
 // yield every subscription whose requirement row is contained in the
-// event's term set (the anchor, first in the row, is the hit itself). Terms
+// event's term set (the anchor, first in the row, is the term itself). Terms
 // no subscription ever required are not interned and vanish in step 1, so
 // enumeration cost tracks posting occupancy, not event width times
 // subscription count.
@@ -542,29 +473,21 @@ func (ix *Index[T]) candidates(buf *enumBuf, attrs, values []string, m int, yiel
 	slices.Sort(terms)
 	terms = slices.Compact(terms)
 	m32 := int32(m)
-	hits := buf.hits
-	for _, g := range ix.themes {
-		for _, d := range g.approx {
-			if ix.entries[d].npreds <= m32 {
+	for _, d := range ix.approx {
+		if ix.entries[d].npreds <= m32 {
+			yield(ix.payloads[d])
+			candidates++
+		}
+	}
+	for _, t := range terms {
+		for _, d := range ix.posts[t] {
+			if e := &ix.entries[d]; e.npreds <= m32 && containsAll(ix.reqPool[e.reqOff+1:e.reqOff+e.reqLen], terms) {
 				yield(ix.payloads[d])
 				candidates++
-			}
-		}
-		if len(g.anchorTerms) == 0 {
-			continue
-		}
-		hits = intersect2(hits[:0], terms, g.anchorTerms)
-		for _, t := range hits {
-			for _, d := range g.posts[t] {
-				if e := &ix.entries[d]; e.npreds <= m32 && containsAll(ix.reqPool[e.reqOff+1:e.reqOff+e.reqLen], terms) {
-					yield(ix.payloads[d])
-					candidates++
-				}
 			}
 		}
 	}
 	ix.mu.RUnlock()
 	buf.terms = terms[:0]
-	buf.hits = hits[:0]
 	return candidates, total - candidates
 }
