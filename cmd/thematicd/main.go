@@ -159,8 +159,9 @@ func run(args []string) error {
 	b := broker.New(m, opts...)
 	defer b.Close()
 
-	srv := broker.NewServer(b)
-	srv.SetMaxBatch(*maxBatch)
+	// The server is built last, once the backend, query engine and
+	// recovered set it routes to exist.
+	srvOpts := []broker.ServerOption{broker.WithMaxBatch(*maxBatch)}
 
 	splitAddrs := func(s string) []string {
 		var out []string
@@ -195,8 +196,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv.SetBackend(node)
-		srv.SetPeerHandler(node)
+		srvOpts = append(srvOpts, broker.WithBackend(node))
 		collectors = append(collectors, node)
 	}
 
@@ -217,7 +217,7 @@ func run(args []string) error {
 	}
 	eng := query.New(backend, qopts...)
 	defer eng.Close()
-	srv.SetQueryRegistrar(eng)
+	srvOpts = append(srvOpts, broker.WithQueryRegistrar(eng))
 	b.OnDrain(eng.Drain)
 	collectors = append(collectors, eng)
 
@@ -243,7 +243,7 @@ func run(args []string) error {
 			}
 			rec.ParkQuery(q)
 		}
-		srv.SetRecovered(rec)
+		srvOpts = append(srvOpts, broker.WithRecovered(rec))
 		// Collapse the re-registration appends back into one snapshot.
 		if err := wlog.Snapshot(); err != nil {
 			return fmt.Errorf("wal: snapshot after recovery: %w", err)
@@ -254,13 +254,15 @@ func run(args []string) error {
 		}
 	}
 
-	bound, err := srv.Listen(*addr)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
+	srv := broker.NewServer(b, srvOpts...)
+	srv.Serve(ln)
 	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "thematicd listening on %s (thematic=%v threshold=%.2f)\n",
-		bound, *thematic, *threshold)
+		ln.Addr(), *thematic, *threshold)
 	if node != nil {
 		node.Start()
 		defer node.Close()

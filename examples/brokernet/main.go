@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"net"
 
 	"thematicep/internal/broker"
 	"thematicep/internal/corpus"
@@ -37,12 +38,14 @@ func run() error {
 	b := broker.New(m, broker.WithThreshold(0.2))
 	defer b.Close()
 
-	srv := broker.NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
 	}
+	srv := broker.NewServer(b)
+	srv.Serve(ln)
 	defer srv.Close()
+	addr := ln.Addr()
 	fmt.Println("broker listening on", addr)
 
 	theme := []string{"land transport", "urban mobility"}

@@ -5,6 +5,7 @@ package thematicep_test
 // This is the full stack of the paper exercised as one system.
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -30,12 +31,14 @@ func TestEndToEndPipeline(t *testing.T) {
 	b := broker.New(m,
 		broker.WithThreshold(0.52), broker.WithMatchParallelism(4))
 	defer b.Close()
-	srv := broker.NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv := broker.NewServer(b)
+	srv.Serve(ln)
 	defer srv.Close()
+	addr := ln.Addr()
 
 	// Consumer with a thematic approximate subscription.
 	consumer, err := broker.Dial(addr.String())

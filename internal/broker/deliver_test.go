@@ -348,13 +348,6 @@ func (c *rawConn) read() *Frame {
 // and a WAL-recovered handle that buffered while its client was away.
 func TestServerDeliveryOKPrecedesQueuedDeliveries(t *testing.T) {
 	b := New(exactMatcher())
-	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); b.Close() })
-
 	parked := parkingSub()
 	parked.ID = "recovered-1"
 	h, err := b.SubscribeHandle(parked)
@@ -363,7 +356,9 @@ func TestServerDeliveryOKPrecedesQueuedDeliveries(t *testing.T) {
 	}
 	rec := NewRecovered()
 	rec.ParkSub(h)
-	srv.SetRecovered(rec)
+	srv := NewServer(b, WithRecovered(rec))
+	addr := serveLocal(t, srv)
+	t.Cleanup(func() { srv.Close(); b.Close() })
 	for i := 0; i < 3; i++ {
 		if err := b.Publish(parkingEvent(fmt.Sprintf("early-%d", i))); err != nil {
 			t.Fatal(err)
@@ -411,10 +406,7 @@ func TestServerDeliveryOKPrecedesQueuedDeliveries(t *testing.T) {
 func TestServerDeliveryOrderUnderConcurrentPublishers(t *testing.T) {
 	b := New(exactMatcher(), WithReplayBuffer(0))
 	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := serveLocal(t, srv)
 	t.Cleanup(func() { srv.Close(); b.Close() })
 
 	const subs, perPublisher = 40, 25 // 50 deliveries per subscription: below every 64-slot queue
@@ -510,10 +502,7 @@ func TestServerDeliveryOrderUnderConcurrentPublishers(t *testing.T) {
 func TestServerDeliveryGoroutinesPerConnection(t *testing.T) {
 	b := New(exactMatcher(), WithReplayBuffer(0))
 	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := serveLocal(t, srv)
 	t.Cleanup(func() { srv.Close(); b.Close() })
 	c := dialRaw(t, addr.String())
 	c.write(&Frame{Type: FramePublish, Event: parkingEvent("warm")}) // the serving goroutine exists from here
@@ -542,9 +531,10 @@ func TestServerDeliveryGoroutinesPerConnection(t *testing.T) {
 	}
 }
 
-// recordingPeer is a PeerHandler that reads frames off the conn it is
-// handed until the peer hangs up.
+// recordingPeer is a backend whose PeerHandler reads frames off the conn
+// it is handed until the peer hangs up.
 type recordingPeer struct {
+	*Broker
 	frames chan *Frame
 }
 
@@ -563,9 +553,11 @@ func (p *recordingPeer) ServePeer(conn net.Conn, hello *Frame) {
 // Frames pipelined behind hello in the same segment sit in the server's
 // read buffer when the connection changes hands; ServePeer must see them.
 func TestServerDeliveryHelloHandoffKeepsBufferedFrames(t *testing.T) {
-	srv, addr := startServer(t)
-	peer := &recordingPeer{frames: make(chan *Frame, 8)}
-	srv.SetPeerHandler(peer)
+	b := New(exactMatcher())
+	peer := &recordingPeer{Broker: b, frames: make(chan *Frame, 8)}
+	srv := NewServer(b, WithBackend(peer))
+	addr := serveLocal(t, srv).String()
+	t.Cleanup(func() { srv.Close(); b.Close() })
 
 	var segment bytes.Buffer
 	for _, f := range []*Frame{
@@ -595,5 +587,20 @@ func TestServerDeliveryHelloHandoffKeepsBufferedFrames(t *testing.T) {
 	}
 	if want := []string{FrameHello, FramePing, FrameForwardBatch}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("ServePeer saw %v, want %v", got, want)
+	}
+}
+
+// A server whose backend is a plain broker has no peer handler: hello is
+// answered with an error frame and the connection stays a client one.
+func TestServerHelloWithoutPeerHandler(t *testing.T) {
+	_, addr := startServer(t)
+	c := dialRaw(t, addr)
+	c.write(&Frame{Type: FrameHello, NodeID: "n1"})
+	if f := c.read(); f.Type != FrameError || f.Error != "not clustered" {
+		t.Fatalf("hello answered with %+v, want the not clustered error", f)
+	}
+	c.write(&Frame{Type: FramePublish, Event: parkingEvent("after-hello")})
+	if f := c.read(); f.Type != FrameOK {
+		t.Fatalf("publish after hello answered with %+v, want ok", f)
 	}
 }

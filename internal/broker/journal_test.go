@@ -136,12 +136,6 @@ func TestBrokerCloseDoesNotEraseJournal(t *testing.T) {
 // client was away — instead of creating a fresh registration.
 func TestRecoveredSubAttachOverTCP(t *testing.T) {
 	b := New(exactMatcher())
-	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); b.Close() })
 
 	// Simulate the daemon's recovery: re-register under the durable ID and
 	// park the handle for adoption.
@@ -153,7 +147,9 @@ func TestRecoveredSubAttachOverTCP(t *testing.T) {
 	}
 	rec := NewRecovered()
 	rec.ParkSub(h)
-	srv.SetRecovered(rec)
+	srv := NewServer(b, WithRecovered(rec))
+	addr := serveLocal(t, srv)
+	t.Cleanup(func() { srv.Close(); b.Close() })
 
 	// An event lands before the client reconnects: it buffers on the parked
 	// handle.
@@ -249,18 +245,12 @@ func (r failRegistrar) RegisterQuery(spec *QuerySpec) (QueryHandle, error) {
 // A query frame naming a parked query adopts it; buffered detections flow.
 func TestRecoveredQueryAttachOverTCP(t *testing.T) {
 	b := New(exactMatcher())
-	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close(); b.Close() })
-	srv.SetQueryRegistrar(failRegistrar{t})
-
 	qh := &fakeQueryHandle{name: "congestion", dets: []QueryDetection{{Query: "congestion"}}}
 	rec := NewRecovered()
 	rec.ParkQuery(qh)
-	srv.SetRecovered(rec)
+	srv := NewServer(b, WithQueryRegistrar(failRegistrar{t}), WithRecovered(rec))
+	addr := serveLocal(t, srv)
+	t.Cleanup(func() { srv.Close(); b.Close() })
 
 	c, err := Dial(addr.String())
 	if err != nil {

@@ -7,10 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"thematicep/internal/faultinject"
 )
 
 // TestServerCloseWithInFlightClients closes the server while several
@@ -22,10 +27,7 @@ func TestServerCloseWithInFlightClients(t *testing.T) {
 	b := New(exactMatcher())
 	defer b.Close()
 	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := serveLocal(t, srv)
 
 	const clients = 4
 	chans := make([]<-chan Delivery, clients)
@@ -101,12 +103,8 @@ func TestServerCloseWithInFlightClients(t *testing.T) {
 func TestHandshakeDeadlineDropsSilentConn(t *testing.T) {
 	b := New(exactMatcher())
 	defer b.Close()
-	srv := NewServer(b)
-	srv.SetHandshakeTimeout(100 * time.Millisecond)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewServer(b, WithHandshakeTimeout(100*time.Millisecond))
+	addr := serveLocal(t, srv)
 	defer srv.Close()
 
 	// Silent connection: closed by the server within the timeout.
@@ -158,12 +156,8 @@ func TestHandshakeDeadlineDropsSilentConn(t *testing.T) {
 func TestIdleClientSurvivesHandshakeDeadline(t *testing.T) {
 	b := New(exactMatcher())
 	defer b.Close()
-	srv := NewServer(b)
-	srv.SetHandshakeTimeout(100 * time.Millisecond)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewServer(b, WithHandshakeTimeout(100*time.Millisecond))
+	addr := serveLocal(t, srv)
 	defer srv.Close()
 
 	c, err := Dial(addr.String())
@@ -189,6 +183,102 @@ func TestIdleClientSurvivesHandshakeDeadline(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no delivery to a client that idled past the handshake timeout")
+	}
+}
+
+// emfileListener fails its first Accept the way a process at its
+// descriptor limit does, then accepts normally.
+type emfileListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *emfileListener) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerAcceptsAfterAcceptError: an Accept that fails for any reason
+// but the listener closing (here EMFILE) is retried after a back-off, so
+// the server keeps accepting clients, and Close still returns promptly.
+func TestServerAcceptsAfterAcceptError(t *testing.T) {
+	b := New(exactMatcher())
+	defer b.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	el := &emfileListener{Listener: ln}
+	srv := NewServer(b)
+	srv.Serve(el)
+
+	c, err := DialTimeout(ln.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Publish(parkingEvent("after-emfile")); err != nil {
+		t.Fatalf("publish after a failed Accept: %v", err)
+	}
+	if !el.failed.Load() {
+		t.Fatal("the scripted Accept error was never returned")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Server.Close did not return after an Accept error")
+	}
+}
+
+// TestServerServesFaultInjectedListener: a server serves the wrapped
+// listener it is handed. While the injector's partition is on, a dialed
+// client's request fails; after healing, a new client's publish is
+// acknowledged.
+func TestServerServesFaultInjectedListener(t *testing.T) {
+	b := New(exactMatcher())
+	defer b.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(faultinject.Config{Seed: 1})
+	srv := NewServer(b)
+	srv.Serve(inj.Listener(ln))
+	defer srv.Close()
+	addr := ln.Addr().String()
+
+	inj.Partition(true)
+	cut, err := DialTimeout(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cut.Close()
+	if err := cut.Publish(parkingEvent("partitioned")); err == nil {
+		t.Fatal("publish across the partition was acknowledged")
+	}
+	if inj.Stats().Partitioned == 0 {
+		t.Error("the partition refused no operation on the served connection")
+	}
+	if st := b.Stats(); st.Published != 0 {
+		t.Errorf("published = %d across the partition, want 0", st.Published)
+	}
+
+	inj.Partition(false)
+	c, err := DialTimeout(addr, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Publish(parkingEvent("healed")); err != nil {
+		t.Fatalf("publish after healing: %v", err)
 	}
 }
 

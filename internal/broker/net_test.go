@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"reflect"
 	"slices"
 	"strings"
@@ -126,15 +127,23 @@ func TestReadFrameRejectsCorruptedString(t *testing.T) {
 	}
 }
 
+// serveLocal serves srv on a free loopback port and returns its address.
+func serveLocal(t *testing.T, srv *Server) net.Addr {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Serve(ln)
+	return ln.Addr()
+}
+
 // startServer spins up a broker server on a random port.
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	b := New(exactMatcher())
 	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := serveLocal(t, srv)
 	t.Cleanup(func() {
 		srv.Close()
 		b.Close()

@@ -10,14 +10,11 @@ import (
 
 // startBatchServer is startServer with the broker exposed, so tests can
 // assert on its batch counters.
-func startBatchServer(t *testing.T) (*Server, *Broker, string) {
+func startBatchServer(t *testing.T, opts ...ServerOption) (*Server, *Broker, string) {
 	t.Helper()
 	b := New(exactMatcher())
-	srv := NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := NewServer(b, opts...)
+	addr := serveLocal(t, srv)
 	t.Cleanup(func() {
 		srv.Close()
 		b.Close()
@@ -79,8 +76,7 @@ func TestClientPublishBatchOverTCP(t *testing.T) {
 // TestServerMaxBatchCap: frames above the server's batch cap are rejected
 // whole without touching the broker.
 func TestServerMaxBatchCap(t *testing.T) {
-	srv, b, addr := startBatchServer(t)
-	srv.SetMaxBatch(2)
+	_, b, addr := startBatchServer(t, WithMaxBatch(2))
 
 	c, err := Dial(addr)
 	if err != nil {

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -31,9 +32,11 @@ type SubHandle interface {
 	Close()
 }
 
-// Backend is the pub/sub engine a Server fronts. The local Broker is the
-// default; a cluster node substitutes itself to add theme-routed
-// federation without the server knowing.
+// Backend is the pub/sub engine a Server fronts, fixed by WithBackend at
+// construction. The local Broker is the default; a cluster node substitutes
+// itself to add theme-routed federation without the server knowing. The
+// server asks the backend for the optional PeerHandler and
+// SubscribeRedirector behaviours by type assertion.
 type Backend interface {
 	// PublishBatch receives a publishb frame as one batch with
 	// all-or-nothing admission, and a publish frame as a batch of one.
@@ -42,7 +45,7 @@ type Backend interface {
 }
 
 // DefaultMaxBatch caps how many events one publishb frame may carry unless
-// overridden with SetMaxBatch. The cap bounds the per-frame work a single
+// overridden with WithMaxBatch. The cap bounds the per-frame work a single
 // client can force on the matching pipeline; MaxFrameSize already bounds
 // the bytes.
 const DefaultMaxBatch = 4096
@@ -57,8 +60,10 @@ func (b *Broker) SubscribeHandle(sub *event.Subscription, opts ...SubscribeOptio
 }
 
 // PeerHandler takes over connections that identify themselves as federation
-// peers with a hello frame. Implemented by internal/cluster; when nil,
-// hello frames are answered with an error.
+// peers with a hello frame. A Backend that implements it (internal/cluster's
+// node does) serves the server's peer connections; when the backend does
+// not, hello frames are answered with a "not clustered" error and the
+// connection stays a client connection.
 type PeerHandler interface {
 	// ServePeer owns the connection until it returns; the server closes
 	// the conn afterwards. Reads on conn continue after the hello frame,
@@ -66,9 +71,10 @@ type PeerHandler interface {
 	ServePeer(conn net.Conn, hello *Frame)
 }
 
-// SubscribeRedirector lets a backend redirect a subscription to the broker
-// owning its theme shard. A non-empty address is sent to the client as a
-// redirect frame instead of registering locally.
+// SubscribeRedirector lets a Backend redirect a subscription to the broker
+// owning its theme shard; the server uses it when the backend implements
+// it. A non-empty address is sent to the client as a redirect frame instead
+// of registering locally.
 type SubscribeRedirector interface {
 	Redirect(sub *event.Subscription) string
 }
@@ -89,158 +95,128 @@ type QueryHandle interface {
 }
 
 // QueryRegistrar owns continuous queries (implemented by query.Engine).
-// When nil, query frames are answered with an error.
+// Without one, query frames are answered with an error.
 type QueryRegistrar interface {
 	RegisterQuery(spec *QuerySpec) (QueryHandle, error)
 }
 
-// Server exposes a Backend over TCP using the wire protocol. One server
-// serves many client connections; each connection may hold many
-// subscriptions.
+// Server exposes a Backend over a stream listener using the wire protocol.
+// One server serves many client connections; each connection may hold many
+// subscriptions. Its wiring is fixed by NewServer.
 type Server struct {
-	broker  *Broker
-	backend Backend
-
-	mu               sync.Mutex
-	listener         net.Listener
-	conns            map[net.Conn]struct{}
-	peerHandler      PeerHandler
+	broker           *Broker
+	backend          Backend
 	queries          QueryRegistrar
 	recovered        *Recovered
-	handshakeTimeout time.Duration
 	maxBatch         int
-	wg               sync.WaitGroup
-	closed           bool
+	handshakeTimeout time.Duration
+
+	mu       sync.Mutex // guards listener, conns and done's closing
+	listener net.Listener
+	conns    map[net.Conn]struct{}
+	done     chan struct{} // closed by Close
+	wg       sync.WaitGroup
 }
 
-// NewServer wraps a broker.
-func NewServer(b *Broker) *Server {
-	return &Server{
+// ServerOption configures a Server at construction.
+type ServerOption func(*Server)
+
+// WithBackend routes requests to be instead of the broker (for example a
+// cluster node wrapping it). A backend that implements PeerHandler takes
+// the server's federation peer connections; one that implements
+// SubscribeRedirector redirects subscriptions to their owning shard.
+func WithBackend(be Backend) ServerOption { return func(s *Server) { s.backend = be } }
+
+// WithQueryRegistrar installs the continuous-query engine behind query
+// frames.
+func WithQueryRegistrar(qr QueryRegistrar) ServerOption {
+	return func(s *Server) { s.queries = qr }
+}
+
+// WithRecovered installs the WAL-recovered registration registry: subscribe
+// and query frames naming a parked registration adopt it instead of
+// re-registering.
+func WithRecovered(r *Recovered) ServerOption { return func(s *Server) { s.recovered = r } }
+
+// WithMaxBatch overrides the largest batch one publishb frame may carry
+// (DefaultMaxBatch). Oversized batches are rejected whole with an error
+// frame. Zero or negative disables the cap.
+func WithMaxBatch(n int) ServerOption { return func(s *Server) { s.maxBatch = n } }
+
+// WithHandshakeTimeout overrides how long a new connection may wait before
+// its first frame (DefaultHandshakeTimeout). Zero or negative disables the
+// bound.
+func WithHandshakeTimeout(d time.Duration) ServerOption {
+	return func(s *Server) { s.handshakeTimeout = d }
+}
+
+// NewServer builds a server in front of b, wired once: requests go to b (or
+// to the WithBackend engine), with DefaultMaxBatch and
+// DefaultHandshakeTimeout unless overridden. Deliveries are written through
+// b's delivery writers. Nothing is accepted until Serve.
+func NewServer(b *Broker, opts ...ServerOption) *Server {
+	s := &Server{
 		broker:           b,
 		backend:          b,
-		conns:            make(map[net.Conn]struct{}),
-		handshakeTimeout: DefaultHandshakeTimeout,
 		maxBatch:         DefaultMaxBatch,
+		handshakeTimeout: DefaultHandshakeTimeout,
+		conns:            make(map[net.Conn]struct{}),
+		done:             make(chan struct{}),
 	}
-}
-
-// SetMaxBatch overrides the largest batch one publishb frame may carry
-// (DefaultMaxBatch). Oversized batches are rejected whole with an error
-// frame. Zero or negative disables the cap. Call before traffic arrives.
-func (s *Server) SetMaxBatch(n int) {
-	s.mu.Lock()
-	s.maxBatch = n
-	s.mu.Unlock()
-}
-
-func (s *Server) getMaxBatch() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxBatch
-}
-
-// SetHandshakeTimeout overrides how long a new connection may wait before
-// its first frame (DefaultHandshakeTimeout). Zero or negative disables the
-// bound. Call before traffic arrives.
-func (s *Server) SetHandshakeTimeout(d time.Duration) {
-	s.mu.Lock()
-	s.handshakeTimeout = d
-	s.mu.Unlock()
-}
-
-func (s *Server) getHandshakeTimeout() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.handshakeTimeout
-}
-
-// SetBackend replaces the engine requests are routed to (for example a
-// cluster node wrapping the broker). Call before traffic arrives.
-func (s *Server) SetBackend(be Backend) {
-	s.mu.Lock()
-	s.backend = be
-	s.mu.Unlock()
-}
-
-// SetPeerHandler installs the handler for inbound federation connections.
-func (s *Server) SetPeerHandler(h PeerHandler) {
-	s.mu.Lock()
-	s.peerHandler = h
-	s.mu.Unlock()
-}
-
-// SetQueryRegistrar installs the continuous-query engine behind query
-// frames. Call before traffic arrives.
-func (s *Server) SetQueryRegistrar(qr QueryRegistrar) {
-	s.mu.Lock()
-	s.queries = qr
-	s.mu.Unlock()
-}
-
-func (s *Server) getQueryRegistrar() QueryRegistrar {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
-}
-
-// SetRecovered installs the WAL-recovered registration registry: subscribe
-// and query frames naming a parked registration adopt it instead of
-// re-registering. Call before traffic arrives.
-func (s *Server) SetRecovered(r *Recovered) {
-	s.mu.Lock()
-	s.recovered = r
-	s.mu.Unlock()
-}
-
-func (s *Server) getRecovered() *Recovered {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovered
-}
-
-func (s *Server) getBackend() Backend {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.backend
-}
-
-func (s *Server) getPeerHandler() PeerHandler {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.peerHandler
-}
-
-// Listen starts accepting connections on addr (e.g. "127.0.0.1:7070") and
-// returns the bound address. Serving happens on background goroutines until
-// Close.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("broker server: %w", err)
+	for _, o := range opts {
+		o(s)
 	}
+	return s
+}
+
+// Serve starts accepting connections on ln, which the caller made (a TCP
+// listener, or a wrapped or in-memory one), and returns at once; serving
+// happens on background goroutines until Close, which closes ln. A server
+// serves one listener. Serving on a closed server closes ln.
+func (s *Server) Serve(ln net.Listener) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.closing() {
 		ln.Close()
-		return nil, ErrClosed
+		return
 	}
 	s.listener = ln
-	s.mu.Unlock()
-
 	s.wg.Add(1)
 	go s.acceptLoop(ln)
-	return ln.Addr(), nil
+}
+
+func (s *Server) closing() bool {
+	select {
+	case <-s.done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return // listener closed
+			if errors.Is(err, net.ErrClosed) || s.closing() {
+				return
+			}
+			// Any other failure — EMFILE at the descriptor limit, say —
+			// passes: back off as net/http does, 5 ms doubling to 1 s, and
+			// accept again, so a daemon outlives its descriptor crunch.
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-time.After(backoff):
+			case <-s.done:
+				return
+			}
+			continue
 		}
+		backoff = 0
 		s.mu.Lock()
-		if s.closed {
+		if s.closing() {
 			s.mu.Unlock()
 			conn.Close()
 			return
@@ -330,8 +306,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// connection has proven itself the deadline is cleared: an idle
 	// subscriber waiting for deliveries is legitimate. Client's first
 	// frame is a ping sent by Dial, so a client is never silent.
-	if d := s.getHandshakeTimeout(); d > 0 {
-		conn.SetReadDeadline(time.Now().Add(d))
+	if s.handshakeTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.handshakeTimeout))
 	}
 	first := true
 	br := bufio.NewReader(conn) // one read(2) per small frame instead of two
@@ -349,7 +325,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case FrameHello:
 			// The connection is a federation peer, not a client; hand it
 			// to the cluster layer for its lifetime.
-			if h := s.getPeerHandler(); h != nil {
+			if h, ok := s.backend.(PeerHandler); ok {
 				h.ServePeer(bufferedConn{conn, br}, f)
 				return
 			}
@@ -361,19 +337,19 @@ func (s *Server) serveConn(conn net.Conn) {
 			// — the client has no request waiting on it.
 
 		case FramePublish:
-			if err := s.getBackend().PublishBatch([]*event.Event{f.Event}); err != nil {
+			if err := s.backend.PublishBatch([]*event.Event{f.Event}); err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
 			}
 			cs.write(&Frame{Type: FrameOK})
 
 		case FramePublishBatch:
-			if mb := s.getMaxBatch(); mb > 0 && len(f.Events) > mb {
+			if s.maxBatch > 0 && len(f.Events) > s.maxBatch {
 				cs.write(&Frame{Type: FrameError,
-					Error: fmt.Sprintf("batch of %d events exceeds server cap %d", len(f.Events), mb)})
+					Error: fmt.Sprintf("batch of %d events exceeds server cap %d", len(f.Events), s.maxBatch)})
 				continue
 			}
-			if err := s.getBackend().PublishBatch(f.Events); err != nil {
+			if err := s.backend.PublishBatch(f.Events); err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
 			}
@@ -383,16 +359,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A reconnecting client that survived our restart adopts its
 			// WAL-recovered registration by ID — before the redirect check,
 			// because the registration already lives on this node.
-			if rec := s.getRecovered(); rec != nil && f.Subscription != nil && f.Subscription.ID != "" {
-				if sub, ok := rec.AttachSub(f.Subscription.ID); ok {
+			if s.recovered != nil && f.Subscription != nil && f.Subscription.ID != "" {
+				if sub, ok := s.recovered.AttachSub(f.Subscription.ID); ok {
 					cs.subs[sub.ID()] = sub
 					cs.write(&Frame{Type: FrameOK, SubscriptionID: sub.ID()})
 					cs.writer(s.broker).Attach(sub, sub.ID())
 					continue
 				}
 			}
-			be := s.getBackend()
-			if r, ok := be.(SubscribeRedirector); ok {
+			if r, ok := s.backend.(SubscribeRedirector); ok {
 				if addr := r.Redirect(f.Subscription); addr != "" {
 					cs.write(&Frame{Type: FrameRedirect, Addr: addr})
 					continue
@@ -402,7 +377,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			if f.Replay {
 				opts = append(opts, WithReplay(true))
 			}
-			sub, err := be.SubscribeHandle(f.Subscription, opts...)
+			sub, err := s.backend.SubscribeHandle(f.Subscription, opts...)
 			if err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
@@ -412,8 +387,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			cs.writer(s.broker).Attach(sub, sub.ID())
 
 		case FrameQuery:
-			qr := s.getQueryRegistrar()
-			if qr == nil {
+			if s.queries == nil {
 				cs.write(&Frame{Type: FrameError, Error: "continuous queries not supported"})
 				continue
 			}
@@ -421,8 +395,8 @@ func (s *Server) serveConn(conn net.Conn) {
 				cs.write(&Frame{Type: FrameError, Error: "query frame without spec"})
 				continue
 			}
-			if rec := s.getRecovered(); rec != nil && f.Query.Name != "" {
-				if q, ok := rec.AttachQuery(f.Query.Name); ok {
+			if s.recovered != nil && f.Query.Name != "" {
+				if q, ok := s.recovered.AttachQuery(f.Query.Name); ok {
 					cs.queries[q.Name()] = q
 					cs.write(&Frame{Type: FrameOK, QueryName: q.Name()})
 					cs.writer(s.broker).AttachQuery(q)
@@ -432,13 +406,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Shard placement: the query's feeding subscription decides the
 			// owner, exactly like a plain subscribe — window state must live
 			// where the theme's events land.
-			if r, ok := s.getBackend().(SubscribeRedirector); ok && f.Query.Subscription != nil {
+			if r, ok := s.backend.(SubscribeRedirector); ok && f.Query.Subscription != nil {
 				if addr := r.Redirect(f.Query.Subscription); addr != "" {
 					cs.write(&Frame{Type: FrameRedirect, Addr: addr})
 					continue
 				}
 			}
-			q, err := qr.RegisterQuery(f.Query)
+			q, err := s.queries.RegisterQuery(f.Query)
 			if err != nil {
 				cs.write(&Frame{Type: FrameError, Error: err.Error()})
 				continue
@@ -476,11 +450,11 @@ func (s *Server) serveConn(conn net.Conn) {
 // goroutines. The underlying broker is left open (the caller owns it).
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if s.closing() {
 		s.mu.Unlock()
 		return
 	}
-	s.closed = true
+	close(s.done)
 	if s.listener != nil {
 		s.listener.Close()
 	}

@@ -22,15 +22,11 @@ func startChaosCluster(t *testing.T, size int, inj *faultinject.Injector) []*tes
 	t.Helper()
 	ns := make([]*testNode, size)
 	addrs := make([]string, size)
+	lns := make([]net.Listener, size)
 	for i := range ns {
-		b := broker.New(exactMatcher(), broker.WithReplayBuffer(0))
-		srv := broker.NewServer(b)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns[i] = &testNode{b: b, srv: srv, addr: addr.String()}
-		addrs[i] = addr.String()
+		lns[i] = listen(t, "127.0.0.1:0")
+		ns[i] = &testNode{b: broker.New(exactMatcher(), broker.WithReplayBuffer(0)), addr: lns[i].Addr().String()}
+		addrs[i] = ns[i].addr
 	}
 	dial := inj.Dialer(func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, time.Second)
@@ -57,9 +53,9 @@ func startChaosCluster(t *testing.T, size int, inj *faultinject.Injector) []*tes
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn.srv.SetBackend(node)
-		tn.srv.SetPeerHandler(node)
 		tn.node = node
+		tn.srv = broker.NewServer(tn.b, broker.WithBackend(node))
+		tn.srv.Serve(lns[i])
 	}
 	for _, tn := range ns {
 		tn.node.Start()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -35,19 +36,26 @@ func exactMatcher() broker.Matcher {
 	})
 }
 
+// listen opens a TCP listener on addr ("127.0.0.1:0" for a free port) for
+// a node's server to serve.
+func listen(t *testing.T, addr string) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
 func startCluster(t *testing.T, size int) []*testNode {
 	t.Helper()
 	ns := make([]*testNode, size)
 	addrs := make([]string, size)
+	lns := make([]net.Listener, size)
 	for i := range ns {
-		b := broker.New(exactMatcher())
-		srv := broker.NewServer(b)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns[i] = &testNode{b: b, srv: srv, addr: addr.String()}
-		addrs[i] = addr.String()
+		lns[i] = listen(t, "127.0.0.1:0")
+		ns[i] = &testNode{b: broker.New(exactMatcher()), addr: lns[i].Addr().String()}
+		addrs[i] = ns[i].addr
 	}
 	for i, tn := range ns {
 		var peers []string
@@ -65,9 +73,9 @@ func startCluster(t *testing.T, size int) []*testNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn.srv.SetBackend(node)
-		tn.srv.SetPeerHandler(node)
 		tn.node = node
+		tn.srv = broker.NewServer(tn.b, broker.WithBackend(node))
+		tn.srv.Serve(lns[i])
 	}
 	for _, tn := range ns {
 		tn.node.Start()

@@ -54,27 +54,23 @@ func elasticConfig(self string, seeds []string, dial func(string) (net.Conn, err
 	}
 }
 
-// startElastic brings up one member. listen is "127.0.0.1:0" for a fresh
+// startElastic brings up one member. addr is "127.0.0.1:0" for a fresh
 // port or a previous member's address for a restart-in-place; seeds
 // bootstrap gossip (empty = founding member). Extra broker options wire in
 // a journal for durability tests.
-func startElastic(t *testing.T, listen string, seeds []string, dial func(string) (net.Conn, error), bopts ...broker.Option) *elasticNode {
+func startElastic(t *testing.T, addr string, seeds []string, dial func(string) (net.Conn, error), bopts ...broker.Option) *elasticNode {
 	t.Helper()
 	opts := append([]broker.Option{broker.WithReplayBuffer(0)}, bopts...)
 	b := broker.New(exactMatcher(), opts...)
-	srv := broker.NewServer(b)
-	addr, err := srv.Listen(listen)
+	ln := listen(t, addr)
+	node, err := cluster.New(b, elasticConfig(ln.Addr().String(), seeds, dial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := cluster.New(b, elasticConfig(addr.String(), seeds, dial))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetBackend(node)
-	srv.SetPeerHandler(node)
+	srv := broker.NewServer(b, broker.WithBackend(node))
+	srv.Serve(ln)
 	node.Start()
-	en := &elasticNode{b: b, srv: srv, node: node, addr: addr.String()}
+	en := &elasticNode{b: b, srv: srv, node: node, addr: ln.Addr().String()}
 	t.Cleanup(en.stop)
 	return en
 }

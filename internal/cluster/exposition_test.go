@@ -29,19 +29,13 @@ func TestFullStackExpositionLints(t *testing.T) {
 		broker.WithThreshold(0.1),
 		broker.WithTraceSampling(1),
 	)
-	srv := broker.NewServer(b)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listen(t, "127.0.0.1:0")
+	addr := ln.Addr()
 	// A second plain broker gives the first a live peer, so the per-peer
 	// forward gauges have a series to emit.
 	peerB := broker.New(exactMatcher())
-	peerSrv := broker.NewServer(peerB)
-	peerAddr, err := peerSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	peerLn := listen(t, "127.0.0.1:0")
+	peerAddr := peerLn.Addr()
 	node, err := cluster.New(b, cluster.Config{
 		Self:         addr.String(),
 		Seeds:        []string{peerAddr.String()},
@@ -51,8 +45,8 @@ func TestFullStackExpositionLints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.SetBackend(node)
-	srv.SetPeerHandler(node)
+	srv := broker.NewServer(b, broker.WithBackend(node))
+	srv.Serve(ln)
 	peerNode, err := cluster.New(peerB, cluster.Config{
 		Self:         peerAddr.String(),
 		Seeds:        []string{addr.String()},
@@ -62,8 +56,8 @@ func TestFullStackExpositionLints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peerSrv.SetBackend(peerNode)
-	peerSrv.SetPeerHandler(peerNode)
+	peerSrv := broker.NewServer(peerB, broker.WithBackend(peerNode))
+	peerSrv.Serve(peerLn)
 	node.Start()
 	peerNode.Start()
 	t.Cleanup(func() {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -25,6 +26,7 @@ func startTracedPair(t *testing.T) []*testNode {
 	ns := make([]*testNode, 2)
 	addrs := make([]string, 2)
 	names := []string{"node-A", "node-B"}
+	lns := make([]net.Listener, 2)
 	for i := range ns {
 		every := 1
 		if i != 0 {
@@ -32,13 +34,9 @@ func startTracedPair(t *testing.T) []*testNode {
 		}
 		b := broker.New(exactMatcher(),
 			broker.WithTraceSampling(every, telemetry.WithNode(names[i])))
-		srv := broker.NewServer(b)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns[i] = &testNode{b: b, srv: srv, addr: addr.String()}
-		addrs[i] = addr.String()
+		lns[i] = listen(t, "127.0.0.1:0")
+		ns[i] = &testNode{b: b, addr: lns[i].Addr().String()}
+		addrs[i] = ns[i].addr
 	}
 	for i, tn := range ns {
 		node, err := cluster.New(tn.b, cluster.Config{
@@ -51,9 +49,9 @@ func startTracedPair(t *testing.T) []*testNode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn.srv.SetBackend(node)
-		tn.srv.SetPeerHandler(node)
 		tn.node = node
+		tn.srv = broker.NewServer(tn.b, broker.WithBackend(node))
+		tn.srv.Serve(lns[i])
 	}
 	for _, tn := range ns {
 		tn.node.Start()

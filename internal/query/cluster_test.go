@@ -28,15 +28,11 @@ func startQueryCluster(t *testing.T, size int, inj *faultinject.Injector) []*clu
 	t.Helper()
 	ns := make([]*clusterNode, size)
 	addrs := make([]string, size)
+	lns := make([]net.Listener, size)
 	for i := range ns {
-		b := broker.New(exactMatcher(), broker.WithReplayBuffer(0))
-		srv := broker.NewServer(b)
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ns[i] = &clusterNode{b: b, srv: srv, addr: addr.String()}
-		addrs[i] = addr.String()
+		lns[i] = listenLocal(t)
+		ns[i] = &clusterNode{b: broker.New(exactMatcher(), broker.WithReplayBuffer(0)), addr: lns[i].Addr().String()}
+		addrs[i] = ns[i].addr
 	}
 	dial := inj.Dialer(func(addr string) (net.Conn, error) {
 		return net.DialTimeout("tcp", addr, time.Second)
@@ -63,11 +59,10 @@ func startQueryCluster(t *testing.T, size int, inj *faultinject.Injector) []*clu
 		if err != nil {
 			t.Fatal(err)
 		}
-		tn.srv.SetBackend(node)
-		tn.srv.SetPeerHandler(node)
 		tn.node = node
 		tn.eng = New(node, WithFlushInterval(25*time.Millisecond))
-		tn.srv.SetQueryRegistrar(tn.eng)
+		tn.srv = broker.NewServer(tn.b, broker.WithBackend(node), broker.WithQueryRegistrar(tn.eng))
+		tn.srv.Serve(lns[i])
 	}
 	for _, tn := range ns {
 		tn.node.Start()
@@ -81,6 +76,17 @@ func startQueryCluster(t *testing.T, size int, inj *faultinject.Injector) []*clu
 		}
 	})
 	return ns
+}
+
+// listenLocal opens a listener on a free loopback port for a server to
+// serve.
+func listenLocal(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
 }
 
 func findTag(t *testing.T, r *cluster.Ring, owner string) string {

@@ -121,12 +121,10 @@ func TestQueryOverWireEndToEnd(t *testing.T) {
 	defer b.Close()
 	e := New(b, WithFlushInterval(-1))
 	defer e.Close()
-	srv := broker.NewServer(b)
-	srv.SetQueryRegistrar(e)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenLocal(t)
+	srv := broker.NewServer(b, broker.WithQueryRegistrar(e))
+	srv.Serve(ln)
+	addr := ln.Addr()
 	defer srv.Close()
 
 	c, err := broker.Dial(addr.String())
@@ -181,12 +179,10 @@ func TestConnTeardownClosesQueries(t *testing.T) {
 	defer b.Close()
 	e := New(b, WithFlushInterval(-1))
 	defer e.Close()
-	srv := broker.NewServer(b)
-	srv.SetQueryRegistrar(e)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenLocal(t)
+	srv := broker.NewServer(b, broker.WithQueryRegistrar(e))
+	srv.Serve(ln)
+	addr := ln.Addr()
 	defer srv.Close()
 
 	c, err := broker.Dial(addr.String())

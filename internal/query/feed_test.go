@@ -28,12 +28,10 @@ func TestQueriesStartNoGoroutine(t *testing.T) {
 		}
 	}
 
-	srv := broker.NewServer(b)
-	srv.SetQueryRegistrar(e)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenLocal(t)
+	srv := broker.NewServer(b, broker.WithQueryRegistrar(e))
+	srv.Serve(ln)
+	addr := ln.Addr()
 	defer srv.Close()
 	c, err := broker.Dial(addr.String())
 	if err != nil {
